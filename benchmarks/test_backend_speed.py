@@ -31,7 +31,7 @@ def _setup(backend: str, vector: bool, size: int = 64):
     soc.load_csr(matrix)
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
-    program = soc.assemble(spmv_kernel(hht=False, vector=vector))
+    program = soc.assemble(spmv_kernel(accel=None, vector=vector))
     return soc, program
 
 

@@ -20,7 +20,7 @@ def _spmv_setup(size: int = 64, sparsity: float = 0.5):
     soc.load_csr(matrix)
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
-    program = soc.assemble(spmv_kernel(hht=False, vector=True))
+    program = soc.assemble(spmv_kernel(accel=None, vector=True))
     return soc, program
 
 
@@ -31,7 +31,7 @@ def _spmv_hht_setup(size: int = 64, sparsity: float = 0.5):
     soc.load_csr(matrix)
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
-    program = soc.assemble(spmv_kernel(hht=True, vector=True))
+    program = soc.assemble(spmv_kernel(accel="hht", vector=True))
     return soc, program
 
 

@@ -11,15 +11,11 @@ closure, and thereafter run whole blocks per dispatch.
 Specialization folds everything static into the generated source:
 
 * register indices, immediates and branch targets become literals;
+  register values are read from and written to the architectural
+  ``x``/``f`` lists directly;
 * per-instruction cycle charges are summed at translation time, so a run
   of K single-cycle ALU ops costs one ``cycle += K`` at runtime;
 * class counts are batched into one dict update per class per block;
-* values written earlier in a block are *forwarded* to later reads
-  through local temporaries — the adjacent pairs the ISA makes common
-  (``lw``+``add``, ``bne``+``addi``) fuse into superinstructions that
-  never touch the architectural register file between the two halves;
-* constants propagate: ``li``/``la``/``lui`` results fold into later
-  address computations and ALU results at translation time;
 * on the paper's Table-1 memory system (single bank, no L1D) the whole
   RAM load/store accounting chain (``Bus.load_word`` → ``MemorySystem``
   → ``MemoryPort.issue`` → ``PortStats.record``) inlines to a few local
@@ -48,12 +44,16 @@ produces exactly the reference interpreter's cycles, instruction counts,
 flat stats registry, architectural state and ``SimulationError``
 messages.  Every generated operation mirrors the corresponding
 ``Cpu._op_*`` handler's arithmetic (including numpy float32 rounding in
-the vector unit and the exact port-slot accounting).  Two deliberate
+the vector unit and the exact port-slot accounting).  Three deliberate
 boundaries:
 
 * probes/samplers force deference — :meth:`SimSession.run` only enters
   :func:`run_compiled` when *no* probe is attached, because compiled
   blocks skip the per-instruction hooks and ``probe_sink`` events;
+* only single-core runs are compiled — a multi-core
+  :class:`~repro.instrument.session.MultiCoreSession` always takes the
+  per-instruction earliest-clock interleave, so its cycles are the same
+  on both backends;
 * a ``MemoryAccessError`` aborts mid-block, so the *partial* charges of
   the faulting block may differ from the reference abort state (the
   exception type, message and memory-system side effects are identical;
@@ -75,8 +75,6 @@ import numpy as np
 from ..isa.encoding import s32
 from ..isa.program import Program
 
-_U32 = 0xFFFFFFFF
-
 #: Ops that end a basic block (control transfer or machine stop).
 CONTROL_OPS = frozenset(
     "beq bne blt bge bltu bgeu jal jalr halt ecall ebreak".split()
@@ -92,49 +90,43 @@ _BRANCH_COND = {
     "bltu": ("<", True), "bgeu": (">=", True),
 }
 
-_BRANCH_FOLD = {
-    "beq": lambda a, b: a == b, "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b, "bge": lambda a, b: a >= b,
-    "bltu": lambda a, b: (a & _U32) < (b & _U32),
-    "bgeu": lambda a, b: (a & _U32) >= (b & _U32),
-}
-
 
 def _w(expr: str) -> str:
     """Source text of ``s32(expr)`` (wrap to signed 32-bit)."""
     return f"((({expr}) + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
 
 
-# op -> (expr builder over two operand atoms, constant folder).  The
-# builders mirror Cpu._op_* arithmetic exactly; the folders are the same
-# formulas evaluated at translation time.
+def _branch_cond(cg: "_Codegen", ins) -> str:
+    """Source text of a conditional branch's taken test."""
+    a, b = cg.xref(ins.rs1), cg.xref(ins.rs2)
+    cmp_op, unsigned = _BRANCH_COND[ins.op]
+    if unsigned:
+        return f"({a} & 0xFFFFFFFF) {cmp_op} ({b} & 0xFFFFFFFF)"
+    return f"{a} {cmp_op} {b}"
+
+
+# op -> expr builder over two operand atoms, mirroring Cpu._op_*
+# arithmetic exactly.
 _ALU3 = {
-    "add": (lambda a, b: _w(f"{a} + {b}"), lambda a, b: s32(a + b)),
-    "sub": (lambda a, b: _w(f"{a} - {b}"), lambda a, b: s32(a - b)),
-    "and": (lambda a, b: _w(f"{a} & {b}"), lambda a, b: s32(a & b)),
-    "or": (lambda a, b: _w(f"{a} | {b}"), lambda a, b: s32(a | b)),
-    "xor": (lambda a, b: _w(f"{a} ^ {b}"), lambda a, b: s32(a ^ b)),
-    "sll": (lambda a, b: _w(f"{a} << ({b} & 31)"),
-            lambda a, b: s32(a << (b & 31))),
-    "srl": (lambda a, b: _w(f"({a} & 0xFFFFFFFF) >> ({b} & 31)"),
-            lambda a, b: s32((a & _U32) >> (b & 31))),
-    "sra": (lambda a, b: f"{a} >> ({b} & 31)", lambda a, b: a >> (b & 31)),
-    "slt": (lambda a, b: f"int({a} < {b})", lambda a, b: int(a < b)),
-    "sltu": (lambda a, b: f"int(({a} & 0xFFFFFFFF) < ({b} & 0xFFFFFFFF))",
-             lambda a, b: int((a & _U32) < (b & _U32))),
-    "mul": (lambda a, b: _w(f"{a} * {b}"), lambda a, b: s32(a * b)),
-    "mulh": (lambda a, b: _w(f"({a} * {b}) >> 32"),
-             lambda a, b: s32((a * b) >> 32)),
-    "mulhu": (lambda a, b:
-              _w(f"(({a} & 0xFFFFFFFF) * ({b} & 0xFFFFFFFF)) >> 32"),
-              lambda a, b: s32(((a & _U32) * (b & _U32)) >> 32)),
-    "mulhsu": (lambda a, b: _w(f"({a} * ({b} & 0xFFFFFFFF)) >> 32"),
-               lambda a, b: s32((a * (b & _U32)) >> 32)),
+    "add": lambda a, b: _w(f"{a} + {b}"),
+    "sub": lambda a, b: _w(f"{a} - {b}"),
+    "and": lambda a, b: _w(f"{a} & {b}"),
+    "or": lambda a, b: _w(f"{a} | {b}"),
+    "xor": lambda a, b: _w(f"{a} ^ {b}"),
+    "sll": lambda a, b: _w(f"{a} << ({b} & 31)"),
+    "srl": lambda a, b: _w(f"({a} & 0xFFFFFFFF) >> ({b} & 31)"),
+    "sra": lambda a, b: f"{a} >> ({b} & 31)",
+    "slt": lambda a, b: f"int({a} < {b})",
+    "sltu": lambda a, b: f"int(({a} & 0xFFFFFFFF) < ({b} & 0xFFFFFFFF))",
+    "mul": lambda a, b: _w(f"{a} * {b}"),
+    "mulh": lambda a, b: _w(f"({a} * {b}) >> 32"),
+    "mulhu": lambda a, b:
+        _w(f"(({a} & 0xFFFFFFFF) * ({b} & 0xFFFFFFFF)) >> 32"),
+    "mulhsu": lambda a, b: _w(f"({a} * ({b} & 0xFFFFFFFF)) >> 32"),
     # Immediate shifts take the immediate unmasked, like the handlers.
-    "slli": (lambda a, b: _w(f"{a} << {b}"), lambda a, b: s32(a << b)),
-    "srli": (lambda a, b: _w(f"({a} & 0xFFFFFFFF) >> {b}"),
-             lambda a, b: s32((a & _U32) >> b)),
-    "srai": (lambda a, b: f"{a} >> {b}", lambda a, b: a >> b),
+    "slli": lambda a, b: _w(f"{a} << {b}"),
+    "srli": lambda a, b: _w(f"({a} & 0xFFFFFFFF) >> {b}"),
+    "srai": lambda a, b: f"{a} >> {b}",
 }
 
 #: Immediate ALU ops sharing a 3-register builder's semantics.
@@ -208,11 +200,6 @@ class CompiledBlock:
         self.looping = looping
 
 
-class _ConstLoopBranch(Exception):
-    """Raised during loop translation when the backward branch folds to
-    a constant; the caller recompiles the block straight-line."""
-
-
 class _Codegen:
     """Accumulates the source of one block closure."""
 
@@ -224,93 +211,36 @@ class _Codegen:
         self.counts: dict[str, int] = {}         # class -> exec count
         self.static_cycles: dict[str, int] = {}  # class -> static cycles
         self.dyn_vars: dict[str, str] = {}       # class -> accumulator var
-        self.xval: dict[int, tuple[str, object]] = {}  # forwarding map
-        self.fval: dict[int, str] = {}
         self.needs: set[str] = set()
-        self.ntemp = 0
-        self.last_written: int | None = None
-        self.hit_prev = False
-        # Dead-store blanking: reg -> index of its last architectural
-        # store line, eligible for removal if overwritten before the
-        # next barrier (escape / branch / block exit).
-        self.xstore_lines: dict[int, int] = {}
 
     # -- emission ------------------------------------------------------
     def emit(self, line: str) -> None:
         self.lines.append("    " * (1 + self.ind) + line)
 
-    def temp(self) -> str:
-        self.ntemp += 1
-        return f"_t{self.ntemp}"
-
     def need(self, *names: str) -> None:
         self.needs.update(names)
 
-    # -- register access with value forwarding -------------------------
-    def xref(self, i: int) -> tuple[str, int | None]:
-        """(source atom, constant value or None) for a read of x[i]."""
+    # -- register access -----------------------------------------------
+    def xref(self, i: int) -> str:
+        """Source atom for a read of x[i] (x0 reads as the literal 0)."""
         if i == 0:
-            return "0", 0
-        entry = self.xval.get(i)
-        if entry is None:
-            self.need("x")
-            return f"x[{i}]", None
-        self.backend.forwarded_reads += 1
-        if i == self.last_written:
-            self.hit_prev = True
-        kind, payload = entry
-        if kind == "const":
-            return (f"({payload})" if payload < 0 else str(payload)), payload
-        return payload, None
-
-    def xwrite(self, i: int, expr: str, const: int | None = None) -> None:
-        """Write x[i]; the architectural file is updated at the latest
-        by the next barrier (a store made dead by a later same-block
-        store to the same register is blanked — no emitted code between
-        them can observe x[] directly)."""
-        if not i:
-            return
+            return "0"
         self.need("x")
-        stale = self.xstore_lines.get(i)
-        if stale is not None:
-            self.lines[stale] = None
-        if const is not None:
-            self.emit(f"x[{i}] = {expr}")
-            self.xval[i] = ("const", const)
-            self.backend.folded_constants += 1
-        else:
-            t = self.temp()
-            self.emit(f"{t} = {expr}")
-            self.emit(f"x[{i}] = {t}")
-            self.xval[i] = ("name", t)
-        self.xstore_lines[i] = len(self.lines) - 1
-        self.last_written = i
+        return f"x[{i}]"
 
-    def store_barrier(self) -> None:
-        """Every prior architectural store is now observable — stop
-        blanking across this point."""
-        self.xstore_lines.clear()
+    def xwrite(self, i: int, expr: str) -> None:
+        """Emit ``x[i] = expr``; a write to x0 emits nothing."""
+        if i:
+            self.need("x")
+            self.emit(f"x[{i}] = {expr}")
 
     def fref(self, i: int) -> str:
-        name = self.fval.get(i)
-        if name is None:
-            self.need("f")
-            return f"f[{i}]"
-        self.backend.forwarded_reads += 1
-        return name
+        self.need("f")
+        return f"f[{i}]"
 
     def fwrite(self, i: int, expr: str) -> None:
         self.need("f")
-        t = self.temp()
-        self.emit(f"{t} = {expr}")
-        self.emit(f"f[{i}] = {t}")
-        self.fval[i] = t
-
-    def invalidate(self) -> None:
-        self.xval.clear()
-        self.fval.clear()
-        self.last_written = None
-        self.store_barrier()
+        self.emit(f"f[{i}] = {expr}")
 
     # -- batched port accounting ---------------------------------------
     def port_flush(self) -> None:
@@ -417,9 +347,6 @@ class CompiledBackend:
         # registry: the registry is part of the bit-identity contract).
         self.blocks_compiled = 0
         self.instructions_translated = 0
-        self.forwarded_reads = 0
-        self.folded_constants = 0
-        self.fused_pairs = 0
         self.loop_blocks = 0
         self._base_globals = {
             "_np": np,
@@ -451,16 +378,6 @@ class CompiledBackend:
         )
 
     # ------------------------------------------------------------------
-    def describe(self) -> dict[str, int]:
-        return {
-            "blocks_compiled": self.blocks_compiled,
-            "instructions_translated": self.instructions_translated,
-            "forwarded_reads": self.forwarded_reads,
-            "folded_constants": self.folded_constants,
-            "fused_pairs": self.fused_pairs,
-            "loop_blocks": self.loop_blocks,
-        }
-
     def blocks_for(self, program: Program) -> dict[int, CompiledBlock]:
         """The block cache for *program*, invalidated if latencies moved."""
         snap = tuple(sorted(vars(self.cpu.lat).items()))
@@ -496,52 +413,30 @@ class CompiledBackend:
         last_pc, last_ins = span[-1]
         looping = (len(span) >= 2 and last_ins.op in _BRANCH_COND
                    and last_ins.target == entry)
-        if looping:
-            snap = (self.forwarded_reads, self.folded_constants,
-                    self.fused_pairs)
-            try:
-                return self._assemble(program, entry, span, looping=True)
-            except _ConstLoopBranch:
-                (self.forwarded_reads, self.folded_constants,
-                 self.fused_pairs) = snap
-        return self._assemble(program, entry, span, looping=False)
-
-    def _assemble(self, program: Program, entry: int, span,
-                  looping: bool) -> CompiledBlock:
         cg = _Codegen(self)
-        escapes: list[tuple[str, object, object]] = []
+        escapes: list[tuple[object, object]] = []
         if looping:
             cg.ind = 1                      # body inside ``while True:``
         body = span[:-1] if looping else span
         for pc, ins in body:
-            cg.hit_prev = False
             self._emit_instruction(cg, ins, pc, escapes)
-            if cg.hit_prev:
-                self.fused_pairs += 1
 
         if looping:
-            pc, ins = span[-1]
-            self._emit_loop_branch(cg, ins, pc)
+            self._emit_loop_branch(cg, last_ins, last_pc)
             self.loop_blocks += 1
-        else:
-            last_pc, last_ins = span[-1]
-            if last_ins.op not in CONTROL_OPS:
-                # Straight-line block (length cap or end of program):
-                # fall through to the next pc; an out-of-range
-                # fallthrough is raised by the dispatcher, exactly like
-                # the reference.
-                cg.flush_pending()
-                cg.epilogue()
-                cg.emit(f"return {last_pc + 1}")
+        elif last_ins.op not in CONTROL_OPS:
+            # Straight-line block (length cap or end of program): fall
+            # through to the next pc; an out-of-range fallthrough is
+            # raised by the dispatcher, exactly like the reference.
+            cg.flush_pending()
+            cg.epilogue()
+            cg.emit(f"return {last_pc + 1}")
 
         source = self._render(cg, entry, looping)
         scope = dict(self._base_globals)
-        for name_h, name_i, handler, ins in (
-            (f"_h{k}", f"_i{k}", h, i)
-            for k, (op, h, i) in enumerate(escapes)
-        ):
-            scope[name_h] = handler
-            scope[name_i] = ins
+        for k, (handler, ins) in enumerate(escapes):
+            scope[f"_h{k}"] = handler
+            scope[f"_i{k}"] = ins
         exec(compile(source, f"<block@{entry}>", "exec"), scope)
         fn = scope[f"_block_{entry}"]
         self.blocks_compiled += 1
@@ -580,8 +475,7 @@ class CompiledBackend:
         if looping:
             head.append("    _ex = 0")
             head.append("    while True:")
-        lines = [ln for ln in cg.lines if ln is not None]
-        return "\n".join(head + lines) + "\n"
+        return "\n".join(head + cg.lines) + "\n"
 
     def _emit_loop_branch(self, cg: _Codegen, ins, pc: int) -> None:
         """Terminal backward branch of a self-loop block.
@@ -594,20 +488,11 @@ class CompiledBackend:
         still taken, returning to the dispatcher for the tail.
         """
         lat = self.cpu.lat
-        a, ac = cg.xref(ins.rs1)
-        b, bc = cg.xref(ins.rs2)
-        if ac is not None and bc is not None:
-            raise _ConstLoopBranch()
-        cmp_op, unsigned = _BRANCH_COND[ins.op]
-        if unsigned:
-            cond = f"({a} & 0xFFFFFFFF) {cmp_op} ({b} & 0xFFFFFFFF)"
-        else:
-            cond = f"{a} {cmp_op} {b}"
         taken_cost = lat.branch + lat.branch_taken_penalty
         pending = cg.pending
         cg.pending = 0
         cg.emit("_ex += 1")
-        cg.emit(f"if {cond}:")
+        cg.emit(f"if {_branch_cond(cg, ins)}:")
         cg.ind += 1
         if pending + taken_cost:
             cg.emit(f"cycle += {pending + taken_cost}")
@@ -648,19 +533,15 @@ class CompiledBackend:
         cg.emit(f"_ccy['branch'] = _ccy.get('branch', 0) + {branch_cycles}")
 
     # ------------------------------------------------------------------
-    def _address(self, cg: _Codegen, ins) -> tuple[str, int | None]:
-        """Atom holding ``s32(x[rs1] + imm) & 0xFFFFFFFF``."""
-        base, const = cg.xref(ins.rs1)
-        imm = ins.imm or 0
-        if const is not None:
-            addr = s32(const + imm) & _U32
-            return str(addr), addr
-        t = cg.temp()
+    def _address(self, cg: _Codegen, rs1: int, imm: int = 0) -> str:
+        """Emit ``_addr = s32(x[rs1] + imm) & 0xFFFFFFFF``; return the
+        atom ``_addr``."""
+        base = cg.xref(rs1)
         # s32(v) & 0xFFFFFFFF == v & 0xFFFFFFFF for any int: the s32
         # re-centering is a no-op under the final 32-bit mask.
         expr = f"{base} + {imm}" if imm else base
-        cg.emit(f"{t} = ({expr}) & 0xFFFFFFFF")
-        return t, None
+        cg.emit(f"_addr = ({expr}) & 0xFFFFFFFF")
+        return "_addr"
 
     def _inline_port_issue(self, cg: _Codegen, clock: str = "cycle",
                            count: str = "1") -> None:
@@ -717,42 +598,28 @@ class CompiledBackend:
 
         # ---- integer ALU ------------------------------------------------
         if op in ("li", "la"):
-            cg.xwrite(ins.rd, str(s32(ins.imm)), const=s32(ins.imm))
+            cg.xwrite(ins.rd, str(s32(ins.imm)))
             cg.charge_static("int_alu", lat.int_alu)
             return
         if op == "lui":
-            value = s32(ins.imm << 12)
-            cg.xwrite(ins.rd, str(value), const=value)
+            cg.xwrite(ins.rd, str(s32(ins.imm << 12)))
             cg.charge_static("int_alu", lat.int_alu)
             return
         if op == "auipc":
-            value = s32((ins.imm << 12) + pc * 4)
-            cg.xwrite(ins.rd, str(value), const=value)
+            cg.xwrite(ins.rd, str(s32((ins.imm << 12) + pc * 4)))
             cg.charge_static("int_alu", lat.int_alu)
             return
         if op in _ALU_IMM:
-            build, fold = _ALU3[_ALU_IMM[op]]
-            a, ac = cg.xref(ins.rs1)
             imm = ins.imm
-            if ac is not None:
-                value = fold(ac, imm)
-                cg.xwrite(ins.rd, str(value), const=value)
-            else:
-                b = f"({imm})" if imm < 0 else str(imm)
-                cg.xwrite(ins.rd, build(a, b))
+            b = f"({imm})" if imm < 0 else str(imm)
+            cg.xwrite(ins.rd, _ALU3[_ALU_IMM[op]](cg.xref(ins.rs1), b))
             cg.charge_static("int_alu", lat.int_alu)
             return
         if op in _ALU3 and ins.rs2 is not None:
-            build, fold = _ALU3[op]
-            a, ac = cg.xref(ins.rs1)
-            b, bc = cg.xref(ins.rs2)
             klass = ("int_mul" if op.startswith("mul") else "int_alu")
             cost = lat.int_mul if klass == "int_mul" else lat.int_alu
-            if ac is not None and bc is not None:
-                value = fold(ac, bc)
-                cg.xwrite(ins.rd, str(value), const=value)
-            else:
-                cg.xwrite(ins.rd, build(a, b))
+            cg.xwrite(ins.rd,
+                      _ALU3[op](cg.xref(ins.rs1), cg.xref(ins.rs2)))
             cg.charge_static(klass, cost)
             return
         if op in ("div", "divu", "rem", "remu"):
@@ -761,55 +628,43 @@ class CompiledBackend:
 
         # ---- loads / stores --------------------------------------------
         if op == "lw":
-            addr, const = self._address(cg, ins)
-            self._emit_word_load(cg, addr, const, ram_size, port_lat,
-                                 lat.load_use, "scalar_load")
-            if ins.rd:
-                cg.xwrite(ins.rd, _w("_val"))
+            addr = self._address(cg, ins.rs1, ins.imm or 0)
+            self._emit_word_load(cg, addr, ram_size, port_lat, lat.load_use)
+            cg.xwrite(ins.rd, _w("_val"))
             return
         if op == "flw":
-            addr, const = self._address(cg, ins)
-            self._emit_word_load(cg, addr, const, ram_size, port_lat,
-                                 lat.load_use, "scalar_load",
+            addr = self._address(cg, ins.rs1, ins.imm or 0)
+            self._emit_word_load(cg, addr, ram_size, port_lat, lat.load_use,
                                  float_dest=True)
             cg.fwrite(ins.rd, "_fv")
             return
         if op == "sw":
-            addr, const = self._address(cg, ins)
-            val, vc = cg.xref(ins.rs2)
-            store = (str(vc & _U32) if vc is not None
-                     else f"{val} & 0xFFFFFFFF")
-            self._emit_word_store(cg, addr, const, store, ram_size)
+            addr = self._address(cg, ins.rs1, ins.imm or 0)
+            value = f"{cg.xref(ins.rs2)} & 0xFFFFFFFF"
+            self._emit_word_store(cg, addr, value, ram_size)
             cg.charge_static("scalar_store", lat.scalar_store)
             return
         if op == "fsw":
-            addr, const = self._address(cg, ins)
-            src = cg.fref(ins.rs2)
-            self._emit_word_store(cg, addr, const, src, ram_size,
+            addr = self._address(cg, ins.rs1, ins.imm or 0)
+            self._emit_word_store(cg, addr, cg.fref(ins.rs2), ram_size,
                                   float_src=True)
             cg.charge_static("scalar_store", lat.scalar_store)
             return
 
         # ---- branches / jumps / system ---------------------------------
         if op in _BRANCH_COND:
-            self._emit_branch(cg, ins, op, pc, lat)
+            self._emit_branch(cg, ins, pc, lat)
             return
         if op == "jal":
-            if ins.rd:
-                cg.xwrite(ins.rd, str((pc + 1) * 4), const=(pc + 1) * 4)
+            cg.xwrite(ins.rd, str((pc + 1) * 4))
             self._exit_arm(cg, lat.jump, "jump", lat.jump, str(ins.target))
             return
         if op == "jalr":
-            a, ac = cg.xref(ins.rs1)
-            imm = ins.imm or 0
-            if ac is not None:
-                dest = str((s32(ac + imm) & ~1) // 4)
-            else:
-                cg.emit(f"_dest = (({_w(f'{a} + {imm}')}) & -2) // 4")
-                dest = "_dest"
-            if ins.rd:
-                cg.xwrite(ins.rd, str((pc + 1) * 4), const=(pc + 1) * 4)
-            self._exit_arm(cg, lat.jump, "jump", lat.jump, dest)
+            # The destination reads rs1 before rd is written (rd == rs1).
+            a = cg.xref(ins.rs1)
+            cg.emit(f"_dest = (({_w(f'{a} + {ins.imm or 0}')}) & -2) // 4")
+            cg.xwrite(ins.rd, str((pc + 1) * 4))
+            self._exit_arm(cg, lat.jump, "jump", lat.jump, "_dest")
             return
         if op in ("halt", "ecall", "ebreak"):
             cg.emit("cpu.halted = True")
@@ -836,15 +691,14 @@ class CompiledBackend:
         cg.port_flush()
         cg.emit("cpu.cycle = cycle")
         k = len(escapes)
-        escapes.append((op, self.cpu._dispatch[op], ins))
+        escapes.append((self.cpu._dispatch[op], ins))
         cg.emit(f"_h{k}(_i{k}, {pc})")
         cg.emit("cycle = cpu.cycle")
-        cg.invalidate()
 
     # ------------------------------------------------------------------
     def _emit_divrem(self, cg: _Codegen, ins, op: str, lat) -> None:
-        a, _ = cg.xref(ins.rs1)
-        b, _ = cg.xref(ins.rs2)
+        a = cg.xref(ins.rs1)
+        b = cg.xref(ins.rs2)
         if op == "div":
             cg.emit(f"_a = {a}; _b = {b}")
             cg.emit("if _b == 0:")
@@ -867,39 +721,35 @@ class CompiledBackend:
         else:  # remu
             cg.emit(f"_a = {a} & 0xFFFFFFFF; _b = {b} & 0xFFFFFFFF")
             cg.emit("_q = _a if _b == 0 else _a % _b")
-        if ins.rd:
-            cg.xwrite(ins.rd, _w("_q"))
+        cg.xwrite(ins.rd, _w("_q"))
         cg.charge_static("int_div", lat.int_div)
 
-    def _emit_word_load(self, cg: _Codegen, addr: str, const: int | None,
-                        ram_size: int, port_lat: int, load_use: int,
-                        klass: str, float_dest: bool = False) -> None:
+    def _emit_word_load(self, cg: _Codegen, addr: str, ram_size: int,
+                        port_lat: int, load_use: int,
+                        float_dest: bool = False) -> None:
         """``Bus.load_word`` with the single-bank RAM chain inlined.
 
-        Leaves ``_val`` (int) or ``_fv`` (float) and charges *klass*.
+        Leaves ``_val`` (int) or ``_fv`` (float) and charges
+        ``scalar_load``.
         """
         cg.flush_pending()
-        fast_ok = const is not None and const < ram_size and not const & 3
-        fast_known = const is not None
-        if self.inline_ram and (not fast_known or fast_ok):
-            if not fast_known:
-                cg.emit(f"if {addr} < {ram_size} and not {addr} & 3:")
-                cg.ind += 1
+        if self.inline_ram:
+            cg.emit(f"if {addr} < {ram_size} and not {addr} & 3:")
+            cg.ind += 1
             self._inline_port_issue(cg)
             cg.emit(f"_cost = _slot + {port_lat + load_use} - cycle")
             if float_dest:
                 cg.emit(f"_fv = float(_ram_f32[{addr} >> 2])")
             else:
                 cg.emit(f"_val = _ram_mv[{addr} >> 2]")
-            if not fast_known:
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
-                self._emit_generic_load(cg, addr, load_use, float_dest)
-                cg.ind -= 1
+            cg.ind -= 1
+            cg.emit("else:")
+            cg.ind += 1
+            self._emit_generic_load(cg, addr, load_use, float_dest)
+            cg.ind -= 1
         else:
             self._emit_generic_load(cg, addr, load_use, float_dest)
-        cg.charge_dyn(klass, "_cost")
+        cg.charge_dyn("scalar_load", "_cost")
 
     def _emit_generic_load(self, cg: _Codegen, addr: str, load_use: int,
                            float_dest: bool) -> None:
@@ -909,29 +759,24 @@ class CompiledBackend:
         if float_dest:
             cg.emit("_fv = _bits_f32(_val)")
 
-    def _emit_word_store(self, cg: _Codegen, addr: str, const: int | None,
-                         value: str, ram_size: int,
-                         float_src: bool = False) -> None:
+    def _emit_word_store(self, cg: _Codegen, addr: str, value: str,
+                         ram_size: int, float_src: bool = False) -> None:
         cg.flush_pending()
-        fast_ok = const is not None and const < ram_size and not const & 3
-        fast_known = const is not None
         generic_value = (f"_f32bits({value})" if float_src else value)
-        if self.inline_ram and (not fast_known or fast_ok):
-            if not fast_known:
-                cg.emit(f"if {addr} < {ram_size} and not {addr} & 3:")
-                cg.ind += 1
+        if self.inline_ram:
+            cg.emit(f"if {addr} < {ram_size} and not {addr} & 3:")
+            cg.ind += 1
             self._inline_port_issue(cg)
             if float_src:
                 cg.emit(f"_ram_f32[{addr} >> 2] = {value}")
             else:
                 cg.emit(f"_ram_mv[{addr} >> 2] = {value}")
-            if not fast_known:
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
-                cg.port_flush()
-                cg.emit(f"_bus_store({addr}, {generic_value}, cycle)")
-                cg.ind -= 1
+            cg.ind -= 1
+            cg.emit("else:")
+            cg.ind += 1
+            cg.port_flush()
+            cg.emit(f"_bus_store({addr}, {generic_value}, cycle)")
+            cg.ind -= 1
         else:
             cg.port_flush()
             cg.emit(f"_bus_store({addr}, {generic_value}, cycle)")
@@ -947,32 +792,12 @@ class CompiledBackend:
                     extra_cycles={klass: klass_cycles})
         cg.emit(f"return {dest}")
 
-    def _emit_branch(self, cg: _Codegen, ins, op: str, pc: int,
-                     lat) -> None:
-        a, ac = cg.xref(ins.rs1)
-        b, bc = cg.xref(ins.rs2)
+    def _emit_branch(self, cg: _Codegen, ins, pc: int, lat) -> None:
         taken_cost = lat.branch + lat.branch_taken_penalty
-        if ac is not None and bc is not None:
-            taken = _BRANCH_FOLD[op](ac, bc)
-            if taken:
-                cg.emit("cpu.counters.taken_branches += 1")
-                self._exit_arm(cg, taken_cost, "branch", taken_cost,
-                               str(ins.target))
-            else:
-                self._exit_arm(cg, lat.branch, "branch", lat.branch,
-                               str(pc + 1))
-            return
-        cmp_op, unsigned = _BRANCH_COND[op]
-        if unsigned:
-            cond = f"({a} & 0xFFFFFFFF) {cmp_op} ({b} & 0xFFFFFFFF)"
-        else:
-            cond = f"{a} {cmp_op} {b}"
         pending = cg.pending
-        cg.pending = 0
-        cg.emit(f"if {cond}:")
+        cg.emit(f"if {_branch_cond(cg, ins)}:")
         cg.ind += 1
         cg.emit("cpu.counters.taken_branches += 1")
-        cg.pending = pending
         self._exit_arm(cg, taken_cost, "branch", taken_cost,
                        str(ins.target))
         cg.ind -= 1
@@ -1008,45 +833,33 @@ class CompiledBackend:
             return True
         if op in ("feq.s", "flt.s", "fle.s"):
             cmp_op = {"feq.s": "==", "flt.s": "<", "fle.s": "<="}[op]
-            if ins.rd:
-                cg.xwrite(ins.rd,
-                          f"int({cg.fref(ins.rs1)} {cmp_op} "
-                          f"{cg.fref(ins.rs2)})")
+            cg.xwrite(ins.rd, f"int({cg.fref(ins.rs1)} {cmp_op} "
+                              f"{cg.fref(ins.rs2)})")
             cg.charge_static("fp_alu", lat.fp_alu)
             return True
         if op == "fmv.x.w":
-            if ins.rd:
-                cg.xwrite(ins.rd, f"_upi(_pkf({cg.fref(ins.rs1)}))[0]")
+            cg.xwrite(ins.rd, f"_upi(_pkf({cg.fref(ins.rs1)}))[0]")
             cg.charge_static("fp_alu", lat.fp_alu)
             return True
         if op == "fmv.w.x":
-            a, ac = cg.xref(ins.rs1)
-            atom = str(s32(ac)) if ac is not None else _w(a)
-            cg.fwrite(ins.rd, f"_upf(_pki({atom}))[0]")
+            cg.fwrite(ins.rd, f"_upf(_pki({_w(cg.xref(ins.rs1))}))[0]")
             cg.charge_static("fp_alu", lat.fp_alu)
             return True
         if op == "fcvt.w.s":
-            if ins.rd:
-                cg.xwrite(ins.rd, _w(f"int({cg.fref(ins.rs1)})"))
+            cg.xwrite(ins.rd, _w(f"int({cg.fref(ins.rs1)})"))
             cg.charge_static("fp_alu", lat.fp_alu)
             return True
         if op == "fcvt.wu.s":
-            if ins.rd:
-                cg.xwrite(
-                    ins.rd,
-                    _w(f"max(0, int({cg.fref(ins.rs1)})) & 0xFFFFFFFF"))
+            cg.xwrite(ins.rd,
+                      _w(f"max(0, int({cg.fref(ins.rs1)})) & 0xFFFFFFFF"))
             cg.charge_static("fp_alu", lat.fp_alu)
             return True
         if op == "fcvt.s.w":
-            a, ac = cg.xref(ins.rs1)
-            cg.fwrite(ins.rd,
-                      f"float({ac})" if ac is not None else f"float({a})")
+            cg.fwrite(ins.rd, f"float({cg.xref(ins.rs1)})")
             cg.charge_static("fp_alu", lat.fp_alu)
             return True
         if op == "fcvt.s.wu":
-            a, ac = cg.xref(ins.rs1)
-            atom = str(ac & _U32) if ac is not None else f"{a} & 0xFFFFFFFF"
-            cg.fwrite(ins.rd, f"float({atom})")
+            cg.fwrite(ins.rd, f"float({cg.xref(ins.rs1)} & 0xFFFFFFFF)")
             cg.charge_static("fp_alu", lat.fp_alu)
             return True
         return False
@@ -1059,22 +872,16 @@ class CompiledBackend:
             if ins.rs1 == 0:
                 cg.emit(f"vl_ = {self.cpu.vlmax}")
             else:
-                a, _ = cg.xref(ins.rs1)
-                cg.emit(f"_req = {a} & 0xFFFFFFFF")
+                cg.emit(f"_req = {cg.xref(ins.rs1)} & 0xFFFFFFFF")
                 cg.emit(f"vl_ = _req if _req < {self.cpu.vlmax} "
                         f"else {self.cpu.vlmax}")
             cg.emit("cpu.vl = vl_")
-            if ins.rd:
-                cg.xwrite(ins.rd, "vl_")
+            cg.xwrite(ins.rd, "vl_")
             cg.charge_static("vector_config", lat.vector_config)
             return True
         if op == "vle32.v":
             cg.need("v", "vl")
-            a, ac = cg.xref(ins.rs1)
-            addr = str(ac & _U32) if ac is not None else None
-            if addr is None:
-                addr = cg.temp()
-                cg.emit(f"{addr} = {a} & 0xFFFFFFFF")
+            addr = self._address(cg, ins.rs1)
             cg.flush_pending()
             if self.inline_ram:
                 cg.emit(f"if vl_ >= 1 and {addr} + (vl_ << 2) <= {ram_size}"
@@ -1102,11 +909,7 @@ class CompiledBackend:
             return True
         if op == "vse32.v":
             cg.need("v", "vl")
-            a, ac = cg.xref(ins.rs1)
-            addr = str(ac & _U32) if ac is not None else None
-            if addr is None:
-                addr = cg.temp()
-                cg.emit(f"{addr} = {a} & 0xFFFFFFFF")
+            addr = self._address(cg, ins.rs1)
             cg.flush_pending()
             if self.inline_ram:
                 cg.emit(f"if vl_ >= 1 and {addr} + (vl_ << 2) <= {ram_size}"
@@ -1133,11 +936,7 @@ class CompiledBackend:
             return True
         if op == "vluxei32.v":
             cg.need("vl")
-            a, ac = cg.xref(ins.rs1)
-            base = str(ac & _U32) if ac is not None else None
-            if base is None:
-                base = cg.temp()
-                cg.emit(f"{base} = {a} & 0xFFFFFFFF")
+            base = self._address(cg, ins.rs1)
             cg.flush_pending()
             if self.inline_ram:
                 # Fast path: all effective addresses in RAM and aligned.
@@ -1243,10 +1042,8 @@ class CompiledBackend:
         if op in _VX_BINARY:
             cg.need("vi", "vl")
             fn = _VX_BINARY[op]
-            a, ac = cg.xref(ins.rs2)
-            atom = str(s32(ac)) if ac is not None else _w(a)
             cg.emit(f"_np.{fn}(_vi[{ins.rs1}][:vl_], "
-                    f"_i32({atom}), out=_vi[{ins.rd}][:vl_])")
+                    f"_i32({_w(cg.xref(ins.rs2))}), out=_vi[{ins.rd}][:vl_])")
             cg.charge_static("vector_int", lat.vector_int)
             return True
         if op == "vsll.vi":
@@ -1277,8 +1074,7 @@ class CompiledBackend:
             return True
         if op in ("vmv.v.x", "vmv.s.x"):
             cg.need("vi", "vl")
-            a, ac = cg.xref(ins.rs1)
-            atom = str(s32(ac)) if ac is not None else _w(a)
+            atom = _w(cg.xref(ins.rs1))
             if op == "vmv.v.x":
                 cg.emit(f"_vi[{ins.rd}][:vl_] = {atom}")
             else:
@@ -1374,107 +1170,3 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
         stats.cycles = cpu.cycle
     return stats
 
-
-#: Instruction-skew bound for the multi-core compiled driver: one
-#: scheduler pick never runs a core more than ~this many instructions
-#: ahead of the others, so shared-port requests still arrive in rough
-#: global time order (single-core runs are unbounded, as before).
-MULTI_CORE_SKEW = 64
-
-
-def run_compiled_multi(mcs) -> "CpuStats":  # noqa: F821 - doc type
-    """Drive a :class:`~repro.instrument.session.MultiCoreSession` on
-    the compiled backend.
-
-    Interleaves the cores at *basic-block* grain: each scheduler pick
-    (earliest core clock, ties by index — the same arbitration as the
-    reference loop) runs one block, with looping blocks' internal
-    iteration capped by :data:`MULTI_CORE_SKEW` so no core races far
-    ahead of the shared port's arbitration.  Per-core budgets fall back
-    to the reference per-instruction tail for exact error accounting,
-    exactly like :func:`run_compiled`.
-    """
-    from .core import CpuStats
-
-    cpus = mcs.cpus
-    sessions = mcs._sessions
-    program = mcs.program
-    backends = []
-    blockmaps = []
-    for cpu in cpus:
-        backend = getattr(cpu, "_compiled_backend", None)
-        if backend is None or backend.cpu is not cpu:
-            backend = CompiledBackend(cpu)
-            cpu._compiled_backend = backend
-        cpu._compiled_vf32 = [a.view(np.float32) for a in cpu.v]
-        cpu._compiled_vi32 = [a.view(np.int32) for a in cpu.v]
-        cpu._compiled_vmv = [memoryview(a) for a in cpu.v]
-        backends.append(backend)
-        blockmaps.append(backend.blocks_for(program))
-    executed = [cpu.counters.instructions for cpu in cpus]
-    limits = [
-        executed[i] + cpu.config.max_instructions
-        for i, cpu in enumerate(cpus)
-    ]
-    pcs = [s._pc for s in sessions]
-    try:
-        while True:
-            sel = -1
-            sel_cycle = 0
-            for i, cpu in enumerate(cpus):
-                if cpu.halted:
-                    continue
-                c = cpu.cycle
-                if sel < 0 or c < sel_cycle:
-                    sel = i
-                    sel_cycle = c
-            if sel < 0:
-                break
-            cpu = cpus[sel]
-            session = sessions[sel]
-            pc = pcs[sel]
-            blocks = blockmaps[sel]
-            block = blocks.get(pc)
-            if block is None:
-                if not 0 <= pc < len(session._code):
-                    raise session._pc_error(pc)
-                block = backends[sel].compile_block(program, pc)
-                blocks[pc] = block
-            bn = block.n
-            if executed[sel] + bn >= limits[sel]:
-                # Reference tail, one instruction per pick: bit-exact
-                # budget errors without starving the other cores.
-                code = session._code
-                if not 0 <= pc < len(code):
-                    raise session._pc_error(pc)
-                handler, ins = code[pc]
-                pcs[sel] = handler(ins, pc)
-                executed[sel] += 1
-                if executed[sel] >= limits[sel]:
-                    raise session._budget_error(cpu.config.max_instructions)
-                continue
-            if block.looping:
-                cap = (limits[sel] - executed[sel] - 1) // bn
-                skew_cap = MULTI_CORE_SKEW // bn
-                if skew_cap < 1:
-                    skew_cap = 1
-                if cap > skew_cap:
-                    cap = skew_cap
-                pc, ex = block.fn(cpu, cap)
-                pcs[sel] = pc
-                executed[sel] += ex * bn
-            else:
-                pcs[sel] = block.fn(cpu)
-                executed[sel] += bn
-    finally:
-        total = 0
-        slowest = 0
-        for i, cpu in enumerate(cpus):
-            sessions[i]._pc = pcs[i]
-            stats = cpu.counters
-            stats.instructions = executed[i]
-            stats.cycles = cpu.cycle
-            total += executed[i]
-            if cpu.cycle > slowest:
-                slowest = cpu.cycle
-    return CpuStats(instructions=total, cycles=slowest)

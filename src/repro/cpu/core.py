@@ -61,7 +61,7 @@ class CpuStats:
     class_counts: dict[str, int] = field(default_factory=dict)
     class_cycles: dict[str, int] = field(default_factory=dict)
     taken_branches: int = 0
-    # Filled only when Cpu.profile is enabled: per-instruction-index
+    # Filled only by an attached PcProfileProbe: per-instruction-index
     # execution counts and cycle totals.
     pc_counts: dict[int, int] = field(default_factory=dict)
     pc_cycles: dict[int, int] = field(default_factory=dict)
@@ -81,7 +81,6 @@ class Cpu(SimComponent):
         self.config = config or CpuConfig()
         self.lat = self.config.latencies
         self.vlmax = self.config.vlmax
-        self.profile = False
         # Accelerator front-end attachments (repro.accel): installed by
         # the SoC builder when the matching front-end is configured.
         # Their instructions trap (SimulationError) while unattached.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from ..cpu.core import Cpu, CpuStats, SimulationError
 from ..isa.program import Program
 from ..memory.port import MemoryPort
-from .probes import PcProfileProbe, Probe, ProbeHalt
+from .probes import Probe, ProbeHalt
 
 
 def _overridden(probe: Probe, method: str):
@@ -92,14 +92,7 @@ class SimSession:
         self.cpu = cpu
         self.program = program
         self.system = system
-        probe_list = list(probes)
-        # The legacy Cpu.profile flag is honoured by auto-attaching the
-        # probe that implements it.
-        if cpu.profile and not any(
-            isinstance(p, PcProfileProbe) for p in probe_list
-        ):
-            probe_list.append(PcProfileProbe())
-        self.probes: tuple[Probe, ...] = tuple(probe_list)
+        self.probes: tuple[Probe, ...] = tuple(probes)
 
         if isinstance(entry, str):
             self._pc = program.entry_index(entry)
@@ -233,9 +226,9 @@ class SimSession:
         cpu = self.cpu
         # Probe-deference rule: the compiled backend executes whole
         # basic blocks, so it cannot honour per-instruction hooks or
-        # event sinks.  Any probe (including samplers and the legacy
-        # profile flag's auto-probe) forces the reference path below;
-        # both paths are bit-identical in cycles, stats, and errors.
+        # event sinks.  Any probe (including samplers) forces the
+        # reference path below; both paths are bit-identical in cycles,
+        # stats, and errors.
         if not self.probes and cpu.config.backend == "compiled":
             from ..cpu.compiled import run_compiled
 
@@ -363,14 +356,9 @@ class MultiCoreSession(SimSession):
     ``on_instruction`` events with the active core, and the event sink
     covers every port/TLB/stream component exactly as single-core.
 
-    Backend rule: with no probes and every core configured for the
-    compiled backend (and no MMU, whose translating bus the compiled
-    closures cannot see), execution hands off to
-    :func:`~repro.cpu.compiled.run_compiled_multi`, which interleaves at
-    *basic-block* grain.  Block-grain arbitration can reorder same-cycle
-    port conflicts relative to the reference's instruction-grain loop,
-    so multi-core cycle counts are backend-specific (single-core stays
-    bit-identical; results/outputs are identical on both).
+    This loop is the only multi-core execution path: ``cpu.backend``
+    selects the compiled backend for single-core runs only, so every
+    multi-core run gives the same cycles and stats on both backends.
     """
 
     def __init__(self, cpus, program: Program, *,
@@ -395,13 +383,6 @@ class MultiCoreSession(SimSession):
     def run(self) -> CpuStats:
         cpus = self.cpus
         sessions = self._sessions
-        if (not self.probes
-                and all(c.config.backend == "compiled" for c in cpus)
-                and not any(getattr(c.bus, "tlb", None) is not None
-                            for c in cpus)):
-            from ..cpu.compiled import run_compiled_multi
-
-            return run_compiled_multi(self)
         codes = [s._code for s in sessions]
         lengths = [len(code) for code in codes]
         executed = [cpu.counters.instructions for cpu in cpus]

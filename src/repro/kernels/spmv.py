@@ -24,8 +24,6 @@ name.
 
 from __future__ import annotations
 
-import warnings
-
 from ..core.config import HHTMode
 from .common import kernel_header, program_hht, program_ssr
 
@@ -326,31 +324,13 @@ _VARIANTS = {
     "indexmac": (None, spmv_indexmac_vector),
 }
 
-_UNSET = object()
 
-
-def spmv_kernel(*, accel=_UNSET, vector: bool, hht=_UNSET) -> str:
+def spmv_kernel(*, accel: str | None = None, vector: bool) -> str:
     """Dispatch helper used by the experiment harness.
 
     ``accel`` selects the front-end variant by name (``"hht"``,
-    ``"ssr"``, ``"indexmac"``, or None for the pure-CPU baseline).  The
-    historic boolean ``hht=`` flag is a deprecated alias for
-    ``accel="hht"`` / ``accel=None``.
+    ``"ssr"``, ``"indexmac"``, or None for the pure-CPU baseline).
     """
-    if hht is not _UNSET:
-        if accel is not _UNSET:
-            raise TypeError(
-                "pass either accel= or the deprecated hht= flag, not both"
-            )
-        warnings.warn(
-            "spmv_kernel(hht=...) is deprecated; use accel='hht' or "
-            "accel=None",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        accel = "hht" if hht else None
-    elif accel is _UNSET:
-        accel = None
     try:
         scalar_fn, vector_fn = _VARIANTS[accel]
     except KeyError:

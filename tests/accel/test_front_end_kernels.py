@@ -86,16 +86,9 @@ class TestSpmvKernelSelector:
         }
         assert len(set(texts.values())) == 4
 
-    def test_hht_flag_is_deprecated_alias(self):
-        with pytest.deprecated_call():
-            legacy = spmv_kernel(hht=True, vector=True)
-        assert legacy == spmv_kernel(accel="hht", vector=True)
-        with pytest.deprecated_call():
-            legacy = spmv_kernel(hht=False, vector=False)
-        assert legacy == spmv_kernel(accel=None, vector=False)
-
     def test_both_selectors_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        # Only accel= selects the front-end; an hht= flag is rejected.
+        with pytest.raises(TypeError, match="hht"):
             spmv_kernel(accel="hht", hht=True, vector=True)
 
     def test_unknown_accel_rejected(self):

@@ -525,6 +525,7 @@ class TestObs:
 
     def test_cache_info_shows_provenance(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
         code, _ = run_cli(capsys, "figure", "ablation", "--jobs", "1")
         assert code == 0
         code, out = run_cli(capsys, "cache", "info")

@@ -3,7 +3,8 @@
 Cross-backend *equivalence* is proven by the determinism suite and
 ``tests/instrument/test_cross_backend.py``; this file tests the
 backend's own machinery — block caching, invalidation, translation
-telemetry, self-loop closures and the budget/PC error paths.
+telemetry, self-loop closures, the budget/PC error paths, and
+register-dataflow corner cases against the reference interpreter.
 """
 
 import pytest
@@ -79,29 +80,6 @@ class TestBlockCache:
 
 
 class TestTranslationTelemetry:
-    def test_describe_keys(self):
-        cpu, _ = make_cpu()
-        cpu.run(assemble(COUNT_LOOP))
-        info = cpu._compiled_backend.describe()
-        assert set(info) == {
-            "blocks_compiled", "instructions_translated",
-            "forwarded_reads", "folded_constants", "fused_pairs",
-            "loop_blocks",
-        }
-        assert all(v >= 0 for v in info.values())
-
-    def test_constants_fold_and_reads_forward(self):
-        cpu, _ = make_cpu()
-        # li feeds add feeds sw: indices and immediates are closure
-        # constants, and a2 is forwarded into the store without an
-        # x[] read-back.
-        cpu.run(assemble(
-            "li a0, 5\nli a1, 7\nadd a2, a0, a1\nsw a2, 0x100(zero)\nhalt"
-        ))
-        backend = cpu._compiled_backend
-        assert backend.folded_constants >= 1
-        assert backend.forwarded_reads >= 1
-
     def test_self_loop_compiles_to_loop_block(self):
         cpu, _ = make_cpu()
         cpu.run(assemble(COUNT_LOOP))
@@ -117,6 +95,92 @@ class TestTranslationTelemetry:
         assert blocks, "block cache unexpectedly empty"
         for block in blocks.values():
             assert f"def _block_{block.entry}(" in block.source
+
+
+# Register-dataflow shapes a translator is tempted to special-case
+# (constant operands, x0, aliased operands, same-block read-after-write);
+# each must run exactly like the reference interpreter.
+PARITY_PROGRAMS = {
+    "const_branch": """\
+    li t0, -3
+    li t1, 5
+    bge t0, t1, skip
+    li a0, 7
+skip:
+    bltu t0, t1, end
+    li a1, 1
+    blt t0, t1, end
+    li a0, 9
+end:
+    halt
+""",
+    "const_self_loop_budget": """\
+loop:
+    li t0, 1
+    li t1, 2
+    addi a0, a0, 1
+    blt t0, t1, loop
+    halt
+""",
+    "x0_writes": """\
+    lw zero, 0x100(zero)
+    mul zero, zero, zero
+    li zero, 5
+    addi a0, zero, 1
+    addi zero, zero, 3
+    halt
+""",
+    "add_self": """\
+    li a0, 0x40000000
+    add a0, a0, a0
+    add a0, a0, a0
+    li a1, 3
+    add a1, a1, a1
+    halt
+""",
+    "jalr_rd_is_rs1": """\
+    li ra, 12
+    jalr ra, 0(ra)
+    li a0, 99
+    mv a1, ra
+    halt
+""",
+    "store_of_block_local": """\
+    li a0, 5
+    li a1, 7
+    add a2, a0, a1
+    sw a2, 0x100(zero)
+    lw a3, 0x100(zero)
+    fcvt.s.w ft0, a2
+    fsw ft0, 0x104(zero)
+    flw ft1, 0x104(zero)
+    halt
+""",
+}
+
+
+class TestReferenceParity:
+    @staticmethod
+    def _outcome(backend, source):
+        # 52 is a whole number of iterations of the 4-instruction
+        # self-loop, so a burst could end exactly on the budget.
+        cpu, _ = make_cpu(backend, max_instructions=52)
+        try:
+            cpu.run(assemble(source))
+            error = None
+        except SimulationError as exc:
+            error = str(exc)
+        return error, list(cpu.x), list(cpu.f), cpu.cycle, cpu.counters
+
+    @pytest.mark.parametrize("name", sorted(PARITY_PROGRAMS))
+    def test_matches_reference(self, name):
+        source = PARITY_PROGRAMS[name]
+        ref = self._outcome("reference", source)
+        assert self._outcome("compiled", source) == ref
+        if name == "const_self_loop_budget":
+            assert ref[0] == "instruction budget of 52 exhausted in program"
+        else:
+            assert ref[0] is None
 
 
 class TestErrorPaths:

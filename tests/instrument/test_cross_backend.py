@@ -5,9 +5,9 @@ cycle counts, instruction counts, the flat stats registry, rendered
 traces, error messages — is bit-identical to the reference
 interpreter.  These tests run the same workload under both backends
 and diff the observables, including on the configurations where the
-backend cannot inline memory (banked RAM, L1D) and on multi-HHT
-systems where foreign bus masters interleave with the CPU's port
-traffic.
+backend cannot inline memory (banked RAM, L1D), on multi-HHT systems
+where foreign bus masters interleave with the CPU's port traffic, and
+on multi-core systems where the cores contend for one port.
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.runners import run_spmspv, run_spmv
 from repro.analysis.trace import render_trace, trace_program
 from repro.instrument import ContentionProbe, TimelineProbe
-from repro.memory import CacheConfig
+from repro.memory import CacheConfig, MmuConfig
 from repro.system import Soc, SystemConfig
 from repro.workloads import (
     random_csr,
@@ -68,6 +68,32 @@ class TestRunsMatch:
 
         assert _observables(run("compiled")) == _observables(run("reference"))
 
+    @pytest.mark.parametrize("kernel, n_cores, mmu", [
+        ("spmv_vector", 2, False),
+        ("spmv_vector", 4, False),
+        ("spmv_scalar", 2, False),
+        ("spmspv_base", 2, False),
+        ("spmv_vector", 2, True),
+    ], ids=["spmv_vector-2core", "spmv_vector-4core", "spmv_scalar-2core",
+            "spmspv_base-2core", "spmv_vector-2core-mmu"])
+    def test_multicore_bit_identical(self, kernel, n_cores, mmu, workload,
+                                     monkeypatch):
+        matrix, v, sv = workload
+        vlmax = 1 if kernel == "spmv_scalar" else 8
+
+        def run(backend):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            cfg = SystemConfig.paper_table1(vlmax=vlmax)
+            cfg.n_cores = n_cores
+            if mmu:
+                cfg.mmu = MmuConfig()
+            if kernel == "spmspv_base":
+                return run_spmspv(matrix, sv, mode="baseline",
+                                  config=cfg).result
+            return run_spmv(matrix, v, vlmax=vlmax, config=cfg).result
+
+        assert _observables(run("compiled")) == _observables(run("reference"))
+
 
 class TestProbeParity:
     """Probes force deference to the reference path — and the deferred
@@ -85,7 +111,7 @@ class TestProbeParity:
         soc.load_csr(matrix)
         soc.load_dense_vector(v)
         soc.allocate_output(matrix.nrows)
-        return soc, soc.assemble(spmv_kernel(hht=True, vector=True))
+        return soc, soc.assemble(spmv_kernel(accel="hht", vector=True))
 
     def test_probed_compiled_equals_bare_compiled(self, workload):
         soc, prog = self._soc_prog(workload, "compiled")

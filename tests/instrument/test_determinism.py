@@ -124,7 +124,7 @@ class TestProbesDoNotPerturb:
             soc.load_csr(matrix)
             soc.load_dense_vector(v)
             soc.allocate_output(matrix.nrows)
-            return soc, soc.assemble(spmv_kernel(hht=True, vector=True))
+            return soc, soc.assemble(spmv_kernel(accel="hht", vector=True))
 
         soc, prog = build()
         bare = soc.run(prog)

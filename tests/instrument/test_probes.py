@@ -8,7 +8,7 @@ from repro.instrument import (
     TimelineProbe,
     TraceProbe,
 )
-from repro.kernels import spmv_hht_vector, spmv_kernel
+from repro.kernels import spmv_hht_vector
 from repro.workloads import random_csr, random_dense_vector
 
 
@@ -48,30 +48,6 @@ class TestTraceProbe:
 
 
 class TestPcProfileProbe:
-    def test_equals_legacy_profile_flag(self, soc_factory):
-        src = spmv_kernel(hht=False, vector=True)
-
-        soc = soc_factory()
-        matrix = random_csr((16, 16), 0.5, seed=5)
-        soc.load_csr(matrix)
-        soc.load_dense_vector(random_dense_vector(16, seed=6))
-        soc.allocate_output(16)
-        prog = soc.assemble(src)
-        soc.cpu.profile = True
-        flagged = soc.run(prog)
-        soc.cpu.profile = False
-
-        soc = soc_factory()
-        soc.load_csr(matrix)
-        soc.load_dense_vector(random_dense_vector(16, seed=6))
-        soc.allocate_output(16)
-        prog = soc.assemble(src)
-        probed = soc.run(prog, probes=(PcProfileProbe(),))
-
-        assert flagged.stats == probed.stats
-        assert flagged.cpu_stats.pc_counts == probed.cpu_stats.pc_counts
-        assert flagged.cpu_stats.pc_cycles == probed.cpu_stats.pc_cycles
-
     def test_cycles_sum_to_total(self, soc):
         prog = soc.assemble("li a0, 1\nmul a1, a0, a0\nhalt")
         result = soc.run(prog, probes=(PcProfileProbe(),))

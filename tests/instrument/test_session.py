@@ -69,14 +69,14 @@ class TestRunParity:
 
 
 class TestErrorParity:
-    """Satellite: profile and non-profile modes raise identical messages
-    (they are now literally the same code path)."""
+    """Profiled and bare runs raise identical messages (they are
+    literally the same code path)."""
 
     def _message(self, src, *, profile, exc=SimulationError, budget=16):
         cpu = make_cpu(max_instructions=budget)
-        cpu.profile = profile
+        probes = (PcProfileProbe(),) if profile else ()
         with pytest.raises(exc) as excinfo:
-            cpu.run(assemble(src, name="prog"))
+            cpu.run(assemble(src, name="prog"), probes=probes)
         return str(excinfo.value)
 
     def test_budget_message_identical(self):
@@ -134,21 +134,6 @@ class TestProbeHalt:
         cpu = make_cpu()
         cpu.run(assemble("li a0, 1\nhalt"), probes=(Refuse(),))
         assert cpu.x[10] == 0  # nothing executed
-
-
-class TestProfileFlagCompat:
-    def test_profile_flag_attaches_probe(self):
-        cpu = make_cpu()
-        cpu.profile = True
-        cpu.run(assemble("li a0, 1\nli a1, 2\nhalt"))
-        assert cpu.counters.pc_counts == {0: 1, 1: 1, 2: 1}
-        assert sum(cpu.counters.pc_cycles.values()) == cpu.cycle
-
-    def test_flag_and_explicit_probe_do_not_double_count(self):
-        cpu = make_cpu()
-        cpu.profile = True
-        cpu.run(assemble("li a0, 1\nhalt"), probes=(PcProfileProbe(),))
-        assert cpu.counters.pc_counts == {0: 1, 1: 1}
 
 
 class TestStepSession:

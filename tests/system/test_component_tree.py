@@ -71,7 +71,7 @@ def _spmv_soc(config=None, size=24, seed=7):
 class TestSocRegistry:
     def test_namespaces_present(self):
         soc, _, _ = _spmv_soc()
-        result = soc.run(soc.assemble(spmv_kernel(hht=True, vector=True)))
+        result = soc.run(soc.assemble(spmv_kernel(accel="hht", vector=True)))
         for key in ("soc.cpu.cycles", "soc.cpu.instructions",
                     "soc.ram.requests", "soc.ram.queue_cycles",
                     "soc.ram.busy_cycles", "soc.hht.starts",
@@ -80,7 +80,7 @@ class TestSocRegistry:
 
     def test_legacy_views_are_derived_from_registry(self):
         soc, _, _ = _spmv_soc()
-        result = soc.run(soc.assemble(spmv_kernel(hht=True, vector=True)))
+        result = soc.run(soc.assemble(spmv_kernel(accel="hht", vector=True)))
         stats = result.stats
         assert result.cpu_stats.cycles == stats["soc.cpu.cycles"]
         assert result.cpu_stats.instructions == stats["soc.cpu.instructions"]
@@ -93,7 +93,7 @@ class TestSocRegistry:
         cfg = SystemConfig.paper_table1()
         cfg.cache = CacheConfig()
         soc, _, _ = _spmv_soc(cfg)
-        result = soc.run(soc.assemble(spmv_kernel(hht=False, vector=True)))
+        result = soc.run(soc.assemble(spmv_kernel(accel=None, vector=True)))
         assert result.stats["soc.l1d.hits"] > 0
         cs = result.cache_stats
         assert cs["hits"] == result.stats["soc.l1d.hits"]
@@ -101,7 +101,7 @@ class TestSocRegistry:
 
     def test_tree_reset_zeroes_every_counter(self):
         soc, _, _ = _spmv_soc()
-        soc.run(soc.assemble(spmv_kernel(hht=True, vector=True)))
+        soc.run(soc.assemble(spmv_kernel(accel="hht", vector=True)))
         soc.reset()
         assert all(v == 0 for v in soc.stats().values())
 
@@ -113,7 +113,7 @@ class TestRunToRunIsolation:
         if cached:
             cfg.cache = CacheConfig()
         soc, matrix, v = _spmv_soc(cfg)
-        program = soc.assemble(spmv_kernel(hht=True, vector=True))
+        program = soc.assemble(spmv_kernel(accel="hht", vector=True))
         first = soc.run(program)
         y_first = soc.read_output("y", matrix.nrows).copy()
         second = soc.run(program)
@@ -126,11 +126,11 @@ class TestRunToRunIsolation:
         # A baseline run after an HHT run must look exactly like a
         # baseline run on a fresh system.
         soc, _, _ = _spmv_soc()
-        baseline = soc.assemble(spmv_kernel(hht=False, vector=True))
-        soc.run(soc.assemble(spmv_kernel(hht=True, vector=True)))
+        baseline = soc.assemble(spmv_kernel(accel=None, vector=True))
+        soc.run(soc.assemble(spmv_kernel(accel="hht", vector=True)))
         after_hht = soc.run(baseline)
         fresh_soc, _, _ = _spmv_soc()
-        fresh = fresh_soc.run(fresh_soc.assemble(spmv_kernel(hht=False, vector=True)))
+        fresh = fresh_soc.run(fresh_soc.assemble(spmv_kernel(accel=None, vector=True)))
         assert after_hht.cycles == fresh.cycles
         assert after_hht.stats == fresh.stats
 
@@ -149,7 +149,7 @@ class TestMultiHHT:
         cfg = SystemConfig.paper_table1()
         cfg.n_hhts = 2
         dual, _, _ = _spmv_soc(cfg)
-        program_text = spmv_kernel(hht=True, vector=True)
+        program_text = spmv_kernel(accel="hht", vector=True)
         r1 = single.run(single.assemble(program_text))
         r2 = dual.run(dual.assemble(program_text))
         assert r1.cycles == r2.cycles
@@ -162,7 +162,7 @@ class TestMultiHHT:
         cfg.n_hhts = 2
         soc, matrix, v = _spmv_soc(cfg)
         # Redirect every MMR symbol reference to the second instance.
-        text = spmv_kernel(hht=True, vector=True).replace("hht_", "hht1_")
+        text = spmv_kernel(accel="hht", vector=True).replace("hht_", "hht1_")
         result = soc.run(soc.assemble(text))
         y = soc.read_output("y", matrix.nrows)
         ref = matrix.to_dense().astype(np.float64) @ v.astype(np.float64)
@@ -187,7 +187,7 @@ class TestBankedSoc:
         cfg = SystemConfig.paper_table1()
         cfg.banks = 4
         soc, _, _ = _spmv_soc(cfg)
-        result = soc.run(soc.assemble(spmv_kernel(hht=True, vector=True)))
+        result = soc.run(soc.assemble(spmv_kernel(accel="hht", vector=True)))
         for i in range(4):
             assert f"soc.ram.bank{i}.requests" in result.stats
 
@@ -196,7 +196,7 @@ class TestBankedSoc:
         cfg = SystemConfig.paper_table1()
         cfg.banks = 4
         banked, _, _ = _spmv_soc(cfg)
-        text = spmv_kernel(hht=True, vector=True)
+        text = spmv_kernel(accel="hht", vector=True)
         r_flat = flat.run(flat.assemble(text))
         r_banked = banked.run(banked.assemble(text))
         assert r_banked.cycles <= r_flat.cycles
