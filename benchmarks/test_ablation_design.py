@@ -23,8 +23,8 @@ def _spmv_speedup(**hht_overrides) -> float:
     cfg = SystemConfig.paper_table1()
     for key, value in hht_overrides.items():
         setattr(cfg.hht, key, value)
-    base = run_spmv(matrix, v, hht=False)
-    hht = run_spmv(matrix, v, hht=True, config=cfg)
+    base = run_spmv(matrix, v, accel=None)
+    hht = run_spmv(matrix, v, accel="hht", config=cfg)
     return base.cycles / hht.cycles
 
 

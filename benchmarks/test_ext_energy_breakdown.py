@@ -16,8 +16,8 @@ def test_ext_energy_breakdown(benchmark, record_table):
     def build():
         matrix = random_csr((192, 192), 0.5, seed=800)
         v = random_dense_vector(192, seed=801)
-        base = run_spmv(matrix, v, hht=False)
-        hht = run_spmv(matrix, v, hht=True)
+        base = run_spmv(matrix, v, accel=None)
+        hht = run_spmv(matrix, v, accel="hht")
         table = breakdown_table(base.result, hht.result)
         table._runs = (base, hht)
         return table

@@ -27,7 +27,7 @@ from repro.obs import NULL_OBS, ObsLog
 
 def _specs():
     return [
-        spmv_spec((48, 48), 0.3 + 0.05 * i, hht=bool(i % 2),
+        spmv_spec((48, 48), 0.3 + 0.05 * i, accel="hht" if i % 2 else None,
                   matrix_seed=i, vector_seed=i + 100)
         for i in range(4)
     ]

@@ -36,8 +36,8 @@ def main() -> None:
 
     for cached in (False, True):
         label = "L1D-cached" if cached else "flat SRAM "
-        base = run_spmv(matrix, v, hht=False, config=build_config(cached))
-        hht = run_spmv(matrix, v, hht=True, config=build_config(cached))
+        base = run_spmv(matrix, v, accel=None, config=build_config(cached))
+        hht = run_spmv(matrix, v, accel="hht", config=build_config(cached))
         print(f"{label}: baseline {base.cycles:>9,} cycles | "
               f"HHT {hht.cycles:>9,} cycles | "
               f"speedup {base.cycles / hht.cycles:.2f}x")
@@ -46,7 +46,7 @@ def main() -> None:
     # (on the default Table-1 SRAM; the shares shift further toward the
     # gather as memory slows down).
     print("\n=== baseline profile (flat SRAM, Table-1 latency) ===")
-    prof = profile_spmv(matrix, v, hht=False)
+    prof = profile_spmv(matrix, v, accel=None)
     print(prof.table(5).render())
 
     # And show the cache absorbing the gathers.

@@ -34,8 +34,8 @@ def main() -> None:
           f"({weights.compression_ratio():.2f}x)\n")
 
     # --- dense activations: SpMV ---
-    base = run_spmv(weights, activations, hht=False)
-    hht = run_spmv(weights, activations, hht=True)
+    base = run_spmv(weights, activations, accel=None)
+    hht = run_spmv(weights, activations, accel="hht")
     speedup = base.cycles / hht.cycles
     print("dense activations (SpMV):")
     print(f"  baseline : {base.cycles:,} cycles "

@@ -2,10 +2,11 @@
 """Tour of the sparse representations the paper surveys (Section 1).
 
 Builds one matrix at several sparsity levels and compares the storage
-cost of every supported format — CSR, CSC, COO, BCSR, bit-vector,
-run-length and the SMASH-style hierarchical bitmap — illustrating the
-storage-efficiency motivation of the paper's introduction, then writes
-and reads a Matrix Market file.
+cost of the formats the simulated system reads — CSR (the ASIC HHT's
+engines), and COO, bit-vector and the SMASH-style hierarchical bitmap
+(the programmable HHT's firmwares) — illustrating the storage-efficiency
+motivation of the paper's introduction, then writes and reads a Matrix
+Market file.
 
 Run:  python examples/format_tour.py
 """
@@ -36,7 +37,6 @@ def main() -> None:
 observations (cf. Section 1's format survey):
   * the bit-vector's 1-bit-per-element metadata wins at moderate
     sparsity; CSR/COO win once the matrix is very sparse;
-  * BCSR trades padding for tiny metadata — good only for blocky data;
   * the hierarchical (SMASH-style) bitmap skips empty regions, beating
     the flat bitmap at 99 % sparsity.""")
 

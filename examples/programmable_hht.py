@@ -34,8 +34,8 @@ def main() -> None:
     print(f"CSR firmware: {len(fw)} helper-core instructions "
           f"(integer subset only)\n")
 
-    base = run_spmv(matrix, v, hht=False)
-    asic = run_spmv(matrix, v, hht=True)
+    base = run_spmv(matrix, v, accel=None)
+    asic = run_spmv(matrix, v, accel="hht")
     print(f"{'backend':<14} {'format':<10} {'cycles':>9} "
           f"{'speedup':>8} {'CPU idle':>9}")
     print("-" * 55)

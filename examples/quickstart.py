@@ -51,12 +51,12 @@ def main() -> None:
           f"{matrix.nnz} non-zeros ({matrix.sparsity:.0%} sparse)\n")
 
     print("running CPU-only baseline (vector indexed-gather loads) ...")
-    base = run_spmv(matrix, v, hht=False)
+    base = run_spmv(matrix, v, accel=None)
     print(f"  cycles = {base.cycles:,}   instructions = "
           f"{base.result.instructions:,}")
 
     print("running with the HHT streaming gathered vector values ...")
-    hht = run_spmv(matrix, v, hht=True)
+    hht = run_spmv(matrix, v, accel="hht")
     print(f"  cycles = {hht.cycles:,}   instructions = "
           f"{hht.result.instructions:,}")
 

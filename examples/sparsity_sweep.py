@@ -28,8 +28,8 @@ def main(size: int = 96) -> None:
         v = random_dense_vector(size, seed=50 + i)
         sv = random_sparse_vector(size, s, seed=60 + i)
 
-        spmv_base = run_spmv(matrix, v, hht=False)
-        spmv_hht = run_spmv(matrix, v, hht=True)
+        spmv_base = run_spmv(matrix, v, accel=None)
+        spmv_hht = run_spmv(matrix, v, accel="hht")
 
         sp_base = run_spmspv(matrix, sv, mode="baseline")
         sp_v1 = run_spmspv(matrix, sv, mode="hht_v1")

@@ -3,9 +3,9 @@
 
 The package models the paper's full system in Python:
 
-* :mod:`repro.formats` — sparse representations (CSR, CSC, COO, BCSR,
-  bit-vector, run-length, SMASH-style hierarchical bitmaps, sparse vectors)
-  and Matrix Market I/O.
+* :mod:`repro.formats` — the sparse representations the kernels and
+  firmwares read (CSR, COO, bit-vector, SMASH-style hierarchical bitmaps,
+  sparse vectors) and Matrix Market I/O.
 * :mod:`repro.isa` / :mod:`repro.cpu` — a behavioural RV32IMF+V subset
   with an assembler and a cycle-approximate in-order core model.
 * :mod:`repro.memory` — the shared pipelined on-chip RAM and MMIO bus.
@@ -25,8 +25,8 @@ Quickstart::
 
     m = random_csr((256, 256), sparsity=0.7, seed=1)
     v = random_dense_vector(256, seed=2)
-    base = run_spmv(m, v, hht=False)
-    hht = run_spmv(m, v, hht=True)
+    base = run_spmv(m, v, accel=None)
+    hht = run_spmv(m, v, accel="hht")
     print(f"speedup: {base.cycles / hht.cycles:.2f}x")
 """
 

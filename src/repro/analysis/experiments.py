@@ -112,12 +112,12 @@ def spmv_sweep(size: int, vlmax: int, n_buffers: int,
                sparsities: tuple[float, ...] = SPARSITIES) -> tuple[SweepPoint, ...]:
     """Baseline-vs-HHT SpMV cycles across the sparsity sweep."""
     base = [
-        spmv_spec((size, size), s, hht=False, vlmax=vlmax,
+        spmv_spec((size, size), s, accel=None, vlmax=vlmax,
                   matrix_seed=_SEED + i, vector_seed=_SEED + 100 + i)
         for i, s in enumerate(sparsities)
     ]
     hht = [
-        spmv_spec((size, size), s, hht=True, vlmax=vlmax, n_buffers=n_buffers,
+        spmv_spec((size, size), s, accel="hht", vlmax=vlmax, n_buffers=n_buffers,
                   matrix_seed=_SEED + i, vector_seed=_SEED + 100 + i)
         for i, s in enumerate(sparsities)
     ]
@@ -434,15 +434,17 @@ def sec55_area_power_energy(
 
     The paper's synthesised design processes a 16x16 tile at a time
     ("any bigger matrices can be broken into 16x16 sized matrices on
-    HHT"); the energy comparison therefore uses the steady-state SpMV
-    sweep cycles at 16 nm / 50 MHz.  The paper reports 223 uW (CPU),
-    314 uW (CPU+HHT), an HHT at 38.9 % of an Ibex core, and a 19 %
-    average energy saving across sparsities 10-90 %.
+    HHT").  The simulator does not tile: the energy rows apply the
+    16 nm / 50 MHz power anchors to the cycles of the untiled Fig. 4
+    SpMV sweep (``spmv_sweep(size, 8, 2)``: VL=8, two buffers).  The
+    paper reports 223 uW (CPU), 314 uW (CPU+HHT), an HHT at 38.9 % of
+    an Ibex core, and a 19 % average energy saving across sparsities
+    10-90 %.
     """
     size = size or default_size()
     table = Table(
         f"Sec. 5.5: energy at {feature_nm} nm / {clock_mhz:.0f} MHz "
-        f"({size}x{size} SpMV, 16x16-tiled HHT)",
+        f"({size}x{size} untiled SpMV sweep, VL=8, N=2)",
         ["sparsity", "baseline_cycles", "hht_cycles", "speedup", "energy_savings"],
     )
     savings = []
@@ -519,9 +521,9 @@ def ext_programmable_hht(size: int = 96, sparsity: float = 0.7) -> Table:
 
     formats = ("csr", "coo", "bitvector", "smash")
     specs = [
-        spmv_spec((size, size), sparsity, hht=False,
+        spmv_spec((size, size), sparsity, accel=None,
                   matrix_seed=_SEED + 500, vector_seed=_SEED + 501),
-        spmv_spec((size, size), sparsity, hht=True,
+        spmv_spec((size, size), sparsity, accel="hht",
                   matrix_seed=_SEED + 500, vector_seed=_SEED + 501),
     ] + [
         programmable_spec((size, size), sparsity, format_name=fmt,
@@ -580,11 +582,11 @@ def ext_cached_system(size: int = 128, *, ram_latency: int = 8) -> Table:
 
     sparsities = (0.1, 0.5, 0.9)
     specs = [
-        spmv_spec((size, size), s, hht=hht, config=config(cached),
+        spmv_spec((size, size), s, accel=accel, config=config(cached),
                   matrix_seed=_SEED + 600 + i, vector_seed=_SEED + 610 + i)
         for i, s in enumerate(sparsities)
         for cached in (False, True)
-        for hht in (False, True)
+        for accel in (None, "hht")
     ]
     summaries = run_specs(specs)
 
@@ -630,11 +632,11 @@ def ablation_memory(size: int = 128) -> Table:
         for n_buffers in (1, 2, 4)
     ]
     specs = [
-        spmv_spec((size, size), 0.5, hht=hht,
+        spmv_spec((size, size), 0.5, accel=accel,
                   config=config(latency, n_buffers),
                   matrix_seed=_SEED, vector_seed=_SEED + 1)
         for latency, n_buffers in grid
-        for hht in (False, True)
+        for accel in (None, "hht")
     ]
     summaries = run_specs(specs)
 
@@ -676,7 +678,7 @@ def ablation_banks(size: int = 128, *, ram_latency: int = 4) -> Table:
     prog_size = min(size, 64)
     workloads = [
         ("spmv+asic", lambda banks: spmv_spec(
-            (size, size), 0.7, hht=True, config=config(banks),
+            (size, size), 0.7, accel="hht", config=config(banks),
             matrix_seed=_SEED + 700, vector_seed=_SEED + 710)),
         ("spmv+prog", lambda banks: programmable_spec(
             (prog_size, prog_size), 0.7, format_name="csr",
@@ -737,7 +739,7 @@ def ablation_cores(size: int = 128, *, ram_latency: int = 4) -> Table:
 
     grid = [(n, mmu) for n in core_sweep for mmu in (False, True)]
     specs = [
-        spmv_spec((size, size), 0.7, hht=False, config=config(n, mmu),
+        spmv_spec((size, size), 0.7, accel=None, config=config(n, mmu),
                   matrix_seed=_SEED + 900, vector_seed=_SEED + 910)
         for n, mmu in grid
     ]

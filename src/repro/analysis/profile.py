@@ -21,6 +21,7 @@ from ..instrument.probes import PcProfileProbe
 from ..isa.program import Program
 from ..kernels.spmspv import spmspv_kernel
 from ..kernels.spmv import spmv_kernel
+from ..system.config import run_config
 from ..system.soc import RunResult, Soc
 from .runners import _make_soc, _required_ram
 from .tables import Table
@@ -104,21 +105,22 @@ def profile_spmv(
     matrix: CSRMatrix,
     v: np.ndarray,
     *,
-    hht: bool = False,
+    accel: str | None = None,
     vlmax: int = 8,
     n_buffers: int = 2,
 ) -> KernelProfile:
-    """Profile one SpMV kernel run."""
-    soc = _make_soc(
-        vlmax=vlmax, n_buffers=n_buffers,
-        ram_bytes=_required_ram(matrix), config=None,
-    )
+    """Profile one SpMV kernel run.
+
+    ``accel`` names the front-end as in :func:`.runners.run_spmv`.
+    """
+    config = run_config(None, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
+    soc = _make_soc(config, _required_ram(matrix))
     soc.load_csr(matrix)
     soc.load_dense_vector(np.ascontiguousarray(v, dtype=np.float32))
     soc.allocate_output(matrix.nrows)
     program = soc.assemble(
-        spmv_kernel(accel="hht" if hht else None, vector=vlmax > 1),
-        name=f"spmv_{'hht' if hht else 'baseline'}_vl{vlmax}",
+        spmv_kernel(accel=accel, vector=vlmax > 1),
+        name=f"spmv_{accel or 'baseline'}_vl{vlmax}",
     )
     return profile_program(soc, program)
 
@@ -132,10 +134,8 @@ def profile_spmspv(
     n_buffers: int = 2,
 ) -> KernelProfile:
     """Profile one SpMSpV kernel run."""
-    soc = _make_soc(
-        vlmax=vlmax, n_buffers=n_buffers,
-        ram_bytes=_required_ram(matrix, extra_words=3 * sv.n), config=None,
-    )
+    config = run_config(None, vlmax=vlmax, n_buffers=n_buffers)
+    soc = _make_soc(config, _required_ram(matrix, extra_words=3 * sv.n))
     soc.load_csr(matrix)
     soc.load_sparse_vector(sv)
     soc.allocate_output(matrix.nrows)
@@ -188,7 +188,7 @@ def metadata_overhead_table(size: int = 128,
         matrix = random_csr((size, size), s, seed=900 + i)
         v = random_dense_vector(size, seed=910 + i)
         sv = random_sparse_vector(size, s, seed=920 + i)
-        spmv = profile_spmv(matrix, v, hht=False)
+        spmv = profile_spmv(matrix, v, accel=None)
         spmspv = profile_spmspv(matrix, sv, mode="baseline")
         table.add_row(
             f"{s:.0%}", spmv.metadata_fraction, spmspv.metadata_fraction

@@ -20,7 +20,7 @@ from ..kernels.multicore import (
 from ..kernels.programmable import SUPPORTED_FORMATS, programmable_consumer
 from ..kernels.spmspv import spmspv_kernel
 from ..kernels.spmv import spmv_kernel
-from ..system.config import SystemConfig
+from ..system.config import SystemConfig, run_config
 from ..system.soc import RunResult, Soc
 
 
@@ -28,24 +28,8 @@ class VerificationError(AssertionError):
     """Simulated kernel output does not match the functional reference."""
 
 
-_UNSET = object()
-
 #: SpMSpV kernel mode -> accelerator front-end kind it depends on.
 _SPMSPV_ACCEL = {"ssr": "ssr", "indexmac": "indexmac"}
-
-
-def _ensure_accel(config: SystemConfig, kind: str | None) -> SystemConfig:
-    """Append the named front-end to the config if it is not present.
-
-    The HHT and the pure-CPU baseline need nothing: every config builds
-    an HHT by default (legacy ``n_hhts`` view).  SSR/IndexMAC runs need
-    their front-end instantiated so its MMRs/attachment exist.
-    """
-    if kind in (None, "hht"):
-        return config
-    if any(spec.kind == kind for spec in config.accelerator_specs()):
-        return config
-    return config.with_accelerator(kind)
 
 
 @dataclass
@@ -60,12 +44,7 @@ class KernelRun:
         return self.result.cycles
 
 
-def _make_soc(
-    *, vlmax: int, n_buffers: int, ram_bytes: int | None,
-    config: SystemConfig | None,
-) -> Soc:
-    if config is None:
-        config = SystemConfig.paper_table1(vlmax=vlmax, n_buffers=n_buffers)
+def _make_soc(config: SystemConfig, ram_bytes: int | None) -> Soc:
     if ram_bytes is not None and ram_bytes > config.ram_bytes:
         # Grow-only: the operands must fit, whether the caller supplied
         # the config or not.  RAM capacity never affects timing.
@@ -93,30 +72,22 @@ def run_spmv(
     matrix: CSRMatrix,
     v: np.ndarray,
     *,
-    hht: bool | None = None,
-    accel: str | None = _UNSET,  # type: ignore[assignment]
-    vlmax: int = 8,
-    n_buffers: int = 2,
+    accel: str | None = None,
+    vlmax: int | None = None,
+    n_buffers: int | None = None,
     verify: bool = True,
     config: SystemConfig | None = None,
 ) -> KernelRun:
-    """Run one SpMV kernel (vectorised iff ``vlmax > 1``) end to end.
+    """Run one SpMV kernel (vectorised iff the config's ``vlmax > 1``).
 
     ``accel`` selects the front-end by name (``"hht"``, ``"ssr"``,
-    ``"indexmac"``, or None for the pure-CPU baseline); the boolean
-    ``hht=`` flag remains as a compatible alias.
+    ``"indexmac"``, or None for the pure-CPU baseline).  ``vlmax`` and
+    ``n_buffers`` shape the default Table-1 system when no ``config`` is
+    given.
     """
-    if accel is _UNSET:
-        accel = "hht" if hht else None
-    elif hht is not None:
-        raise TypeError("pass either accel= or the hht= flag, not both")
-    if config is None:
-        config = SystemConfig.paper_table1(vlmax=vlmax, n_buffers=n_buffers)
-    config = _ensure_accel(config, accel)
-    soc = _make_soc(
-        vlmax=vlmax, n_buffers=n_buffers,
-        ram_bytes=_required_ram(matrix), config=config,
-    )
+    config = run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
+    vector = config.cpu.vlmax > 1
+    soc = _make_soc(config, _required_ram(matrix))
     soc.load_csr(matrix)
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
@@ -130,9 +101,9 @@ def run_spmv(
             matrix.nrows, config.n_cores
         ).items():
             soc.define_symbol(name, value)
-        text = spmv_multicore_kernel(config.n_cores, vector=vlmax > 1)
+        text = spmv_multicore_kernel(config.n_cores, vector=vector)
     else:
-        text = spmv_kernel(accel=accel, vector=vlmax > 1)
+        text = spmv_kernel(accel=accel, vector=vector)
     program = soc.assemble(text)
     result = soc.run(program)
     y = soc.read_output("y", matrix.nrows)
@@ -148,8 +119,8 @@ def run_spmv_programmable(
     v: np.ndarray,
     *,
     format_name: str = "csr",
-    vlmax: int = 8,
-    n_buffers: int = 2,
+    vlmax: int | None = None,
+    n_buffers: int | None = None,
     verify: bool = True,
     config: SystemConfig | None = None,
 ) -> KernelRun:
@@ -165,10 +136,8 @@ def run_spmv_programmable(
             f"no firmware for format {format_name!r}; supported: "
             f"{SUPPORTED_FORMATS}"
         )
-    soc = _make_soc(
-        vlmax=vlmax, n_buffers=n_buffers,
-        ram_bytes=_required_ram(matrix, extra_words=matrix.nnz), config=config,
-    )
+    config = run_config(config, vlmax=vlmax, n_buffers=n_buffers)
+    soc = _make_soc(config, _required_ram(matrix, extra_words=matrix.nnz))
     if format_name == "csr":
         soc.load_csr(matrix)
     elif format_name == "coo":
@@ -187,7 +156,9 @@ def run_spmv_programmable(
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
     soc.hht.load_firmware(FIRMWARES[format_name]())
-    program = soc.assemble(programmable_consumer(format_name, vector=vlmax > 1))
+    program = soc.assemble(
+        programmable_consumer(format_name, vector=config.cpu.vlmax > 1)
+    )
     result = soc.run(program)
     y = soc.read_output("y", matrix.nrows)
     if verify:
@@ -204,23 +175,23 @@ def run_spmspv(
     sv: SparseVector,
     *,
     mode: str,
-    vlmax: int = 8,
-    n_buffers: int = 2,
+    vlmax: int | None = None,
+    n_buffers: int | None = None,
     verify: bool = True,
     config: SystemConfig | None = None,
 ) -> KernelRun:
     """Run one SpMSpV kernel.
 
     ``mode`` is one of ``'baseline'``, ``'hht_v1'``, ``'hht_v2'``,
-    ``'ssr'``, ``'indexmac'``.
+    ``'ssr'``, ``'indexmac'``.  ``vlmax`` and ``n_buffers`` shape the
+    default Table-1 system when no ``config`` is given.
     """
-    if config is None:
-        config = SystemConfig.paper_table1(vlmax=vlmax, n_buffers=n_buffers)
-    config = _ensure_accel(config, _SPMSPV_ACCEL.get(mode))
-    soc = _make_soc(
-        vlmax=vlmax, n_buffers=n_buffers,
-        ram_bytes=_required_ram(matrix, extra_words=3 * sv.n), config=config,
+    config = run_config(
+        config, vlmax=vlmax, n_buffers=n_buffers,
+        accel=_SPMSPV_ACCEL.get(mode),
     )
+    vector = config.cpu.vlmax > 1
+    soc = _make_soc(config, _required_ram(matrix, extra_words=3 * sv.n))
     soc.load_csr(matrix)
     soc.load_sparse_vector(sv)
     soc.allocate_output(matrix.nrows)
@@ -234,9 +205,9 @@ def run_spmspv(
             matrix.nrows, config.n_cores
         ).items():
             soc.define_symbol(name, value)
-        text = spmspv_multicore_kernel(config.n_cores, vector=vlmax > 1)
+        text = spmspv_multicore_kernel(config.n_cores, vector=vector)
     else:
-        text = spmspv_kernel(mode=mode, vector=vlmax > 1)
+        text = spmspv_kernel(mode=mode, vector=vector)
     program = soc.assemble(text)
     result = soc.run(program)
     y = soc.read_output("y", matrix.nrows)

@@ -66,10 +66,10 @@ def parameter_sweep(
             apply(cfg_base, value)
         if workload == "spmv":
             return (
-                spmv_spec((size, size), sparsity, hht=False,
+                spmv_spec((size, size), sparsity, accel=None,
                           matrix_seed=seed, vector_seed=seed + 1,
                           config=cfg_base),
-                spmv_spec((size, size), sparsity, hht=True,
+                spmv_spec((size, size), sparsity, accel="hht",
                           matrix_seed=seed, vector_seed=seed + 1,
                           config=cfg_hht),
             )

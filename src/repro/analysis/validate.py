@@ -35,10 +35,10 @@ def _spmv_claims(size: int):
         if not cache:
             sparsities = (0.1, 0.9)
             summaries = run_specs([
-                spmv_spec((size, size), s, hht=hht,
+                spmv_spec((size, size), s, accel=accel,
                           matrix_seed=1, vector_seed=2)
                 for s in sparsities
-                for hht in (False, True)
+                for accel in (None, "hht")
             ])
             for k, s in enumerate(sparsities):
                 base, hht = summaries[2 * k], summaries[2 * k + 1]
@@ -150,8 +150,9 @@ def _correctness_claims(size: int):
 
     def kernels_agree():
         base, hht = run_specs([
-            spmv_spec((size, size), 0.5, hht=hht, matrix_seed=5, vector_seed=6)
-            for hht in (False, True)
+            spmv_spec((size, size), 0.5, accel=accel, matrix_seed=5,
+                      vector_seed=6)
+            for accel in (None, "hht")
         ])
         ok = np.array_equal(base.y, hht.y)
         return ok, "baseline and HHT results bit-identical"

@@ -405,9 +405,10 @@ def _cmd_spmv(args) -> int:
     v = random_dense_vector(args.cols, seed=args.seed + 1)
     print(f"SpMV {matrix.nrows}x{matrix.ncols}, {matrix.sparsity:.0%} sparse, "
           f"VL={args.vl}, N={args.buffers}")
-    base = run_spmv(matrix, v, hht=False, vlmax=args.vl)
+    base = run_spmv(matrix, v, accel=None, vlmax=args.vl)
     print(f"  baseline : {base.cycles:>10,} cycles")
-    hht = run_spmv(matrix, v, hht=True, vlmax=args.vl, n_buffers=args.buffers)
+    hht = run_spmv(matrix, v, accel="hht", vlmax=args.vl,
+                   n_buffers=args.buffers)
     print(f"  ASIC HHT : {hht.cycles:>10,} cycles  "
           f"({base.cycles / hht.cycles:.2f}x, "
           f"CPU wait {hht.result.cpu_wait_fraction:.1%})")
@@ -527,8 +528,8 @@ def _cmd_stats(args) -> int:
         run = run_spmspv(matrix, sv, mode=mode, config=cfg)
     else:
         v = random_dense_vector(n, seed=args.seed + 1)
-        hht = args.kernel == "spmv" and not multicore
-        run = run_spmv(matrix, v, hht=hht, config=cfg)
+        accel = "hht" if args.kernel == "spmv" and not multicore else None
+        run = run_spmv(matrix, v, accel=accel, config=cfg)
     stats = run.result.stats
 
     if args.json:
@@ -570,6 +571,7 @@ def _workload_program(args):
     from .analysis.runners import _make_soc, _required_ram
     from .kernels.spmspv import spmspv_kernel
     from .kernels.spmv import spmv_kernel
+    from .system.config import SystemConfig
     from .workloads import random_csr, random_dense_vector, random_sparse_vector
 
     n = args.size
@@ -577,8 +579,8 @@ def _workload_program(args):
     if args.kernel == "spmspv":
         sv = random_sparse_vector(n, args.sparsity, seed=args.seed + 1)
         soc = _make_soc(
-            vlmax=8, n_buffers=2, config=None,
-            ram_bytes=_required_ram(matrix, extra_words=3 * sv.n),
+            SystemConfig.paper_table1(),
+            _required_ram(matrix, extra_words=3 * sv.n),
         )
         soc.load_csr(matrix)
         soc.load_sparse_vector(sv)
@@ -589,9 +591,7 @@ def _workload_program(args):
     else:
         hht = args.kernel == "spmv"
         v = random_dense_vector(n, seed=args.seed + 1)
-        soc = _make_soc(
-            vlmax=8, n_buffers=2, config=None, ram_bytes=_required_ram(matrix),
-        )
+        soc = _make_soc(SystemConfig.paper_table1(), _required_ram(matrix))
         soc.load_csr(matrix)
         soc.load_dense_vector(v)
         soc.allocate_output(matrix.nrows)

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from ..component import cache_stats_view, hht_stats_view, port_requests_view
-from ..system.config import SystemConfig
+from ..system.config import SystemConfig, run_config
 
 KERNELS = ("spmv", "spmspv", "spmv_programmable")
 WORKLOADS = ("synthetic", "corpus", "dnn")
@@ -49,23 +49,19 @@ def thaw_config(items: ConfigItems) -> SystemConfig:
 
 
 def _default_config_items(
-    config: SystemConfig | None, vlmax: int, n_buffers: int,
+    config: SystemConfig | None, vlmax: int | None, n_buffers: int | None,
     accel: str | None = None,
 ) -> ConfigItems:
-    """Freeze the config, materialising the named front-end if absent.
+    """Freeze the run's config, materialising the named front-end if absent.
 
     Appending the accelerator *before* freezing means SSR/IndexMAC specs
     differ from HHT-only specs structurally (the ``accelerators.*``
     section), not just by variant string — their cache keys can never
     alias.
     """
-    if config is None:
-        config = SystemConfig.paper_table1(vlmax=vlmax, n_buffers=n_buffers)
-    if accel not in (None, "hht") and all(
-        spec.kind != accel for spec in config.accelerator_specs()
-    ):
-        config = config.with_accelerator(accel)
-    return freeze_config(config)
+    return freeze_config(
+        run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
+    )
 
 
 @dataclass(frozen=True)
@@ -196,42 +192,26 @@ class RunSummary:
 # ---------------------------------------------------------------------------
 # Spec factories (one per harness entry point)
 # ---------------------------------------------------------------------------
-_UNSET = object()
-
-
-def _spmv_variant(hht, accel) -> str:
-    """Resolve the hht=/accel= pair to a RunSpec variant name."""
-    if accel is _UNSET:
-        return "hht" if hht else "baseline"
-    if hht is not None:
-        raise TypeError("pass either accel= or the hht= flag, not both")
-    return accel if accel is not None else "baseline"
-
-
 def spmv_spec(
     shape: tuple[int, int], sparsity: float, *,
-    hht: bool | None = None,
-    accel: str | None = _UNSET,  # type: ignore[assignment]
+    accel: str | None = None,
     matrix_seed: int = 0, vector_seed: int = 1,
-    vlmax: int = 8, n_buffers: int = 2,
+    vlmax: int | None = None, n_buffers: int | None = None,
     config: SystemConfig | None = None, verify: bool = True,
 ) -> RunSpec:
     """Synthetic-matrix SpMV point.
 
     ``accel`` names the front-end (``"hht"``, ``"ssr"``, ``"indexmac"``,
-    None for the pure-CPU baseline); the boolean ``hht=`` flag remains as
-    a compatible alias.
+    None for the pure-CPU baseline).  Every factory takes ``vlmax`` and
+    ``n_buffers`` for the default Table-1 system, or a ``config``, not
+    both.
     """
     rows, cols = shape
-    variant = _spmv_variant(hht, accel)
     return RunSpec(
-        kernel="spmv", variant=variant,
+        kernel="spmv", variant=accel or "baseline",
         rows=rows, cols=cols, sparsity=float(sparsity),
         matrix_seed=matrix_seed, vector_seed=vector_seed,
-        config=_default_config_items(
-            config, vlmax, n_buffers,
-            accel=None if variant == "baseline" else variant,
-        ),
+        config=_default_config_items(config, vlmax, n_buffers, accel=accel),
         verify=verify,
     )
 
@@ -240,7 +220,7 @@ def spmspv_spec(
     size: int, sparsity: float, *, mode: str,
     vector_sparsity: float | None = None,
     matrix_seed: int = 0, vector_seed: int = 1,
-    vlmax: int = 8, n_buffers: int = 2,
+    vlmax: int | None = None, n_buffers: int | None = None,
     config: SystemConfig | None = None, verify: bool = True,
 ) -> RunSpec:
     """Synthetic SpMSpV point.
@@ -266,7 +246,7 @@ def spmspv_spec(
 def programmable_spec(
     shape: tuple[int, int], sparsity: float, *, format_name: str,
     matrix_seed: int = 0, vector_seed: int = 1,
-    vlmax: int = 8, n_buffers: int = 2,
+    vlmax: int | None = None, n_buffers: int | None = None,
     config: SystemConfig | None = None, verify: bool = True,
 ) -> RunSpec:
     """Programmable-HHT SpMV point running *format_name* firmware."""
@@ -281,7 +261,7 @@ def programmable_spec(
 
 def corpus_spec(
     name: str, *, hht: bool, vector_seed: int = 0,
-    vlmax: int = 8, n_buffers: int = 2,
+    vlmax: int | None = None, n_buffers: int | None = None,
     config: SystemConfig | None = None, verify: bool = True,
 ) -> RunSpec:
     """SpMV point on a bundled .mtx corpus matrix."""
@@ -295,7 +275,7 @@ def corpus_spec(
 def dnn_spec(
     network: str, *, hht: bool, rows: int | None = None,
     matrix_seed: int = 0, vector_seed: int = 1,
-    vlmax: int = 8, n_buffers: int = 2,
+    vlmax: int | None = None, n_buffers: int | None = None,
     config: SystemConfig | None = None, verify: bool = True,
 ) -> RunSpec:
     """SpMV point on one Fig. 9 DNN fully-connected layer."""
@@ -324,8 +304,6 @@ def execute(spec: RunSpec) -> RunSummary:
     )
 
     cfg = thaw_config(spec.config) if spec.config else SystemConfig.paper_table1()
-    vlmax = cfg.cpu.vlmax
-    n_buffers = cfg.hht.n_buffers
 
     if spec.workload == "synthetic":
         matrix = random_csr(
@@ -342,21 +320,20 @@ def execute(spec: RunSpec) -> RunSummary:
         vs = spec.vector_sparsity if spec.vector_sparsity >= 0 else spec.sparsity
         sv = random_sparse_vector(matrix.ncols, vs, seed=spec.vector_seed)
         run = run_spmspv(
-            matrix, sv, mode=spec.variant, vlmax=vlmax, n_buffers=n_buffers,
-            verify=spec.verify, config=cfg,
+            matrix, sv, mode=spec.variant, verify=spec.verify, config=cfg,
         )
     elif spec.kernel == "spmv":
         v = random_dense_vector(matrix.ncols, seed=spec.vector_seed)
         run = run_spmv(
             matrix, v,
             accel=None if spec.variant == "baseline" else spec.variant,
-            vlmax=vlmax, n_buffers=n_buffers, verify=spec.verify, config=cfg,
+            verify=spec.verify, config=cfg,
         )
     else:  # spmv_programmable
         v = random_dense_vector(matrix.ncols, seed=spec.vector_seed)
         run = run_spmv_programmable(
-            matrix, v, format_name=spec.variant, vlmax=vlmax,
-            n_buffers=n_buffers, verify=spec.verify, config=cfg,
+            matrix, v, format_name=spec.variant, verify=spec.verify,
+            config=cfg,
         )
 
     result = run.result

@@ -1,10 +1,9 @@
-"""Sparse data representations (the paper's Section 1 format survey).
+"""Sparse data representations the simulated kernels and firmwares read.
 
 Public API::
 
     from repro.formats import (
-        CSRMatrix, CSCMatrix, COOMatrix, BCSRMatrix,
-        BitVectorMatrix, RLEMatrix, SMASHMatrix, SparseVector,
+        CSRMatrix, COOMatrix, BitVectorMatrix, SMASHMatrix, SparseVector,
         convert, read_mtx, write_mtx,
     )
 """
@@ -16,25 +15,13 @@ from .base import (
     SparseFormat,
     SparseFormatError,
 )
-from .bcsr import BCSRMatrix
 from .bitvector import BitVectorMatrix
 from .convert import FORMATS, convert
 from .coo import COOMatrix
-from .csc import CSCMatrix
 from .csr import CSRMatrix
 from .mtx import MatrixMarketError, read_mtx, write_mtx
-from .rle import RLEMatrix
 from .smash import SMASHMatrix
 from .sparse_vector import SparseVector
-from .spmv_ops import (
-    spmv_any,
-    spmv_bcsr,
-    spmv_bitvector,
-    spmv_coo,
-    spmv_csc,
-    spmv_rle,
-    spmv_smash,
-)
 
 __all__ = [
     "INDEX_DTYPE",
@@ -43,20 +30,10 @@ __all__ = [
     "SparseFormat",
     "SparseFormatError",
     "CSRMatrix",
-    "CSCMatrix",
     "COOMatrix",
-    "BCSRMatrix",
     "BitVectorMatrix",
-    "RLEMatrix",
     "SMASHMatrix",
     "SparseVector",
-    "spmv_any",
-    "spmv_bcsr",
-    "spmv_bitvector",
-    "spmv_coo",
-    "spmv_csc",
-    "spmv_rle",
-    "spmv_smash",
     "FORMATS",
     "convert",
     "MatrixMarketError",

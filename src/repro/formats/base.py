@@ -1,11 +1,13 @@
 """Common infrastructure for sparse matrix representations.
 
 The paper (Section 1) surveys the compressed representations that sparse
-kernels consume: CSR, BCSR, CSC, COO, bit-vectors, run-length encoding and
-hierarchical bit vectors (SMASH).  Every concrete format in this package
-derives from :class:`SparseFormat` so that the conversion machinery in
-:mod:`repro.formats.convert`, the memory-image builders in
-:mod:`repro.system.loader` and the tests can treat them uniformly.
+kernels consume.  This package implements the four the simulated system
+reads: CSR (the ASIC HHT's engines and the CSR firmware), and COO,
+bit-vectors and hierarchical bit vectors (SMASH), which the
+programmable HHT's firmwares walk.  Every concrete format derives from
+:class:`SparseFormat` so that the conversion machinery in
+:mod:`repro.formats.convert`, the memory-image loaders of
+:class:`repro.system.Soc` and the tests can treat them uniformly.
 
 All formats store 32-bit element types (``float32`` values, ``int32``
 indices) to match the paper's system configuration (Table 1: SEW = 32 bit,

@@ -1,9 +1,9 @@
 """Conversions between the sparse representations.
 
-Direct fast paths exist for the common pairs the kernels use
-(COO ↔ CSR, CSR ↔ CSC); every other pair routes through COO (or, for the
-value-layout formats, through dense) so that any format can be converted
-to any other.  The registry also backs the round-trip property tests.
+A direct fast path exists for the pair the kernels use (COO ↔ CSR);
+every other pair routes through dense, so that any format can be
+converted to any other.  The registry also backs the round-trip property
+tests.
 """
 
 from __future__ import annotations
@@ -11,26 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .base import INDEX_DTYPE, SparseFormat, SparseFormatError
-from .bcsr import BCSRMatrix
 from .bitvector import BitVectorMatrix
 from .coo import COOMatrix
-from .csc import CSCMatrix
 from .csr import CSRMatrix
-from .rle import RLEMatrix
 from .smash import SMASHMatrix
 
 #: All concrete formats, keyed by their ``format_name``.
 FORMATS: dict[str, type[SparseFormat]] = {
     cls.format_name: cls
-    for cls in (
-        CSRMatrix,
-        CSCMatrix,
-        COOMatrix,
-        BCSRMatrix,
-        BitVectorMatrix,
-        RLEMatrix,
-        SMASHMatrix,
-    )
+    for cls in (CSRMatrix, COOMatrix, BitVectorMatrix, SMASHMatrix)
 }
 
 
@@ -54,33 +43,9 @@ def csr_to_coo(csr: CSRMatrix) -> COOMatrix:
     return COOMatrix(csr.shape, row_indices, csr.cols, csr.vals, check=False)
 
 
-def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
-    """Direct COO → CSC."""
-    sorted_coo = coo.sorted_col_major()
-    _, ncols = coo.shape
-    colptr = np.zeros(ncols + 1, dtype=INDEX_DTYPE)
-    counts = np.bincount(sorted_coo.col_indices, minlength=ncols)
-    np.cumsum(counts, out=colptr[1:])
-    return CSCMatrix(
-        coo.shape, colptr, sorted_coo.row_indices, sorted_coo.vals, check=False
-    )
-
-
-def csc_to_coo(csc: CSCMatrix) -> COOMatrix:
-    """Direct CSC → COO."""
-    col_indices = np.repeat(
-        np.arange(csc.ncols, dtype=INDEX_DTYPE), np.diff(csc.colptr)
-    )
-    return COOMatrix(csc.shape, csc.row_indices, col_indices, csc.vals, check=False)
-
-
 _DIRECT = {
     ("coo", "csr"): coo_to_csr,
     ("csr", "coo"): csr_to_coo,
-    ("coo", "csc"): coo_to_csc,
-    ("csc", "coo"): csc_to_coo,
-    ("csr", "csc"): lambda m: coo_to_csc(csr_to_coo(m)),
-    ("csc", "csr"): lambda m: coo_to_csr(csc_to_coo(m)),
 }
 
 
@@ -88,8 +53,8 @@ def convert(matrix: SparseFormat, target: str | type[SparseFormat], **kwargs) ->
     """Convert *matrix* to the *target* format.
 
     ``target`` may be a format name ("csr", "coo", ...) or a format class.
-    Extra keyword arguments (e.g. ``block_shape`` for BCSR, ``fanout`` /
-    ``depth`` for SMASH) are forwarded to the target's ``from_dense``.
+    Extra keyword arguments (e.g. ``fanout`` / ``depth`` for SMASH) are
+    forwarded to the target's ``from_dense``.
     """
     if isinstance(target, type) and issubclass(target, SparseFormat):
         target_name = target.format_name

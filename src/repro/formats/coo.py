@@ -99,14 +99,3 @@ class COOMatrix(SparseFormat):
             self.vals[order],
             check=False,
         )
-
-    def sorted_col_major(self) -> "COOMatrix":
-        """Return a copy sorted by (col, row) — used for CSC conversion."""
-        order = np.lexsort((self.row_indices, self.col_indices))
-        return COOMatrix(
-            self.shape,
-            self.row_indices[order],
-            self.col_indices[order],
-            self.vals[order],
-            check=False,
-        )

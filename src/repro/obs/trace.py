@@ -16,14 +16,18 @@ from its obs event log:
   track of whichever process the fault tripped in.
 
 Timestamps are wall-clock microseconds relative to the first event, so
-the Perfetto timeline reads as elapsed sweep time.  The document uses
-the same trace-event JSON conventions (and :class:`TrackTable` /
-:func:`write_chrome_trace` helpers) as the per-run exporter.
+the Perfetto timeline reads as elapsed sweep time.  The document is
+built by the per-run exporter's :class:`TrackTable`,
+:func:`trace_document` and :func:`write_chrome_trace`.
 """
 
 from __future__ import annotations
 
-from ..telemetry.chrome_trace import _PID, TrackTable, write_chrome_trace
+from ..telemetry.chrome_trace import (
+    TrackTable,
+    trace_document,
+    write_chrome_trace,
+)
 
 #: Schema tag carried in ``otherData``.
 SWEEP_TRACE_SCHEMA = "repro-sweep-trace/1"
@@ -88,7 +92,7 @@ def sweep_trace(events: list[dict]) -> dict:
                 "name": event.get("label") or _short(key),
                 "cat": "attempt", "ph": "X",
                 "ts": us(wall), "dur": 0.0,
-                "pid": _PID, "tid": tracks.tid(src),
+                "pid": tracks.pid, "tid": tracks.tid(src),
                 "args": {"key": _short(key),
                          "attempt": event.get("attempt", 0)},
             }
@@ -104,7 +108,7 @@ def sweep_trace(events: list[dict]) -> dict:
             instants.append({
                 "name": f"fault: {data.get('kind', '?')}", "cat": "fault",
                 "ph": "i", "s": "t", "ts": us(wall),
-                "pid": _PID, "tid": tracks.tid(src),
+                "pid": tracks.pid, "tid": tracks.tid(src),
                 "args": {"key": _short(key),
                          "attempt": event.get("attempt", 0)},
             })
@@ -121,7 +125,7 @@ def sweep_trace(events: list[dict]) -> dict:
             instants.append({
                 "name": _DRIVER_INSTANTS[etype], "cat": "driver",
                 "ph": "i", "s": "t", "ts": us(wall),
-                "pid": _PID, "tid": tracks.tid("driver"),
+                "pid": tracks.pid, "tid": tracks.tid("driver"),
                 "args": {"key": _short(key), **{
                     name: value for name, value in data.items()
                     if not isinstance(value, (dict, list))
@@ -132,7 +136,7 @@ def sweep_trace(events: list[dict]) -> dict:
             instants.append({
                 "name": etype.split(".", 1)[1], "cat": "cache",
                 "ph": "i", "s": "t", "ts": us(wall),
-                "pid": _PID, "tid": tracks.tid("cache"),
+                "pid": tracks.pid, "tid": tracks.tid("cache"),
                 "args": {"key": _short(key)},
             })
 
@@ -140,22 +144,17 @@ def sweep_trace(events: list[dict]) -> dict:
     for span_key in sorted(open_spans, key=lambda sk: open_spans[sk]["ts"]):
         close(span_key, last_wall, "crash")
 
-    process_meta = [{
-        "name": "process_name", "ph": "M", "pid": _PID,
-        "args": {"name": f"sweep: {sweep_id}" if sweep_id else "sweep"},
-    }]
-    timeline = sorted(spans + instants, key=lambda e: e["ts"])
-    return {
-        "traceEvents": process_meta + tracks.meta + timeline,
-        "displayTimeUnit": "ms",
-        "otherData": {
+    return trace_document(
+        f"sweep: {sweep_id}" if sweep_id else "sweep", tracks,
+        spans + instants,
+        {
             "schema": SWEEP_TRACE_SCHEMA,
             "sweep_id": sweep_id,
             "clock": "ts in wall-clock us since the first event",
             "n_events": len(events),
             "n_spans": len(spans),
         },
-    }
+    )
 
 
 def write_sweep_trace(events: list[dict], path) -> "object":

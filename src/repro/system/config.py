@@ -254,3 +254,33 @@ class SystemConfig:
             )
         width = max(len(k) for k, _ in lines)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in lines)
+
+
+def run_config(
+    config: SystemConfig | None, *, vlmax: int | None = None,
+    n_buffers: int | None = None, accel: str | None = None,
+) -> SystemConfig:
+    """The system one kernel run simulates.
+
+    ``vlmax``/``n_buffers`` shape the default Table-1 system only: a
+    given *config* carries its own, so passing both is a ``TypeError``
+    rather than one system with two vector widths.  An SSR/IndexMAC
+    *accel* missing from the config is appended; the HHT and the
+    pure-CPU baseline need nothing, since every config builds an HHT
+    (legacy ``n_hhts`` view).
+    """
+    if config is None:
+        config = SystemConfig.paper_table1(
+            vlmax=8 if vlmax is None else vlmax,
+            n_buffers=2 if n_buffers is None else n_buffers,
+        )
+    elif vlmax is not None or n_buffers is not None:
+        raise TypeError(
+            "pass vlmax=/n_buffers= or config=, not both: the config "
+            "carries its own cpu.vlmax and hht.n_buffers"
+        )
+    if accel not in (None, "hht") and all(
+        spec.kind != accel for spec in config.accelerator_specs()
+    ):
+        config = config.with_accelerator(accel)
+    return config

@@ -168,7 +168,7 @@ def collect_bench(size: int | None = None, *,
 
     scale_size = min(size, 96)
     one_core, one_core_mmu, two_core = run_specs([
-        spmv_spec((scale_size, scale_size), 0.7, hht=False,
+        spmv_spec((scale_size, scale_size), 0.7, accel=None,
                   config=scaling_config(n, mmu), matrix_seed=31,
                   vector_seed=32)
         for n, mmu in ((1, False), (1, True), (2, False))

@@ -168,32 +168,39 @@ class ChromeTraceProbe(Probe):
 
     # -- result --------------------------------------------------------
     def payload(self) -> dict:
-        """The complete trace document (``{"traceEvents": [...]}``).
-
-        Events are sorted by timestamp (stable, so simultaneous events
-        keep emission order), which makes ``ts`` monotonic within every
-        track — the invariant the tests pin.
-        """
-        process_meta = [{
-            "name": "process_name", "ph": "M", "pid": _PID,
-            "args": {"name": f"soc: {self._program}" if self._program
-                     else "soc"},
-        }]
-        events = (
-            process_meta + self._tracks.meta
-            + sorted(self._events, key=lambda e: e["ts"])
-        )
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
+        """The complete trace document (``{"traceEvents": [...]}``)."""
+        return trace_document(
+            f"soc: {self._program}" if self._program else "soc",
+            self._tracks, self._events,
+            {
                 "schema": CHROME_TRACE_SCHEMA,
                 "program": self._program,
                 "clock": "1 simulated cycle = 1us of trace time",
                 "instructions": self._instructions,
                 "dropped_instructions": self.dropped_instructions,
             },
-        }
+        )
+
+
+def trace_document(process: str, tracks: TrackTable, events: list[dict],
+                   other: dict) -> dict:
+    """The trace-event document envelope shared by every exporter.
+
+    Process-name and track metadata come first, then *events* sorted by
+    timestamp (stable, so simultaneous events keep emission order),
+    which makes ``ts`` monotonic within every track — the invariant the
+    tests pin.  *other* becomes ``otherData``.
+    """
+    process_meta = [{
+        "name": "process_name", "ph": "M", "pid": tracks.pid,
+        "args": {"name": process},
+    }]
+    return {
+        "traceEvents": (process_meta + tracks.meta
+                        + sorted(events, key=lambda e: e["ts"])),
+        "displayTimeUnit": "ms",
+        "otherData": other,
+    }
 
 
 def write_chrome_trace(payload: dict, path: str | Path) -> Path:

@@ -1,4 +1,4 @@
-"""Workload generators: synthetic sweeps, DNN FC layers, .mtx corpus, graphs."""
+"""Workload generators: synthetic sweeps, DNN FC layers, .mtx corpus."""
 
 from .dnn import FC_LAYERS, FIG9_ORDER, FCLayer, get_layer
 from .mtx_corpus import (

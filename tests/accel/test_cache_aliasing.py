@@ -6,7 +6,7 @@ config items separate the configs structurally, and the schema bump
 retires every pre-front-end cache entry.
 """
 
-from repro.exec import cache_key, spmspv_spec, spmv_spec
+from repro.exec import cache_key, payload_key, spmspv_spec, spmv_spec
 from repro.exec.cache import SCHEMA_VERSION
 
 POINT = dict(sparsity=0.5, matrix_seed=1, vector_seed=2)
@@ -20,12 +20,20 @@ class TestSpmvNonAliasing:
         }
         assert len(set(keys.values())) == 4
 
-    def test_legacy_hht_flag_aliases_accel_name(self):
-        # Same point addressed through the old and new selectors is the
-        # same cache entry — the shim must not split the cache.
-        legacy = spmv_spec((16, 16), hht=True, **POINT)
-        named = spmv_spec((16, 16), accel="hht", **POINT)
-        assert cache_key(legacy) == cache_key(named)
+    def test_legacy_hht_flag_aliases_accel_name(self, monkeypatch):
+        # accel="hht" addresses the cache entries the retired boolean
+        # hht flag wrote: with or without an explicit Table-1 config,
+        # the point's payload digest is the one that flag produced (on
+        # the reference backend; cpu.backend is part of the payload).
+        from repro.system import SystemConfig
+
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        legacy = (
+            "e1772a45f10d1fc83b26e9a0f96cb403d8965a46d646eb9c0e079943ded91466"
+        )
+        for config in (None, SystemConfig.paper_table1()):
+            named = spmv_spec((16, 16), accel="hht", config=config, **POINT)
+            assert payload_key(named) == legacy
 
     def test_hht_config_carries_no_accelerators_section(self):
         # Structural separation: only rival front-ends materialize the
@@ -64,7 +72,7 @@ class TestMultiCoreNonAliasing:
         cfg.n_cores = n_cores
         if mmu:
             cfg.mmu = MmuConfig()
-        return cache_key(spmv_spec((16, 16), hht=False, config=cfg, **POINT))
+        return cache_key(spmv_spec((16, 16), accel=None, config=cfg, **POINT))
 
     def test_core_count_and_mmu_keys_never_collide(self):
         keys = {
@@ -81,9 +89,9 @@ class TestMultiCoreNonAliasing:
         # same key — the refactor must not split the cache for old runs.
         from repro.system import SystemConfig
 
-        legacy = cache_key(spmv_spec((16, 16), hht=False, **POINT))
+        legacy = cache_key(spmv_spec((16, 16), accel=None, **POINT))
         explicit = cache_key(spmv_spec(
-            (16, 16), hht=False, config=SystemConfig.paper_table1(), **POINT
+            (16, 16), accel=None, config=SystemConfig.paper_table1(), **POINT
         ))
         assert legacy == explicit == self._key()
 

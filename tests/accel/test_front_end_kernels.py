@@ -6,10 +6,14 @@ the performance contract (the rivals must actually beat the pure-CPU
 baseline) and the kernel-selector semantics.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.analysis.profile import profile_spmv
 from repro.analysis.runners import run_spmspv, run_spmv
+from repro.exec import spmv_spec
 from repro.kernels import spmspv_kernel, spmv_kernel
 from repro.workloads import (
     random_csr,
@@ -87,9 +91,10 @@ class TestSpmvKernelSelector:
         assert len(set(texts.values())) == 4
 
     def test_both_selectors_rejected(self):
-        # Only accel= selects the front-end; an hht= flag is rejected.
-        with pytest.raises(TypeError, match="hht"):
-            spmv_kernel(accel="hht", hht=True, vector=True)
+        # accel= is the only front-end selector: no SpMV entry point
+        # takes the retired boolean hht flag.
+        for entry in (spmv_kernel, spmv_spec, run_spmv, profile_spmv):
+            assert "hht" not in inspect.signature(entry).parameters
 
     def test_unknown_accel_rejected(self):
         with pytest.raises(ValueError, match="ssr"):

@@ -21,7 +21,7 @@ from repro.workloads import (
 def baseline_profile():
     matrix = random_csr((48, 48), 0.5, seed=90)
     v = random_dense_vector(48, seed=91)
-    return profile_spmv(matrix, v, hht=False)
+    return profile_spmv(matrix, v, accel=None)
 
 
 class TestLineAttribution:
@@ -56,7 +56,7 @@ class TestMetadataAttribution:
     def test_hht_kernel_has_no_metadata_instructions(self):
         matrix = random_csr((32, 32), 0.5, seed=92)
         v = random_dense_vector(32, seed=93)
-        prof = profile_spmv(matrix, v, hht=True)
+        prof = profile_spmv(matrix, v, accel="hht")
         assert prof.metadata_cycles == 0
 
     def test_spmspv_metadata_share_higher(self):
@@ -64,14 +64,14 @@ class TestMetadataAttribution:
         matrix = random_csr((48, 48), 0.5, seed=94)
         v = random_dense_vector(48, seed=95)
         sv = random_sparse_vector(48, 0.5, seed=96)
-        spmv = profile_spmv(matrix, v, hht=False)
+        spmv = profile_spmv(matrix, v, accel=None)
         spmspv = profile_spmspv(matrix, sv, mode="baseline")
         assert spmspv.metadata_fraction > spmv.metadata_fraction
 
     def test_scalar_kernel_also_tagged(self):
         matrix = random_csr((24, 24), 0.5, seed=97)
         v = random_dense_vector(24, seed=98)
-        prof = profile_spmv(matrix, v, hht=False, vlmax=1)
+        prof = profile_spmv(matrix, v, accel=None, vlmax=1)
         assert prof.metadata_fraction > 0.2
 
     def test_overhead_table(self):
@@ -86,23 +86,23 @@ class TestProfilingMachinery:
     def test_profiling_does_not_change_timing(self):
         matrix = random_csr((32, 32), 0.5, seed=99)
         v = random_dense_vector(32, seed=100)
-        plain = run_spmv(matrix, v, hht=False)
-        profiled = profile_spmv(matrix, v, hht=False)
+        plain = run_spmv(matrix, v, accel=None)
+        profiled = profile_spmv(matrix, v, accel=None)
         assert profiled.total_cycles == plain.cycles
 
     def test_profile_flag_restored(self):
         matrix = random_csr((16, 16), 0.5, seed=101)
         v = random_dense_vector(16, seed=102)
-        prof = profile_spmv(matrix, v, hht=False)
+        prof = profile_spmv(matrix, v, accel=None)
         assert prof.result.cpu_stats.pc_cycles  # populated
         # A subsequent unprofiled run must not accumulate pc stats.
-        plain = run_spmv(matrix, v, hht=False)
+        plain = run_spmv(matrix, v, accel=None)
         assert not plain.result.cpu_stats.pc_cycles
 
     def test_cycle_breakdown_table(self):
         matrix = random_csr((24, 24), 0.5, seed=103)
         v = random_dense_vector(24, seed=104)
-        run = run_spmv(matrix, v, hht=False)
+        run = run_spmv(matrix, v, accel=None)
         table = cycle_breakdown(run.result)
         classes = table.column("class")
         assert "vector_gather" in classes

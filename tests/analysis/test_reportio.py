@@ -20,7 +20,7 @@ from repro.workloads import random_csr, random_dense_vector
 def run():
     matrix = random_csr((24, 24), 0.5, seed=400)
     v = random_dense_vector(24, seed=401)
-    return run_spmv(matrix, v, hht=True)
+    return run_spmv(matrix, v, accel="hht")
 
 
 class TestRunSerialisation:

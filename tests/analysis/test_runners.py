@@ -1,0 +1,60 @@
+"""The config is the one source of ``vlmax``/``n_buffers`` for a run.
+
+``vlmax=``/``n_buffers=`` are shorthand for the default Table-1 system.
+A run given the equal ``config=`` must simulate the same kernel, and
+passing both spellings is rejected instead of silently preferring one.
+"""
+
+import pytest
+
+from repro.analysis import run_spmspv, run_spmv, run_spmv_programmable
+from repro.exec import (
+    corpus_spec,
+    dnn_spec,
+    programmable_spec,
+    spmspv_spec,
+    spmv_spec,
+)
+from repro.system import SystemConfig
+from repro.workloads import (
+    random_csr,
+    random_dense_vector,
+    random_sparse_vector,
+)
+
+MATRIX = random_csr((32, 32), 0.5, seed=70)
+V = random_dense_vector(32, seed=71)
+SV = random_sparse_vector(32, 0.5, seed=72)
+
+RUNNERS = {
+    "run_spmv": lambda **kw: run_spmv(MATRIX, V, **kw),
+    "run_spmspv": lambda **kw: run_spmspv(MATRIX, SV, mode="baseline", **kw),
+    "run_spmv_programmable": lambda **kw: run_spmv_programmable(
+        MATRIX, V, format_name="csr", **kw),
+}
+
+FACTORIES = {
+    "spmv_spec": lambda **kw: spmv_spec((32, 32), 0.5, **kw),
+    "spmspv_spec": lambda **kw: spmspv_spec(32, 0.5, mode="baseline", **kw),
+    "programmable_spec": lambda **kw: programmable_spec(
+        (32, 32), 0.5, format_name="csr", **kw),
+    "corpus_spec": lambda **kw: corpus_spec("rand98", hht=True, **kw),
+    "dnn_spec": lambda **kw: dnn_spec("MobileNet", hht=True, rows=4, **kw),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_config_vlmax_selects_the_kernel(runner):
+    run = RUNNERS[runner]
+    shorthand = run(vlmax=1)
+    configured = run(config=SystemConfig.paper_table1(vlmax=1))
+    assert configured.cycles == shorthand.cycles
+    assert configured.result.instructions == shorthand.result.instructions
+
+
+@pytest.mark.parametrize("knob", ["vlmax", "n_buffers"])
+@pytest.mark.parametrize("entry", sorted(RUNNERS) + sorted(FACTORIES))
+def test_knob_beside_config_rejected(entry, knob):
+    make = {**RUNNERS, **FACTORIES}[entry]
+    with pytest.raises(TypeError, match="config"):
+        make(config=SystemConfig.paper_table1(), **{knob: 1})

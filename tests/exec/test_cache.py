@@ -18,7 +18,7 @@ from repro.exec import (
     summary_digest,
 )
 
-SPEC = spmv_spec((16, 16), 0.5, hht=True, matrix_seed=1, vector_seed=2)
+SPEC = spmv_spec((16, 16), 0.5, accel="hht", matrix_seed=1, vector_seed=2)
 
 
 def test_roundtrip_is_bit_identical(tmp_path):
@@ -108,7 +108,7 @@ def test_tampered_entry_is_quarantined_and_reported(tmp_path):
 def test_verify_prune_info_lifecycle(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(SPEC, execute(SPEC))
-    other = spmv_spec((16, 16), 0.3, hht=False, matrix_seed=5, vector_seed=6)
+    other = spmv_spec((16, 16), 0.3, accel=None, matrix_seed=5, vector_seed=6)
     cache.put(other, execute(other))
     # Damage one entry and leave an orphaned writer tmp file.
     path = _entry_path(tmp_path)

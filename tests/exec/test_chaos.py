@@ -30,7 +30,7 @@ from repro.exec import (
 )
 
 SPECS = [
-    spmv_spec((16, 16), 0.1 * (i + 1), hht=bool(i % 2),
+    spmv_spec((16, 16), 0.1 * (i + 1), accel="hht" if i % 2 else None,
               matrix_seed=i, vector_seed=i + 10)
     for i in range(4)
 ]

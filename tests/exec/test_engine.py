@@ -32,7 +32,7 @@ def _clean_engine_state():
 
 def _specs(n=4):
     return [
-        spmv_spec((16, 16), 0.1 * (i + 1), hht=bool(i % 2),
+        spmv_spec((16, 16), 0.1 * (i + 1), accel="hht" if i % 2 else None,
                   matrix_seed=i, vector_seed=i + 10)
         for i in range(n)
     ]
@@ -83,7 +83,7 @@ def test_warm_cache_runs_zero_simulations(tmp_path):
 
 
 def test_duplicate_specs_simulate_once(tmp_path):
-    spec = spmv_spec((16, 16), 0.5, hht=True, matrix_seed=1, vector_seed=2)
+    spec = spmv_spec((16, 16), 0.5, accel="hht", matrix_seed=1, vector_seed=2)
     reset_session_stats()
     results = run_specs([spec, spec, spec], cache=ResultCache(tmp_path))
     assert session_stats().executed == 1
@@ -93,7 +93,7 @@ def test_duplicate_specs_simulate_once(tmp_path):
 
 def test_mixed_kernels_in_one_batch(tmp_path):
     specs = [
-        spmv_spec((16, 16), 0.5, hht=False, matrix_seed=1, vector_seed=2),
+        spmv_spec((16, 16), 0.5, accel=None, matrix_seed=1, vector_seed=2),
         spmspv_spec(16, 0.5, mode="hht_v2", matrix_seed=3, vector_seed=4),
     ]
     results = run_specs(specs, cache=NullCache())

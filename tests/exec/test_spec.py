@@ -44,8 +44,8 @@ def test_spec_validation():
 
 
 def test_specs_are_hashable_and_stable():
-    a = spmv_spec((16, 16), 0.5, hht=True, matrix_seed=1, vector_seed=2)
-    b = spmv_spec((16, 16), 0.5, hht=True, matrix_seed=1, vector_seed=2)
+    a = spmv_spec((16, 16), 0.5, accel="hht", matrix_seed=1, vector_seed=2)
+    b = spmv_spec((16, 16), 0.5, accel="hht", matrix_seed=1, vector_seed=2)
     assert a == b
     assert hash(a) == hash(b)
     assert cache_key(a) == cache_key(b)
@@ -55,10 +55,10 @@ def test_specs_are_hashable_and_stable():
     dict(sparsity=0.6),
     dict(matrix_seed=9),
     dict(vector_seed=9),
-    dict(hht=False),
+    dict(accel=None),
 ])
 def test_cache_key_changes_with_workload(mutation):
-    base = dict(shape=(16, 16), sparsity=0.5, hht=True,
+    base = dict(shape=(16, 16), sparsity=0.5, accel="hht",
                 matrix_seed=1, vector_seed=2)
     changed = {**base, **mutation}
     spec_a = spmv_spec(base.pop("shape"), base.pop("sparsity"), **base)
@@ -69,13 +69,13 @@ def test_cache_key_changes_with_workload(mutation):
 def test_cache_key_changes_with_config():
     cfg = SystemConfig.paper_table1()
     cfg.ram_latency = 4
-    a = spmv_spec((16, 16), 0.5, hht=True)
-    b = spmv_spec((16, 16), 0.5, hht=True, config=cfg)
+    a = spmv_spec((16, 16), 0.5, accel="hht")
+    b = spmv_spec((16, 16), 0.5, accel="hht", config=cfg)
     assert cache_key(a) != cache_key(b)
 
 
 def test_cache_key_differs_across_kernels():
-    spmv = spmv_spec((16, 16), 0.5, hht=False)
+    spmv = spmv_spec((16, 16), 0.5, accel=None)
     spmspv = spmspv_spec(16, 0.5, mode="baseline")
     assert cache_key(spmv) != cache_key(spmspv)
 
@@ -86,7 +86,7 @@ def test_code_version_is_stable_and_short():
 
 
 def test_execute_is_deterministic():
-    spec = spmv_spec((16, 16), 0.5, hht=True, matrix_seed=3, vector_seed=4)
+    spec = spmv_spec((16, 16), 0.5, accel="hht", matrix_seed=3, vector_seed=4)
     a = execute(spec)
     b = execute(spec)
     assert a.cycles == b.cycles

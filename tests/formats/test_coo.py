@@ -54,12 +54,6 @@ class TestSorting:
         assert s.col_indices.tolist() == [2, 0, 1]
         assert np.array_equal(s.to_dense(), m.to_dense())
 
-    def test_sorted_col_major(self):
-        m = COOMatrix((3, 3), [2, 0, 1], [1, 2, 0], [1.0, 2.0, 3.0])
-        s = m.sorted_col_major()
-        assert s.col_indices.tolist() == [0, 1, 2]
-        assert np.array_equal(s.to_dense(), m.to_dense())
-
     def test_row_major_breaks_ties_by_column(self):
         m = COOMatrix((2, 4), [0, 0, 0], [3, 1, 2], [1.0, 2.0, 3.0])
         s = m.sorted_row_major()

@@ -61,9 +61,9 @@ class TestRunsMatch:
             monkeypatch.setenv("REPRO_BACKEND", backend)
             cfg = _config(variant)
             if kernel == "spmv_base":
-                return run_spmv(matrix, v, hht=False, config=cfg).result
+                return run_spmv(matrix, v, accel=None, config=cfg).result
             if kernel == "spmv_hht":
-                return run_spmv(matrix, v, hht=True, config=cfg).result
+                return run_spmv(matrix, v, accel="hht", config=cfg).result
             return run_spmspv(matrix, sv, mode="hht_v2", config=cfg).result
 
         assert _observables(run("compiled")) == _observables(run("reference"))
@@ -90,7 +90,7 @@ class TestRunsMatch:
             if kernel == "spmspv_base":
                 return run_spmspv(matrix, sv, mode="baseline",
                                   config=cfg).result
-            return run_spmv(matrix, v, vlmax=vlmax, config=cfg).result
+            return run_spmv(matrix, v, config=cfg).result
 
         assert _observables(run("compiled")) == _observables(run("reference"))
 
@@ -106,8 +106,7 @@ class TestProbeParity:
         matrix, v, _ = workload
         cfg = SystemConfig.paper_table1()
         cfg.cpu.backend = backend
-        soc = _make_soc(vlmax=8, n_buffers=2, config=cfg,
-                        ram_bytes=_required_ram(matrix))
+        soc = _make_soc(cfg, _required_ram(matrix))
         soc.load_csr(matrix)
         soc.load_dense_vector(v)
         soc.allocate_output(matrix.nrows)

@@ -84,9 +84,9 @@ def workload():
 def _run(label, workload, probes=()):
     matrix, v, sv = workload
     if label == "spmv_base":
-        return run_spmv(matrix, v, hht=False).result
+        return run_spmv(matrix, v, accel=None).result
     if label == "spmv_hht":
-        return run_spmv(matrix, v, hht=True).result
+        return run_spmv(matrix, v, accel="hht").result
     return run_spmspv(matrix, sv, mode="hht_v1").result
 
 
@@ -119,8 +119,8 @@ class TestProbesDoNotPerturb:
         from repro.kernels import spmv_kernel
 
         def build():
-            soc = _make_soc(vlmax=8, n_buffers=2,
-                            ram_bytes=_required_ram(matrix), config=None)
+            soc = _make_soc(SystemConfig.paper_table1(),
+                            _required_ram(matrix))
             soc.load_csr(matrix)
             soc.load_dense_vector(v)
             soc.allocate_output(matrix.nrows)

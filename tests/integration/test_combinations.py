@@ -1,4 +1,4 @@
-"""Cross-feature integration: cache x variants x tiling x programmable."""
+"""Cross-feature integration: cache x variants x programmable."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.analysis import (
     run_spmv,
     run_spmv_programmable,
 )
-from repro.analysis.tiling import run_spmv_tiled
 from repro.memory import CacheConfig
 from repro.system import SystemConfig
 from repro.workloads import (
@@ -38,7 +37,7 @@ def problem():
 class TestCachedVariants:
     def test_cached_spmv_correct(self, problem):
         matrix, v, _, ref, _ = problem
-        run = run_spmv(matrix, v, hht=True, config=cached_config(), verify=False)
+        run = run_spmv(matrix, v, accel="hht", config=cached_config(), verify=False)
         assert np.allclose(run.y, ref, rtol=1e-4, atol=1e-5)
 
     @pytest.mark.parametrize("mode", ["baseline", "hht_v1", "hht_v2"])
@@ -58,25 +57,11 @@ class TestCachedVariants:
 
     def test_cache_never_changes_results_only_timing(self, problem):
         matrix, v, _, _, _ = problem
-        flat = run_spmv(matrix, v, hht=True, verify=False)
-        cached = run_spmv(matrix, v, hht=True, config=cached_config(),
+        flat = run_spmv(matrix, v, accel="hht", verify=False)
+        cached = run_spmv(matrix, v, accel="hht", config=cached_config(),
                           verify=False)
         assert np.array_equal(flat.y, cached.y)
         assert flat.cycles != cached.cycles  # timing differs
-
-
-class TestTiledCombinations:
-    def test_tiled_with_cache(self, problem):
-        matrix, v, _, ref, _ = problem
-        result = run_spmv_tiled(
-            matrix, v, tile_rows=16, config=cached_config(), verify=False
-        )
-        assert np.allclose(result.y, ref, rtol=1e-4, atol=1e-5)
-
-    def test_tiled_scalar_width(self, problem):
-        matrix, v, _, ref, _ = problem
-        result = run_spmv_tiled(matrix, v, tile_rows=16, vlmax=1, verify=False)
-        assert np.allclose(result.y, ref, rtol=1e-4, atol=1e-5)
 
 
 class TestProtocolViolations:

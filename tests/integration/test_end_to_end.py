@@ -21,8 +21,8 @@ class TestHeadlineClaims:
     def test_spmv_speedup_band(self):
         matrix = random_csr((128, 128), 0.5, seed=100)
         v = random_dense_vector(128, seed=101)
-        base = run_spmv(matrix, v, hht=False)
-        hht = run_spmv(matrix, v, hht=True)
+        base = run_spmv(matrix, v, accel=None)
+        hht = run_spmv(matrix, v, accel="hht")
         speedup = base.cycles / hht.cycles
         assert 1.4 <= speedup <= 2.4
 
@@ -38,8 +38,8 @@ class TestHeadlineClaims:
         """Abstract: '19% energy savings on average ... for SpMV'."""
         matrix = random_csr((128, 128), 0.3, seed=104)
         v = random_dense_vector(128, seed=105)
-        base = run_spmv(matrix, v, hht=False)
-        hht = run_spmv(matrix, v, hht=True)
+        base = run_spmv(matrix, v, accel=None)
+        hht = run_spmv(matrix, v, accel="hht")
         cmp = energy_comparison(base.cycles, hht.cycles)
         assert 0.10 < cmp.savings_fraction < 0.35
 
@@ -48,7 +48,7 @@ class TestMtxPipeline:
     def test_corpus_matrix_through_simulator(self):
         matrix = load_corpus_matrix("band5")
         v = random_dense_vector(matrix.ncols, seed=106)
-        run = run_spmv(matrix, v, hht=True)
+        run = run_spmv(matrix, v, accel="hht")
         ref = matrix.to_dense().astype(np.float64) @ v.astype(np.float64)
         assert np.allclose(run.y, ref, rtol=1e-3, atol=1e-4)
 
@@ -59,8 +59,8 @@ class TestMtxPipeline:
         write_mtx(matrix, path)
         loaded = coo_to_csr(read_mtx(path))
         v = random_dense_vector(40, seed=108)
-        a = run_spmv(matrix, v, hht=True)
-        b = run_spmv(loaded, v, hht=True)
+        a = run_spmv(matrix, v, accel="hht")
+        b = run_spmv(loaded, v, accel="hht")
         assert a.cycles == b.cycles
         assert np.array_equal(a.y, b.y)
 
@@ -70,8 +70,8 @@ class TestWorkOffload:
         """The metadata traffic moves from the CPU to the accelerator."""
         matrix = random_csr((64, 64), 0.5, seed=109)
         v = random_dense_vector(64, seed=110)
-        base = run_spmv(matrix, v, hht=False)
-        hht = run_spmv(matrix, v, hht=True)
+        base = run_spmv(matrix, v, accel=None)
+        hht = run_spmv(matrix, v, accel="hht")
         assert base.result.port_requests.get("hht", 0) == 0
         assert hht.result.port_requests["hht"] > 0
         assert hht.result.port_requests["cpu"] < base.result.port_requests["cpu"]
@@ -81,15 +81,15 @@ class TestWorkOffload:
         count' — the HHT removes them."""
         matrix = random_csr((64, 64), 0.5, seed=111)
         v = random_dense_vector(64, seed=112)
-        base = run_spmv(matrix, v, hht=False)
-        hht = run_spmv(matrix, v, hht=True)
+        base = run_spmv(matrix, v, accel=None)
+        hht = run_spmv(matrix, v, accel="hht")
         assert hht.result.instructions < base.result.instructions
 
     def test_hht_idles_when_overprovisioned(self):
         """For SpMV the HHT finishes buffers early and waits for the CPU."""
         matrix = random_csr((64, 64), 0.5, seed=113)
         v = random_dense_vector(64, seed=114)
-        hht = run_spmv(matrix, v, hht=True)
+        hht = run_spmv(matrix, v, accel="hht")
         assert hht.result.hht_wait_cycles > 0
 
 
@@ -100,8 +100,8 @@ class TestScaleInvariance:
         def speedup(n, sparsity):
             m = random_csr((n, n), sparsity, seed=115)
             v = random_dense_vector(n, seed=116)
-            return (run_spmv(m, v, hht=False).cycles
-                    / run_spmv(m, v, hht=True).cycles)
+            return (run_spmv(m, v, accel=None).cycles
+                    / run_spmv(m, v, accel="hht").cycles)
 
         # Row lengths must stay well above VL for the comparison to be
         # about size rather than per-row overhead, so use mid sparsities.

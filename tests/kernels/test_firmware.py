@@ -112,8 +112,8 @@ class TestPerformanceShape:
     def runs(self):
         matrix = random_csr((48, 64), 0.6, seed=70)
         v = random_dense_vector(64, seed=71)
-        base = run_spmv(matrix, v, hht=False)
-        asic = run_spmv(matrix, v, hht=True)
+        base = run_spmv(matrix, v, accel=None)
+        asic = run_spmv(matrix, v, accel="hht")
         prog = {
             fmt: run_spmv_programmable(matrix, v, format_name=fmt)
             for fmt in FORMATS

@@ -25,12 +25,12 @@ def sparse_problems(draw, max_dim=20):
 
 
 @settings(max_examples=25, deadline=None)
-@given(problem=sparse_problems(), hht=st.booleans(),
+@given(problem=sparse_problems(), accel=st.sampled_from([None, "hht"]),
        vlmax=st.sampled_from([1, 4, 8]))
-def test_spmv_always_matches_numpy(problem, hht, vlmax):
+def test_spmv_always_matches_numpy(problem, accel, vlmax):
     matrix, v, _ = problem
     ref = matrix.to_dense().astype(np.float64) @ v.astype(np.float64)
-    run = run_spmv(matrix, v, hht=hht, vlmax=vlmax, verify=False)
+    run = run_spmv(matrix, v, accel=accel, vlmax=vlmax, verify=False)
     assert np.allclose(run.y, ref, rtol=1e-3, atol=1e-4)
 
 
@@ -50,8 +50,8 @@ def test_spmspv_always_matches_numpy(problem, mode, n_buffers):
 def test_hht_and_baseline_agree_bitwise_per_row_structure(problem):
     """Baseline and HHT versions compute the same chunked float32 sums."""
     matrix, v, _ = problem
-    base = run_spmv(matrix, v, hht=False, verify=False)
-    hht = run_spmv(matrix, v, hht=True, verify=False)
+    base = run_spmv(matrix, v, accel=None, verify=False)
+    hht = run_spmv(matrix, v, accel="hht", verify=False)
     # Identical chunking order => identical float32 rounding.
     assert np.array_equal(base.y, hht.y)
 
@@ -60,7 +60,7 @@ def test_hht_and_baseline_agree_bitwise_per_row_structure(problem):
 @given(problem=sparse_problems(max_dim=16))
 def test_cycle_counts_are_deterministic(problem):
     matrix, v, _ = problem
-    a = run_spmv(matrix, v, hht=True, verify=False)
-    b = run_spmv(matrix, v, hht=True, verify=False)
+    a = run_spmv(matrix, v, accel="hht", verify=False)
+    b = run_spmv(matrix, v, accel="hht", verify=False)
     assert a.cycles == b.cycles
     assert a.result.instructions == b.result.instructions

@@ -142,12 +142,12 @@ class TestCachedSystem:
         cfg = SystemConfig.paper_table1()
         cfg.cache = cache_cfg
         cfg.ram_latency = 8  # DRAM-ish: the regime where caches matter
-        base = run_spmv(matrix, v, hht=False, config=cfg)
+        base = run_spmv(matrix, v, accel=None, config=cfg)
 
         cfg2 = SystemConfig.paper_table1()
         cfg2.cache = cache_cfg
         cfg2.ram_latency = 8
-        hht = run_spmv(matrix, v, hht=True, config=cfg2)
+        hht = run_spmv(matrix, v, accel="hht", config=cfg2)
         return base, hht
 
     def test_results_still_correct(self):

@@ -12,8 +12,8 @@ from repro.workloads import random_csr, random_dense_vector, random_sparse_vecto
 def runs():
     matrix = random_csr((96, 96), 0.5, seed=300)
     v = random_dense_vector(96, seed=301)
-    base = run_spmv(matrix, v, hht=False)
-    hht = run_spmv(matrix, v, hht=True)
+    base = run_spmv(matrix, v, accel=None)
+    hht = run_spmv(matrix, v, accel="hht")
     return base, hht
 
 

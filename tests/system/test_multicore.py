@@ -110,8 +110,7 @@ class TestCorrectness:
         monkeypatch.setenv("REPRO_BACKEND", backend)
         matrix = random_csr((19, 19), 0.5, seed=25)
         v = random_dense_vector(19, seed=26)
-        run = run_spmv(matrix, v, vlmax=1,
-                       config=multicore_config(2, vlmax=1))
+        run = run_spmv(matrix, v, config=multicore_config(2, vlmax=1))
         ref = matrix.to_dense().astype(np.float64) @ v.astype(np.float64)
         assert np.allclose(run.y, ref, rtol=1e-3, atol=1e-4)
 
@@ -168,7 +167,7 @@ class TestGuards:
         matrix = random_csr((16, 16), 0.5, seed=1)
         v = random_dense_vector(16, seed=2)
         with pytest.raises(ValueError, match="single-core"):
-            run_spmv(matrix, v, hht=True, config=multicore_config(2))
+            run_spmv(matrix, v, accel="hht", config=multicore_config(2))
 
     def test_accelerated_spmspv_rejects_multicore(self):
         matrix = random_csr((16, 16), 0.5, seed=1)
