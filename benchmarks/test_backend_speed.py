@@ -66,8 +66,9 @@ def test_backend_dispatch_speed(record_table):
                       ratios[kernel])
     record_table(table, "backend_speed")
 
-    # Loose floors: the compiled backend's scalar advantage is ~4-6x on
-    # a quiet box; only a catastrophic regression (e.g. the fast path
+    # Loose floors: the compiled backend's scalar advantage is ~2.5x on
+    # a quiet box (its loads and stores are bus calls, like the
+    # reference's); only a catastrophic regression (e.g. the fast path
     # silently deferring to reference) should trip these.
     assert ratios["scalar"] > 1.5, (
         f"compiled backend only {ratios['scalar']:.2f}x the reference on "

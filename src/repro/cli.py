@@ -269,10 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="BASELINE",
                        help="diff against this bench JSON and exit 1 on "
                             "regression")
-    bench.add_argument("--threshold", type=float, default=None,
-                       metavar="FRACTION",
-                       help="relative regression threshold for --compare "
-                            "(default 0.05)")
     _add_engine_args(bench)
 
     cache = sub.add_parser(
@@ -684,7 +680,7 @@ def _cmd_timeline(args) -> int:
 def _cmd_bench(args) -> int:
     """Run the headline suite; optionally gate against a baseline."""
     from .telemetry import (
-        DEFAULT_THRESHOLD,
+        GATE_RTOL,
         collect_bench,
         compare_bench,
         load_bench,
@@ -707,10 +703,9 @@ def _cmd_bench(args) -> int:
 
     if baseline is None:
         return 0
-    threshold = (args.threshold if args.threshold is not None
-                 else DEFAULT_THRESHOLD)
-    failures, report = compare_bench(data, baseline, threshold=threshold)
-    print(f"compare vs {args.compare} (threshold {threshold:.0%}):")
+    failures, report = compare_bench(data, baseline)
+    print(f"compare vs {args.compare} (gated metrics exact to "
+          f"{GATE_RTOL:g} relative):")
     for line in report:
         print(f"  {line}")
     if failures:

@@ -4,7 +4,10 @@ Each engine walks the sparse metadata, charging every memory access —
 with its real address — against the shared :class:`MemorySystem` (the
 flat Table-1 SRAM, or the Section 3.2 L1D-cached hierarchy), and stages
 result elements with their ready times into the front-end's buffered
-streams.
+streams.  Metadata streams are sequential bursts
+(:meth:`MemorySystem.read_seq`) and every indexed fetch is a pipelined
+gather (:meth:`MemorySystem.gather`), so the engines model no port
+timing of their own.
 
 The engines are *event-driven*: one ``step()`` call processes one unit of
 work (one BLEN-sized buffer fill for SpMV/variant-2, one matrix row for
@@ -174,14 +177,9 @@ class SpMVGatherEngine(BackEndEngine):
         # Stage 3/4: V gathers start once the first column index arrives,
         # one request per cycle thereafter.
         first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
-        t_v = first_col_ready
-        read = self.mem.read
-        requester = self.requester
         v_base = self.v_base
-        for i, col in enumerate(chunk):
-            done = read(v_base + 4 * int(col), first_col_ready + 1 + i, requester)
-            if done > t_v:
-                t_v = done
+        t_v = self.mem.gather([v_base + 4 * col for col in chunk.tolist()],
+                              first_col_ready + 1, self.requester)
         ready = t_v + cfg.fill_overhead
 
         self.vval.push_group(ready, self.v_bits[chunk])
@@ -249,22 +247,16 @@ class SpMSpVValueEngine(BackEndEngine):
         t = self.time
         t_cols = self._seq_read(t, self.cols_base + 4 * start, count)
         first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
-        read = self.mem.read
-        requester = self.requester
-        t_map = first_col_ready
-        for i, col in enumerate(chunk):
-            done = read(self.map_base + 4 * int(col), first_col_ready + 1 + i, requester)
-            if done > t_map:
-                t_map = done
+        map_base = self.map_base
+        t_map = self.mem.gather([map_base + 4 * col for col in chunk.tolist()],
+                                first_col_ready + 1, self.requester)
         if hits:
             first_map_ready = t_map - (hits - 1)
-            t_val = t_map
-            for i, pos in enumerate(hit_positions):
-                done = read(
-                    self.vpad_base + 4 * int(pos), first_map_ready + 1 + i, requester
-                )
-                if done > t_val:
-                    t_val = done
+            vpad_base = self.vpad_base
+            t_val = self.mem.gather(
+                [vpad_base + 4 * pos for pos in hit_positions.tolist()],
+                first_map_ready + 1, self.requester,
+            )
         else:
             t_val = t_map
         ready = t_val + cfg.fill_overhead
@@ -362,21 +354,19 @@ class SpMSpVAlignedEngine(BackEndEngine):
         steps = (nc + v_used) * cfg.merge_cycles_per_step
         merge_done = max(t_meta, t + steps)
         if nm:
-            read = self.mem.read
-            requester = self.requester
-            t_pairs = merge_done
-            for j, k in enumerate(matched_k):
-                done = read(
-                    self.mvals_base + 4 * (lo + int(k)), merge_done + 1 + 2 * j, requester
-                )
-                if done > t_pairs:
-                    t_pairs = done
-            for j, vp in enumerate(matched_vpos):
-                done = read(
-                    self.vpad_base + 4 * (int(vp) + 1), merge_done + 2 + 2 * j, requester
-                )
-                if done > t_pairs:
-                    t_pairs = done
+            # Matched (matrix, vector) value pairs interleave on the
+            # port: the matrix values at odd offsets, then the vector
+            # values at even offsets.
+            mvals = self.mvals_base + 4 * lo
+            vpad = self.vpad_base + 4
+            mvals_addrs = [mvals + 4 * k for k in matched_k.tolist()]
+            vpad_addrs = [vpad + 4 * vp for vp in matched_vpos.tolist()]
+            t_pairs = max(
+                self.mem.gather(mvals_addrs, merge_done + 1, self.requester,
+                                step=2),
+                self.mem.gather(vpad_addrs, merge_done + 2, self.requester,
+                                step=2),
+            )
         else:
             t_pairs = merge_done
         ready = t_pairs + cfg.fill_overhead

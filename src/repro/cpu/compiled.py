@@ -16,16 +16,6 @@ Specialization folds everything static into the generated source:
 * per-instruction cycle charges are summed at translation time, so a run
   of K single-cycle ALU ops costs one ``cycle += K`` at runtime;
 * class counts are batched into one dict update per class per block;
-* on the paper's Table-1 memory system (single bank, no L1D) the whole
-  RAM load/store accounting chain (``Bus.load_word`` → ``MemorySystem``
-  → ``MemoryPort.issue`` → ``PortStats.record``) inlines to a few local
-  operations, guarded by an address-range test so MMIO (HHT FIFOs,
-  configuration registers) still takes the real bus path; scalar word
-  traffic and gathers go through buffer-protocol ``memoryview`` handles
-  of the same RAM array (identical bytes, no numpy scalar boxing), and
-  an all-in-RAM indexed gather collapses the element-serialized port
-  chain to its closed form (slots at ``latency + 1`` steps, queue wait
-  only on the first element);
 * a *self-loop* block — terminal branch targeting its own entry, the
   shape of every hot inner loop — compiles to a closure that iterates
   internally: register/counter prologue, exit epilogue and dispatch are
@@ -33,6 +23,12 @@ Specialization folds everything static into the generated source:
   once, multiplied by the iteration count.  The dispatcher caps each
   burst so the instruction budget still fires at the exact reference
   instruction.
+
+The backend models dispatch only.  Every memory operation in a block is
+one call on the CPU's bus (``load_word``, ``store_word``,
+``load_burst``, ``store_burst``, ``gather_chain``), which owns RAM,
+MMIO routing, translation and port timing for both backends — see
+:mod:`repro.memory.hierarchy` for the burst and gather shapes.
 
 Compiled blocks are cached per ``(code_digest, entry_pc)`` — a new
 ``Program`` object with identical instructions reuses the cache, while
@@ -44,7 +40,7 @@ produces exactly the reference interpreter's cycles, instruction counts,
 flat stats registry, architectural state and ``SimulationError``
 messages.  Every generated operation mirrors the corresponding
 ``Cpu._op_*`` handler's arithmetic (including numpy float32 rounding in
-the vector unit and the exact port-slot accounting).  Three deliberate
+the vector unit) and makes the same bus calls.  Three deliberate
 boundaries:
 
 * probes/samplers force deference — :meth:`SimSession.run` only enters
@@ -203,8 +199,7 @@ class CompiledBlock:
 class _Codegen:
     """Accumulates the source of one block closure."""
 
-    def __init__(self, backend):
-        self.backend = backend
+    def __init__(self):
         self.lines: list[str] = []
         self.ind = 0
         self.pending = 0                 # static cycles not yet applied
@@ -242,28 +237,6 @@ class _Codegen:
         self.need("f")
         self.emit(f"f[{i}] = {expr}")
 
-    # -- batched port accounting ---------------------------------------
-    def port_flush(self) -> None:
-        """Flush the block-local port counter deltas, if any.
-
-        Emitted before every real bus call and at block exits, so the
-        port's counters (and the first-touch insertion order of
-        ``by_requester``) are exactly the reference's at every point
-        where another requester — or the caller — can observe them.
-        """
-        if "port" not in self.needs:
-            return
-        req = repr(self.backend.requester)
-        self.emit("if _pc_req:")
-        self.ind += 1
-        self.emit("_pcnt.requests += _pc_req")
-        self.emit("_pcnt.busy_cycles += _pc_req")
-        self.emit("_pcnt.queue_cycles += _pc_q")
-        self.emit(f"_pbr[{req}] = _pbr.get({req}, 0) + _pc_req")
-        self.emit("_pc_req = 0")
-        self.emit("_pc_q = 0")
-        self.ind -= 1
-
     # -- cycle / class accounting --------------------------------------
     def charge_static(self, klass: str, cycles: int) -> None:
         self.counts[klass] = self.counts.get(klass, 0) + 1
@@ -296,7 +269,6 @@ class _Codegen:
         Emitted once per block exit arm (branch taken / fallthrough /
         straight-line end), so each arm can carry its own branch cost.
         """
-        self.port_flush()
         self.emit("cpu.cycle = cycle")
         counts = dict(self.counts)
         for klass, n in (extra_counts or {}).items():
@@ -321,8 +293,8 @@ class CompiledBackend:
     """Per-CPU translation cache and block compiler.
 
     Blocks are keyed ``(code_digest, entry_pc)`` (a two-level dict) and
-    survive :meth:`Cpu.reset` — registers, counters and port state are
-    re-fetched in every closure's prologue precisely so the cache can.
+    survive :meth:`Cpu.reset` — registers and counters are re-fetched in
+    every closure's prologue precisely so the cache can.
     """
 
     MAX_PROGRAMS = 32
@@ -330,17 +302,6 @@ class CompiledBackend:
     def __init__(self, cpu):
         self.cpu = cpu
         bus = cpu.bus
-        self.port = bus.port
-        self.ram = bus.ram
-        # The whole-chain memory inline is only valid on the Table-1
-        # memory system: one bank, no L1D, no MMU.  Otherwise every
-        # memory op goes through the real bus call (still compiled, just
-        # not inlined) so banked/cached/translated timing stays
-        # bit-identical — a TranslatingBus must see every word access so
-        # its TLB charges the page walks.
-        self.inline_ram = (self.port.banks == 1 and bus.mem.cache is None
-                           and getattr(bus, "tlb", None) is None)
-        self.requester = bus.default_requester
         self._programs: dict[str, dict[int, CompiledBlock]] = {}
         self._lat_snapshot: tuple | None = None
         # Backend-internal telemetry (deliberately NOT in the stats
@@ -358,13 +319,7 @@ class CompiledBackend:
             "_bus_store": bus.store_word,
             "_bus_burst": bus.load_burst,
             "_bus_store_burst": bus.store_burst,
-            "_port": self.port,
-            "_ram_u32": self.ram._u32,
-            "_ram_f32": self.ram._f32,
-            # Same RAM words through the buffer protocol: a memoryview
-            # index returns a plain int with no numpy-scalar boxing, and
-            # a write stores the same four bytes np.uint32 would.
-            "_ram_mv": memoryview(self.ram._u32),
+            "_bus_chain": bus.gather_chain,
             # Scratch for vfmacc's product (avoids a temp allocation);
             # never escapes a single emitted statement pair.
             "_scr": np.empty(64, dtype=np.float32),
@@ -413,7 +368,7 @@ class CompiledBackend:
         last_pc, last_ins = span[-1]
         looping = (len(span) >= 2 and last_ins.op in _BRANCH_COND
                    and last_ins.target == entry)
-        cg = _Codegen(self)
+        cg = _Codegen()
         escapes: list[tuple[object, object]] = []
         if looping:
             cg.ind = 1                      # body inside ``while True:``
@@ -456,20 +411,12 @@ class CompiledBackend:
             head.append("    _vf = cpu._compiled_vf32")
         if "vi" in cg.needs:
             head.append("    _vi = cpu._compiled_vi32")
-        if "vm" in cg.needs:
-            head.append("    _vm = cpu._compiled_vmv")
         if "vl" in cg.needs:
             head.append("    vl_ = cpu.vl")
         head.append("    cycle = cpu.cycle")
         if "cc" in cg.needs:
             head.append("    _cc = cpu._class_counts")
             head.append("    _ccy = cpu._class_cycles")
-        if "port" in cg.needs:
-            head.append("    _pf = _port._bank_free")
-            head.append("    _pcnt = _port.counters")
-            head.append("    _pbr = _pcnt.by_requester")
-            head.append("    _pc_req = 0")
-            head.append("    _pc_q = 0")
         for var in cg.dyn_vars.values():
             head.append(f"    {var} = 0")
         if looping:
@@ -515,7 +462,6 @@ class CompiledBackend:
         class lands last, matching the reference's first-charge order
         (the terminal branch charges after the body on iteration 1).
         """
-        cg.port_flush()
         cg.emit("cpu.cycle = cycle")
         cg.need("cc")
         for klass, n in cg.counts.items():
@@ -543,58 +489,11 @@ class CompiledBackend:
         cg.emit(f"_addr = ({expr}) & 0xFFFFFFFF")
         return "_addr"
 
-    def _inline_port_issue(self, cg: _Codegen, clock: str = "cycle",
-                           count: str = "1") -> None:
-        """Single-bank ``MemoryPort.issue``/``issue_burst`` accounting.
-
-        Leaves ``_slot`` holding the issue slot.  Counter deltas batch
-        into block locals (``_pc_req``, ``_pc_q``) — every inline op
-        adds the same amount to requests, busy_cycles and the
-        requester's bucket, so one pair of accumulators carries all
-        four counters until :meth:`_Codegen.port_flush`.
-        """
-        cg.need("port")
-        cg.emit(f"_slot = {clock} if {clock} >= _pf[0] else _pf[0]")
-        if count == "1":
-            cg.emit("_pf[0] = _slot + 1")
-            cg.emit("_pc_req += 1")
-            cg.emit(f"_pc_q += _slot - {clock}")
-        else:
-            cg.emit(f"_pf[0] = _slot + {count}")
-            cg.emit(f"_pc_req += {count}")
-            cg.emit(f"_pc_q += (_slot - {clock}) * {count}")
-
-    def _emit_gather_slow(self, cg: _Codegen, ram_size: int,
-                          port_lat: int) -> None:
-        """Per-element gather chain over the precomputed ``_eas`` list:
-        exact reference order for mixed RAM/MMIO/faulting elements."""
-        cg.emit("_t = cycle")
-        cg.emit("_i = 0")
-        cg.emit("for _ea in _eas:")
-        cg.ind += 1
-        cg.emit(f"if _ea < {ram_size} and not _ea & 3:")
-        cg.ind += 1
-        self._inline_port_issue(cg, clock="_t")
-        cg.emit("_vm_d[_i] = _ram_mv[_ea >> 2]")
-        cg.emit(f"_t = _slot + {port_lat + 1}")
-        cg.ind -= 1
-        cg.emit("else:")
-        cg.ind += 1
-        cg.port_flush()
-        cg.emit("_val, _comp = _bus_load(_ea, _t)")
-        cg.emit("_vm_d[_i] = _val")
-        cg.emit("_t = _comp + 1")
-        cg.ind -= 1
-        cg.emit("_i += 1")
-        cg.ind -= 1
-
     # ------------------------------------------------------------------
     def _emit_instruction(self, cg: _Codegen, ins, pc: int,
                           escapes: list) -> None:
         op = ins.op
         lat = self.cpu.lat
-        ram_size = self.ram.size
-        port_lat = self.port.latency
 
         # ---- integer ALU ------------------------------------------------
         if op in ("li", "la"):
@@ -627,27 +526,23 @@ class CompiledBackend:
             return
 
         # ---- loads / stores --------------------------------------------
-        if op == "lw":
+        if op in ("lw", "flw"):
             addr = self._address(cg, ins.rs1, ins.imm or 0)
-            self._emit_word_load(cg, addr, ram_size, port_lat, lat.load_use)
-            cg.xwrite(ins.rd, _w("_val"))
+            cg.flush_pending()
+            cg.emit(f"_val, _comp = _bus_load({addr}, cycle)")
+            cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
+            cg.charge_dyn("scalar_load", "_cost")
+            if op == "lw":
+                cg.xwrite(ins.rd, _w("_val"))
+            else:
+                cg.fwrite(ins.rd, "_bits_f32(_val)")
             return
-        if op == "flw":
+        if op in ("sw", "fsw"):
             addr = self._address(cg, ins.rs1, ins.imm or 0)
-            self._emit_word_load(cg, addr, ram_size, port_lat, lat.load_use,
-                                 float_dest=True)
-            cg.fwrite(ins.rd, "_fv")
-            return
-        if op == "sw":
-            addr = self._address(cg, ins.rs1, ins.imm or 0)
-            value = f"{cg.xref(ins.rs2)} & 0xFFFFFFFF"
-            self._emit_word_store(cg, addr, value, ram_size)
-            cg.charge_static("scalar_store", lat.scalar_store)
-            return
-        if op == "fsw":
-            addr = self._address(cg, ins.rs1, ins.imm or 0)
-            self._emit_word_store(cg, addr, cg.fref(ins.rs2), ram_size,
-                                  float_src=True)
+            value = (f"{cg.xref(ins.rs2)} & 0xFFFFFFFF" if op == "sw"
+                     else f"_f32bits({cg.fref(ins.rs2)})")
+            cg.flush_pending()
+            cg.emit(f"_bus_store({addr}, {value}, cycle)")
             cg.charge_static("scalar_store", lat.scalar_store)
             return
 
@@ -679,7 +574,7 @@ class CompiledBackend:
             return
 
         # ---- vector -----------------------------------------------------
-        if self._emit_vector(cg, ins, op, lat, ram_size, port_lat):
+        if self._emit_vector(cg, ins, op, lat):
             return
 
         # ---- escape hatch ----------------------------------------------
@@ -688,7 +583,6 @@ class CompiledBackend:
         # constant.  The handler charges through cpu._charge itself, so
         # sync the batched cycle counter around the call.
         cg.flush_pending()
-        cg.port_flush()
         cg.emit("cpu.cycle = cycle")
         k = len(escapes)
         escapes.append((self.cpu._dispatch[op], ins))
@@ -723,63 +617,6 @@ class CompiledBackend:
             cg.emit("_q = _a if _b == 0 else _a % _b")
         cg.xwrite(ins.rd, _w("_q"))
         cg.charge_static("int_div", lat.int_div)
-
-    def _emit_word_load(self, cg: _Codegen, addr: str, ram_size: int,
-                        port_lat: int, load_use: int,
-                        float_dest: bool = False) -> None:
-        """``Bus.load_word`` with the single-bank RAM chain inlined.
-
-        Leaves ``_val`` (int) or ``_fv`` (float) and charges
-        ``scalar_load``.
-        """
-        cg.flush_pending()
-        if self.inline_ram:
-            cg.emit(f"if {addr} < {ram_size} and not {addr} & 3:")
-            cg.ind += 1
-            self._inline_port_issue(cg)
-            cg.emit(f"_cost = _slot + {port_lat + load_use} - cycle")
-            if float_dest:
-                cg.emit(f"_fv = float(_ram_f32[{addr} >> 2])")
-            else:
-                cg.emit(f"_val = _ram_mv[{addr} >> 2]")
-            cg.ind -= 1
-            cg.emit("else:")
-            cg.ind += 1
-            self._emit_generic_load(cg, addr, load_use, float_dest)
-            cg.ind -= 1
-        else:
-            self._emit_generic_load(cg, addr, load_use, float_dest)
-        cg.charge_dyn("scalar_load", "_cost")
-
-    def _emit_generic_load(self, cg: _Codegen, addr: str, load_use: int,
-                           float_dest: bool) -> None:
-        cg.port_flush()
-        cg.emit(f"_val, _comp = _bus_load({addr}, cycle)")
-        cg.emit(f"_cost = _comp - cycle + {load_use}")
-        if float_dest:
-            cg.emit("_fv = _bits_f32(_val)")
-
-    def _emit_word_store(self, cg: _Codegen, addr: str, value: str,
-                         ram_size: int, float_src: bool = False) -> None:
-        cg.flush_pending()
-        generic_value = (f"_f32bits({value})" if float_src else value)
-        if self.inline_ram:
-            cg.emit(f"if {addr} < {ram_size} and not {addr} & 3:")
-            cg.ind += 1
-            self._inline_port_issue(cg)
-            if float_src:
-                cg.emit(f"_ram_f32[{addr} >> 2] = {value}")
-            else:
-                cg.emit(f"_ram_mv[{addr} >> 2] = {value}")
-            cg.ind -= 1
-            cg.emit("else:")
-            cg.ind += 1
-            cg.port_flush()
-            cg.emit(f"_bus_store({addr}, {generic_value}, cycle)")
-            cg.ind -= 1
-        else:
-            cg.port_flush()
-            cg.emit(f"_bus_store({addr}, {generic_value}, cycle)")
 
     def _exit_arm(self, cg: _Codegen, cost: int, klass: str,
                   klass_cycles: int, dest: str) -> None:
@@ -865,8 +702,7 @@ class CompiledBackend:
         return False
 
     # ------------------------------------------------------------------
-    def _emit_vector(self, cg: _Codegen, ins, op: str, lat,
-                     ram_size: int, port_lat: int) -> bool:
+    def _emit_vector(self, cg: _Codegen, ins, op: str, lat) -> bool:
         if op == "vsetvli":
             cg.need("vl")
             if ins.rs1 == 0:
@@ -883,107 +719,28 @@ class CompiledBackend:
             cg.need("v", "vl")
             addr = self._address(cg, ins.rs1)
             cg.flush_pending()
-            if self.inline_ram:
-                cg.emit(f"if vl_ >= 1 and {addr} + (vl_ << 2) <= {ram_size}"
-                        f" and not {addr} & 3:")
-                cg.ind += 1
-                self._inline_port_issue(cg, count="vl_")
-                cg.emit(f"_cost = _slot + vl_ + "
-                        f"{port_lat + lat.load_use - 1} - cycle")
-                cg.emit(f"_wi = {addr} >> 2")
-                cg.emit(f"v[{ins.rd}][:vl_] = _ram_u32[_wi:_wi + vl_]")
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
-                cg.port_flush()
-                cg.emit(f"_vals, _comp = _bus_burst({addr}, vl_, cycle)")
-                cg.emit(f"v[{ins.rd}][:vl_] = _vals")
-                cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
-                cg.ind -= 1
-            else:
-                cg.port_flush()
-                cg.emit(f"_vals, _comp = _bus_burst({addr}, vl_, cycle)")
-                cg.emit(f"v[{ins.rd}][:vl_] = _vals")
-                cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
+            cg.emit(f"_vals, _comp = _bus_burst({addr}, vl_, cycle)")
+            cg.emit(f"v[{ins.rd}][:vl_] = _vals")
+            cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
             cg.charge_dyn("vector_load", "_cost")
             return True
         if op == "vse32.v":
             cg.need("v", "vl")
             addr = self._address(cg, ins.rs1)
             cg.flush_pending()
-            if self.inline_ram:
-                cg.emit(f"if vl_ >= 1 and {addr} + (vl_ << 2) <= {ram_size}"
-                        f" and not {addr} & 3:")
-                cg.ind += 1
-                self._inline_port_issue(cg, count="vl_")
-                cg.emit(f"_wi = {addr} >> 2")
-                cg.emit(f"_ram_u32[_wi:_wi + vl_] = v[{ins.rs2}][:vl_]")
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
-                cg.port_flush()
-                cg.emit(f"_bus_store_burst({addr}, "
-                        f"[int(_b) for _b in v[{ins.rs2}][:vl_]], cycle)")
-                cg.ind -= 1
-            else:
-                cg.port_flush()
-                cg.emit(f"_bus_store_burst({addr}, "
-                        f"[int(_b) for _b in v[{ins.rs2}][:vl_]], cycle)")
+            cg.emit(f"_bus_store_burst({addr}, v[{ins.rs2}][:vl_], cycle)")
             per = lat.vector_store_per_elem
             cg.emit(f"_cost = {per} * vl_")
             cg.emit("if _cost < 1: _cost = 1")
             cg.charge_dyn("vector_store", "_cost")
             return True
         if op == "vluxei32.v":
-            cg.need("vl")
+            cg.need("v", "vl")
             base = self._address(cg, ins.rs1)
             cg.flush_pending()
-            if self.inline_ram:
-                # Fast path: all effective addresses in RAM and aligned.
-                # With the single-bank port, element i's request issues
-                # exactly when element i-1's response is consumed, so
-                # the whole serialized chain has a closed form: slots at
-                # step = latency + 1, queue wait only on the first
-                # element.  Checked element-wise over plain ints first;
-                # any MMIO/unaligned/out-of-range element falls back to
-                # the per-element chain (which raises like the
-                # reference on a bad address).
-                step = port_lat + 1
-                cg.need("vm", "port")
-                cg.emit(f"_eas = [({base} + _o) & 0xFFFFFFFF "
-                        f"for _o in _vm[{ins.rs2}][:vl_].tolist()]")
-                cg.emit(f"_vm_d = _vm[{ins.rd}]")
-                cg.emit("_orb = 0")
-                cg.emit("for _ea in _eas:")
-                cg.emit("    _orb |= _ea")
-                cg.emit(f"if _eas and max(_eas) < {ram_size} "
-                        "and not _orb & 3:")
-                cg.ind += 1
-                cg.emit("_slot = cycle if cycle >= _pf[0] else _pf[0]")
-                cg.emit(f"_pf[0] = _slot + {step} * (vl_ - 1) + 1")
-                cg.emit("_pc_req += vl_")
-                cg.emit("_pc_q += _slot - cycle")
-                cg.emit("_i = 0")
-                cg.emit("for _ea in _eas:")
-                cg.emit("    _vm_d[_i] = _ram_mv[_ea >> 2]; _i += 1")
-                cg.emit(f"_t = _slot + {step} * vl_")
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
-                self._emit_gather_slow(cg, ram_size, port_lat)
-                cg.ind -= 1
-            else:
-                cg.need("v")
-                cg.emit(f"_off = v[{ins.rs2}]")
-                cg.emit(f"_dst = v[{ins.rd}]")
-                cg.emit("_t = cycle")
-                cg.emit("for _i in range(vl_):")
-                cg.ind += 1
-                cg.emit(f"_ea = ({base} + int(_off[_i])) & 0xFFFFFFFF")
-                cg.emit("_val, _comp = _bus_load(_ea, _t)")
-                cg.emit("_dst[_i] = _val")
-                cg.emit("_t = _comp + 1")
-                cg.ind -= 1
+            cg.emit(f"_vals, _t = _bus_chain([({base} + _o) & 0xFFFFFFFF "
+                    f"for _o in v[{ins.rs2}][:vl_].tolist()], cycle)")
+            cg.emit(f"v[{ins.rd}][:vl_] = _vals")
             cg.emit(f"_cost = _t - cycle + {lat.load_use}")
             cg.charge_dyn("vector_gather", "_cost")
             return True
@@ -1120,12 +877,11 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
         backend = CompiledBackend(cpu)
         cpu._compiled_backend = backend
     # Per-run register-file views: ``Cpu.reset`` replaces the vector
-    # arrays, so float/int views and buffer-protocol handles are rebuilt
-    # at run entry (they stay valid for the whole run) and fetched by
-    # block prologues from the cpu.
+    # arrays, so float/int views are rebuilt at run entry (they stay
+    # valid for the whole run) and fetched by block prologues from the
+    # cpu.
     cpu._compiled_vf32 = [a.view(np.float32) for a in cpu.v]
     cpu._compiled_vi32 = [a.view(np.int32) for a in cpu.v]
-    cpu._compiled_vmv = [memoryview(a) for a in cpu.v]
     blocks = backend.blocks_for(program)
     blocks_get = blocks.get
     code = session._code

@@ -589,8 +589,7 @@ class Cpu(SimComponent):
 
     def _op_vse32_v(self, ins, pc):
         addr = self.x[ins.rs1] & _U32
-        values = [int(b) for b in self.v[ins.rs2][: self.vl]]
-        self.bus.store_burst(addr, values, self.cycle)
+        self.bus.store_burst(addr, self.v[ins.rs2][: self.vl], self.cycle)
         self._charge(
             "vector_store", max(1, self.lat.vector_store_per_elem * self.vl)
         )
@@ -604,17 +603,14 @@ class Cpu(SimComponent):
         response — the expensive metadata access pattern of Section 2.
         """
         base = self.x[ins.rs1] & _U32
-        offsets = self.v[ins.rs2]
-        dest = self.v[ins.rd]
+        vl = self.vl
         start = self.cycle
-        t = start
-        load = self.bus.load_word
-        for i in range(self.vl):
-            value, completion = load((base + int(offsets[i])) & _U32, t)
-            dest[i] = value
-            # Non-pipelined vector unit: the next element's address is
-            # generated only after this response returns (1 cycle).
-            t = completion + 1
+        # Non-pipelined vector unit: the next element's address is
+        # generated only after this response returns (1 cycle).
+        values, t = self.bus.gather_chain(
+            [(base + o) & _U32 for o in self.v[ins.rs2][:vl].tolist()], start
+        )
+        self.v[ins.rd][:vl] = values
         self._charge("vector_gather", (t - start) + self.lat.load_use)
         return pc + 1
 
@@ -665,16 +661,9 @@ class Cpu(SimComponent):
         *element* indices — the x4 scaling is part of the instruction,
         so kernels skip the baseline's vsll.vi step.
         """
-        start = self.cycle
-        latest = start
-        load = self.bus.load_word
-        out = np.empty(len(indices), dtype=np.uint32)
-        for i, index in enumerate(indices):
-            value, completion = load((base + 4 * int(index)) & _U32, start + i)
-            out[i] = value
-            if completion > latest:
-                latest = completion
-        return out, latest
+        return self.bus.gather(
+            [(base + 4 * i) & _U32 for i in indices.tolist()], self.cycle
+        )
 
     def _op_vlpidx_v(self, ins, pc):
         unit = self._require_indexmac()

@@ -12,16 +12,26 @@ RAM accesses pay for an issue slot on the shared :class:`MemoryPort`;
 device accesses are handled by the device, which returns its own
 completion cycle (the HHT front-end uses this to stall CPU loads until a
 buffer is ready).
+
+Multi-word RAM traffic moves numpy word slices and is timed by the
+:class:`MemorySystem` shapes (bursts, pipelined and chained gathers).
+A gather with any element outside RAM — or misaligned, or on a
+translating bus — is loaded element by element through ``load_word``
+by :func:`load_each`, so devices and faults see the exact reference
+order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from typing import Protocol
+
+import numpy as np
 
 from ..component import SimComponent
 from .cache import L1Cache
-from .hierarchy import MemorySystem
+from .hierarchy import MemorySystem, present_chained, present_pipelined
 from .port import MemoryPort
 from .ram import MemoryAccessError, Ram
 
@@ -44,6 +54,23 @@ class MMIODevice(Protocol):
         """Return ``(values, completion_cycle)`` for a *count*-element
         vector load at *offset* (FIFO semantics for stream devices)."""
         ...
+
+
+def load_each(load_word: Callable, present: Callable, addrs: Sequence[int],
+              cycle: int, requester: str | None,
+              *step: int) -> tuple[np.ndarray, int]:
+    """Per-element gather through *load_word*, presented by
+    :func:`present_pipelined` (with its *step*) or
+    :func:`present_chained`; returns ``(u32 words, completion)``."""
+    values: list[int] = []
+
+    def access(addr: int, at: int) -> int:
+        value, done = load_word(addr, at, requester)
+        values.append(value)
+        return done
+
+    done = present(access, addrs, cycle, *step)
+    return np.array(values, dtype=np.uint32), done
 
 
 class Bus(SimComponent):
@@ -124,12 +151,13 @@ class Bus(SimComponent):
 
     def load_burst(
         self, addr: int, count: int, cycle: int, requester: str | None = None
-    ) -> tuple[list[int], int]:
+    ) -> tuple[np.ndarray | list[int], int]:
         """Unit-stride vector load of *count* words.
 
-        RAM bursts pipeline through the port (one issue slot per beat);
-        device bursts (the HHT FIFOs) are delegated to the device so it can
-        apply FIFO pop semantics and buffer-ready stalls.
+        RAM bursts pipeline through the port (one issue slot per beat)
+        and return a ``uint32`` copy of the words; device bursts (the
+        HHT FIFOs) are delegated to the device so it can apply FIFO pop
+        semantics and buffer-ready stalls.
         """
         requester = requester or self.default_requester
         if count <= 0:
@@ -140,29 +168,64 @@ class Bus(SimComponent):
                     f"burst of {count} words at 0x{addr:08x} exceeds RAM"
                 )
             completion = self.mem.read_seq(addr, count, cycle, requester)
-            values = [self.ram.read_u32(addr + 4 * i) for i in range(count)]
-            return values, completion
+            return self.ram.read_array(addr, count, np.uint32), completion
         offset, device = self._find_device(addr)
         return device.read_burst(offset, count, cycle)
 
     def store_burst(
-        self, addr: int, values: list[int], cycle: int, requester: str | None = None
+        self, addr: int, values: Sequence[int], cycle: int,
+        requester: str | None = None,
     ) -> int:
         """Unit-stride vector store; returns completion of the last beat."""
         requester = requester or self.default_requester
-        if not values:
+        count = len(values)
+        if not count:
             return cycle
         if addr < self.ram.size:
-            if addr + 4 * len(values) > self.ram.size:
+            if addr + 4 * count > self.ram.size:
                 raise MemoryAccessError(
-                    f"burst of {len(values)} words at 0x{addr:08x} exceeds RAM"
+                    f"burst of {count} words at 0x{addr:08x} exceeds RAM"
                 )
-            completion = self.mem.write_seq(addr, len(values), cycle, requester)
-            for i, v in enumerate(values):
-                self.ram.write_u32(addr + 4 * i, v)
+            completion = self.mem.write_seq(addr, count, cycle, requester)
+            self.ram.write_array(addr, np.asarray(values, dtype=np.uint32))
             return completion
         offset, device = self._find_device(addr)
         completion = cycle
         for i, v in enumerate(values):
-            completion = device.write_word(offset + 4 * i, v, completion)
+            completion = device.write_word(offset + 4 * i, int(v), completion)
         return completion
+
+    def _ram_words(self, addrs: Sequence[int]) -> bool:
+        """True when every address is an aligned word inside RAM."""
+        if not addrs:
+            return True
+        bits = 0
+        for addr in addrs:
+            bits |= addr
+        return not bits & 3 and max(addrs) < self.ram.size
+
+    def gather(
+        self, addrs: Sequence[int], cycle: int, requester: str | None = None,
+        *, step: int = 1,
+    ) -> tuple[np.ndarray, int]:
+        """Pipelined indexed load, element ``i`` presented at
+        ``cycle + step * i``; returns ``(u32 words, latest completion)``."""
+        requester = requester or self.default_requester
+        if self._ram_words(addrs):
+            done = self.mem.gather(addrs, cycle, requester, step=step)
+            return self.ram.read_words(addrs), done
+        return load_each(self.load_word, present_pipelined, addrs, cycle,
+                         requester, step)
+
+    def gather_chain(
+        self, addrs: Sequence[int], cycle: int, requester: str | None = None,
+    ) -> tuple[np.ndarray, int]:
+        """Chained indexed load (each element presented one cycle after
+        the previous response); returns ``(u32 words, cycle after the
+        last response)``."""
+        requester = requester or self.default_requester
+        if self._ram_words(addrs):
+            done = self.mem.gather_chain(addrs, cycle, requester)
+            return self.ram.read_words(addrs), done
+        return load_each(self.load_word, present_chained, addrs, cycle,
+                         requester)

@@ -6,13 +6,53 @@ Table-1 MCU) every access is a port issue; with an L1D configured (the
 Section 3.2 high-performance integration) reads go through the cache —
 for the CPU *and* the HHT ("HHT will access the cache for fetching
 sparse data") — and writes are written through.
+
+Multi-word traffic comes in three shapes, each timed here and nowhere
+else: unit-stride bursts (:meth:`MemorySystem.read_seq` /
+:meth:`~MemorySystem.write_seq`), *pipelined* gathers (element ``i``
+presented at ``cycle + step * i`` — the HHT back-end's V/map/value
+gathers, variant 1's matched pairs at ``step=2``, IndexMAC) and
+*chained* gathers (each element presented one cycle after the previous
+response — ``vluxei32.v`` on the non-pipelined vector unit).  On the
+flat single-bank port with no probe watching, each shape is one
+closed-form port update; otherwise (banked port, L1D, a probe sink
+subscribed to per-request events) it is presented element by element
+through :func:`present_pipelined` / :func:`present_chained`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 from ..component import SimComponent
 from .cache import L1Cache
 from .port import MemoryPort
+
+
+#: ``access(addr, cycle) -> completion``: one word request.
+Access = Callable[[int, int], int]
+
+
+def present_pipelined(access: Access, addrs: Sequence[int], cycle: int,
+                      step: int = 1) -> int:
+    """Element-by-element pipelined gather: element ``i`` presented at
+    ``cycle + step * i``; returns the latest completion (*cycle* if
+    *addrs* is empty)."""
+    latest = cycle
+    for i, addr in enumerate(addrs):
+        done = access(addr, cycle + step * i)
+        if done > latest:
+            latest = done
+    return latest
+
+
+def present_chained(access: Access, addrs: Sequence[int], cycle: int) -> int:
+    """Element-by-element chained gather: each element presented one
+    cycle after the previous response; returns the cycle after the last
+    response (*cycle* if *addrs* is empty)."""
+    for addr in addrs:
+        cycle = access(addr, cycle) + 1
+    return cycle
 
 
 class MemorySystem(SimComponent):
@@ -43,6 +83,34 @@ class MemorySystem(SimComponent):
         if self.cache is None:
             return self.port.issue(cycle, requester, addr)
         return self.cache.write(addr, cycle, requester)
+
+    def _closed_form(self) -> bool:
+        """True when the gather closed forms apply: flat single-bank
+        port, no L1D, no probe sink watching individual requests."""
+        port = self.port
+        return (self.cache is None and port.banks == 1
+                and port.probe_sink is None)
+
+    def gather(self, addrs: Sequence[int], cycle: int, requester: str, *,
+               step: int = 1) -> int:
+        """Pipelined word reads of *addrs*, element ``i`` presented at
+        ``cycle + step * i``; returns the latest completion."""
+        if self._closed_form():
+            return self.port.issue_gather(cycle, len(addrs), requester, step)
+        return present_pipelined(
+            lambda addr, at: self.read(addr, at, requester),
+            addrs, cycle, step,
+        )
+
+    def gather_chain(self, addrs: Sequence[int], cycle: int,
+                     requester: str) -> int:
+        """Chained word reads of *addrs*; returns the cycle after the
+        last response."""
+        if self._closed_form():
+            return self.port.issue_chain(cycle, len(addrs), requester)
+        return present_chained(
+            lambda addr, at: self.read(addr, at, requester), addrs, cycle,
+        )
 
     def read_seq(
         self, addr: int, words: int, cycle: int, requester: str,

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..component import SimComponent, StatsDict
-from .hierarchy import MemorySystem
+from .bus import load_each
+from .hierarchy import MemorySystem, present_chained, present_pipelined
 
 
 @dataclass
@@ -167,10 +168,13 @@ class TranslatingBus:
     """Identity-mapped translation front for a :class:`Bus`.
 
     Exposes the exact surface the CPU uses (``load_word`` /
-    ``store_word`` / ``load_burst`` / ``store_burst`` plus the ``ram``
-    / ``mem`` / ``port`` / ``default_requester`` attributes) and charges
-    a TLB lookup per page touched before delegating to the wrapped bus.
-    MMIO addresses (``addr >= ram.size``) pass through untranslated.
+    ``store_word`` / ``load_burst`` / ``store_burst`` / ``gather`` /
+    ``gather_chain`` plus the ``ram`` / ``mem`` / ``port`` /
+    ``default_requester`` attributes) and charges a TLB lookup per page
+    touched before delegating to the wrapped bus.  Gathers translate
+    every element at its own presentation time, so they always take the
+    per-element path.  MMIO addresses (``addr >= ram.size``) pass
+    through untranslated.
 
     Sub-word accesses reach RAM via the exposed ``mem``/``ram``
     attributes and are charged at demand-word granularity by the CPU
@@ -232,6 +236,16 @@ class TranslatingBus:
 
     def store_burst(self, addr: int, values, cycle: int,
                     requester: str | None = None) -> int:
-        if values and addr < self._ram_size:
+        if len(values) and addr < self._ram_size:
             cycle = self._translate_range(addr, 4 * len(values), cycle)
         return self._bus.store_burst(addr, values, cycle, requester)
+
+    def gather(self, addrs, cycle: int, requester: str | None = None, *,
+               step: int = 1):
+        return load_each(self.load_word, present_pipelined, addrs, cycle,
+                         requester, step)
+
+    def gather_chain(self, addrs, cycle: int,
+                     requester: str | None = None):
+        return load_each(self.load_word, present_chained, addrs, cycle,
+                         requester)

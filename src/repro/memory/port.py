@@ -128,7 +128,6 @@ class MemoryPort(SimComponent):
         """
         if count <= 0:
             return cycle
-        counters = self.counters
         if self.banks == 1:
             free = self._bank_free
             slot = cycle if cycle >= free[0] else free[0]
@@ -136,16 +135,12 @@ class MemoryPort(SimComponent):
             waited = slot - cycle
             # Every beat waits as long as the head beat: beat i wants
             # cycle+i and issues at slot+i.
-            counters.requests += count
-            counters.queue_cycles += waited * count
-            counters.busy_cycles += count
-            counters.by_requester[requester] = (
-                counters.by_requester.get(requester, 0) + count
-            )
+            self._record_many(requester, count, waited * count)
             sink = self.probe_sink
             if sink is not None:
                 sink.port_issue(self.name, requester, slot, count, waited)
             return slot + count - 1 + self.latency
+        counters = self.counters
         free = self._bank_free
         word0 = addr >> 2
         sink = self.probe_sink
@@ -162,6 +157,70 @@ class MemoryPort(SimComponent):
             if slot > last_slot:
                 last_slot = slot
         return last_slot + self.latency
+
+    # ------------------------------------------------------------------
+    # Closed forms of the two indexed-gather shapes on the single-bank
+    # pipe.  Each equals *count* :meth:`issue` calls at the presentation
+    # times below — same completion, slot state and counters — and so
+    # applies only where nothing observes the individual requests: one
+    # bank and no probe sink (:meth:`MemorySystem.gather` checks both).
+    # ------------------------------------------------------------------
+    def issue_gather(self, cycle: int, count: int, requester: str = "cpu",
+                     step: int = 1) -> int:
+        """Element ``i`` presented at ``cycle + step * i``; returns the
+        last (and latest) completion, or *cycle* when *count* is 0.
+
+        With the pipe free from ``F``, element ``i`` issues at
+        ``max(cycle + step*i, F + i)`` and waits
+        ``max(0, F - cycle - (step - 1) * i)`` cycles: a backlog the
+        gather drains by ``step - 1`` cycles per element.
+        """
+        if count <= 0:
+            return cycle
+        free = self._bank_free
+        backlog = free[0] - cycle
+        last = cycle + step * (count - 1)
+        if backlog <= 0:
+            waited = 0
+        else:
+            last = max(last, free[0] + count - 1)
+            drain = step - 1
+            # Elements that wait: all of them on a step-1 gather, else
+            # those presented before the backlog has drained.
+            waits = count if drain == 0 else min(count, -(-backlog // drain))
+            waited = waits * backlog - drain * waits * (waits - 1) // 2
+        free[0] = last + 1
+        self._record_many(requester, count, waited)
+        return last + self.latency
+
+    def issue_chain(self, cycle: int, count: int,
+                    requester: str = "cpu") -> int:
+        """Each element presented one cycle after the previous response
+        (the first at *cycle*); returns the cycle after the last
+        response, or *cycle* when *count* is 0.
+
+        Only the head element can queue: every later one arrives
+        ``latency + 1`` cycles after its predecessor issued, when the
+        pipe is long free.
+        """
+        if count <= 0:
+            return cycle
+        free = self._bank_free
+        head = cycle if cycle >= free[0] else free[0]
+        last = head + (self.latency + 1) * (count - 1)
+        free[0] = last + 1
+        self._record_many(requester, count, head - cycle)
+        return last + self.latency + 1
+
+    def _record_many(self, requester: str, count: int, waited: int) -> None:
+        """Counters of *count* requests that queued *waited* cycles in all."""
+        counters = self.counters
+        counters.requests += count
+        counters.queue_cycles += waited
+        counters.busy_cycles += count
+        counters.by_requester[requester] = (
+            counters.by_requester.get(requester, 0) + count
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -111,5 +111,9 @@ class Ram:
             )
         return self._u32[idx : idx + count].view(dtype).copy()
 
+    def read_words(self, addrs: list[int]) -> np.ndarray:
+        """The u32 words at aligned, in-range byte addresses *addrs*."""
+        return self._u32[[addr >> 2 for addr in addrs]]
+
     def fill(self, value: int = 0) -> None:
         self._bytes[:] = np.uint8(value & 0xFF)

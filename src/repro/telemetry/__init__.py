@@ -8,7 +8,7 @@ telemetry attached stay bit-identical and pay nothing.
 from .bench import (
     BENCH_SCHEMA,
     DEFAULT_BENCH_SIZE,
-    DEFAULT_THRESHOLD,
+    GATE_RTOL,
     collect_bench,
     compare_bench,
     load_bench,
@@ -32,7 +32,7 @@ __all__ = [
     "CHROME_TRACE_SCHEMA",
     "SAMPLER_SCHEMA",
     "DEFAULT_BENCH_SIZE",
-    "DEFAULT_THRESHOLD",
+    "GATE_RTOL",
     "ChromeTraceProbe",
     "SamplerProbe",
     "TrackTable",

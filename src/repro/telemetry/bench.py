@@ -5,15 +5,15 @@ figures 4/5 (geomean speedups) and 6/7 (CPU-wait fractions) plus the
 host-side interpreter throughput — and writes a schema-versioned JSON
 document (``BENCH_PR5.json`` at the repo top level is the committed
 baseline).  ``repro bench --compare <baseline.json>`` re-measures and
-exits nonzero when any *gated* metric regresses by more than the
-threshold, which is the standing CI gate every later perf PR diffs
-against.
+exits nonzero when any *gated* metric regresses, which is the standing
+CI gate every later perf PR diffs against.
 
 Metric entries carry a ``direction``:
 
-* ``"higher"`` / ``"lower"`` — gated; a move in the bad direction beyond
-  the threshold is a regression (simulated metrics are deterministic, so
-  any delta at all means the timing model changed);
+* ``"higher"`` / ``"lower"`` — gated, and all simulated: they are
+  deterministic, so any move in the bad direction beyond float
+  round-off (:data:`GATE_RTOL`) means the timing model changed and is a
+  regression, as is a gated metric the baseline lacks;
 * ``"info"`` — recorded but never gated (host-machine-dependent numbers
   like interpreter throughput).
 """
@@ -35,10 +35,9 @@ from pathlib import Path
 #: ``host.vector_instructions_per_sec``).  Old /1 documents measured a
 #: different workload, so cross-schema comparison fails outright.
 #:
-#: Schema note — additive metrics do NOT bump the schema: comparison
-#: iterates the *baseline's* metric keys, so a newer run carrying extra
-#: keys (e.g. the ``compare.*`` accelerator bake-off geomeans added with
-#: the front-end layer) still diffs cleanly against an older baseline.
+#: Schema note — additive metrics do NOT bump the schema, but a gated
+#: metric the baseline lacks fails the comparison, so adding one means
+#: regenerating the committed baseline in the same change.
 BENCH_SCHEMA = "repro-bench/2"
 
 #: Sparsity points for the bench's accelerator bake-off metrics: a
@@ -50,8 +49,9 @@ COMPARE_BENCH_SPARSITIES = (0.3, 0.5, 0.7)
 #: that a cold-cache CI run stays in single-digit seconds.
 DEFAULT_BENCH_SIZE = 96
 
-#: Default relative regression threshold for ``--compare``.
-DEFAULT_THRESHOLD = 0.05
+#: Relative tolerance of the gate: simulated metrics are deterministic,
+#: so only float round-off may separate a run from its baseline.
+GATE_RTOL = 1e-9
 
 
 def geomean(values) -> float:
@@ -244,15 +244,15 @@ class MetricDelta:
         )
 
 
-def compare_bench(current: dict, baseline: dict, *,
-                  threshold: float = DEFAULT_THRESHOLD
+def compare_bench(current: dict, baseline: dict
                   ) -> tuple[list[str], list[str]]:
     """Diff *current* against *baseline*; returns (failures, report).
 
     Gated metrics (direction ``higher``/``lower``) fail when they move
-    more than *threshold* (relative) in the bad direction; ``info``
-    metrics are reported only.  Schema or suite-size mismatches fail
-    outright — comparing different sweeps would be meaningless.
+    more than :data:`GATE_RTOL` (relative) in the bad direction, or when
+    either side lacks them; ``info`` metrics are reported only.  Schema
+    or suite-size mismatches fail outright — comparing different sweeps
+    would be meaningless.
     """
     failures: list[str] = []
     report: list[str] = []
@@ -285,7 +285,11 @@ def compare_bench(current: dict, baseline: dict, *,
         )
 
     cur_metrics = current.get("metrics", {})
-    for key, base_entry in sorted(baseline.get("metrics", {}).items()):
+    base_metrics = baseline.get("metrics", {})
+    for key, cur_entry in sorted(cur_metrics.items()):
+        if key not in base_metrics and cur_entry.get("direction") != "info":
+            failures.append(f"{key}: gated metric missing from baseline")
+    for key, base_entry in sorted(base_metrics.items()):
         direction = base_entry.get("direction", "info")
         cur_entry = cur_metrics.get(key)
         if cur_entry is None:
@@ -308,13 +312,13 @@ def compare_bench(current: dict, baseline: dict, *,
             key=key, baseline=base_value, current=cur_value,
             direction=direction,
             rel_delta=rel_delta,
-            worse_by=worse_by if worse_by > threshold else 0.0,
+            worse_by=worse_by if worse_by > GATE_RTOL else 0.0,
         )
         report.append(delta.line())
         if delta.worse_by > 0:
             failures.append(
-                f"{key}: {base_value:.6g} -> {cur_value:.6g} "
-                f"({rel_delta:+.2%} is worse than the {threshold:.0%} "
-                "threshold)"
+                f"{key}: {base_value!r} -> {cur_value!r} "
+                f"({rel_delta:+.3g} relative, worse than the {GATE_RTOL:g} "
+                "gate)"
             )
     return failures, report

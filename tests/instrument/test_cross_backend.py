@@ -5,9 +5,10 @@ cycle counts, instruction counts, the flat stats registry, rendered
 traces, error messages — is bit-identical to the reference
 interpreter.  These tests run the same workload under both backends
 and diff the observables, including on the configurations where the
-backend cannot inline memory (banked RAM, L1D), on multi-HHT systems
-where foreign bus masters interleave with the CPU's port traffic, and
-on multi-core systems where the cores contend for one port.
+memory system presents gathers element by element (banked RAM, L1D),
+on multi-HHT systems where foreign bus masters interleave with the
+CPU's port traffic, and on multi-core systems where the cores contend
+for one port.  Every run must also conserve the port's request count.
 """
 
 import pytest
@@ -22,6 +23,8 @@ from repro.workloads import (
     random_dense_vector,
     random_sparse_vector,
 )
+
+from .conservation import assert_port_conserved
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +48,7 @@ def _config(variant: str) -> SystemConfig:
 
 
 def _observables(result):
+    assert_port_conserved(result.stats)
     return (result.cycles, result.instructions, dict(result.stats))
 
 
@@ -95,28 +99,66 @@ class TestRunsMatch:
         assert _observables(run("compiled")) == _observables(run("reference"))
 
 
+#: Probe-parity kernels: label -> (kernel family, accel or SpMSpV mode).
+PARITY_KERNELS = {
+    "spmv_base": ("spmv", None),
+    "spmv_hht": ("spmv", "hht"),
+    "spmspv_hht_v1": ("spmspv", "hht_v1"),
+    "spmspv_hht_v2": ("spmspv", "hht_v2"),
+    "spmv_indexmac": ("spmv", "indexmac"),
+}
+
+
 class TestProbeParity:
     """Probes force deference to the reference path — and the deferred
     run must publish the same timing as the compiled fast path."""
 
-    def _soc_prog(self, workload, backend):
+    def _soc_prog(self, workload, backend, kernel="spmv_hht"):
         from repro.analysis.runners import _make_soc, _required_ram
-        from repro.kernels import spmv_kernel
+        from repro.kernels import spmspv_kernel, spmv_kernel
+        from repro.system.config import run_config
 
-        matrix, v, _ = workload
+        matrix, v, sv = workload
+        family, variant = PARITY_KERNELS[kernel]
         cfg = SystemConfig.paper_table1()
         cfg.cpu.backend = backend
-        soc = _make_soc(cfg, _required_ram(matrix))
-        soc.load_csr(matrix)
-        soc.load_dense_vector(v)
+        if family == "spmv":
+            soc = _make_soc(run_config(cfg, accel=variant),
+                            _required_ram(matrix))
+            soc.load_csr(matrix)
+            soc.load_dense_vector(v)
+            text = spmv_kernel(accel=variant, vector=True)
+        else:
+            soc = _make_soc(cfg, _required_ram(matrix, extra_words=3 * sv.n))
+            soc.load_csr(matrix)
+            soc.load_sparse_vector(sv)
+            text = spmspv_kernel(mode=variant, vector=True)
         soc.allocate_output(matrix.nrows)
-        return soc, soc.assemble(spmv_kernel(accel="hht", vector=True))
+        return soc, soc.assemble(text)
+
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @pytest.mark.parametrize("kernel", sorted(PARITY_KERNELS))
+    def test_per_element_path_equals_closed_form(self, kernel, backend,
+                                                 workload):
+        # A ContentionProbe subscribes to per-request port events, so
+        # the probed run presents every gather element by element; the
+        # bare run takes the closed-form bursts and gathers.
+        nrows = workload[0].nrows
+        soc, prog = self._soc_prog(workload, backend, kernel)
+        bare = soc.run(prog)
+        bare_y = soc.read_output("y", nrows)
+        soc, prog = self._soc_prog(workload, backend, kernel)
+        probed = soc.run(prog, probes=(ContentionProbe(),))
+        assert _observables(probed) == _observables(bare)
+        assert soc.read_output("y", nrows).tobytes() == bare_y.tobytes()
 
     def test_probed_compiled_equals_bare_compiled(self, workload):
         soc, prog = self._soc_prog(workload, "compiled")
         bare = soc.run(prog)
         soc, prog = self._soc_prog(workload, "compiled")
         probed = soc.run(prog, probes=(TimelineProbe(), ContentionProbe()))
+        assert_port_conserved(bare.stats)
+        assert_port_conserved(probed.stats)
         assert probed.cycles == bare.cycles
         assert probed.instructions == bare.instructions
         assert dict(probed.stats) == dict(bare.stats)
@@ -127,6 +169,7 @@ class TestProbeParity:
         ref = soc.run(prog, probes=(TimelineProbe(), ContentionProbe()))
         soc, prog = self._soc_prog(workload, "compiled")
         com = soc.run(prog, probes=(TimelineProbe(), ContentionProbe()))
+        assert _observables(com) == _observables(ref)
         assert com.probe_payloads == ref.probe_payloads
 
 
@@ -145,6 +188,8 @@ class TestTracesMatch:
                 "li a0, 5\nli a1, 7\nadd a2, a0, a1\n"
                 "lw t0, 0x100(zero)\nhalt"
             )
-            return render_trace(trace_program(soc, prog))
+            text = render_trace(trace_program(soc, prog))
+            assert_port_conserved(soc.stats())
+            return text
 
         assert trace("compiled") == trace("reference")

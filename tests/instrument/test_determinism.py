@@ -23,8 +23,12 @@ from repro.workloads import (
     random_sparse_vector,
 )
 
-# Captured from the pre-refactor interpreter (commit add1966) on the
-# 24x24 / 40%-sparse seed-7 workload below.
+from .conservation import assert_port_conserved
+
+# Captured on the 24x24 / 40%-sparse seed-7 workload below: the first
+# three from the pre-refactor interpreter (commit add1966), the HHT
+# variant-2 and IndexMAC runs from commit 2856f2d, whose reference path
+# still issued every gather element as its own port request.
 GOLDEN_RUNS = {
     "spmv_base": {
         "cycles": 3583,
@@ -40,6 +44,16 @@ GOLDEN_RUNS = {
         "cycles": 1931,
         "instructions": 530,
         "stats_sha": "c3620f24efb39a6dc7364173ef8bfc62831716a6e847cb402ff58cb8a1e42432",
+    },
+    "spmspv_hht_v2": {
+        "cycles": 2335,
+        "instructions": 853,
+        "stats_sha": "b88bfc11e498e586a2ea6c3468cb95c48736f2c11be76ec0b343282b3900bfe7",
+    },
+    "spmv_indexmac": {
+        "cycles": 2838,
+        "instructions": 871,
+        "stats_sha": "a144a3a823786d818cd95a02f9a99176e1cf810a110808f6285c871a3eccc33c",
     },
 }
 
@@ -81,13 +95,15 @@ def workload():
     )
 
 
-def _run(label, workload, probes=()):
+def _run(label, workload):
     matrix, v, sv = workload
     if label == "spmv_base":
         return run_spmv(matrix, v, accel=None).result
     if label == "spmv_hht":
         return run_spmv(matrix, v, accel="hht").result
-    return run_spmspv(matrix, sv, mode="hht_v1").result
+    if label == "spmv_indexmac":
+        return run_spmv(matrix, v, accel="indexmac").result
+    return run_spmspv(matrix, sv, mode=label.removeprefix("spmspv_")).result
 
 
 class TestGoldenRuns:
@@ -104,6 +120,7 @@ class TestGoldenRuns:
                                   monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", backend)
         result = _run(label, workload)
+        assert_port_conserved(result.stats)
         golden = GOLDEN_RUNS[label]
         assert result.cycles == golden["cycles"]
         assert result.instructions == golden["instructions"]
@@ -132,6 +149,8 @@ class TestProbesDoNotPerturb:
         probed = soc.run(prog, probes=(
             TimelineProbe(), ContentionProbe(), PcProfileProbe(),
         ))
+        assert_port_conserved(bare.stats)
+        assert_port_conserved(probed.stats)
         assert probed.cycles == bare.cycles
         assert probed.instructions == bare.instructions
         # The profiling probe adds pc_* keys; everything else is equal.
@@ -164,6 +183,7 @@ class TestGoldenTraces:
             "li a0, 5\nli a1, 7\nadd a2, a0, a1\nlw t0, 0x100(zero)\nhalt"
         )
         assert render_trace(trace_program(soc, prog)) == GOLDEN_SCALAR_TRACE
+        assert_port_conserved(soc.stats())
 
     def test_hht_kernel_trace(self, backend, monkeypatch):
         from repro.kernels import spmv_hht_vector
@@ -177,6 +197,7 @@ class TestGoldenTraces:
         prog = soc.assemble(spmv_hht_vector())
         text = render_trace(trace_program(soc, prog, limit=12))
         assert text == GOLDEN_HHT_TRACE
+        assert_port_conserved(soc.stats())
 
 
 class TestSummaryShape:
@@ -217,6 +238,7 @@ class TestSummaryShape:
             matrix_seed=7, vector_seed=8,
         )
         summary = execute(spec)
+        assert_port_conserved(summary.stats)
         assert set(summary.to_json_dict()) == {
             "cycles", "instructions", "stats", "frequency_hz", "y",
         }

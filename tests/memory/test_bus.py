@@ -49,7 +49,7 @@ class TestRamRouting:
         for i in range(4):
             ram.write_u32(0x20 + 4 * i, i + 1)
         values, completion = bus.load_burst(0x20, 4, cycle=0)
-        assert values == [1, 2, 3, 4]
+        assert values.tolist() == [1, 2, 3, 4]
         assert completion == 5  # beats 0..3, last completes at 3+2
 
     def test_store_burst(self, system):

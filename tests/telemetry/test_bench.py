@@ -1,4 +1,8 @@
-"""Bench harness tests: schema, round-trip compare, regression gate."""
+"""Bench harness tests: schema, round-trip compare, regression gate.
+
+Gated metrics are simulated and deterministic, so the gate is exact up
+to float round-off (``GATE_RTOL``) rather than a percentage band.
+"""
 
 import copy
 import json
@@ -7,6 +11,7 @@ import pytest
 
 from repro.telemetry import (
     BENCH_SCHEMA,
+    GATE_RTOL,
     collect_bench,
     compare_bench,
     load_bench,
@@ -93,9 +98,18 @@ class TestCompare:
         assert len(failures) == 1
         assert key in failures[0]
 
-    def test_within_threshold_passes(self, bench):
+    def test_three_percent_drift_fails(self, bench):
         near = copy.deepcopy(bench)
-        near["metrics"]["fig4.spmv_speedup_geomean.2buf"]["value"] *= 0.97
+        key = "fig4.spmv_speedup_geomean.2buf"
+        near["metrics"][key]["value"] *= 0.97
+        failures, _ = compare_bench(near, bench)
+        assert len(failures) == 1
+        assert key in failures[0]
+
+    def test_round_off_passes(self, bench):
+        near = copy.deepcopy(bench)
+        near["metrics"]["fig4.spmv_speedup_geomean.2buf"]["value"] *= (
+            1 - GATE_RTOL / 10)
         failures, _ = compare_bench(near, bench)
         assert failures == []
 
@@ -118,6 +132,17 @@ class TestCompare:
         del pruned["metrics"]["fig4.spmv_speedup_geomean.2buf"]
         failures, _ = compare_bench(pruned, bench)
         assert any("missing" in f for f in failures)
+
+    def test_gated_metric_missing_from_baseline_fails(self, bench):
+        # A gated metric the baseline never recorded was never gated:
+        # the baseline must be regenerated with it.
+        old = copy.deepcopy(bench)
+        del old["metrics"]["scaling.spmv_2core_speedup"]
+        del old["metrics"]["host.vector_instructions_per_sec"]
+        failures, _ = compare_bench(bench, old)
+        assert failures == [
+            "scaling.spmv_2core_speedup: gated metric missing from baseline"
+        ]
 
     def test_suite_size_mismatch_fails(self, bench):
         other = copy.deepcopy(bench)
@@ -143,9 +168,3 @@ class TestCompare:
         other["schema"] = "repro-bench/999"
         failures, _ = compare_bench(other, bench)
         assert any("schema mismatch" in f for f in failures)
-
-    def test_custom_threshold(self, bench):
-        worse = copy.deepcopy(bench)
-        worse["metrics"]["fig4.spmv_speedup_geomean.2buf"]["value"] *= 0.97
-        failures, _ = compare_bench(worse, bench, threshold=0.01)
-        assert len(failures) == 1
