@@ -3,8 +3,8 @@
 Each engine walks the sparse metadata, charging every memory access —
 with its real address — against the shared :class:`MemorySystem` (the
 flat Table-1 SRAM, or the Section 3.2 L1D-cached hierarchy), and stages
-result elements with their ready times into the front-end's buffered
-streams.  Metadata streams are sequential bursts
+each fill's result words, with their ready time, into the front-end's
+buffered streams.  Metadata streams are sequential bursts
 (:meth:`MemorySystem.read_seq`) and every indexed fetch is a pipelined
 gather (:meth:`MemorySystem.gather`), so the engines model no port
 timing of their own.
@@ -13,7 +13,9 @@ The engines are *event-driven*: one ``step()`` call processes one unit of
 work (one BLEN-sized buffer fill for SpMV/variant-2, one matrix row for
 variant-1) and advances the engine clock to when its pipeline can accept
 the next unit.  Functional values are read from RAM snapshots taken at
-START — the kernels never modify the operand arrays during a run.
+START — the kernels never modify the operand arrays during a run — so
+the SpMV and variant-2 engines look up every fill's words once, at
+START, and push slices of them.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class BackEndEngine:
 
     def drained(self) -> bool:
         """True when all input is processed and all streams are empty."""
-        return self.exhausted and all(not s.elements for s in self.streams.values())
+        return self.exhausted and all(
+            not s.unconsumed for s in self.streams.values())
 
     @staticmethod
     def _row_chunks(rows: np.ndarray, blen: int) -> list[int]:
@@ -151,11 +154,13 @@ class SpMVGatherEngine(BackEndEngine):
             else np.empty(0, np.int32)
         )
         ncols = regs["m_num_cols"]
-        self.v_bits = (
+        v_bits = (
             ram.read_array(self.v_base, ncols, np.uint32)
             if ncols
             else np.empty(0, np.uint32)
         )
+        #: Every fill's words, in stream order.
+        self.words = v_bits[self.cols]
         self.cursor = 0
         self.chunks = self._row_chunks(rows, config.buffer_elems)
         self.chunk_idx = 0
@@ -182,7 +187,7 @@ class SpMVGatherEngine(BackEndEngine):
                               first_col_ready + 1, self.requester)
         ready = t_v + cfg.fill_overhead
 
-        self.vval.push_group(ready, self.v_bits[chunk])
+        self.vval.push_group(ready, self.words[start : start + count])
         self.vval.stats.elements_supplied += count
         self.buffers_filled += 1
         # The pipeline can begin the next chunk once this chunk's requests
@@ -224,9 +229,18 @@ class SpMSpVValueEngine(BackEndEngine):
             else np.empty(0, np.int32)
         )
         v_nnz = regs["v_nnz"]
-        self.vpad_bits = ram.read_array(self.vpad_base, v_nnz + 1, np.uint32)
+        vpad_bits = ram.read_array(self.vpad_base, v_nnz + 1, np.uint32)
+        positions = self.posmap[self.cols]
+        #: Every fill's words (a miss reads ``vpad[0]``, a zero).
+        self.words = vpad_bits[positions]
         self.cursor = 0
         self.chunks = self._row_chunks(rows, config.buffer_elems)
+        #: Position-map hits (value fetches) per fill.
+        self.hits: list[int] = []
+        if self.chunks:
+            starts = np.cumsum([0] + self.chunks[:-1])
+            self.hits = np.add.reduceat(
+                positions > 0, starts, dtype=np.int64).tolist()
         self.chunk_idx = 0
         self.vval = self._make_stream("vval", config.n_buffers, config.buffer_elems)
         if self.nnz == 0:
@@ -235,14 +249,11 @@ class SpMSpVValueEngine(BackEndEngine):
     def step(self) -> None:
         cfg = self.config
         count = self.chunks[self.chunk_idx]
+        hits = self.hits[self.chunk_idx]
         self.chunk_idx += 1
         start = self.cursor
         self.cursor += count
         chunk = self.cols[start : start + count]
-
-        positions = self.posmap[chunk]
-        hit_positions = positions[positions > 0]
-        hits = int(hit_positions.size)
 
         t = self.time
         t_cols = self._seq_read(t, self.cols_base + 4 * start, count)
@@ -254,14 +265,15 @@ class SpMSpVValueEngine(BackEndEngine):
             first_map_ready = t_map - (hits - 1)
             vpad_base = self.vpad_base
             t_val = self.mem.gather(
-                [vpad_base + 4 * pos for pos in hit_positions.tolist()],
+                [vpad_base + 4 * pos
+                 for pos in self.posmap[chunk].tolist() if pos],
                 first_map_ready + 1, self.requester,
             )
         else:
             t_val = t_map
         ready = t_val + cfg.fill_overhead
 
-        self.vval.push_group(ready, self.vpad_bits[positions])
+        self.vval.push_group(ready, self.words[start : start + count])
         self.vval.stats.elements_supplied += count
         self.buffers_filled += 1
         self.time = max(t + 1, t_val - self.port.latency + 1)

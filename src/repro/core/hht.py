@@ -9,7 +9,9 @@ full (*HHT wait cycles*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..component import SimComponent, StatsDict
 from ..memory.hierarchy import MemorySystem
@@ -176,13 +178,14 @@ class HHT(SimComponent):
         stream = _FIFO_STREAMS.get(offset)
         if stream is not None:
             values, completion = self._fifo_read(stream, 1, cycle)
-            return values[0], completion
+            return int(values[0]), completion
         name = self._REG_BY_OFFSET.get(offset)
         if name is not None:
             return self.regs[name] & 0xFFFFFFFF, cycle + 1
         raise EngineError(f"read from unmapped HHT offset 0x{offset:02x}")
 
-    def read_burst(self, offset: int, count: int, cycle: int) -> tuple[list[int], int]:
+    def read_burst(self, offset: int, count: int,
+                   cycle: int) -> tuple[np.ndarray, int]:
         stream = _FIFO_STREAMS.get(offset)
         if stream is None:
             raise EngineError(
@@ -223,7 +226,8 @@ class HHT(SimComponent):
         # "N >= 2 permits the HHT to prefetch and store buffers ahead").
         self.engine.pump(cycle)
 
-    def _fifo_read(self, stream_name: str, count: int, cycle: int) -> tuple[list[int], int]:
+    def _fifo_read(self, stream_name: str, count: int,
+                   cycle: int) -> tuple[np.ndarray, int]:
         engine = self.engine
         if engine is None:
             raise EngineError("FIFO read before START")
@@ -233,27 +237,32 @@ class HHT(SimComponent):
                 f"stream {stream_name!r} is not produced in mode "
                 f"{HHTMode(self.regs['mode']).name}"
             )
-        values: list[int] = []
+        values = None
         last_ready = cycle
-        while len(values) < count:
-            item = stream.pop_available()
-            if item is None:
+        need = count
+        while need:
+            piece = stream.read(need)
+            if piece is None:
                 if engine.exhausted:
                     raise StreamUnderflow(
                         f"CPU read past end of {stream_name!r} stream"
                     )
                 before = engine.buffers_filled
                 engine.pump(cycle)
-                if engine.buffers_filled == before and not stream.elements:
+                if engine.buffers_filled == before and not stream.unconsumed:
                     raise EngineError(
                         f"FIFO deadlock on {stream_name!r}: back-end blocked "
                         "while the stream is empty (kernel protocol violation)"
                     )
                 continue
-            ready, bits = item
+            ready, words = piece
             if ready > last_ready:
                 last_ready = ready
-            values.append(bits)
+            # Fills are row-aligned, so the kernels' reads never span
+            # two; a read that does is concatenated.
+            values = (words if values is None
+                      else np.concatenate((values, words)))
+            need -= words.size
         wait = max(0, last_ready - cycle)
         cfg = self.config
         completion = (
@@ -274,13 +283,3 @@ class HHT(SimComponent):
         if sink is not None:
             sink.fifo_read(self.name, stream_name, cycle, wait, count)
         return values, completion
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def stats_snapshot(self) -> dict[str, int]:
-        return self.counters.snapshot(self.engine)
-
-    def reset_stats(self) -> None:
-        """Legacy alias for :meth:`reset` (kept for the trace tooling)."""
-        self.reset()

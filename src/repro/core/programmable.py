@@ -46,6 +46,8 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from ..cpu.core import Cpu
 from ..cpu.timing import CpuConfig, LatencyTable
 from ..isa.program import Program
@@ -215,8 +217,8 @@ class ProgrammableEngine(BackEndEngine):
         self.count.stats.elements_supplied += 1
         if count_val:
             ready = last_ready + overhead
-            self.mval.push_group(ready, mvals)
-            self.vval.push_group(ready, vvals)
+            self.mval.push_group(ready, np.array(mvals, np.uint32))
+            self.vval.push_group(ready, np.array(vvals, np.uint32))
             self.mval.stats.elements_supplied += count_val
             self.vval.stats.elements_supplied += count_val
         self.buffers_filled += 1

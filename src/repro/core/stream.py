@@ -5,18 +5,20 @@ loads from a fixed buffer address; the FE tracks which buffer is being
 drained and switches to the next ready buffer; a load that finds no ready
 buffer stalls the CPU.
 
-Elements are staged as ``(ready_at_cycle, value_bits)`` pairs grouped into
-*buffers*: each back-end fill occupies ``ceil(n / buffer_elems)`` buffer
-slots, and a slot is only recycled when the CPU has drained every element
-in it.  The back-end may run ahead only while a slot is free — with N=1
-this forces strict fill/drain alternation; N=2 gives the paper's
-double-buffering.
+Each back-end fill is staged whole, as one ``(ready_at_cycle, uint32
+words)`` entry, and read by slice.  A fill occupies
+``ceil(n / buffer_elems)`` buffer slots, and a slot is only recycled when
+the CPU has drained every element in it.  The back-end may run ahead
+only while a slot is free — with N=1 this forces strict fill/drain
+alternation; N=2 gives the paper's double-buffering.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class StreamUnderflow(Exception):
@@ -39,28 +41,23 @@ class BufferedStream:
         self.name = name
         self.n_buffers = n_buffers
         self.buffer_elems = buffer_elems
-        self.elements: deque[tuple[int, int]] = deque()
-        # Remaining element count of each outstanding buffer slot, oldest
-        # first.  len(self._slots) is the number of occupied slots.
-        self._slots: deque[int] = deque()
+        #: Staged fills, oldest first; the CPU has read ``_head`` words
+        #: of the oldest.
+        self._fills: deque[tuple[int, np.ndarray]] = deque()
+        self._head = 0
+        #: Staged words not yet read.
+        self.unconsumed = 0
+        #: Buffer slots holding at least one unread word.
+        self.occupied_slots = 0
         self.stats = StreamStats()
 
     @property
-    def unconsumed(self) -> int:
-        return len(self.elements)
-
-    @property
-    def occupied_slots(self) -> int:
-        return len(self._slots)
-
-    @property
     def has_room(self) -> bool:
-        return len(self._slots) < self.n_buffers
+        return self.occupied_slots < self.n_buffers
 
     def push(self, ready_at: int, value_bits: int) -> None:
         """Stage a single element as its own buffer slot (COUNT stream)."""
-        self.elements.append((ready_at, int(value_bits)))
-        self._slots.append(1)
+        self.push_group(ready_at, np.array([value_bits], np.uint32))
 
     def push_group(self, ready_at: int, values) -> None:
         """Stage one back-end fill; it occupies ceil(n/BLEN) buffer slots.
@@ -69,29 +66,36 @@ class BufferedStream:
         overshoots N — the gate then stays closed until the CPU drains the
         extra slots, which is how the model throttles the back-end.
         """
-        n = len(values)
+        words = np.asarray(values, np.uint32)
+        n = words.size
         if n == 0:
             return
-        append = self.elements.append
-        for v in values:
-            append((ready_at, int(v)))
-        blen = self.buffer_elems
-        full, rem = divmod(n, blen)
-        self._slots.extend([blen] * full)
-        if rem:
-            self._slots.append(rem)
+        self._fills.append((ready_at, words))
+        self.unconsumed += n
+        self.occupied_slots += -(-n // self.buffer_elems)
 
-    def pop_available(self) -> tuple[int, int] | None:
-        """Pop the next element if one is staged (ready or not).
+    def read(self, count: int) -> tuple[int, np.ndarray] | None:
+        """Take up to *count* words from the oldest staged fill (ready or
+        not); ``None`` when nothing is staged.
 
-        Returns ``(ready_at, value_bits)`` and recycles the owning buffer
-        slot once its last element is consumed.
+        Returns ``(ready_at, words)`` and recycles every buffer slot the
+        read drains completely.
         """
-        if not self.elements:
+        fills = self._fills
+        if not fills:
             return None
-        item = self.elements.popleft()
-        slots = self._slots
-        slots[0] -= 1
-        if slots[0] == 0:
-            slots.popleft()
-        return item
+        ready, words = fills[0]
+        head = self._head
+        n = words.size
+        blen = self.buffer_elems
+        end = head + count
+        if end >= n:
+            end = n
+            fills.popleft()
+            self._head = 0
+            self.occupied_slots -= -(-n // blen) - head // blen
+        else:
+            self._head = end
+            self.occupied_slots -= end // blen - head // blen
+        self.unconsumed -= end - head
+        return ready, words[head:end]

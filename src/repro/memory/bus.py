@@ -50,8 +50,9 @@ class MMIODevice(Protocol):
         """Handle a store; return its completion cycle."""
         ...
 
-    def read_burst(self, offset: int, count: int, cycle: int) -> tuple[list[int], int]:
-        """Return ``(values, completion_cycle)`` for a *count*-element
+    def read_burst(self, offset: int, count: int,
+                   cycle: int) -> tuple[np.ndarray, int]:
+        """Return ``(u32 words, completion_cycle)`` for a *count*-element
         vector load at *offset* (FIFO semantics for stream devices)."""
         ...
 
@@ -99,8 +100,8 @@ class Bus(SimComponent):
         self.mem = MemorySystem(port, cache)
         self.add_child(self.mem)
         self.default_requester = default_requester
-        # Sorted by base so lookups can bisect; MMIO pops on the HHT
-        # FIFO path hit _find_device once per vector element.
+        # Sorted by base so lookups can bisect; the HHT FIFO path hits
+        # _find_device once per FIFO load.
         self._devices: list[tuple[int, int, MMIODevice]] = []
         self._device_bases: list[int] = []
 
@@ -151,17 +152,18 @@ class Bus(SimComponent):
 
     def load_burst(
         self, addr: int, count: int, cycle: int, requester: str | None = None
-    ) -> tuple[np.ndarray | list[int], int]:
+    ) -> tuple[np.ndarray, int]:
         """Unit-stride vector load of *count* words.
 
         RAM bursts pipeline through the port (one issue slot per beat)
         and return a ``uint32`` copy of the words; device bursts (the
         HHT FIFOs) are delegated to the device so it can apply FIFO pop
-        semantics and buffer-ready stalls.
+        semantics and buffer-ready stalls, and return ``uint32`` words
+        too.
         """
         requester = requester or self.default_requester
         if count <= 0:
-            return [], cycle
+            return np.empty(0, np.uint32), cycle
         if addr < self.ram.size:
             if addr + 4 * count > self.ram.size:
                 raise MemoryAccessError(

@@ -70,12 +70,12 @@ def build(engine_cls, matrix, config, *, v=None, sv=None):
 
 
 def drain(stream):
+    """Every staged element as ``(ready_at, bits)``, read fill by fill."""
     items = []
-    while True:
-        item = stream.pop_available()
-        if item is None:
-            return items
-        items.append(item)
+    while (piece := stream.read(stream.unconsumed)) is not None:
+        ready, words = piece
+        items.extend((ready, bits) for bits in words.tolist())
+    return items
 
 
 def run_to_exhaustion(engine):
@@ -151,10 +151,10 @@ def test_pump_with_consumer_never_deadlocks(problem):
     guard = 0
     engine.pump(now)
     while not engine.drained():
-        item = engine.streams["vval"].pop_available()
-        if item is not None:
-            consumed += 1
-            now = max(now, item[0])
+        piece = engine.streams["vval"].read(1)
+        if piece is not None:
+            consumed += piece[1].size
+            now = max(now, piece[0])
         engine.pump(now)
         guard += 1
         assert guard < 50_000

@@ -155,20 +155,20 @@ class TestStatistics:
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
         hht.read_burst(MMR.VVAL_FIFO, 3, 100)
-        snap = hht.stats_snapshot()
-        assert snap["fifo_reads"] == 1
-        assert snap["elements_supplied"] == 3
-        assert snap["starts"] == 1
-        assert "hht_wait_cycles" in snap
-        assert "buffers_filled" in snap
+        stats = hht.stats()
+        assert stats["hht.fifo_reads"] == 1
+        assert stats["hht.elements_supplied"] == 3
+        assert stats["hht.starts"] == 1
+        assert "hht.hht_wait_cycles" in stats
+        assert "hht.buffers_filled" in stats
 
     def test_reset_stats(self, machine, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
         hht.read_burst(MMR.VVAL_FIFO, 3, 100)
-        hht.reset_stats()
-        assert hht.stats_snapshot()["fifo_reads"] == 0
+        hht.reset()
+        assert hht.stats()["hht.fifo_reads"] == 0
 
     def test_port_requests_attributed_to_hht(self, machine, simple):
         ram, port, hht = machine
@@ -189,4 +189,4 @@ class TestRestart:
         values, _ = hht.read_burst(MMR.VVAL_FIFO, 3, 300)
         got = np.array(values, np.uint32).view(np.float32)
         assert got.tolist() == [10.0, 30.0, 20.0]
-        assert hht.stats_snapshot()["starts"] == 2
+        assert hht.stats()["hht.starts"] == 2

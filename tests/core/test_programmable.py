@@ -41,13 +41,16 @@ def make_engine(matrix: CSRMatrix, v: np.ndarray, firmware=None,
     )
 
 
-def drain_f32(stream):
+def drain(stream):
+    """Every staged word, read fill by fill."""
     out = []
-    while True:
-        item = stream.pop_available()
-        if item is None:
-            break
-        out.append(item[1])
+    while (piece := stream.read(stream.unconsumed)) is not None:
+        out.extend(piece[1].tolist())
+    return out
+
+
+def drain_f32(stream):
+    out = drain(stream)
     return np.array(out, np.uint32).view(np.float32).tolist() if out else []
 
 
@@ -86,7 +89,7 @@ class TestProgrammableEngine:
         engine = make_engine(matrix, v)
         while not engine.exhausted:
             engine.step()
-        counts = [bits for _, bits in iter(engine.count.pop_available, None)]
+        counts = drain(engine.count)
         assert counts == [2, 0, 1]
         assert drain_f32(engine.mval) == [1.0, 2.0, 3.0]
         assert drain_f32(engine.vval) == [10.0, 30.0, 20.0]

@@ -24,7 +24,7 @@ from repro.workloads import (
     random_sparse_vector,
 )
 
-from .conservation import assert_port_conserved
+from .conservation import assert_fifo_conserved, assert_port_conserved
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,7 @@ def _config(variant: str) -> SystemConfig:
 
 def _observables(result):
     assert_port_conserved(result.stats)
+    assert_fifo_conserved(result.stats)
     return (result.cycles, result.instructions, dict(result.stats))
 
 
@@ -158,7 +159,9 @@ class TestProbeParity:
         soc, prog = self._soc_prog(workload, "compiled")
         probed = soc.run(prog, probes=(TimelineProbe(), ContentionProbe()))
         assert_port_conserved(bare.stats)
+        assert_fifo_conserved(bare.stats)
         assert_port_conserved(probed.stats)
+        assert_fifo_conserved(probed.stats)
         assert probed.cycles == bare.cycles
         assert probed.instructions == bare.instructions
         assert dict(probed.stats) == dict(bare.stats)
@@ -190,6 +193,7 @@ class TestTracesMatch:
             )
             text = render_trace(trace_program(soc, prog))
             assert_port_conserved(soc.stats())
+            assert_fifo_conserved(soc.stats())
             return text
 
         assert trace("compiled") == trace("reference")

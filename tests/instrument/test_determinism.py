@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.analysis.runners import run_spmspv, run_spmv
+from repro.analysis.runners import run_spmspv, run_spmv, run_spmv_programmable
 from repro.analysis.trace import render_trace, trace_program
 from repro.instrument import ContentionProbe, PcProfileProbe, TimelineProbe
 from repro.system import Soc, SystemConfig
@@ -23,12 +23,14 @@ from repro.workloads import (
     random_sparse_vector,
 )
 
-from .conservation import assert_port_conserved
+from .conservation import assert_fifo_conserved, assert_port_conserved
 
 # Captured on the 24x24 / 40%-sparse seed-7 workload below: the first
 # three from the pre-refactor interpreter (commit add1966), the HHT
 # variant-2 and IndexMAC runs from commit 2856f2d, whose reference path
-# still issued every gather element as its own port request.
+# still issued every gather element as its own port request, and the
+# single-buffer and CSR-firmware runs from commit c86d775, whose HHT
+# streams staged and popped every element on its own.
 GOLDEN_RUNS = {
     "spmv_base": {
         "cycles": 3583,
@@ -54,6 +56,23 @@ GOLDEN_RUNS = {
         "cycles": 2838,
         "instructions": 871,
         "stats_sha": "a144a3a823786d818cd95a02f9a99176e1cf810a110808f6285c871a3eccc33c",
+    },
+    "spmv_hht_n1": {
+        "cycles": 2310,
+        "instructions": 844,
+        "stats_sha": "9982e17f0ca6ea3ddfe6712d731ab6b51710308ea4576972c5e250765e541cf7",
+    },
+    # Five rows match more than BLEN=8 pairs: those fills span two
+    # buffer slots, and some FIFO loads take part of a fill.
+    "spmspv_hht_v1_n1": {
+        "cycles": 2229,
+        "instructions": 530,
+        "stats_sha": "bac93c3068af8f86ef282af4b44e3203a5bb06dedd7d675d4a42586cb83f68ea",
+    },
+    "spmv_programmable_csr": {
+        "cycles": 7310,
+        "instructions": 665,
+        "stats_sha": "1f32d57a0960026fa91e9258b64dae7a5e55cf9108dff78599e5ecd2e1810ad7",
     },
 }
 
@@ -101,8 +120,14 @@ def _run(label, workload):
         return run_spmv(matrix, v, accel=None).result
     if label == "spmv_hht":
         return run_spmv(matrix, v, accel="hht").result
+    if label == "spmv_hht_n1":
+        return run_spmv(matrix, v, accel="hht", n_buffers=1).result
     if label == "spmv_indexmac":
         return run_spmv(matrix, v, accel="indexmac").result
+    if label == "spmv_programmable_csr":
+        return run_spmv_programmable(matrix, v, format_name="csr").result
+    if label == "spmspv_hht_v1_n1":
+        return run_spmspv(matrix, sv, mode="hht_v1", n_buffers=1).result
     return run_spmspv(matrix, sv, mode=label.removeprefix("spmspv_")).result
 
 
@@ -121,6 +146,7 @@ class TestGoldenRuns:
         monkeypatch.setenv("REPRO_BACKEND", backend)
         result = _run(label, workload)
         assert_port_conserved(result.stats)
+        assert_fifo_conserved(result.stats)
         golden = GOLDEN_RUNS[label]
         assert result.cycles == golden["cycles"]
         assert result.instructions == golden["instructions"]
@@ -150,7 +176,9 @@ class TestProbesDoNotPerturb:
             TimelineProbe(), ContentionProbe(), PcProfileProbe(),
         ))
         assert_port_conserved(bare.stats)
+        assert_fifo_conserved(bare.stats)
         assert_port_conserved(probed.stats)
+        assert_fifo_conserved(probed.stats)
         assert probed.cycles == bare.cycles
         assert probed.instructions == bare.instructions
         # The profiling probe adds pc_* keys; everything else is equal.
@@ -184,6 +212,7 @@ class TestGoldenTraces:
         )
         assert render_trace(trace_program(soc, prog)) == GOLDEN_SCALAR_TRACE
         assert_port_conserved(soc.stats())
+        assert_fifo_conserved(soc.stats())
 
     def test_hht_kernel_trace(self, backend, monkeypatch):
         from repro.kernels import spmv_hht_vector
@@ -198,6 +227,7 @@ class TestGoldenTraces:
         text = render_trace(trace_program(soc, prog, limit=12))
         assert text == GOLDEN_HHT_TRACE
         assert_port_conserved(soc.stats())
+        assert_fifo_conserved(soc.stats())
 
 
 class TestSummaryShape:
@@ -239,6 +269,7 @@ class TestSummaryShape:
         )
         summary = execute(spec)
         assert_port_conserved(summary.stats)
+        assert_fifo_conserved(summary.stats)
         assert set(summary.to_json_dict()) == {
             "cycles", "instructions", "stats", "frequency_hz", "y",
         }

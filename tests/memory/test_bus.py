@@ -1,5 +1,6 @@
 """Bus routing and device-mapping tests."""
 
+import numpy as np
 import pytest
 
 from repro.memory import MMIO_BASE, Bus, MemoryAccessError, MemoryPort, Ram
@@ -51,6 +52,12 @@ class TestRamRouting:
         values, completion = bus.load_burst(0x20, 4, cycle=0)
         assert values.tolist() == [1, 2, 3, 4]
         assert completion == 5  # beats 0..3, last completes at 3+2
+
+    def test_empty_burst_is_u32_array(self, system):
+        bus, _, _ = system
+        values, completion = bus.load_burst(0x20, 0, cycle=3)
+        assert values.dtype == np.uint32 and values.size == 0
+        assert completion == 3
 
     def test_store_burst(self, system):
         bus, ram, _ = system
