@@ -32,7 +32,6 @@ from ..component import SimComponent, StatsDict
 from ..core.engines import EngineError
 from ..core.stream import StreamUnderflow
 from ..memory.hierarchy import MemorySystem
-from ..memory.port import MemoryPort
 from ..memory.ram import Ram
 from .base import AcceleratorConfig, AcceleratorFrontEnd, BuildContext
 
@@ -88,12 +87,12 @@ class SSRUnit(SimComponent):
     #: No back-end engine object (events come from the unit itself).
     engine = None
 
-    def __init__(self, ram: Ram, mem: MemorySystem | MemoryPort,
-                 name: str = "ssr", lookahead: int = 4):
+    def __init__(self, ram: Ram, mem: MemorySystem, name: str = "ssr",
+                 lookahead: int = 4):
         super().__init__(name)
         self.ram = ram
-        self.mem = mem if isinstance(mem, MemorySystem) else MemorySystem(mem)
-        self.port = self.mem.port
+        self.mem = mem
+        self.port = mem.port
         self.lookahead = max(1, int(lookahead))
         self.regs: dict[str, int] = {
             "idx_base": 0,

@@ -7,7 +7,9 @@ each fill's result words, with their ready time, into the front-end's
 buffered streams.  Metadata streams are sequential bursts
 (:meth:`MemorySystem.read_seq`) and every indexed fetch is a pipelined
 gather (:meth:`MemorySystem.gather`), so the engines model no port
-timing of their own.
+timing of their own.  A gather passes its element count, and its
+addresses only as a callable: the flat port's closed form never builds
+them.
 
 The engines are *event-driven*: one ``step()`` call processes one unit of
 work (one BLEN-sized buffer fill for SpMV/variant-2, one matrix row for
@@ -23,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..memory.hierarchy import MemorySystem
-from ..memory.port import MemoryPort
 from ..memory.ram import Ram
 from .config import HHTConfig
 from .stream import BufferedStream
@@ -33,19 +34,13 @@ class EngineError(Exception):
     """Raised when the programmed configuration is unusable."""
 
 
-def _as_mem(mem: MemorySystem | MemoryPort) -> MemorySystem:
-    if isinstance(mem, MemorySystem):
-        return mem
-    return MemorySystem(mem)
-
-
 class BackEndEngine:
     """Common machinery: streams, clock, capacity gating, wait accounting."""
 
-    def __init__(self, config: HHTConfig, mem: MemorySystem | MemoryPort,
+    def __init__(self, config: HHTConfig, mem: MemorySystem,
                  start_cycle: int, requester: str = "hht"):
         self.config = config
-        self.mem = _as_mem(mem)
+        self.mem = mem
         self.port = self.mem.port
         #: Label charged on the shared port for this engine's traffic
         #: (the owning HHT's component name).
@@ -66,7 +61,10 @@ class BackEndEngine:
         return stream
 
     def capacity_ok(self) -> bool:
-        return all(s.has_room for s in self.streams.values())
+        for stream in self.streams.values():
+            if not stream.has_room:
+                return False
+        return True
 
     def _seq_read(self, cycle: int, addr: int, words: int) -> int:
         """Sequential metadata read through the BE's wide interface."""
@@ -183,8 +181,10 @@ class SpMVGatherEngine(BackEndEngine):
         # one request per cycle thereafter.
         first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
         v_base = self.v_base
-        t_v = self.mem.gather([v_base + 4 * col for col in chunk.tolist()],
-                              first_col_ready + 1, self.requester)
+        t_v = self.mem.gather(
+            count, lambda: [v_base + 4 * col for col in chunk.tolist()],
+            first_col_ready + 1, self.requester,
+        )
         ready = t_v + cfg.fill_overhead
 
         self.vval.push_group(ready, self.words[start : start + count])
@@ -259,14 +259,16 @@ class SpMSpVValueEngine(BackEndEngine):
         t_cols = self._seq_read(t, self.cols_base + 4 * start, count)
         first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
         map_base = self.map_base
-        t_map = self.mem.gather([map_base + 4 * col for col in chunk.tolist()],
-                                first_col_ready + 1, self.requester)
+        t_map = self.mem.gather(
+            count, lambda: [map_base + 4 * col for col in chunk.tolist()],
+            first_col_ready + 1, self.requester,
+        )
         if hits:
             first_map_ready = t_map - (hits - 1)
             vpad_base = self.vpad_base
             t_val = self.mem.gather(
-                [vpad_base + 4 * pos
-                 for pos in self.posmap[chunk].tolist() if pos],
+                hits, lambda: [vpad_base + 4 * pos
+                               for pos in self.posmap[chunk].tolist() if pos],
                 first_map_ready + 1, self.requester,
             )
         else:
@@ -371,13 +373,13 @@ class SpMSpVAlignedEngine(BackEndEngine):
             # values at even offsets.
             mvals = self.mvals_base + 4 * lo
             vpad = self.vpad_base + 4
-            mvals_addrs = [mvals + 4 * k for k in matched_k.tolist()]
-            vpad_addrs = [vpad + 4 * vp for vp in matched_vpos.tolist()]
             t_pairs = max(
-                self.mem.gather(mvals_addrs, merge_done + 1, self.requester,
-                                step=2),
-                self.mem.gather(vpad_addrs, merge_done + 2, self.requester,
-                                step=2),
+                self.mem.gather(
+                    nm, lambda: [mvals + 4 * k for k in matched_k.tolist()],
+                    merge_done + 1, self.requester, step=2),
+                self.mem.gather(
+                    nm, lambda: [vpad + 4 * p for p in matched_vpos.tolist()],
+                    merge_done + 2, self.requester, step=2),
             )
         else:
             t_pairs = merge_done

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..component import SimComponent, StatsDict
 from ..memory.hierarchy import MemorySystem
-from ..memory.port import MemoryPort
 from ..memory.ram import Ram
 from .config import HHT_BASE, MMR, HHTConfig, HHTMode
 from .engines import (
@@ -73,13 +72,13 @@ class HHT(SimComponent):
     #: (buffer_fill / fifo_read probe events).
     publishes_stream_events = True
 
-    def __init__(self, config: HHTConfig, ram: Ram,
-                 mem: MemorySystem | MemoryPort, name: str = "hht"):
+    def __init__(self, config: HHTConfig, ram: Ram, mem: MemorySystem,
+                 name: str = "hht"):
         super().__init__(name)
         self.config = config
         self.ram = ram
-        self.mem = mem if isinstance(mem, MemorySystem) else MemorySystem(mem)
-        self.port = self.mem.port
+        self.mem = mem
+        self.port = mem.port
         self.regs: dict[str, int] = {
             "m_num_rows": 0,
             "m_rows_base": 0,
@@ -273,7 +272,11 @@ class HHT(SimComponent):
         # Consumption recycles buffer slots once the last element has left
         # the buffer into the read datapath (one FE cycle after the data
         # was available) — with N=1 this forces fill/drain alternation.
-        engine.pump(max(cycle, last_ready) + cfg.fifo_read_latency)
+        # Every pump returns with the engine exhausted or its gate shut,
+        # and only reads reopen the gate, so a read that freed no slot
+        # the gate was waiting for leaves nothing to pump.
+        if not engine.exhausted and engine.capacity_ok():
+            engine.pump(max(cycle, last_ready) + cfg.fifo_read_latency)
         self.counters.cpu_wait_cycles += wait
         self.counters.fifo_reads += 1
         self.counters.elements_supplied += count

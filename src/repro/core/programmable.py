@@ -53,7 +53,6 @@ from ..cpu.timing import CpuConfig, LatencyTable
 from ..isa.program import Program
 from ..memory.bus import Bus
 from ..memory.hierarchy import MemorySystem
-from ..memory.port import MemoryPort
 from ..memory.ram import Ram
 from .config import HHTConfig
 from .engines import BackEndEngine, EngineError
@@ -114,7 +113,7 @@ class ProgrammableEngine(BackEndEngine):
     def __init__(
         self,
         config: HHTConfig,
-        mem: MemorySystem | MemoryPort,
+        mem: MemorySystem,
         start_cycle: int,
         ram: Ram,
         regs: dict[str, int],

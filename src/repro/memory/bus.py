@@ -164,13 +164,18 @@ class Bus(SimComponent):
         requester = requester or self.default_requester
         if count <= 0:
             return np.empty(0, np.uint32), cycle
-        if addr < self.ram.size:
-            if addr + 4 * count > self.ram.size:
+        ram = self.ram
+        if addr < ram.size:
+            if addr + 4 * count > ram.size:
                 raise MemoryAccessError(
                     f"burst of {count} words at 0x{addr:08x} exceeds RAM"
                 )
-            completion = self.mem.read_seq(addr, count, cycle, requester)
-            return self.ram.read_array(addr, count, np.uint32), completion
+            completion = self.mem.read_burst(cycle, count, requester, addr)
+            if addr & 3:
+                raise MemoryAccessError(
+                    f"misaligned word access at 0x{addr:08x}")
+            word = addr >> 2
+            return ram._u32[word : word + count].copy(), completion
         offset, device = self._find_device(addr)
         return device.read_burst(offset, count, cycle)
 
@@ -214,7 +219,8 @@ class Bus(SimComponent):
         ``cycle + step * i``; returns ``(u32 words, latest completion)``."""
         requester = requester or self.default_requester
         if self._ram_words(addrs):
-            done = self.mem.gather(addrs, cycle, requester, step=step)
+            done = self.mem.gather(len(addrs), lambda: addrs, cycle,
+                                   requester, step=step)
             return self.ram.read_words(addrs), done
         return load_each(self.load_word, present_pipelined, addrs, cycle,
                          requester, step)

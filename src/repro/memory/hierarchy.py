@@ -8,16 +8,17 @@ for the CPU *and* the HHT ("HHT will access the cache for fetching
 sparse data") — and writes are written through.
 
 Multi-word traffic comes in three shapes, each timed here and nowhere
-else: unit-stride bursts (:meth:`MemorySystem.read_seq` /
-:meth:`~MemorySystem.write_seq`), *pipelined* gathers (element ``i``
-presented at ``cycle + step * i`` — the HHT back-end's V/map/value
-gathers, variant 1's matched pairs at ``step=2``, IndexMAC) and
-*chained* gathers (each element presented one cycle after the previous
-response — ``vluxei32.v`` on the non-pipelined vector unit).  On the
-flat single-bank port with no probe watching, each shape is one
-closed-form port update; otherwise (banked port, L1D, a probe sink
-subscribed to per-request events) it is presented element by element
-through :func:`present_pipelined` / :func:`present_chained`.
+else: unit-stride bursts (:attr:`MemorySystem.read_burst`,
+:meth:`~MemorySystem.read_seq` / :meth:`~MemorySystem.write_seq`),
+*pipelined* gathers (element ``i`` presented at ``cycle + step * i`` —
+the HHT back-end's V/map/value gathers, variant 1's matched pairs at
+``step=2``, IndexMAC) and *chained* gathers (each element presented one
+cycle after the previous response — ``vluxei32.v`` on the non-pipelined
+vector unit).  On the flat single-bank port with no probe watching, each
+shape is one closed-form port update and a gather needs only its
+element count; otherwise (banked port, L1D, a probe sink subscribed to
+per-request events) it is presented element by element through
+:func:`present_pipelined` / :func:`present_chained`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ class MemorySystem(SimComponent):
         self.add_child(port)
         if cache is not None:
             self.add_child(cache)
+        # The L1D and the bank count are fixed at build, so the flat
+        # choice is made once; only a probe sink can arrive later.
+        self._flat = cache is None and port.banks == 1
+        #: Unit-stride read of ``count >= 1`` words, ``(cycle, count,
+        #: requester, addr) -> completion``: the port's own burst when
+        #: uncached, else :meth:`_read_lines`.
+        self.read_burst = (port.issue_burst if cache is None
+                           else self._read_lines)
 
     # ------------------------------------------------------------------
     def read(self, addr: int, cycle: int, requester: str) -> int:
@@ -87,19 +96,21 @@ class MemorySystem(SimComponent):
     def _closed_form(self) -> bool:
         """True when the gather closed forms apply: flat single-bank
         port, no L1D, no probe sink watching individual requests."""
-        port = self.port
-        return (self.cache is None and port.banks == 1
-                and port.probe_sink is None)
+        return self._flat and self.port.probe_sink is None
 
-    def gather(self, addrs: Sequence[int], cycle: int, requester: str, *,
-               step: int = 1) -> int:
-        """Pipelined word reads of *addrs*, element ``i`` presented at
-        ``cycle + step * i``; returns the latest completion."""
+    def gather(self, count: int, addrs: Callable[[], Sequence[int]],
+               cycle: int, requester: str, *, step: int = 1) -> int:
+        """Pipelined word reads of *count* words, element ``i`` presented
+        at ``cycle + step * i``; returns the latest completion.
+
+        The closed form needs only the count, so the element addresses
+        are built — by calling *addrs* — only on the per-element path.
+        """
         if self._closed_form():
-            return self.port.issue_gather(cycle, len(addrs), requester, step)
+            return self.port.issue_gather(cycle, count, requester, step)
         return present_pipelined(
             lambda addr, at: self.read(addr, at, requester),
-            addrs, cycle, step,
+            addrs(), cycle, step,
         )
 
     def gather_chain(self, addrs: Sequence[int], cycle: int,
@@ -119,9 +130,7 @@ class MemorySystem(SimComponent):
         """Sequential read of *words* 32-bit words starting at *addr*.
 
         Uncached: a pipelined burst (optionally wide — the HHT's
-        memory-side interface).  Cached: one cache access per line the
-        range touches, issued back to back; the line fills themselves
-        serialise on the memory port.
+        memory-side interface).  Cached: :meth:`_read_lines`.
         """
         if words <= 0:
             return cycle
@@ -131,6 +140,12 @@ class MemorySystem(SimComponent):
                 cycle, slots, requester, addr=addr,
                 stride_words=words_per_slot,
             )
+        return self._read_lines(cycle, words, requester, addr)
+
+    def _read_lines(self, cycle: int, words: int, requester: str,
+                    addr: int) -> int:
+        """Cached sequential read: one lookup per line touched, back to
+        back; the line fills serialise on the memory port."""
         line = self.cache.config.line_bytes
         first = addr - (addr % line)
         last = addr + 4 * words - 1

@@ -135,7 +135,11 @@ class MemoryPort(SimComponent):
             waited = slot - cycle
             # Every beat waits as long as the head beat: beat i wants
             # cycle+i and issues at slot+i.
-            self._record_many(requester, count, waited * count)
+            c = self.counters
+            c.requests += count
+            c.queue_cycles += waited * count
+            c.busy_cycles += count
+            c.by_requester[requester] = c.by_requester.get(requester, 0) + count
             sink = self.probe_sink
             if sink is not None:
                 sink.port_issue(self.name, requester, slot, count, waited)
@@ -190,7 +194,11 @@ class MemoryPort(SimComponent):
             waits = count if drain == 0 else min(count, -(-backlog // drain))
             waited = waits * backlog - drain * waits * (waits - 1) // 2
         free[0] = last + 1
-        self._record_many(requester, count, waited)
+        c = self.counters
+        c.requests += count
+        c.queue_cycles += waited
+        c.busy_cycles += count
+        c.by_requester[requester] = c.by_requester.get(requester, 0) + count
         return last + self.latency
 
     def issue_chain(self, cycle: int, count: int,
@@ -209,18 +217,12 @@ class MemoryPort(SimComponent):
         head = cycle if cycle >= free[0] else free[0]
         last = head + (self.latency + 1) * (count - 1)
         free[0] = last + 1
-        self._record_many(requester, count, head - cycle)
+        c = self.counters
+        c.requests += count
+        c.queue_cycles += head - cycle
+        c.busy_cycles += count
+        c.by_requester[requester] = c.by_requester.get(requester, 0) + count
         return last + self.latency + 1
-
-    def _record_many(self, requester: str, count: int, waited: int) -> None:
-        """Counters of *count* requests that queued *waited* cycles in all."""
-        counters = self.counters
-        counters.requests += count
-        counters.queue_cycles += waited
-        counters.busy_cycles += count
-        counters.by_requester[requester] = (
-            counters.by_requester.get(requester, 0) + count
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -17,7 +17,7 @@ from repro.core.engines import (
     SpMVGatherEngine,
 )
 from repro.formats import CSRMatrix, SparseVector
-from repro.memory import MemoryPort, Ram
+from repro.memory import MemoryPort, MemorySystem, Ram
 
 
 @st.composite
@@ -66,7 +66,7 @@ def build(engine_cls, matrix, config, *, v=None, sv=None):
         place("v_idx_base", sv.indices)
         place("v_vals_base", sv.padded_values())
         place("v_map_base", sv.position_map())
-    return engine_cls(config, MemoryPort(), 0, ram, regs)
+    return engine_cls(config, MemorySystem(MemoryPort()), 0, ram, regs)
 
 
 def drain(stream):

@@ -10,7 +10,12 @@ from repro.core.engines import (
     SpMVGatherEngine,
 )
 from repro.formats import CSRMatrix, SparseVector
-from repro.memory import MemoryPort, Ram
+from repro.memory import MemoryPort, MemorySystem, Ram
+
+
+def flat_memory() -> MemorySystem:
+    """The Table-1 memory system: one flat port, no L1D."""
+    return MemorySystem(MemoryPort())
 
 
 def load_operands(matrix: CSRMatrix, v=None, sv: SparseVector | None = None):
@@ -69,7 +74,7 @@ class TestSpMVGatherEngine:
     def test_streams_gathered_values_in_order(self, small_matrix):
         v = np.array([10.0, 20.0, 30.0, 40.0], np.float32)
         ram, regs = load_operands(small_matrix, v=v)
-        engine = SpMVGatherEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMVGatherEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         while not engine.exhausted:
             engine.step()
         items = drain(engine.vval)
@@ -80,7 +85,7 @@ class TestSpMVGatherEngine:
     def test_ready_times_monotonic(self, small_matrix):
         v = np.ones(4, np.float32)
         ram, regs = load_operands(small_matrix, v=v)
-        engine = SpMVGatherEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMVGatherEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         while not engine.exhausted:
             engine.step()
         readies = [r for r, _ in drain(engine.vval)]
@@ -94,13 +99,13 @@ class TestSpMVGatherEngine:
         dense[1, :3] = 2.0   # row 1: 3 nnz -> chunk 3
         m = CSRMatrix.from_dense(dense)
         ram, regs = load_operands(m, v=np.ones(16, np.float32))
-        engine = SpMVGatherEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMVGatherEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         assert engine.chunks == [8, 2, 3]
 
     def test_empty_matrix_immediately_exhausted(self):
         m = CSRMatrix.empty((3, 3))
         ram, regs = load_operands(m, v=np.ones(3, np.float32))
-        engine = SpMVGatherEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMVGatherEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         assert engine.exhausted
         assert engine.drained()
 
@@ -108,7 +113,7 @@ class TestSpMVGatherEngine:
         v = np.ones(4, np.float32)
         ram, regs = load_operands(small_matrix, v=v)
         engine = SpMVGatherEngine(
-            HHTConfig(n_buffers=1), MemoryPort(), 0, ram, regs
+            HHTConfig(n_buffers=1), flat_memory(), 0, ram, regs
         )
         engine.pump(0)
         # One buffer slot -> exactly one chunk staged, engine blocked.
@@ -120,7 +125,7 @@ class TestSpMVGatherEngine:
         v = np.ones(4, np.float32)
         ram, regs = load_operands(small_matrix, v=v)
         engine = SpMVGatherEngine(
-            HHTConfig(n_buffers=1), MemoryPort(), 0, ram, regs
+            HHTConfig(n_buffers=1), flat_memory(), 0, ram, regs
         )
         engine.pump(0)
         blocked_at = engine.blocked_since
@@ -134,7 +139,7 @@ class TestSpMSpVValueEngine:
     def test_emits_value_or_zero_per_nonzero(self, small_matrix):
         sv = SparseVector(4, [0, 3], [10.0, 40.0])
         ram, regs = load_operands(small_matrix, sv=sv)
-        engine = SpMSpVValueEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMSpVValueEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         while not engine.exhausted:
             engine.step()
         values = np.array(
@@ -148,7 +153,8 @@ class TestSpMSpVValueEngine:
         def port_requests(sv):
             ram, regs = load_operands(small_matrix, sv=sv)
             port = MemoryPort()
-            engine = SpMSpVValueEngine(HHTConfig(), port, 0, ram, regs)
+            engine = SpMSpVValueEngine(HHTConfig(), MemorySystem(port), 0,
+                                       ram, regs)
             while not engine.exhausted:
                 engine.step()
             return port.counters.requests
@@ -162,7 +168,7 @@ class TestSpMSpVAlignedEngine:
     def test_counts_and_pairs(self, small_matrix):
         sv = SparseVector(4, [0, 3], [10.0, 40.0])
         ram, regs = load_operands(small_matrix, sv=sv)
-        engine = SpMSpVAlignedEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMSpVAlignedEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         while not engine.exhausted:
             engine.step()
         counts = [bits for _, bits in drain(engine.count)]
@@ -184,7 +190,7 @@ class TestSpMSpVAlignedEngine:
         dv[rng.random(16) < 0.5] = 0
         sv = SparseVector.from_dense(dv)
         ram, regs = load_operands(m, sv=sv)
-        engine = SpMSpVAlignedEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMSpVAlignedEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         while not engine.exhausted:
             engine.step()
         counts = [bits for _, bits in drain(engine.count)]
@@ -207,7 +213,7 @@ class TestSpMSpVAlignedEngine:
     def test_count_ready_before_pairs(self, small_matrix):
         sv = SparseVector(4, [0, 3], [10.0, 40.0])
         ram, regs = load_operands(small_matrix, sv=sv)
-        engine = SpMSpVAlignedEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMSpVAlignedEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         engine.step()  # row 0
         count_ready = engine.count.read(1)[0]
         pair_ready = engine.mval.read(1)[0]
@@ -216,7 +222,7 @@ class TestSpMSpVAlignedEngine:
     def test_empty_vector_all_zero_counts(self, small_matrix):
         sv = SparseVector(4, [], [])
         ram, regs = load_operands(small_matrix, sv=sv)
-        engine = SpMSpVAlignedEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
+        engine = SpMSpVAlignedEngine(HHTConfig(), flat_memory(), 0, ram, regs)
         while not engine.exhausted:
             engine.step()
         counts = [bits for _, bits in drain(engine.count)]

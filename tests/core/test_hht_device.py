@@ -5,14 +5,14 @@ import pytest
 
 from repro.core import HHT, MMR, EngineError, HHTConfig, HHTMode, StreamUnderflow
 from repro.formats import CSRMatrix
-from repro.memory import MemoryPort, Ram
+from repro.memory import MemoryPort, MemorySystem, Ram
 
 
 @pytest.fixture
 def machine():
     ram = Ram(1 << 16)
     port = MemoryPort(latency=2)
-    hht = HHT(HHTConfig(), ram, port)
+    hht = HHT(HHTConfig(), ram, MemorySystem(port))
     return ram, port, hht
 
 

@@ -14,7 +14,7 @@ from repro.core.programmable import EMIT_COUNT, EMIT_MVAL, EMIT_VVAL, FIRMWARE_S
 from repro.formats import CSRMatrix
 from repro.isa import assemble
 from repro.kernels import firmware_spmv_csr
-from repro.memory import MemoryPort, Ram
+from repro.memory import MemoryPort, MemorySystem, Ram
 
 
 def make_engine(matrix: CSRMatrix, v: np.ndarray, firmware=None,
@@ -36,7 +36,7 @@ def make_engine(matrix: CSRMatrix, v: np.ndarray, firmware=None,
     place("m_vals_base", matrix.vals)
     place("v_base", np.asarray(v, np.float32))
     return ProgrammableEngine(
-        config or HHTConfig(), MemoryPort(), 0, ram, regs,
+        config or HHTConfig(), MemorySystem(MemoryPort()), 0, ram, regs,
         firmware or firmware_spmv_csr(),
     )
 

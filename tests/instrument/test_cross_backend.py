@@ -109,19 +109,28 @@ PARITY_KERNELS = {
     "spmv_indexmac": ("spmv", "indexmac"),
 }
 
+#: (kernel, n_buffers): the HHT kernels also run single-buffered, where
+#: fills and drains strictly alternate.
+PARITY_CASES = [
+    pytest.param(kernel, n_buffers,
+                 id=kernel if n_buffers == 2 else f"{kernel}-n1")
+    for kernel in sorted(PARITY_KERNELS)
+    for n_buffers in ((2, 1) if "hht" in kernel else (2,))
+]
+
 
 class TestProbeParity:
     """Probes force deference to the reference path — and the deferred
     run must publish the same timing as the compiled fast path."""
 
-    def _soc_prog(self, workload, backend, kernel="spmv_hht"):
+    def _soc_prog(self, workload, backend, kernel="spmv_hht", n_buffers=2):
         from repro.analysis.runners import _make_soc, _required_ram
         from repro.kernels import spmspv_kernel, spmv_kernel
         from repro.system.config import run_config
 
         matrix, v, sv = workload
         family, variant = PARITY_KERNELS[kernel]
-        cfg = SystemConfig.paper_table1()
+        cfg = SystemConfig.paper_table1(n_buffers=n_buffers)
         cfg.cpu.backend = backend
         if family == "spmv":
             soc = _make_soc(run_config(cfg, accel=variant),
@@ -138,17 +147,17 @@ class TestProbeParity:
         return soc, soc.assemble(text)
 
     @pytest.mark.parametrize("backend", ["reference", "compiled"])
-    @pytest.mark.parametrize("kernel", sorted(PARITY_KERNELS))
-    def test_per_element_path_equals_closed_form(self, kernel, backend,
-                                                 workload):
+    @pytest.mark.parametrize("kernel, n_buffers", PARITY_CASES)
+    def test_per_element_path_equals_closed_form(self, kernel, n_buffers,
+                                                 backend, workload):
         # A ContentionProbe subscribes to per-request port events, so
         # the probed run presents every gather element by element; the
         # bare run takes the closed-form bursts and gathers.
         nrows = workload[0].nrows
-        soc, prog = self._soc_prog(workload, backend, kernel)
+        soc, prog = self._soc_prog(workload, backend, kernel, n_buffers)
         bare = soc.run(prog)
         bare_y = soc.read_output("y", nrows)
-        soc, prog = self._soc_prog(workload, backend, kernel)
+        soc, prog = self._soc_prog(workload, backend, kernel, n_buffers)
         probed = soc.run(prog, probes=(ContentionProbe(),))
         assert _observables(probed) == _observables(bare)
         assert soc.read_output("y", nrows).tobytes() == bare_y.tobytes()

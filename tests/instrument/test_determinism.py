@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.runners import run_spmspv, run_spmv, run_spmv_programmable
 from repro.analysis.trace import render_trace, trace_program
 from repro.instrument import ContentionProbe, PcProfileProbe, TimelineProbe
+from repro.memory import CacheConfig
 from repro.system import Soc, SystemConfig
 from repro.workloads import (
     random_csr,
@@ -30,7 +31,9 @@ from .conservation import assert_fifo_conserved, assert_port_conserved
 # variant-2 and IndexMAC runs from commit 2856f2d, whose reference path
 # still issued every gather element as its own port request, and the
 # single-buffer and CSR-firmware runs from commit c86d775, whose HHT
-# streams staged and popped every element on its own.
+# streams staged and popped every element on its own.  The banked and
+# L1D runs (commit bc2f4c7) take the per-element gather path, which the
+# flat Table-1 runs never reach.
 GOLDEN_RUNS = {
     "spmv_base": {
         "cycles": 3583,
@@ -74,6 +77,31 @@ GOLDEN_RUNS = {
         "instructions": 665,
         "stats_sha": "1f32d57a0960026fa91e9258b64dae7a5e55cf9108dff78599e5ecd2e1810ad7",
     },
+    "spmv_hht_banks2": {
+        "cycles": 2317,
+        "instructions": 844,
+        "stats_sha": "bd0703039507f07395d22b5df031549a838e4701973ee458322ef5c58795c76b",
+    },
+    "spmspv_hht_v1_banks2": {
+        "cycles": 1840,
+        "instructions": 530,
+        "stats_sha": "53d45eab16e977e2e013104fcd33d6781dd9b0dbe48c4b8c0afa725b6c66e728",
+    },
+    "spmspv_hht_v2_banks2": {
+        "cycles": 2331,
+        "instructions": 853,
+        "stats_sha": "7a07b9b6000e560fafb9a9355fcc821aa4105aa925b46477ea96b5461ecd3879",
+    },
+    "spmv_hht_l1d": {
+        "cycles": 2425,
+        "instructions": 844,
+        "stats_sha": "b745b37c7f641793ef6ed8d0b00880ee84c10a4c542550051f13ca6e789956f7",
+    },
+    "spmspv_hht_v2_l1d": {
+        "cycles": 2450,
+        "instructions": 853,
+        "stats_sha": "5f591848f247e0636e9b4ca03d9a8ad3c268a8073913e3b33929887c476a257e",
+    },
 }
 
 GOLDEN_SCALAR_TRACE = """\
@@ -116,6 +144,17 @@ def workload():
 
 def _run(label, workload):
     matrix, v, sv = workload
+    if label.endswith(("_banks2", "_l1d")):
+        cfg = SystemConfig.paper_table1()
+        if label.endswith("_banks2"):
+            cfg.banks = 2
+        else:
+            cfg.cache = CacheConfig()
+        base = label.rsplit("_", 1)[0]
+        if base == "spmv_hht":
+            return run_spmv(matrix, v, accel="hht", config=cfg).result
+        return run_spmspv(matrix, sv, mode=base.removeprefix("spmspv_"),
+                          config=cfg).result
     if label == "spmv_base":
         return run_spmv(matrix, v, accel=None).result
     if label == "spmv_hht":

@@ -69,14 +69,14 @@ def test_closed_form_equals_per_element(latency, prior, cycle, count, step,
     sink = RecordingSink()
     each = _memory(latency, prior, sink)
     if shape == "pipelined":
-        got = closed.gather(addrs, cycle, requester, step=step)
-        want = each.gather(addrs, cycle, requester, step=step)
+        got = closed.gather(count, lambda: addrs, cycle, requester, step=step)
+        want = each.gather(count, lambda: addrs, cycle, requester, step=step)
     elif shape == "chained":
         got = closed.gather_chain(addrs, cycle, requester)
         want = each.gather_chain(addrs, cycle, requester)
     else:
         got = closed.read_seq(0x100, count, cycle, requester)
-        want = each.gather(addrs, cycle, requester)
+        want = each.gather(count, lambda: addrs, cycle, requester)
     assert len(sink.events) == count  # one issue per element
     assert got == want
     assert _state(closed) == _state(each)
