@@ -146,25 +146,6 @@ def spmspv_sweep(size: int, variant: str, n_buffers: int,
     return _sweep_points(base, hht, sparsities)
 
 
-def headline_sweeps(size: int) -> dict[str, tuple[SweepPoint, ...]]:
-    """The sweeps behind the headline figures (4/5/6/7), keyed by series.
-
-    Figures 4+6 project the same two SpMV sweeps and figures 5+7 the same
-    four SpMSpV sweeps, so this is the complete simulation workload of
-    the paper's main results — the bench harness
-    (:mod:`repro.telemetry.bench`) snapshots its metrics from exactly
-    these series.
-    """
-    return {
-        "spmv_1buf": spmv_sweep(size, 8, 1),
-        "spmv_2buf": spmv_sweep(size, 8, 2),
-        "spmspv_v1_1buf": spmspv_sweep(size, "hht_v1", 1),
-        "spmspv_v1_2buf": spmspv_sweep(size, "hht_v1", 2),
-        "spmspv_v2_1buf": spmspv_sweep(size, "hht_v2", 1),
-        "spmspv_v2_2buf": spmspv_sweep(size, "hht_v2", 2),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Accelerator front-end bake-off (repro compare)
 # ---------------------------------------------------------------------------
@@ -172,33 +153,30 @@ def headline_sweeps(size: int) -> dict[str, tuple[SweepPoint, ...]]:
 #: the two pure-CPU baselines, then one column per registered rival.
 COMPARE_SERIES = ("scalar", "vector", "hht", "ssr", "indexmac")
 
-#: Kernel selector per series: (accel name, vlmax override or None).
+#: Kernel selector per series: (accel name, vlmax).
 _COMPARE_VARIANTS = {
     "scalar": (None, 1),
-    "vector": (None, None),
-    "hht": ("hht", None),
-    "ssr": ("ssr", None),
-    "indexmac": ("indexmac", None),
+    "vector": (None, 8),
+    "hht": ("hht", 8),
+    "ssr": ("ssr", 8),
+    "indexmac": ("indexmac", 8),
 }
 
 
 @lru_cache(maxsize=None)
-def accelerator_sweep(
-    size: int, vlmax: int = 8,
-    sparsities: tuple[float, ...] = SPARSITIES,
-) -> dict[str, tuple[int, ...]]:
+def accelerator_sweep(size: int) -> dict[str, tuple[int, ...]]:
     """SpMV cycles per series across the sparsity sweep, one batch.
 
     Every variant sees the *same* matrix/vector per sparsity point
     (shared seeds), so cycle ratios are pure architecture differences.
     """
     specs = []
-    for i, s in enumerate(sparsities):
+    for i, s in enumerate(SPARSITIES):
         for name in COMPARE_SERIES:
-            accel, vl = _COMPARE_VARIANTS[name]
+            accel, vlmax = _COMPARE_VARIANTS[name]
             specs.append(
                 spmv_spec(
-                    (size, size), s, accel=accel, vlmax=vl or vlmax,
+                    (size, size), s, accel=accel, vlmax=vlmax,
                     matrix_seed=_SEED + 800 + i,
                     vector_seed=_SEED + 810 + i,
                 )
@@ -207,7 +185,7 @@ def accelerator_sweep(
     n = len(COMPARE_SERIES)
     return {
         name: tuple(
-            summaries[i * n + j].cycles for i in range(len(sparsities))
+            summaries[i * n + j].cycles for i in range(len(SPARSITIES))
         )
         for j, name in enumerate(COMPARE_SERIES)
     }

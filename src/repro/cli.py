@@ -17,8 +17,6 @@ Commands:
 * ``timeline`` — run one workload with Timeline/Contention probes and
   print (or dump as JSON) the HHT buffer-fill timeline and the shared
   port's contention histogram; ``--sample N`` adds a stats time-series.
-* ``bench`` — run the headline suite, write schema-versioned JSON, and
-  optionally gate against a committed baseline (``--compare``).
 * ``cache`` — inspect the persistent result cache: ``info`` (shape),
   ``verify`` (read-only integrity scan; exit 1 on corruption) and
   ``prune`` (delete corrupt/stale/leftover files).
@@ -246,30 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           metavar="OUT",
                           help="write the sampled time-series as CSV "
                                "(implies --sample, default stride 1024)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the headline suite and write machine-readable results",
-    )
-    bench.add_argument("--out", type=Path, default=Path("BENCH_PR6.json"),
-                       help="where to write the bench JSON "
-                            "(default BENCH_PR6.json)")
-    bench.add_argument(
-        # SUPPRESS: only override the top-level --backend when given
-        # (a subparser default would clobber the parent's value).
-        "--backend", choices=("reference", "compiled"),
-        default=argparse.SUPPRESS,
-        help="execution backend for the suite (recorded in the JSON; "
-             "same as the global --backend but placeable after 'bench')",
-    )
-    bench.add_argument("--size", type=int, default=None,
-                       help="sweep matrix dimension (default 96, or the "
-                            "baseline's size when comparing)")
-    bench.add_argument("--compare", type=Path, default=None,
-                       metavar="BASELINE",
-                       help="diff against this bench JSON and exit 1 on "
-                            "regression")
-    _add_engine_args(bench)
 
     cache = sub.add_parser(
         "cache",
@@ -677,46 +651,6 @@ def _cmd_timeline(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Run the headline suite; optionally gate against a baseline."""
-    from .telemetry import (
-        GATE_RTOL,
-        collect_bench,
-        compare_bench,
-        load_bench,
-        write_bench,
-    )
-
-    baseline = None
-    size = args.size
-    if args.compare is not None:
-        baseline = load_bench(args.compare)
-        if size is None:
-            # Measure at the baseline's size so the diff is meaningful.
-            size = baseline.get("suite", {}).get("size")
-
-    data = collect_bench(size)
-    path = write_bench(data, args.out)
-    print(f"bench suite (size {data['suite']['size']}): "
-          f"{len(data['metrics'])} metrics in "
-          f"{data['host']['wall_seconds']:.2f}s -> {path}")
-
-    if baseline is None:
-        return 0
-    failures, report = compare_bench(data, baseline)
-    print(f"compare vs {args.compare} (gated metrics exact to "
-          f"{GATE_RTOL:g} relative):")
-    for line in report:
-        print(f"  {line}")
-    if failures:
-        print(f"REGRESSION: {len(failures)} check(s) failed")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print("all gated metrics within threshold")
-    return 0
-
-
 def _cmd_cache(args) -> int:
     """Inspect or repair the persistent result cache."""
     import json
@@ -876,7 +810,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "trace": _cmd_trace,
     "timeline": _cmd_timeline,
-    "bench": _cmd_bench,
     "cache": _cmd_cache,
     "obs": _cmd_obs,
     "compare": _cmd_compare,

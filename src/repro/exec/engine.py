@@ -204,7 +204,7 @@ class ExecStats:
         return line
 
     def as_dict(self) -> dict:
-        """JSON-able snapshot (the bench harness records one per run)."""
+        """JSON-able snapshot (the obs log records one per sweep)."""
         return {
             "executed": self.executed,
             "cached": self.cached,

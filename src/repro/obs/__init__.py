@@ -55,20 +55,7 @@ from .log import (
 from .metrics import parse_metrics, render_metrics
 from .progress import ProgressLine
 from .summary import SpecRecord, SweepSummary, format_event, percentile
-
-#: Names served lazily from :mod:`repro.obs.trace` — the trace exporter
-#: pulls in :mod:`repro.telemetry`, whose bench harness imports
-#: :mod:`repro.exec`, and the engine imports this package at module
-#: scope; deferring the import keeps that chain acyclic.
-_TRACE_NAMES = ("SWEEP_TRACE_SCHEMA", "sweep_trace", "write_sweep_trace")
-
-
-def __getattr__(name: str):
-    if name in _TRACE_NAMES:
-        from . import trace
-
-        return getattr(trace, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .trace import SWEEP_TRACE_SCHEMA, sweep_trace, write_sweep_trace
 
 __all__ = [
     "DRIVER_EVENTS",

@@ -33,7 +33,8 @@ from .conservation import assert_fifo_conserved, assert_port_conserved
 # single-buffer and CSR-firmware runs from commit c86d775, whose HHT
 # streams staged and popped every element on its own.  The banked and
 # L1D runs (commit bc2f4c7) take the per-element gather path, which the
-# flat Table-1 runs never reach.
+# flat Table-1 runs never reach.  The SSR runs (commit 256ab9a) pin the
+# SSR front-end's pop and lookahead timing.
 GOLDEN_RUNS = {
     "spmv_base": {
         "cycles": 3583,
@@ -102,6 +103,16 @@ GOLDEN_RUNS = {
         "instructions": 853,
         "stats_sha": "5f591848f247e0636e9b4ca03d9a8ad3c268a8073913e3b33929887c476a257e",
     },
+    "spmv_ssr": {
+        "cycles": 2701,
+        "instructions": 831,
+        "stats_sha": "f8fc8976a54cec0dcc6a8e25df717744592be81e3568282ce4e8664981f9358f",
+    },
+    "spmspv_ssr": {
+        "cycles": 2860,
+        "instructions": 834,
+        "stats_sha": "3a0edf12bf7702b78bb1dffdc988b6ed559339064dc4de6e14fda5ade4c2031e",
+    },
 }
 
 GOLDEN_SCALAR_TRACE = """\
@@ -161,8 +172,8 @@ def _run(label, workload):
         return run_spmv(matrix, v, accel="hht").result
     if label == "spmv_hht_n1":
         return run_spmv(matrix, v, accel="hht", n_buffers=1).result
-    if label == "spmv_indexmac":
-        return run_spmv(matrix, v, accel="indexmac").result
+    if label in ("spmv_indexmac", "spmv_ssr"):
+        return run_spmv(matrix, v, accel=label.removeprefix("spmv_")).result
     if label == "spmv_programmable_csr":
         return run_spmv_programmable(matrix, v, format_name="csr").result
     if label == "spmspv_hht_v1_n1":
