@@ -18,7 +18,7 @@ def test_ext_energy_breakdown(benchmark, record_table):
         v = random_dense_vector(192, seed=801)
         base = run_spmv(matrix, v, accel=None)
         hht = run_spmv(matrix, v, accel="hht")
-        table = breakdown_table(base.result, hht.result)
+        table = breakdown_table(base, hht)
         table._runs = (base, hht)
         return table
 
@@ -26,8 +26,8 @@ def test_ext_energy_breakdown(benchmark, record_table):
     record_table(table, "ext_energy_breakdown")
 
     base, hht = table._runs
-    b = energy_breakdown(base.result, with_hht=False)
-    h = energy_breakdown(hht.result)
+    b = energy_breakdown(base, with_hht=False)
+    h = energy_breakdown(hht)
     assert h.total_uj < b.total_uj                  # net saving
     assert h.cpu_memory_uj < b.cpu_memory_uj        # traffic moved off CPU
     assert h.hht_memory_uj > 0                      # …onto the HHT

@@ -39,9 +39,9 @@ def main() -> None:
     speedup = base.cycles / hht.cycles
     print("dense activations (SpMV):")
     print(f"  baseline : {base.cycles:,} cycles "
-          f"({base.result.seconds * 1e6:.1f} us @ 1.1 GHz)")
+          f"({base.seconds * 1e6:.1f} us @ 1.1 GHz)")
     print(f"  with HHT : {hht.cycles:,} cycles "
-          f"({hht.result.seconds * 1e6:.1f} us @ 1.1 GHz)")
+          f"({hht.seconds * 1e6:.1f} us @ 1.1 GHz)")
     print(f"  speedup  : {speedup:.2f}x  (paper Fig. 9: 1.53-1.92x)")
 
     cmp = energy_comparison(base.cycles, hht.cycles)
@@ -62,7 +62,7 @@ def main() -> None:
           f"({sbase.cycles / sv2.cycles:.2f}x)")
     print(f"  HHT variant-1      : {sv1.cycles:,} cycles "
           f"({sbase.cycles / sv1.cycles:.2f}x, CPU idle "
-          f"{sv1.result.cpu_wait_fraction:.0%})\n")
+          f"{sv1.cpu_wait_fraction:.0%})\n")
 
     # --- verify the logits ---
     ref = weights.to_dense().astype(np.float64) @ activations.astype(np.float64)

@@ -43,14 +43,14 @@ def main() -> None:
           f"{'-':>9}")
     print(f"{'asic-hht':<14} {'csr':<10} {asic.cycles:>9,} "
           f"{base.cycles / asic.cycles:>7.2f}x "
-          f"{asic.result.cpu_wait_fraction:>9.0%}")
+          f"{asic.cpu_wait_fraction:>9.0%}")
 
     for fmt in SUPPORTED_FORMATS:
         run = run_spmv_programmable(matrix, v, format_name=fmt)
         assert np.allclose(run.y, ref, rtol=1e-4)
         print(f"{'prog-hht':<14} {fmt:<10} {run.cycles:>9,} "
               f"{base.cycles / run.cycles:>7.2f}x "
-              f"{run.result.cpu_wait_fraction:>9.0%}")
+              f"{run.cpu_wait_fraction:>9.0%}")
 
     print(f"""
 take-aways (cf. the paper's Sections 6-7):

@@ -53,20 +53,20 @@ def main() -> None:
     print("running CPU-only baseline (vector indexed-gather loads) ...")
     base = run_spmv(matrix, v, accel=None)
     print(f"  cycles = {base.cycles:,}   instructions = "
-          f"{base.result.instructions:,}")
+          f"{base.instructions:,}")
 
     print("running with the HHT streaming gathered vector values ...")
     hht = run_spmv(matrix, v, accel="hht")
     print(f"  cycles = {hht.cycles:,}   instructions = "
-          f"{hht.result.instructions:,}")
+          f"{hht.instructions:,}")
 
     print(f"\nspeedup                 : {base.cycles / hht.cycles:.2f}x "
           f"(paper Fig. 4: ~1.7x)")
-    print(f"CPU wait for HHT        : {hht.result.cpu_wait_fraction:.2%} "
+    print(f"CPU wait for HHT        : {hht.cpu_wait_fraction:.2%} "
           f"of cycles (paper Fig. 6: rarely waits)")
-    print(f"HHT idle (waiting CPU)  : {hht.result.hht_wait_cycles:,} cycles")
-    print(f"memory requests (cpu)   : {hht.result.port_requests.get('cpu', 0):,}")
-    print(f"memory requests (hht)   : {hht.result.port_requests.get('hht', 0):,}")
+    print(f"HHT idle (waiting CPU)  : {hht.hht_wait_cycles:,} cycles")
+    print(f"memory requests (cpu)   : {hht.port_requests.get('cpu', 0):,}")
+    print(f"memory requests (hht)   : {hht.port_requests.get('hht', 0):,}")
 
     # Both versions compute the same float32 result.
     assert np.array_equal(base.y, hht.y)

@@ -37,11 +37,11 @@ def main(size: int = 96) -> None:
 
         print(f"{s:>8.0%}"
               f"  {spmv_base.cycles / spmv_hht.cycles:>5.2f}x"
-              f"  {spmv_hht.result.cpu_wait_fraction:>6.1%}"
+              f"  {spmv_hht.cpu_wait_fraction:>6.1%}"
               f"  {sp_base.cycles / sp_v1.cycles:>8.2f}x"
-              f"  {sp_v1.result.cpu_wait_fraction:>7.1%}"
+              f"  {sp_v1.cpu_wait_fraction:>7.1%}"
               f"  {sp_base.cycles / sp_v2.cycles:>8.2f}x"
-              f"  {sp_v2.result.cpu_wait_fraction:>7.1%}")
+              f"  {sp_v2.cpu_wait_fraction:>7.1%}")
 
     print("""
 reading the shapes (cf. the paper):

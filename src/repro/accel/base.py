@@ -9,8 +9,6 @@ contributes everything one accelerator family needs across the stack:
   assembler symbols;
 * ISA hooks — instructions the front-end's kernels use are gated on the
   CPU attachment the builder installs (``cpu.ssr`` / ``cpu.indexmac``);
-* kernel variants, resolved through :meth:`kernel` (which delegates to
-  the builders in :mod:`repro.kernels`);
 * a power/area contribution (:meth:`power` / :meth:`gates`);
 * config-summary lines for ``SystemConfig.describe()`` / ``repro info``.
 
@@ -107,24 +105,6 @@ class AcceleratorFrontEnd:
     def build(self, ctx: BuildContext) -> int:
         """Attach one instance; return the MMIO bytes claimed (0 if none)."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Kernels
-    # ------------------------------------------------------------------
-    def kernel(self, name: str, *, vector: bool) -> str:
-        """Assembly text of this front-end's *name* kernel variant."""
-        if name == "spmv":
-            from ..kernels.spmv import spmv_kernel
-
-            return spmv_kernel(accel=self.kind, vector=vector)
-        if name == "spmspv":
-            from ..kernels.spmspv import spmspv_kernel
-
-            return spmspv_kernel(mode=self.spmspv_mode, vector=vector)
-        raise ValueError(f"{self.kind!r} front-end has no {name!r} kernel")
-
-    #: Mode string passed to ``spmspv_kernel`` for this front-end.
-    spmspv_mode: str = ""
 
     # ------------------------------------------------------------------
     # Config summary (SystemConfig.describe / repro info)

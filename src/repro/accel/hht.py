@@ -43,7 +43,6 @@ _MMR_OFFSETS = {
 class HHTFrontEnd(AcceleratorFrontEnd):
     kind = "hht"
     instances_label = "HHT"
-    spmspv_mode = "hht_v2"
 
     def build(self, ctx: BuildContext) -> int:
         hht = HHT(ctx.config.hht, ctx.ram, ctx.mem, name=ctx.name)

@@ -47,7 +47,6 @@ class IndexMACUnit(SimComponent):
 class IndexMACFrontEnd(AcceleratorFrontEnd):
     kind = "indexmac"
     instances_label = "IndexMAC"
-    spmspv_mode = "indexmac"
 
     def build(self, ctx: BuildContext) -> int:
         unit = IndexMACUnit(name=ctx.name)

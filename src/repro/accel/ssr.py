@@ -254,7 +254,6 @@ class SSRUnit(SimComponent):
 class SSRFrontEnd(AcceleratorFrontEnd):
     kind = "ssr"
     instances_label = "SSR"
-    spmspv_mode = "ssr"
 
     def build(self, ctx: BuildContext) -> int:
         unit = SSRUnit(

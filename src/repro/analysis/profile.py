@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..formats.csr import CSRMatrix
+from ..formats.sparse_vector import SparseVector
 from ..instrument.probes import PcProfileProbe
 from ..isa.program import Program
-from ..kernels.spmspv import spmspv_kernel
-from ..kernels.spmv import spmv_kernel
-from ..system.config import run_config
-from ..system.soc import RunResult, Soc
-from .runners import _make_soc, _required_ram
+from ..system.soc import RunSummary
+from .runners import run_spmspv, run_spmv
 from .tables import Table
 
 
@@ -44,7 +42,7 @@ class KernelProfile:
     """Full profile of one kernel execution."""
 
     program: Program
-    result: RunResult
+    result: RunSummary
     lines: list[LineProfile]
 
     @property
@@ -82,9 +80,9 @@ class KernelProfile:
         return table
 
 
-def profile_program(soc: Soc, program: Program) -> KernelProfile:
-    """Run *program* with a per-instruction profiling probe attached."""
-    result = soc.run(program, probes=(PcProfileProbe(),))
+def _profile(probe: PcProfileProbe, result: RunSummary) -> KernelProfile:
+    """Attribute the cycles of a run *probe* profiled to its lines."""
+    program = probe.program
     stats = result.cpu_stats
     total = max(result.cycles, 1)
     lines = [
@@ -113,40 +111,27 @@ def profile_spmv(
 
     ``accel`` names the front-end as in :func:`.runners.run_spmv`.
     """
-    config = run_config(None, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
-    soc = _make_soc(config, _required_ram(matrix))
-    soc.load_csr(matrix)
-    soc.load_dense_vector(np.ascontiguousarray(v, dtype=np.float32))
-    soc.allocate_output(matrix.nrows)
-    program = soc.assemble(
-        spmv_kernel(accel=accel, vector=vlmax > 1),
-        name=f"spmv_{accel or 'baseline'}_vl{vlmax}",
-    )
-    return profile_program(soc, program)
+    probe = PcProfileProbe()
+    return _profile(probe, run_spmv(matrix, v, accel=accel, vlmax=vlmax,
+                                    n_buffers=n_buffers, probes=(probe,)))
 
 
 def profile_spmspv(
     matrix: CSRMatrix,
-    sv,
+    sv: SparseVector,
     *,
     mode: str = "baseline",
     vlmax: int = 8,
     n_buffers: int = 2,
 ) -> KernelProfile:
-    """Profile one SpMSpV kernel run."""
-    config = run_config(None, vlmax=vlmax, n_buffers=n_buffers)
-    soc = _make_soc(config, _required_ram(matrix, extra_words=3 * sv.n))
-    soc.load_csr(matrix)
-    soc.load_sparse_vector(sv)
-    soc.allocate_output(matrix.nrows)
-    program = soc.assemble(
-        spmspv_kernel(mode=mode, vector=vlmax > 1),
-        name=f"spmspv_{mode}_vl{vlmax}",
-    )
-    return profile_program(soc, program)
+    """Profile one SpMSpV kernel run (``mode`` as in
+    :func:`.runners.run_spmspv`)."""
+    probe = PcProfileProbe()
+    return _profile(probe, run_spmspv(matrix, sv, mode=mode, vlmax=vlmax,
+                                      n_buffers=n_buffers, probes=(probe,)))
 
 
-def cycle_breakdown(result: RunResult) -> Table:
+def cycle_breakdown(result: RunSummary) -> Table:
     """Per-instruction-class cycle breakdown of any run (no profiling)."""
     table = Table(
         f"cycle breakdown ({result.cycles:,} cycles)",

@@ -1,9 +1,10 @@
-"""Result serialisation: runs and tables to/from JSON.
+"""Table serialisation to and from JSON.
 
 Experiment campaigns want machine-readable artifacts alongside the
-printable tables; this module flattens :class:`RunResult` and
-:class:`Table` objects into plain JSON documents (and reads tables back
-for longitudinal comparisons).
+printable tables; this module flattens :class:`Table` objects into
+plain JSON documents (and reads them back for longitudinal
+comparisons).  A run serialises itself: see
+:meth:`~repro.system.soc.RunSummary.to_json_dict`.
 """
 
 from __future__ import annotations
@@ -12,32 +13,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..system.soc import RunResult
 from .tables import Table
 
 SCHEMA_VERSION = 1
-
-
-def run_result_to_dict(result: RunResult) -> dict[str, Any]:
-    """Flatten a run's statistics into JSON-serialisable primitives."""
-    stats = result.cpu_stats
-    return {
-        "schema": SCHEMA_VERSION,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "seconds": result.seconds,
-        "frequency_hz": result.frequency_hz,
-        "cpu_wait_cycles": result.cpu_wait_cycles,
-        "cpu_wait_fraction": result.cpu_wait_fraction,
-        "hht_wait_cycles": result.hht_wait_cycles,
-        "hht_stats": dict(result.hht_stats),
-        "port_requests": dict(result.port_requests),
-        "class_counts": dict(stats.class_counts),
-        "class_cycles": dict(stats.class_cycles),
-        "taken_branches": stats.taken_branches,
-        "cache_stats": result.cache_stats,
-        "stats": dict(result.stats),
-    }
 
 
 def table_to_dict(table: Table) -> dict[str, Any]:
@@ -74,8 +52,3 @@ def save_table(table: Table, path: str | Path) -> Path:
 def load_table(path: str | Path) -> Table:
     return table_from_dict(json.loads(Path(path).read_text()))
 
-
-def save_run(result: RunResult, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(run_result_to_dict(result), indent=2))
-    return path

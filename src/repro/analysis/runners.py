@@ -1,8 +1,12 @@
-"""Single-kernel run helpers shared by tests, examples and the harness."""
+"""Single-kernel runs: the one place that builds, loads, assembles and
+runs a kernel on a :class:`~repro.system.soc.Soc`.
+
+The sweep executor, the profiler, the ``trace``/``timeline`` commands,
+the tests and the examples all run kernels through these three
+functions, and every one returns a :class:`~repro.system.soc.RunSummary`.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,28 +24,12 @@ from ..kernels.multicore import (
 from ..kernels.programmable import SUPPORTED_FORMATS, programmable_consumer
 from ..kernels.spmspv import spmspv_kernel
 from ..kernels.spmv import spmv_kernel
-from ..system.config import SystemConfig, run_config
-from ..system.soc import RunResult, Soc
+from ..system.config import SPMSPV_ACCEL, SystemConfig, run_config
+from ..system.soc import RunSummary, Soc
 
 
 class VerificationError(AssertionError):
     """Simulated kernel output does not match the functional reference."""
-
-
-#: SpMSpV kernel mode -> accelerator front-end kind it depends on.
-_SPMSPV_ACCEL = {"ssr": "ssr", "indexmac": "indexmac"}
-
-
-@dataclass
-class KernelRun:
-    """A run's statistics plus its extracted output vector."""
-
-    result: RunResult
-    y: np.ndarray
-
-    @property
-    def cycles(self) -> int:
-        return self.result.cycles
 
 
 def _make_soc(config: SystemConfig, ram_bytes: int | None) -> Soc:
@@ -68,6 +56,27 @@ def _required_ram(matrix: CSRMatrix, extra_words: int = 0) -> int | None:
     return size
 
 
+def _partition(soc: Soc, nrows: int) -> None:
+    """Define every core's row-block bounds for the multi-core kernels."""
+    for name, value in partition_rows(nrows, soc.config.n_cores).items():
+        soc.define_symbol(name, value)
+
+
+def _finish(soc: Soc, text: str, name: str, matrix, x, *,
+            verify: bool, probes: tuple) -> RunSummary:
+    """The shared tail: assemble *text* as program *name*, run it, read
+    ``y`` and, with *verify*, check it against ``matrix @ x`` in float64
+    (``x`` is the dense or sparse right-hand side)."""
+    summary = soc.run(soc.assemble(text, name=name), probes=probes)
+    summary.y = soc.read_output("y", matrix.nrows)
+    if verify:
+        dense = x.to_dense() if isinstance(x, SparseVector) else x
+        ref = matrix.to_dense().astype(np.float64) @ np.asarray(dense, np.float64)
+        if not np.allclose(summary.y, ref, rtol=1e-3, atol=1e-4):
+            raise VerificationError(f"{name} kernel output mismatch")
+    return summary
+
+
 def run_spmv(
     matrix: CSRMatrix,
     v: np.ndarray,
@@ -77,13 +86,15 @@ def run_spmv(
     n_buffers: int | None = None,
     verify: bool = True,
     config: SystemConfig | None = None,
-) -> KernelRun:
+    probes: tuple = (),
+) -> RunSummary:
     """Run one SpMV kernel (vectorised iff the config's ``vlmax > 1``).
 
     ``accel`` selects the front-end by name (``"hht"``, ``"ssr"``,
     ``"indexmac"``, or None for the pure-CPU baseline).  ``vlmax`` and
     ``n_buffers`` shape the default Table-1 system when no ``config`` is
-    given.
+    given.  ``probes`` attach to the run as in :meth:`Soc.run`.  The
+    program is named ``spmv_<accel>`` (``spmv_baseline`` without one).
     """
     config = run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
     vector = config.cpu.vlmax > 1
@@ -92,26 +103,12 @@ def run_spmv(
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
     if config.n_cores > 1:
-        if accel is not None:
-            raise ValueError(
-                "multi-core SpMV runs the pure-CPU row-partitioned "
-                f"baseline; accel={accel!r} is single-core only"
-            )
-        for name, value in partition_rows(
-            matrix.nrows, config.n_cores
-        ).items():
-            soc.define_symbol(name, value)
+        _partition(soc, matrix.nrows)
         text = spmv_multicore_kernel(config.n_cores, vector=vector)
     else:
         text = spmv_kernel(accel=accel, vector=vector)
-    program = soc.assemble(text)
-    result = soc.run(program)
-    y = soc.read_output("y", matrix.nrows)
-    if verify:
-        ref = matrix.to_dense().astype(np.float64) @ np.asarray(v, np.float64)
-        if not np.allclose(y, ref, rtol=1e-3, atol=1e-4):
-            raise VerificationError("SpMV kernel output mismatch")
-    return KernelRun(result, y)
+    return _finish(soc, text, f"spmv_{accel or 'baseline'}", matrix, v,
+                   verify=verify, probes=probes)
 
 
 def run_spmv_programmable(
@@ -123,20 +120,22 @@ def run_spmv_programmable(
     n_buffers: int | None = None,
     verify: bool = True,
     config: SystemConfig | None = None,
-) -> KernelRun:
+    probes: tuple = (),
+) -> RunSummary:
     """Run SpMV on the *programmable* HHT with format-specific firmware.
 
     The matrix is converted to the requested representation, its memory
     image is placed in RAM, the matching firmware from
     :mod:`repro.kernels.firmware` is installed on the helper core, and
-    the primary CPU runs the uniform count/pair consumer kernel.
+    the primary CPU runs the uniform count/pair consumer kernel, named
+    ``spmv_programmable_<format_name>``.
     """
     if format_name not in SUPPORTED_FORMATS:
         raise ValueError(
             f"no firmware for format {format_name!r}; supported: "
             f"{SUPPORTED_FORMATS}"
         )
-    config = run_config(config, vlmax=vlmax, n_buffers=n_buffers)
+    config = run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel="hht")
     soc = _make_soc(config, _required_ram(matrix, extra_words=matrix.nnz))
     if format_name == "csr":
         soc.load_csr(matrix)
@@ -156,18 +155,9 @@ def run_spmv_programmable(
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
     soc.hht.load_firmware(FIRMWARES[format_name]())
-    program = soc.assemble(
-        programmable_consumer(format_name, vector=config.cpu.vlmax > 1)
-    )
-    result = soc.run(program)
-    y = soc.read_output("y", matrix.nrows)
-    if verify:
-        ref = matrix.to_dense().astype(np.float64) @ np.asarray(v, np.float64)
-        if not np.allclose(y, ref, rtol=1e-3, atol=1e-4):
-            raise VerificationError(
-                f"programmable SpMV ({format_name}) output mismatch"
-            )
-    return KernelRun(result, y)
+    text = programmable_consumer(format_name, vector=config.cpu.vlmax > 1)
+    return _finish(soc, text, f"spmv_programmable_{format_name}", matrix, v,
+                   verify=verify, probes=probes)
 
 
 def run_spmspv(
@@ -179,8 +169,9 @@ def run_spmspv(
     n_buffers: int | None = None,
     verify: bool = True,
     config: SystemConfig | None = None,
-) -> KernelRun:
-    """Run one SpMSpV kernel.
+    probes: tuple = (),
+) -> RunSummary:
+    """Run one SpMSpV kernel, named ``spmspv_<mode>``.
 
     ``mode`` is one of ``'baseline'``, ``'hht_v1'``, ``'hht_v2'``,
     ``'ssr'``, ``'indexmac'``.  ``vlmax`` and ``n_buffers`` shape the
@@ -188,7 +179,7 @@ def run_spmspv(
     """
     config = run_config(
         config, vlmax=vlmax, n_buffers=n_buffers,
-        accel=_SPMSPV_ACCEL.get(mode),
+        accel=SPMSPV_ACCEL.get(mode),
     )
     vector = config.cpu.vlmax > 1
     soc = _make_soc(config, _required_ram(matrix, extra_words=3 * sv.n))
@@ -196,23 +187,9 @@ def run_spmspv(
     soc.load_sparse_vector(sv)
     soc.allocate_output(matrix.nrows)
     if config.n_cores > 1:
-        if mode != "baseline":
-            raise ValueError(
-                "multi-core SpMSpV runs the pure-CPU row-partitioned "
-                f"baseline; mode={mode!r} is single-core only"
-            )
-        for name, value in partition_rows(
-            matrix.nrows, config.n_cores
-        ).items():
-            soc.define_symbol(name, value)
+        _partition(soc, matrix.nrows)
         text = spmspv_multicore_kernel(config.n_cores, vector=vector)
     else:
         text = spmspv_kernel(mode=mode, vector=vector)
-    program = soc.assemble(text)
-    result = soc.run(program)
-    y = soc.read_output("y", matrix.nrows)
-    if verify:
-        ref = matrix.to_dense().astype(np.float64) @ sv.to_dense().astype(np.float64)
-        if not np.allclose(y, ref, rtol=1e-3, atol=1e-4):
-            raise VerificationError(f"SpMSpV kernel ({mode}) output mismatch")
-    return KernelRun(result, y)
+    return _finish(soc, text, f"spmspv_{mode}", matrix, sv,
+                   verify=verify, probes=probes)

@@ -1,7 +1,6 @@
 """Instruction-level execution tracing (kernel debugging aid).
 
-``trace_program`` runs a program inside a
-:class:`~repro.instrument.SimSession` with a
+``trace_program`` runs a program through :meth:`Soc.run` with a
 :class:`~repro.instrument.TraceProbe` attached and returns its
 :class:`TraceEntry` list — index, mnemonic, cycle interval, and the
 destination register's value after the write.  Traces can be bounded
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from ..instrument.probes import TraceEntry, TraceProbe
 from ..instrument.render import render_trace
-from ..instrument.session import SimSession
 from ..isa.program import Program
 from ..system.soc import Soc
 
@@ -30,11 +28,9 @@ def trace_program(
     """Execute *program* on *soc*, recording up to *limit* entries.
 
     ``only`` restricts recording to the given mnemonics (execution still
-    covers everything).  The run stops at ``halt`` or after *limit*
-    recorded entries — partial traces leave the Soc mid-program, so use
-    a fresh Soc for timing measurements afterwards.
+    covers everything).  The run stops at ``halt`` (on every core of a
+    multi-core SoC) or after *limit* recorded entries.
     """
-    soc.reset()  # the whole component tree, cache tags included
     probe = TraceProbe(limit=limit, only=only)
-    SimSession(soc.cpu, program, probes=(probe,), system=soc).run()
+    soc.run(program, probes=(probe,))
     return probe.entries

@@ -381,7 +381,7 @@ def _cmd_spmv(args) -> int:
                    n_buffers=args.buffers)
     print(f"  ASIC HHT : {hht.cycles:>10,} cycles  "
           f"({base.cycles / hht.cycles:.2f}x, "
-          f"CPU wait {hht.result.cpu_wait_fraction:.1%})")
+          f"CPU wait {hht.cpu_wait_fraction:.1%})")
     if args.programmable:
         prog = run_spmv_programmable(
             matrix, v, format_name=args.programmable, vlmax=args.vl,
@@ -389,7 +389,7 @@ def _cmd_spmv(args) -> int:
         )
         print(f"  prog HHT : {prog.cycles:>10,} cycles  "
               f"({base.cycles / prog.cycles:.2f}x, "
-              f"CPU wait {prog.result.cpu_wait_fraction:.1%}) "
+              f"CPU wait {prog.cpu_wait_fraction:.1%}) "
               f"[{args.programmable} firmware]")
     return 0
 
@@ -409,7 +409,7 @@ def _cmd_spmspv(args) -> int:
         run = run_spmspv(matrix, sv, mode=mode, n_buffers=args.buffers)
         print(f"  {label} : {run.cycles:>10,} cycles  "
               f"({base.cycles / run.cycles:.2f}x, "
-              f"CPU wait {run.result.cpu_wait_fraction:.1%})")
+              f"CPU wait {run.cpu_wait_fraction:.1%})")
     return 0
 
 
@@ -500,7 +500,7 @@ def _cmd_stats(args) -> int:
         v = random_dense_vector(n, seed=args.seed + 1)
         accel = "hht" if args.kernel == "spmv" and not multicore else None
         run = run_spmv(matrix, v, accel=accel, config=cfg)
-    stats = run.result.stats
+    stats = run.stats
 
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -531,52 +531,35 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _workload_program(args):
-    """Build the (soc, program) pair the trace/timeline commands run.
+def _run_workload(args, probes: tuple):
+    """Run the workload the trace/timeline commands observe.
 
-    Mirrors the single-kernel runners: paper Table-1 system, synthetic
-    operands from the given seed, HHT-assisted kernel unless the
-    baseline was requested.
+    The paper Table-1 system, synthetic operands from the given seed,
+    and the HHT-assisted kernel unless the baseline was requested, run
+    through the kernel runners without verification.  Returns the name
+    the runner gives the program (``<kernel>_<variant>``) and the run.
     """
-    from .analysis.runners import _make_soc, _required_ram
-    from .kernels.spmspv import spmspv_kernel
-    from .kernels.spmv import spmv_kernel
-    from .system.config import SystemConfig
+    from .analysis.runners import run_spmspv, run_spmv
     from .workloads import random_csr, random_dense_vector, random_sparse_vector
 
     n = args.size
     matrix = random_csr((n, n), args.sparsity, seed=args.seed)
     if args.kernel == "spmspv":
         sv = random_sparse_vector(n, args.sparsity, seed=args.seed + 1)
-        soc = _make_soc(
-            SystemConfig.paper_table1(),
-            _required_ram(matrix, extra_words=3 * sv.n),
+        return "spmspv_hht_v2", run_spmspv(
+            matrix, sv, mode="hht_v2", verify=False, probes=probes
         )
-        soc.load_csr(matrix)
-        soc.load_sparse_vector(sv)
-        soc.allocate_output(matrix.nrows)
-        program = soc.assemble(
-            spmspv_kernel(mode="hht_v2", vector=True), name="spmspv_hht_v2"
-        )
-    else:
-        hht = args.kernel == "spmv"
-        v = random_dense_vector(n, seed=args.seed + 1)
-        soc = _make_soc(SystemConfig.paper_table1(), _required_ram(matrix))
-        soc.load_csr(matrix)
-        soc.load_dense_vector(v)
-        soc.allocate_output(matrix.nrows)
-        program = soc.assemble(
-            spmv_kernel(accel="hht" if hht else None, vector=True),
-            name=f"spmv_{'hht' if hht else 'baseline'}",
-        )
-    return soc, program
+    accel = "hht" if args.kernel == "spmv" else None
+    v = random_dense_vector(n, seed=args.seed + 1)
+    return f"spmv_{accel or 'baseline'}", run_spmv(
+        matrix, v, accel=accel, verify=False, probes=probes
+    )
 
 
 def _cmd_trace(args) -> int:
     """Trace one workload's execution, instruction by instruction."""
     from .instrument import TraceProbe, render_trace
 
-    soc, program = _workload_program(args)
     only = None
     if args.only:
         only = {op.strip() for op in args.only.split(",") if op.strip()}
@@ -585,12 +568,12 @@ def _cmd_trace(args) -> int:
         from .telemetry import ChromeTraceProbe, write_chrome_trace
 
         probe = ChromeTraceProbe(limit=args.limit)
-        result = soc.run(program, probes=(probe,))
+        name, result = _run_workload(args, (probe,))
         path = write_chrome_trace(probe.payload(), args.chrome)
         dropped = (f", {probe.dropped_instructions} instruction slices "
                    "dropped by --limit"
                    if probe.dropped_instructions else "")
-        print(f"{program.name}: {result.cycles:,} cycles, "
+        print(f"{name}: {result.cycles:,} cycles, "
               f"{result.instructions:,} instructions{dropped}")
         print(f"chrome trace written to {path} "
               "(open in https://ui.perfetto.dev)")
@@ -598,9 +581,9 @@ def _cmd_trace(args) -> int:
 
     limit = args.limit if args.limit is not None else 200
     probe = TraceProbe(limit=limit, only=only)
-    soc.run(program, probes=(probe,))
+    name, _ = _run_workload(args, (probe,))
     entries = probe.entries
-    print(f"{program.name}: {len(entries)} entries "
+    print(f"{name}: {len(entries)} entries "
           f"(limit {limit}"
           + (f", only {sorted(only)}" if only else "") + ")")
     print(render_trace(
@@ -615,14 +598,13 @@ def _cmd_timeline(args) -> int:
 
     from .instrument import ContentionProbe, TimelineProbe, render_timeline
 
-    soc, program = _workload_program(args)
     probes = [TimelineProbe(), ContentionProbe(bin_cycles=args.bin_cycles)]
     sampling = args.sample is not None or args.sample_csv is not None
     if sampling:
         from .telemetry import SamplerProbe
 
         probes.append(SamplerProbe(every=args.sample or 1024))
-    result = soc.run(program, probes=tuple(probes))
+    name, result = _run_workload(args, tuple(probes))
     if args.sample_csv is not None:
         from .telemetry import write_sampler_csv
 
@@ -634,7 +616,7 @@ def _cmd_timeline(args) -> int:
     if args.json:
         print(json.dumps(
             {
-                "program": program.name,
+                "program": name,
                 "cycles": result.cycles,
                 "instructions": result.instructions,
                 "probes": result.probe_payloads,
@@ -642,7 +624,7 @@ def _cmd_timeline(args) -> int:
             indent=2, sort_keys=True,
         ))
         return 0
-    print(f"{program.name}: {result.cycles:,} cycles, "
+    print(f"{name}: {result.cycles:,} cycles, "
           f"{result.instructions:,} instructions")
     print(render_timeline(
         result.probe_payloads["timeline"],

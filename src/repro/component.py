@@ -25,8 +25,8 @@ provided here and should not be overridden:
 
 The module also hosts the registry *views* that rebuild the legacy
 per-component stats shapes (``hht_stats`` dict, ``port_requests``,
-``cache_stats``) from a flat registry, shared by ``RunResult`` and the
-sweep engine's ``RunSummary`` so neither keeps duplicate bookkeeping.
+``cache_stats``) from a flat registry, so the run result
+(:class:`~repro.system.soc.RunSummary`) keeps no duplicate bookkeeping.
 """
 
 from __future__ import annotations

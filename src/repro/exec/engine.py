@@ -395,26 +395,64 @@ def _worker_init() -> None:
         signal.signal(signal.SIGTERM, _worker_sigterm)
 
 
+def _attempt(spec: RunSpec, *, key: str, fkey: str, label: str,
+             attempt: int, timeout: float | None, plan: FaultPlan,
+             in_worker: bool, obs) -> RunSummary:
+    """One attempt at one spec, the body the serial driver and the pool
+    workers share.
+
+    Logs ``attempt.start``, arms the per-spec :func:`_spec_alarm`,
+    injects any planned pre-execute fault, calls :func:`execute` and
+    logs ``attempt.ok`` or ``attempt.error`` with the attempt's wall
+    seconds; exceptions propagate.  *obs* is the driver's log or a
+    worker's per-pid writer (falsy: log nothing).  ``fkey`` is the
+    code-version-independent :func:`~repro.exec.cache.payload_key` that
+    fault rolls key on; ``key`` is the cache key (reported in errors,
+    and the obs correlation key).
+    """
+    obs = obs or None
+    if obs is not None:
+        obs.emit("attempt.start", key=key, label=label, attempt=attempt)
+    started = perf_counter()
+    try:
+        with _spec_alarm(timeout, key=key, label=label, attempt=attempt):
+            if plan.active:
+                inject_pre_execute(plan, fkey, attempt, label=label,
+                                   in_worker=in_worker, obs=obs,
+                                   event_key=key)
+            summary = execute(spec)
+    except BaseException as exc:
+        if obs is not None:
+            obs.emit(
+                "attempt.error", key=key, label=label, attempt=attempt,
+                category=getattr(exc, "category", type(exc).__name__),
+                seconds=round(perf_counter() - started, 6),
+                message=str(exc)[:200],
+            )
+        raise
+    if obs is not None:
+        obs.emit("attempt.ok", key=key, label=label, attempt=attempt,
+                 seconds=round(perf_counter() - started, 6))
+    return summary
+
+
 def _worker_attempt(spec: RunSpec, key: str, fkey: str, label: str,
                     attempt: int, timeout: float | None, faults_text: str,
                     crumb_dir: str, obs_dir: str = "",
                     sweep_id: str = "") -> RunSummary:
-    """One attempt at one spec, inside a pool worker.
+    """:func:`_attempt` inside a pool worker.
 
-    Drops a breadcrumb file first and removes it on any non-crash exit
-    (including executor-initiated SIGTERM): after a
+    Drops a breadcrumb file (named by ``fkey``) first and removes it on
+    any non-crash exit (including executor-initiated SIGTERM): after a
     ``BrokenProcessPool`` the surviving breadcrumbs name exactly the
     specs whose workers died, so the driver can attribute the crash
-    instead of penalising every in-flight spec.  ``fkey`` is the
-    code-version-independent :func:`~repro.exec.cache.payload_key`
-    (fault rolls and breadcrumbs key on it); ``key`` is the cache key
-    (reported in errors, and the obs correlation key).
+    instead of penalising every in-flight spec.
 
     With ``obs_dir`` set the worker also touches its heartbeat record
-    and appends ``attempt.start`` / ``attempt.ok`` / ``attempt.error``
-    (and any ``fault.injected``) to its own per-pid event file — every
-    line flushed, so a crash mid-attempt still leaves the attempt's
-    trail on disk.
+    around the attempt, and the attempt's events (and any
+    ``fault.injected``) go to its own per-pid event file — every line
+    flushed, so a crash mid-attempt still leaves the attempt's trail on
+    disk.  In a worker an injected crash really kills the process.
     """
     global _ACTIVE_CRUMB
     crumb: Path | None = None
@@ -432,35 +470,14 @@ def _worker_attempt(spec: RunSpec, key: str, fkey: str, label: str,
         writer = worker_writer(obs_dir, sweep_id)
         heartbeat_dir = os.path.join(obs_dir, HEARTBEAT_DIR)
         heartbeat_beat(heartbeat_dir, key=key, label=label, attempt=attempt)
-        writer.emit("attempt.start", key=key, label=label, attempt=attempt)
-    attempt_started = perf_counter()
     try:
-        with _spec_alarm(timeout, key=key, label=label, attempt=attempt):
-            plan = FaultPlan.parse(faults_text)
-            if plan.active:
-                inject_pre_execute(plan, fkey, attempt, label=label,
-                                   in_worker=True, obs=writer,
-                                   event_key=key)
-            summary = execute(spec)
-    except BaseException as exc:
-        if writer is not None:
-            writer.emit(
-                "attempt.error", key=key, label=label, attempt=attempt,
-                category=getattr(exc, "category", type(exc).__name__),
-                seconds=round(perf_counter() - attempt_started, 6),
-                message=str(exc)[:200],
-            )
-            heartbeat_clear(heartbeat_dir)
-        raise
-    else:
-        if writer is not None:
-            writer.emit(
-                "attempt.ok", key=key, label=label, attempt=attempt,
-                seconds=round(perf_counter() - attempt_started, 6),
-            )
-            heartbeat_clear(heartbeat_dir)
-        return summary
+        return _attempt(spec, key=key, fkey=fkey, label=label,
+                        attempt=attempt, timeout=timeout,
+                        plan=FaultPlan.parse(faults_text), in_worker=True,
+                        obs=writer)
     finally:
+        if writer is not None:
+            heartbeat_clear(heartbeat_dir)
         if crumb is not None:
             try:
                 crumb.unlink()
@@ -641,40 +658,18 @@ class _Driver:
             if p.ready_at > now:
                 time.sleep(p.ready_at - now)
             p.attempts += 1
-            if self.obs:
-                self.obs.emit("attempt.start", key=p.key, label=p.label,
-                              attempt=p.attempts)
-            attempt_started = perf_counter()
             try:
-                with _spec_alarm(self.policy.timeout, key=p.key,
-                                 label=p.label, attempt=p.attempts):
-                    if self.plan.active:
-                        # Serially a "crash" is simulated by raising —
-                        # killing this process would take the caller too.
-                        inject_pre_execute(self.plan, p.fkey, p.attempts,
-                                           label=p.label, in_worker=False,
-                                           obs=self.obs if self.obs else None,
-                                           event_key=p.key)
-                    summary = execute(p.spec)
+                # Serially a "crash" is simulated by raising — killing
+                # this process would take the caller too.
+                summary = _attempt(p.spec, key=p.key, fkey=p.fkey,
+                                   label=p.label, attempt=p.attempts,
+                                   timeout=self.policy.timeout,
+                                   plan=self.plan, in_worker=False,
+                                   obs=self.obs)
             except Exception as exc:
-                if self.obs:
-                    self.obs.emit(
-                        "attempt.error", key=p.key, label=p.label,
-                        attempt=p.attempts,
-                        category=getattr(exc, "category",
-                                         type(exc).__name__),
-                        seconds=round(perf_counter() - attempt_started, 6),
-                        message=str(exc)[:200],
-                    )
                 if self._handle_failure(p, self._wrap(p, exc)):
                     queue.append(p)
                 continue
-            if self.obs:
-                self.obs.emit(
-                    "attempt.ok", key=p.key, label=p.label,
-                    attempt=p.attempts,
-                    seconds=round(perf_counter() - attempt_started, 6),
-                )
             self._complete(p, summary)
 
     # -- pooled path -------------------------------------------------------

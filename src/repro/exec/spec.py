@@ -14,11 +14,12 @@ everything, it can be
 
 :func:`execute` is the single executor: given a spec it rebuilds the
 workload, runs the simulation through the standard
-:mod:`repro.analysis.runners` entry points and returns a lightweight,
-picklable :class:`RunSummary`.  Determinism is load-bearing — the same
-spec must always produce bit-identical cycles, statistics and output
-vectors, which is what makes cached and parallel runs indistinguishable
-from serial live runs (and is covered by tests/exec/).
+:mod:`repro.analysis.runners` entry points and returns the runner's
+picklable :class:`~repro.system.soc.RunSummary` unchanged.  Determinism
+is load-bearing — the same spec must always produce bit-identical
+cycles, statistics and output vectors, which is what makes cached and
+parallel runs indistinguishable from serial live runs (and is covered
+by tests/exec/).
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any
 
-import numpy as np
-
-from ..component import cache_stats_view, hht_stats_view, port_requests_view
-from ..system.config import SystemConfig, run_config
+from ..system.config import SPMSPV_ACCEL, SystemConfig, run_config
+from ..system.soc import RunSummary
 
 KERNELS = ("spmv", "spmspv", "spmv_programmable")
 WORKLOADS = ("synthetic", "corpus", "dnn")
@@ -50,14 +49,15 @@ def thaw_config(items: ConfigItems) -> SystemConfig:
 
 def _default_config_items(
     config: SystemConfig | None, vlmax: int | None, n_buffers: int | None,
-    accel: str | None = None,
+    accel: str | None,
 ) -> ConfigItems:
     """Freeze the run's config, materialising the named front-end if absent.
 
     Appending the accelerator *before* freezing means SSR/IndexMAC specs
     differ from HHT-only specs structurally (the ``accelerators.*``
     section), not just by variant string — their cache keys can never
-    alias.
+    alias.  :func:`run_config` also rejects an accelerator on a
+    multi-core system, so such a point fails here, before any sweep.
     """
     return freeze_config(
         run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
@@ -123,72 +123,6 @@ class RunSpec:
         return f"{core} {self.workload}:{self.name}"
 
 
-@dataclass
-class RunSummary:
-    """The picklable, cacheable outcome of one executed :class:`RunSpec`.
-
-    Carries the flat component-tree stats registry (everything the
-    experiment harness tabulates — cycles, wait cycles, per-requester
-    counts — is in there or derived from it as a view) plus the kernel's
-    output vector ``y`` so determinism is checkable end to end.
-    """
-
-    cycles: int
-    instructions: int
-    stats: dict[str, int | float]
-    frequency_hz: float
-    y: np.ndarray
-
-    @property
-    def cpu_wait_cycles(self) -> int:
-        return self.hht_stats.get("cpu_wait_cycles", 0)
-
-    @property
-    def hht_wait_cycles(self) -> int:
-        return self.hht_stats.get("hht_wait_cycles", 0)
-
-    @property
-    def hht_stats(self) -> dict[str, int]:
-        return hht_stats_view(self.stats)
-
-    @property
-    def port_requests(self) -> dict[str, int]:
-        return port_requests_view(self.stats)
-
-    @property
-    def cache_stats(self) -> dict[str, Any] | None:
-        return cache_stats_view(self.stats)
-
-    @property
-    def cpu_wait_fraction(self) -> float:
-        return self.cpu_wait_cycles / self.cycles if self.cycles else 0.0
-
-    @property
-    def seconds(self) -> float:
-        return self.cycles / self.frequency_hz
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "stats": dict(self.stats),
-            "frequency_hz": self.frequency_hz,
-            # float32 values are exactly representable as JSON floats.
-            "y": [float(x) for x in self.y],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "RunSummary":
-        return cls(
-            cycles=int(data["cycles"]),
-            instructions=int(data["instructions"]),
-            stats={k: (float(v) if isinstance(v, float) else int(v))
-                   for k, v in data["stats"].items()},
-            frequency_hz=float(data["frequency_hz"]),
-            y=np.asarray(data["y"], dtype=np.float32),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Spec factories (one per harness entry point)
 # ---------------------------------------------------------------------------
@@ -236,8 +170,7 @@ def spmspv_spec(
         ),
         matrix_seed=matrix_seed, vector_seed=vector_seed,
         config=_default_config_items(
-            config, vlmax, n_buffers,
-            accel=mode if mode in ("ssr", "indexmac") else None,
+            config, vlmax, n_buffers, accel=SPMSPV_ACCEL.get(mode),
         ),
         verify=verify,
     )
@@ -255,7 +188,8 @@ def programmable_spec(
         kernel="spmv_programmable", variant=format_name,
         rows=rows, cols=cols, sparsity=float(sparsity),
         matrix_seed=matrix_seed, vector_seed=vector_seed,
-        config=_default_config_items(config, vlmax, n_buffers), verify=verify,
+        config=_default_config_items(config, vlmax, n_buffers, accel="hht"),
+        verify=verify,
     )
 
 
@@ -268,7 +202,10 @@ def corpus_spec(
     return RunSpec(
         kernel="spmv", variant="hht" if hht else "baseline",
         workload="corpus", name=name, vector_seed=vector_seed,
-        config=_default_config_items(config, vlmax, n_buffers), verify=verify,
+        config=_default_config_items(
+            config, vlmax, n_buffers, accel="hht" if hht else None,
+        ),
+        verify=verify,
     )
 
 
@@ -283,7 +220,10 @@ def dnn_spec(
         kernel="spmv", variant="hht" if hht else "baseline",
         workload="dnn", name=network, dnn_rows=rows or 0,
         matrix_seed=matrix_seed, vector_seed=vector_seed,
-        config=_default_config_items(config, vlmax, n_buffers), verify=verify,
+        config=_default_config_items(
+            config, vlmax, n_buffers, accel="hht" if hht else None,
+        ),
+        verify=verify,
     )
 
 
@@ -319,28 +259,16 @@ def execute(spec: RunSpec) -> RunSummary:
     if spec.kernel == "spmspv":
         vs = spec.vector_sparsity if spec.vector_sparsity >= 0 else spec.sparsity
         sv = random_sparse_vector(matrix.ncols, vs, seed=spec.vector_seed)
-        run = run_spmspv(
+        return run_spmspv(
             matrix, sv, mode=spec.variant, verify=spec.verify, config=cfg,
         )
-    elif spec.kernel == "spmv":
-        v = random_dense_vector(matrix.ncols, seed=spec.vector_seed)
-        run = run_spmv(
+    v = random_dense_vector(matrix.ncols, seed=spec.vector_seed)
+    if spec.kernel == "spmv":
+        return run_spmv(
             matrix, v,
             accel=None if spec.variant == "baseline" else spec.variant,
             verify=spec.verify, config=cfg,
         )
-    else:  # spmv_programmable
-        v = random_dense_vector(matrix.ncols, seed=spec.vector_seed)
-        run = run_spmv_programmable(
-            matrix, v, format_name=spec.variant, verify=spec.verify,
-            config=cfg,
-        )
-
-    result = run.result
-    return RunSummary(
-        cycles=result.cycles,
-        instructions=result.instructions,
-        stats=dict(result.stats),
-        frequency_hz=result.frequency_hz,
-        y=np.asarray(run.y, dtype=np.float32),
+    return run_spmv_programmable(
+        matrix, v, format_name=spec.variant, verify=spec.verify, config=cfg,
     )

@@ -10,7 +10,7 @@ Shipped probes:
 * :class:`TraceProbe` — per-instruction execution trace (the engine
   behind :func:`repro.analysis.trace.trace_program`);
 * :class:`PcProfileProbe` — per-instruction-index cycle attribution
-  (the engine behind :func:`repro.analysis.profile.profile_program`);
+  (the engine behind :func:`repro.analysis.profile.profile_spmv`);
 * :class:`TimelineProbe` — HHT stream-occupancy / buffer-fill timeline
   plus FIFO-read stall events;
 * :class:`ContentionProbe` — shared-memory-port issue histogram binned
@@ -34,7 +34,7 @@ class Probe:
 
     The session only calls methods a subclass actually overrides, so an
     un-overridden event has zero per-event cost.  ``payload()`` is what
-    :class:`~repro.system.soc.RunResult` carries home under this probe's
+    :class:`~repro.system.soc.RunSummary` carries home under this probe's
     ``name``; return ``None`` (the default) to stay out of the result.
     """
 
@@ -142,12 +142,18 @@ class TraceProbe(Probe):
         self.truncated = False
         self._seq = 0
         self._cpu = None
+        self._cores: dict = {}
 
     def on_session_start(self, session) -> None:
         self._cpu = session.cpu
+        self._cores = {cpu.name: cpu for cpu in getattr(session, "cpus", ())}
         if self.limit <= 0 or len(self.entries) >= self.limit:
             self.truncated = True
             raise ProbeHalt
+
+    def on_core_select(self, core: str) -> None:
+        # Destination values are read from the core that retired them.
+        self._cpu = self._cores[core]
 
     def on_instruction(self, pc, ins, cycle_start, cycle_end) -> None:
         self._seq += 1
@@ -191,10 +197,13 @@ class PcProfileProbe(Probe):
     name = "pc_profile"
 
     def __init__(self):
+        #: The profiled program, whose instruction indices key the counts.
+        self.program = None
         self._counts: dict[int, int] | None = None
         self._cycles: dict[int, int] | None = None
 
     def on_session_start(self, session) -> None:
+        self.program = session.program
         stats = session.cpu.counters
         self._counts = stats.pc_counts
         self._cycles = stats.pc_cycles

@@ -1,12 +1,14 @@
 """The one canonical execution path: :class:`SimSession`.
 
-Every way of running a program on the simulated machine — ``Soc.run``,
-``Cpu.run``, the ``prepare``/``step_one`` single-stepper the
-programmable HHT's helper core uses, ``trace_program`` and
-``profile_program`` — is one ``SimSession``: resolve the entry point,
-pre-bind the handlers, then drive a single interpreter loop.  What used
-to be forked loops (profiling, tracing) is now a chain of per-event
-hooks contributed by :class:`~repro.instrument.probes.Probe` objects.
+Every way of running a program on the simulated machine — ``Soc.run``
+(which the kernel runners, ``trace_program`` and the profiler go
+through), ``Cpu.run`` and the ``prepare``/``step_one`` single-stepper
+the programmable HHT's helper core uses — is one ``SimSession`` (or,
+with several cores, one :class:`MultiCoreSession`): resolve the entry
+point, pre-bind the handlers, then drive a single interpreter loop.
+What used to be forked loops (profiling, tracing) is now a chain of
+per-event hooks contributed by :class:`~repro.instrument.probes.Probe`
+objects.
 
 The hook chains are built from *overridden* probe methods only, and the
 loop skips all hook bookkeeping when the chain is empty, so a session

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..system.soc import RunResult
+from ..system.soc import RunSummary
 from .power import DYNAMIC_SCALE, STATIC_SCALE, cpu_power, hht_power
 
 #: Switching energy per executed instruction at 16 nm, in picojoules.
@@ -95,7 +95,7 @@ class EnergyBreakdown:
 
 
 def energy_breakdown(
-    result: RunResult,
+    result: RunSummary,
     *,
     feature_nm: int = 16,
     clock_mhz: float = 50.0,
@@ -142,7 +142,7 @@ def energy_breakdown(
     )
 
 
-def breakdown_table(baseline: RunResult, hht: RunResult, **kw):
+def breakdown_table(baseline: RunSummary, hht: RunSummary, **kw):
     """Side-by-side activity-energy comparison of two runs."""
     from ..analysis.tables import Table
 

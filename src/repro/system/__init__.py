@@ -1,6 +1,6 @@
 """SoC composition and run infrastructure."""
 
 from .config import SystemConfig
-from .soc import RunResult, Soc
+from .soc import RunSummary, Soc
 
-__all__ = ["SystemConfig", "RunResult", "Soc"]
+__all__ = ["SystemConfig", "RunSummary", "Soc"]

@@ -256,6 +256,13 @@ class SystemConfig:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in lines)
 
 
+#: SpMSpV kernel mode -> the accelerator front-end its kernel needs
+#: (None for the pure-CPU baseline): the ``accel`` that the runner and
+#: the spec factory pass to :func:`run_config`.
+SPMSPV_ACCEL = {"baseline": None, "hht_v1": "hht", "hht_v2": "hht",
+                "ssr": "ssr", "indexmac": "indexmac"}
+
+
 def run_config(
     config: SystemConfig | None, *, vlmax: int | None = None,
     n_buffers: int | None = None, accel: str | None = None,
@@ -264,10 +271,12 @@ def run_config(
 
     ``vlmax``/``n_buffers`` shape the default Table-1 system only: a
     given *config* carries its own, so passing both is a ``TypeError``
-    rather than one system with two vector widths.  An SSR/IndexMAC
-    *accel* missing from the config is appended; the HHT and the
-    pure-CPU baseline need nothing, since every config builds an HHT
-    (legacy ``n_hhts`` view).
+    rather than one system with two vector widths.  *accel* names the
+    front-end the kernel needs (None for the pure-CPU baseline).  An
+    SSR/IndexMAC *accel* missing from the config is appended; ``"hht"``
+    needs nothing, since every config builds an HHT (legacy ``n_hhts``
+    view).  Multi-core systems run only the pure-CPU row-partitioned
+    baseline, so any *accel* with ``n_cores > 1`` is a ``ValueError``.
     """
     if config is None:
         config = SystemConfig.paper_table1(
@@ -278,6 +287,11 @@ def run_config(
         raise TypeError(
             "pass vlmax=/n_buffers= or config=, not both: the config "
             "carries its own cpu.vlmax and hht.n_buffers"
+        )
+    if accel is not None and config.n_cores > 1:
+        raise ValueError(
+            "multi-core runs are the pure-CPU row-partitioned baseline; "
+            f"accel={accel!r} is single-core only"
         )
     if accel not in (None, "hht") and all(
         spec.kind != accel for spec in config.accelerator_specs()

@@ -8,7 +8,7 @@ HHT-programming conveniences the kernels and experiment harness use:
 * :meth:`symbols` exposes the segment base addresses (plus the HHT MMR
   addresses) to the assembler;
 * :meth:`run` executes an assembled program and returns a
-  :class:`RunResult` with the merged CPU/HHT/port statistics.
+  :class:`RunSummary` with the merged CPU/HHT/port statistics.
 """
 
 from __future__ import annotations
@@ -42,22 +42,26 @@ from .config import SystemConfig
 
 
 @dataclass
-class RunResult:
-    """Outcome of one program execution on the SoC.
+class RunSummary:
+    """The outcome of one kernel run: what ``Soc.run``, the runners in
+    :mod:`repro.analysis.runners` and :func:`repro.exec.execute` return.
 
     Every counter lives in :attr:`stats`, the flat component-tree
     registry (``{"soc.cpu.cycles": ..., "soc.ram.requests": ...}``).
-    The legacy per-component shapes (``cpu_stats``, ``hht_stats``,
+    The per-component shapes (``cpu_stats``, ``hht_stats``,
     ``port_requests``, ``cache_stats``) are *views* derived from the
-    registry — there is no duplicate bookkeeping.
+    registry — there is no duplicate bookkeeping.  ``y`` is the kernel's
+    output vector, which the runners read back after the run (None for
+    a bare ``Soc.run``).  ``probe_payloads`` holds what probes attached
+    to the run published, keyed by probe name; it is not part of the
+    JSON form (:meth:`to_json_dict`) the result cache stores.
     """
 
     cycles: int
     instructions: int
     stats: dict[str, int | float]
     frequency_hz: float
-    # Payloads published by probes attached to the run (keyed by probe
-    # name); empty for plain runs, so summary shapes are unchanged.
+    y: np.ndarray | None = None
     probe_payloads: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -117,6 +121,27 @@ class RunResult:
     def hht_wait_cycles(self) -> int:
         return self.hht_stats.get("hht_wait_cycles", 0)
 
+    def to_json_dict(self) -> dict[str, object]:
+        return {
+            "cycles": self.cycles,
+            "instructions": self.instructions,
+            "stats": dict(self.stats),
+            "frequency_hz": self.frequency_hz,
+            # float32 values are exactly representable as JSON floats.
+            "y": [float(x) for x in self.y],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "RunSummary":
+        return cls(
+            cycles=int(data["cycles"]),
+            instructions=int(data["instructions"]),
+            stats={k: (float(v) if isinstance(v, float) else int(v))
+                   for k, v in data["stats"].items()},
+            frequency_hz=float(data["frequency_hz"]),
+            y=np.asarray(data["y"], dtype=np.float32),
+        )
+
 
 class Soc(SimComponent):
     """The simulated heterogeneous CPU-HHT system.
@@ -144,7 +169,7 @@ class Soc(SimComponent):
     stays bit-identical.
 
     ``reset()`` propagates to every node; ``stats()`` flattens every
-    counter into the registry a :class:`RunResult` carries.
+    counter into the registry a :class:`RunSummary` carries.
     """
 
     def __init__(self, config: SystemConfig | None = None):
@@ -358,7 +383,7 @@ class Soc(SimComponent):
         return assemble(text, symbols=self.symbols, name=name)
 
     def run(self, program: Program, entry: int | str | None = None,
-            probes: tuple = ()) -> RunResult:
+            probes: tuple = ()) -> RunSummary:
         """Execute *program* from reset; ``probes`` attach instrumentation
         (see :mod:`repro.instrument`) whose payloads ride home on the
         result.
@@ -381,7 +406,7 @@ class Soc(SimComponent):
                 self.cpu, program, entry=entry, probes=probes, system=self
             )
         counters = session.run()
-        return RunResult(
+        return RunSummary(
             cycles=counters.cycles,
             instructions=counters.instructions,
             stats=self.stats(),

@@ -117,9 +117,9 @@ class TestCrossBackendDeterminism:
         ref = run_spmv(matrix, v, accel=accel, vlmax=8)
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
         jit = run_spmv(matrix, v, accel=accel, vlmax=8)
-        assert jit.result.cycles == ref.result.cycles
-        assert jit.result.instructions == ref.result.instructions
-        assert jit.result.stats == ref.result.stats
+        assert jit.cycles == ref.cycles
+        assert jit.instructions == ref.instructions
+        assert jit.stats == ref.stats
         np.testing.assert_array_equal(jit.y, ref.y)
 
     @pytest.mark.parametrize("mode", ["ssr", "indexmac"])
@@ -129,6 +129,6 @@ class TestCrossBackendDeterminism:
         ref = run_spmspv(matrix, sv, mode=mode, vlmax=8)
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
         jit = run_spmspv(matrix, sv, mode=mode, vlmax=8)
-        assert jit.result.cycles == ref.result.cycles
-        assert jit.result.stats == ref.result.stats
+        assert jit.cycles == ref.cycles
+        assert jit.stats == ref.stats
         np.testing.assert_array_equal(jit.y, ref.y)

@@ -223,6 +223,19 @@ class TestTraceCommand:
         assert payload["otherData"]["dropped_instructions"] == 0
         assert any(e.get("cat") == "cpu" for e in payload["traceEvents"])
 
+    @pytest.mark.parametrize("kernel", ["spmv", "spmv-baseline", "spmspv"])
+    def test_header_names_the_program_that_ran(self, capsys, tmp_path, kernel):
+        import json
+
+        out_path = tmp_path / "trace.json"
+        code, out = run_cli(
+            capsys, "trace", "--size", "8", "--kernel", kernel,
+            "--chrome", str(out_path),
+        )
+        assert code == 0
+        program = json.loads(out_path.read_text())["otherData"]["program"]
+        assert out.startswith(f"{program}: ")
+
     def test_chrome_export_respects_limit(self, capsys, tmp_path):
         import json
 

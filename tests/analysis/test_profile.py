@@ -8,6 +8,7 @@ from repro.analysis import (
     metadata_overhead_table,
     profile_spmspv,
     profile_spmv,
+    run_spmspv,
     run_spmv,
 )
 from repro.workloads import (
@@ -90,6 +91,16 @@ class TestProfilingMachinery:
         profiled = profile_spmv(matrix, v, accel=None)
         assert profiled.total_cycles == plain.cycles
 
+    @pytest.mark.parametrize("mode", ["ssr", "indexmac"])
+    def test_profiles_the_rival_front_ends(self, mode):
+        """The profiler runs the same system as the runner, rivals too."""
+        matrix = random_csr((24, 24), 0.5, seed=105)
+        sv = random_sparse_vector(24, 0.5, seed=106)
+        prof = profile_spmspv(matrix, sv, mode=mode)
+        assert prof.total_cycles == run_spmspv(matrix, sv, mode=mode).cycles
+        assert prof.program.name == f"spmspv_{mode}"
+        assert sum(l.cycles for l in prof.lines) == prof.total_cycles
+
     def test_profile_flag_restored(self):
         matrix = random_csr((16, 16), 0.5, seed=101)
         v = random_dense_vector(16, seed=102)
@@ -97,13 +108,13 @@ class TestProfilingMachinery:
         assert prof.result.cpu_stats.pc_cycles  # populated
         # A subsequent unprofiled run must not accumulate pc stats.
         plain = run_spmv(matrix, v, accel=None)
-        assert not plain.result.cpu_stats.pc_cycles
+        assert not plain.cpu_stats.pc_cycles
 
     def test_cycle_breakdown_table(self):
         matrix = random_csr((24, 24), 0.5, seed=103)
         v = random_dense_vector(24, seed=104)
         run = run_spmv(matrix, v, accel=None)
-        table = cycle_breakdown(run.result)
+        table = cycle_breakdown(run)
         classes = table.column("class")
         assert "vector_gather" in classes
         shares = table.column("share")

@@ -1,45 +1,16 @@
-"""Result-serialisation tests."""
+"""Table-serialisation tests."""
 
 import json
 
 import pytest
 
-from repro.analysis import Table, run_spmv
+from repro.analysis import Table
 from repro.analysis.reportio import (
     load_table,
-    run_result_to_dict,
-    save_run,
     save_table,
     table_from_dict,
     table_to_dict,
 )
-from repro.workloads import random_csr, random_dense_vector
-
-
-@pytest.fixture(scope="module")
-def run():
-    matrix = random_csr((24, 24), 0.5, seed=400)
-    v = random_dense_vector(24, seed=401)
-    return run_spmv(matrix, v, accel="hht")
-
-
-class TestRunSerialisation:
-    def test_dict_fields(self, run):
-        data = run_result_to_dict(run.result)
-        assert data["cycles"] == run.cycles
-        assert data["instructions"] == run.result.instructions
-        assert "vector_fp" in data["class_cycles"]
-        assert data["port_requests"]["hht"] > 0
-
-    def test_json_round_trip(self, run, tmp_path):
-        path = save_run(run.result, tmp_path / "run.json")
-        data = json.loads(path.read_text())
-        assert data["cycles"] == run.cycles
-        assert data["schema"] == 1
-
-    def test_values_are_plain_types(self, run):
-        data = run_result_to_dict(run.result)
-        json.dumps(data)  # must not raise
 
 
 class TestTableSerialisation:

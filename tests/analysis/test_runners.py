@@ -1,21 +1,27 @@
-"""The config is the one source of ``vlmax``/``n_buffers`` for a run.
+"""The runners' contracts.
 
-``vlmax=``/``n_buffers=`` are shorthand for the default Table-1 system.
-A run given the equal ``config=`` must simulate the same kernel, and
+The config is the one source of ``vlmax``/``n_buffers`` for a run:
+``vlmax=``/``n_buffers=`` are shorthand for the default Table-1 system,
+a run given the equal ``config=`` must simulate the same kernel, and
 passing both spellings is rejected instead of silently preferring one.
+Every runner returns the one result class, names its program stably
+and passes probes through to ``Soc.run``.
 """
 
 import pytest
 
 from repro.analysis import run_spmspv, run_spmv, run_spmv_programmable
 from repro.exec import (
+    RunSummary,
     corpus_spec,
     dnn_spec,
+    execute,
     programmable_spec,
     spmspv_spec,
     spmv_spec,
 )
-from repro.system import SystemConfig
+from repro.instrument import ContentionProbe, PcProfileProbe
+from repro.system import Soc, SystemConfig
 from repro.workloads import (
     random_csr,
     random_dense_vector,
@@ -49,7 +55,7 @@ def test_config_vlmax_selects_the_kernel(runner):
     shorthand = run(vlmax=1)
     configured = run(config=SystemConfig.paper_table1(vlmax=1))
     assert configured.cycles == shorthand.cycles
-    assert configured.result.instructions == shorthand.result.instructions
+    assert configured.instructions == shorthand.instructions
 
 
 @pytest.mark.parametrize("knob", ["vlmax", "n_buffers"])
@@ -58,3 +64,37 @@ def test_knob_beside_config_rejected(entry, knob):
     make = {**RUNNERS, **FACTORIES}[entry]
     with pytest.raises(TypeError, match="config"):
         make(config=SystemConfig.paper_table1(), **{knob: 1})
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda **kw: run_spmv(MATRIX, V, accel="hht", **kw), "spmv_hht"),
+    (lambda **kw: run_spmv(MATRIX, V, **kw), "spmv_baseline"),
+    (lambda **kw: run_spmspv(MATRIX, SV, mode="hht_v2", **kw),
+     "spmspv_hht_v2"),
+    (lambda **kw: run_spmv_programmable(MATRIX, V, format_name="coo", **kw),
+     "spmv_programmable_coo"),
+], ids=["spmv_hht", "spmv_baseline", "spmspv_hht_v2", "programmable"])
+def test_programs_have_stable_names(run, name):
+    probe = PcProfileProbe()
+    run(probes=(probe,))
+    assert probe.program.name == name
+
+
+def test_probes_ride_home_on_the_summary():
+    probed = run_spmv(MATRIX, V, accel="hht", probes=(ContentionProbe(),))
+    assert probed.probe_payloads["contention"]["requests"]["hht"] > 0
+    plain = run_spmv(MATRIX, V, accel="hht")
+    assert plain.probe_payloads == {}
+    assert plain.cycles == probed.cycles
+    assert plain.stats == probed.stats
+
+
+def test_one_result_class():
+    """Soc.run, the runners and execute() all return a RunSummary."""
+    soc = Soc(SystemConfig.paper_table1())
+    bare = soc.run(soc.assemble("li a0, 1\nhalt"))
+    assert isinstance(bare, RunSummary) and bare.y is None
+    run = run_spmv(MATRIX, V)
+    assert isinstance(run, RunSummary) and run.y.shape == (32,)
+    summary = execute(spmv_spec((8, 8), 0.5))
+    assert type(summary) is RunSummary

@@ -136,3 +136,45 @@ class TestTracedValues:
         pops = {e.rd_value for e in entries[::2]}
         assert pops <= {float(x) for x in vector}
         assert pops  # at least one nonzero row actually popped
+
+
+class TestMultiCoreTrace:
+    """A multi-core program is traced on every core, not just core 0."""
+
+    @pytest.fixture
+    def two_core(self):
+        cfg = SystemConfig.paper_table1()
+        cfg.n_cores = 2
+        return Soc(cfg)
+
+    def test_records_every_retired_instruction(self, two_core):
+        from repro.kernels import partition_rows, spmv_multicore_kernel
+        from repro.workloads import random_csr, random_dense_vector
+
+        soc = two_core
+        matrix = random_csr((16, 16), 0.5, seed=5)
+        soc.load_csr(matrix)
+        soc.load_dense_vector(random_dense_vector(16, seed=6))
+        soc.allocate_output(16)
+        for name, value in partition_rows(16, 2).items():
+            soc.define_symbol(name, value)
+        prog = soc.assemble(spmv_multicore_kernel(2, vector=True))
+        entries = trace_program(soc, prog, limit=100_000)
+        result = soc.run(prog)
+        assert len(entries) == result.instructions
+        assert [e.seq for e in entries] == list(range(1, len(entries) + 1))
+
+    def test_values_come_from_the_retiring_core(self, two_core):
+        prog = two_core.assemble("""
+        core0:
+            li a0, 10
+            halt
+        core1:
+            li a0, 20
+            addi a0, a0, 1
+            halt
+        """)
+        entries = trace_program(two_core, prog)
+        assert sorted(e.rd_value for e in entries if e.op != "halt") == [
+            10, 20, 21,
+        ]

@@ -66,10 +66,10 @@ class TestRunsMatch:
             monkeypatch.setenv("REPRO_BACKEND", backend)
             cfg = _config(variant)
             if kernel == "spmv_base":
-                return run_spmv(matrix, v, accel=None, config=cfg).result
+                return run_spmv(matrix, v, accel=None, config=cfg)
             if kernel == "spmv_hht":
-                return run_spmv(matrix, v, accel="hht", config=cfg).result
-            return run_spmspv(matrix, sv, mode="hht_v2", config=cfg).result
+                return run_spmv(matrix, v, accel="hht", config=cfg)
+            return run_spmspv(matrix, sv, mode="hht_v2", config=cfg)
 
         assert _observables(run("compiled")) == _observables(run("reference"))
 
@@ -94,8 +94,8 @@ class TestRunsMatch:
                 cfg.mmu = MmuConfig()
             if kernel == "spmspv_base":
                 return run_spmspv(matrix, sv, mode="baseline",
-                                  config=cfg).result
-            return run_spmv(matrix, v, config=cfg).result
+                                  config=cfg)
+            return run_spmv(matrix, v, config=cfg)
 
         assert _observables(run("compiled")) == _observables(run("reference"))
 

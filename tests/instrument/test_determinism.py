@@ -163,22 +163,22 @@ def _run(label, workload):
             cfg.cache = CacheConfig()
         base = label.rsplit("_", 1)[0]
         if base == "spmv_hht":
-            return run_spmv(matrix, v, accel="hht", config=cfg).result
+            return run_spmv(matrix, v, accel="hht", config=cfg)
         return run_spmspv(matrix, sv, mode=base.removeprefix("spmspv_"),
-                          config=cfg).result
+                          config=cfg)
     if label == "spmv_base":
-        return run_spmv(matrix, v, accel=None).result
+        return run_spmv(matrix, v, accel=None)
     if label == "spmv_hht":
-        return run_spmv(matrix, v, accel="hht").result
+        return run_spmv(matrix, v, accel="hht")
     if label == "spmv_hht_n1":
-        return run_spmv(matrix, v, accel="hht", n_buffers=1).result
+        return run_spmv(matrix, v, accel="hht", n_buffers=1)
     if label in ("spmv_indexmac", "spmv_ssr"):
-        return run_spmv(matrix, v, accel=label.removeprefix("spmv_")).result
+        return run_spmv(matrix, v, accel=label.removeprefix("spmv_"))
     if label == "spmv_programmable_csr":
-        return run_spmv_programmable(matrix, v, format_name="csr").result
+        return run_spmv_programmable(matrix, v, format_name="csr")
     if label == "spmspv_hht_v1_n1":
-        return run_spmspv(matrix, sv, mode="hht_v1", n_buffers=1).result
-    return run_spmspv(matrix, sv, mode=label.removeprefix("spmspv_")).result
+        return run_spmspv(matrix, sv, mode="hht_v1", n_buffers=1)
+    return run_spmspv(matrix, sv, mode=label.removeprefix("spmspv_"))
 
 
 class TestGoldenRuns:

@@ -72,9 +72,9 @@ class TestWorkOffload:
         v = random_dense_vector(64, seed=110)
         base = run_spmv(matrix, v, accel=None)
         hht = run_spmv(matrix, v, accel="hht")
-        assert base.result.port_requests.get("hht", 0) == 0
-        assert hht.result.port_requests["hht"] > 0
-        assert hht.result.port_requests["cpu"] < base.result.port_requests["cpu"]
+        assert base.port_requests.get("hht", 0) == 0
+        assert hht.port_requests["hht"] > 0
+        assert hht.port_requests["cpu"] < base.port_requests["cpu"]
 
     def test_dynamic_instruction_count_drops(self):
         """Section 2: indirect accesses 'increase the dynamic instruction
@@ -83,14 +83,14 @@ class TestWorkOffload:
         v = random_dense_vector(64, seed=112)
         base = run_spmv(matrix, v, accel=None)
         hht = run_spmv(matrix, v, accel="hht")
-        assert hht.result.instructions < base.result.instructions
+        assert hht.instructions < base.instructions
 
     def test_hht_idles_when_overprovisioned(self):
         """For SpMV the HHT finishes buffers early and waits for the CPU."""
         matrix = random_csr((64, 64), 0.5, seed=113)
         v = random_dense_vector(64, seed=114)
         hht = run_spmv(matrix, v, accel="hht")
-        assert hht.result.hht_wait_cycles > 0
+        assert hht.hht_wait_cycles > 0
 
 
 class TestScaleInvariance:

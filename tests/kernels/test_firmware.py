@@ -129,7 +129,7 @@ class TestPerformanceShape:
         """Section 6: the HHT working harder than the CPU causes idling."""
         _, _, prog = runs
         for fmt, run in prog.items():
-            assert run.result.cpu_wait_fraction > 0.3, fmt
+            assert run.cpu_wait_fraction > 0.3, fmt
 
     def test_smash_is_the_most_work(self, runs):
         """SMASH's 'complicated indexing' makes it the slowest walk."""

@@ -63,4 +63,4 @@ def test_cycle_counts_are_deterministic(problem):
     a = run_spmv(matrix, v, accel="hht", verify=False)
     b = run_spmv(matrix, v, accel="hht", verify=False)
     assert a.cycles == b.cycles
-    assert a.result.instructions == b.result.instructions
+    assert a.instructions == b.instructions

@@ -95,16 +95,16 @@ class TestPerformanceShape:
 
     def test_variant1_cpu_waits_substantially(self, runs):
         """Fig. 7: variant-1 idles the CPU for a significant fraction."""
-        assert runs["hht_v1"].result.cpu_wait_fraction > 0.2
+        assert runs["hht_v1"].cpu_wait_fraction > 0.2
 
     def test_variant2_cpu_barely_waits(self, runs):
-        assert runs["hht_v2"].result.cpu_wait_fraction < 0.05
+        assert runs["hht_v2"].cpu_wait_fraction < 0.05
 
     def test_variant1_executes_fewest_instructions(self, runs):
         """The CPU only touches matched pairs in variant-1."""
-        assert (runs["hht_v1"].result.instructions
-                < runs["hht_v2"].result.instructions
-                < runs["baseline"].result.instructions)
+        assert (runs["hht_v1"].instructions
+                < runs["hht_v2"].instructions
+                < runs["baseline"].instructions)
 
     def test_crossover_at_high_sparsity(self):
         """Fig. 5: variant-1 overtakes variant-2 above ~80% sparsity."""

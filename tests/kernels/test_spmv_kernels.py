@@ -91,15 +91,15 @@ class TestPerformanceShape:
         base = run_spmv(matrix, v, accel=None)
         hht = run_spmv(matrix, v, accel="hht")
         # Baseline executes gathers; the HHT version executes none.
-        assert base.result.cpu_stats.class_counts.get("vector_gather", 0) > 0
-        assert hht.result.cpu_stats.class_counts.get("vector_gather", 0) == 0
+        assert base.cpu_stats.class_counts.get("vector_gather", 0) > 0
+        assert hht.cpu_stats.class_counts.get("vector_gather", 0) == 0
 
     def test_cpu_rarely_waits_for_spmv(self):
         """Fig. 6: 'with an ASIC HHT, the application CPU rarely waits'."""
         matrix = random_csr((64, 64), 0.3, seed=18)
         v = random_dense_vector(64, seed=19)
         hht = run_spmv(matrix, v, accel="hht")
-        assert hht.result.cpu_wait_fraction < 0.02
+        assert hht.cpu_wait_fraction < 0.02
 
     def test_verify_flag_raises_on_mismatch(self, monkeypatch):
         from repro.analysis import VerificationError

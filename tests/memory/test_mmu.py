@@ -117,7 +117,7 @@ class TestTimingOverlay:
         virt = run_spmv(matrix, v, config=mmu_config())
         assert np.array_equal(phys.y, virt.y)  # identity map: same values
         assert virt.cycles > phys.cycles       # walks cost real cycles
-        stats = virt.result.stats
+        stats = virt.stats
         assert stats["soc.cpu.tlb.walk_cycles"] > 0
         assert stats["soc.ram.requester.cpu.ptw"] > 0
 
@@ -134,8 +134,7 @@ class TestTimingOverlay:
         for backend in ("reference", "compiled"):
             monkeypatch.setenv("REPRO_BACKEND", backend)
             run = run_spmv(matrix, v, config=mmu_config())
-            runs[backend] = (run.cycles, run.result.instructions,
-                             dict(run.result.stats))
+            runs[backend] = (run.cycles, run.instructions, dict(run.stats))
         assert runs["reference"] == runs["compiled"]
 
     def test_multicore_mmu_correct_on_both_backends(self, monkeypatch):
@@ -145,7 +144,7 @@ class TestTimingOverlay:
             monkeypatch.setenv("REPRO_BACKEND", backend)
             run = run_spmv(matrix, v, config=mmu_config(n_cores=2))
             assert np.allclose(run.y, ref, rtol=1e-3, atol=1e-4)
-            stats = run.result.stats
+            stats = run.stats
             assert stats["soc.cpu0.tlb.walks"] > 0
             assert stats["soc.ram.requester.cpu0.ptw"] > 0
 

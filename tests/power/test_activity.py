@@ -20,51 +20,51 @@ def runs():
 class TestBreakdown:
     def test_components_sum_to_total(self, runs):
         base, _ = runs
-        b = energy_breakdown(base.result)
+        b = energy_breakdown(base)
         assert b.total_uj == pytest.approx(sum(b.as_dict().values()))
 
     def test_baseline_has_no_hht_energy(self, runs):
         base, _ = runs
-        b = energy_breakdown(base.result)
+        b = energy_breakdown(base)
         assert b.hht_memory_uj == 0.0
         assert b.hht_datapath_uj == 0.0
 
     def test_hht_run_shifts_memory_energy(self, runs):
         base, hht = runs
-        b = energy_breakdown(base.result)
-        h = energy_breakdown(hht.result)
+        b = energy_breakdown(base)
+        h = energy_breakdown(hht)
         assert h.hht_memory_uj > 0
         assert h.cpu_memory_uj < b.cpu_memory_uj
 
     def test_hht_saves_total_activity_energy(self, runs):
         base, hht = runs
-        b = energy_breakdown(base.result, with_hht=False)
-        h = energy_breakdown(hht.result)
+        b = energy_breakdown(base, with_hht=False)
+        h = energy_breakdown(hht)
         assert h.total_uj < b.total_uj
 
     def test_implied_power_matches_anchor(self, runs):
         """The calibration target: baseline SpMV mix ~ 223 uW at 50 MHz."""
         base, _ = runs
-        b = energy_breakdown(base.result, with_hht=False)
+        b = energy_breakdown(base, with_hht=False)
         implied_uw = b.total_uj / (base.cycles / 50e6)
         assert implied_uw == pytest.approx(223, rel=0.12)
 
     def test_node_scaling(self, runs):
         base, _ = runs
-        b16 = energy_breakdown(base.result, feature_nm=16)
-        b28 = energy_breakdown(base.result, feature_nm=28)
-        b7 = energy_breakdown(base.result, feature_nm=7)
+        b16 = energy_breakdown(base, feature_nm=16)
+        b28 = energy_breakdown(base, feature_nm=28)
+        b7 = energy_breakdown(base, feature_nm=7)
         assert b28.total_uj > b16.total_uj > b7.total_uj
 
     def test_unknown_node_rejected(self, runs):
         base, _ = runs
         with pytest.raises(ValueError, match="feature size"):
-            energy_breakdown(base.result, feature_nm=45)
+            energy_breakdown(base, feature_nm=45)
 
     def test_leakage_scales_with_runtime(self, runs):
         base, hht = runs
-        b = energy_breakdown(base.result, with_hht=False)
-        h = energy_breakdown(hht.result)
+        b = energy_breakdown(base, with_hht=False)
+        h = energy_breakdown(hht)
         # The HHT run is shorter; even with extra leakage sources its
         # leakage energy stays comparable or lower.
         assert h.leakage_uj < 2 * b.leakage_uj
@@ -73,7 +73,7 @@ class TestBreakdown:
 class TestTable:
     def test_table_contents(self, runs):
         base, hht = runs
-        table = breakdown_table(base.result, hht.result)
+        table = breakdown_table(base, hht)
         assert table.column("component")[-1] == "total"
         assert "saving" in table.notes[0]
 
@@ -82,7 +82,7 @@ class TestTable:
         sv = random_sparse_vector(64, 0.6, seed=303)
         base = run_spmspv(matrix, sv, mode="baseline")
         v2 = run_spmspv(matrix, sv, mode="hht_v2")
-        table = breakdown_table(base.result, v2.result)
+        table = breakdown_table(base, v2)
         totals = table.rows[-1]
         assert totals[2] < totals[1]  # variant-2 saves energy
 

@@ -11,11 +11,24 @@ and shows shared-port contention in the registry and probes.
 import numpy as np
 import pytest
 
-from repro.analysis.runners import run_spmspv, run_spmv
+from repro.analysis.runners import run_spmspv, run_spmv, run_spmv_programmable
+from repro.exec import (
+    corpus_spec,
+    dnn_spec,
+    programmable_spec,
+    spmspv_spec,
+    spmv_spec,
+)
 from repro.instrument import ContentionProbe
 from repro.kernels import partition_rows, spmv_multicore_kernel
 from repro.system import Soc, SystemConfig
-from repro.workloads import random_csr, random_dense_vector, random_sparse_vector
+from repro.workloads import (
+    CORPUS_NAMES,
+    FIG9_ORDER,
+    random_csr,
+    random_dense_vector,
+    random_sparse_vector,
+)
 
 
 def multicore_config(n_cores, **overrides):
@@ -122,7 +135,7 @@ class TestAccounting:
         return run_spmv(matrix, v, config=multicore_config(2))
 
     def test_per_core_stats_and_requesters(self):
-        stats = self._two_core_run().result.stats
+        stats = self._two_core_run().stats
         assert stats["soc.cpu0.instructions"] > 0
         assert stats["soc.cpu1.instructions"] > 0
         assert stats["soc.ram.requester.cpu0"] > 0
@@ -133,8 +146,8 @@ class TestAccounting:
         v = random_dense_vector(31, seed=28)
         one = run_spmv(matrix, v, config=multicore_config(1))
         two = run_spmv(matrix, v, config=multicore_config(2))
-        assert one.result.stats.get("soc.ram.queue_cycles", 0) == 0
-        assert two.result.stats["soc.ram.queue_cycles"] > 0
+        assert one.stats.get("soc.ram.queue_cycles", 0) == 0
+        assert two.stats["soc.ram.queue_cycles"] > 0
         # Parallel rows beat serial rows despite the queueing.
         assert two.cycles < one.cycles
 
@@ -155,11 +168,11 @@ class TestAccounting:
 
     def test_run_result_instructions_are_summed(self):
         run = self._two_core_run()
-        stats = run.result.stats
-        assert run.result.instructions == (stats["soc.cpu0.instructions"]
-                                           + stats["soc.cpu1.instructions"])
-        assert run.result.cycles == max(stats["soc.cpu0.cycles"],
-                                        stats["soc.cpu1.cycles"])
+        stats = run.stats
+        assert run.instructions == (stats["soc.cpu0.instructions"]
+                                    + stats["soc.cpu1.instructions"])
+        assert run.cycles == max(stats["soc.cpu0.cycles"],
+                                 stats["soc.cpu1.cycles"])
 
 
 class TestGuards:
@@ -175,6 +188,32 @@ class TestGuards:
         with pytest.raises(ValueError, match="single-core"):
             run_spmspv(matrix, sv, mode="hht_v2",
                        config=multicore_config(2))
+
+    def test_programmable_spmv_rejects_multicore(self, monkeypatch):
+        """The programmable HHT is single-core too; the guard fires
+        before any SoC is built, not as a FIFO deadlock mid-run."""
+        def no_soc(*args, **kwargs):
+            raise AssertionError("a SoC was built before the guard")
+
+        monkeypatch.setattr(Soc, "__init__", no_soc)
+        matrix = random_csr((16, 16), 0.5, seed=1)
+        v = random_dense_vector(16, seed=2)
+        with pytest.raises(ValueError, match="single-core"):
+            run_spmv_programmable(matrix, v, format_name="csr",
+                                  config=multicore_config(2))
+
+    @pytest.mark.parametrize("factory", [
+        lambda cfg: spmv_spec((16, 16), 0.5, accel="hht", config=cfg),
+        lambda cfg: spmspv_spec(16, 0.5, mode="hht_v1", config=cfg),
+        lambda cfg: programmable_spec((16, 16), 0.5, format_name="csr",
+                                      config=cfg),
+        lambda cfg: corpus_spec(CORPUS_NAMES[0], hht=True, config=cfg),
+        lambda cfg: dnn_spec(FIG9_ORDER[0], hht=True, config=cfg),
+    ], ids=["spmv", "spmspv", "programmable", "corpus", "dnn"])
+    def test_spec_factories_reject_multicore_accelerators(self, factory):
+        """An invalid point fails when the spec is made, before a sweep."""
+        with pytest.raises(ValueError, match="single-core"):
+            factory(multicore_config(2))
 
     def test_multicore_kernel_builder_needs_two_cores(self):
         with pytest.raises(ValueError, match="n_cores >= 2"):
