@@ -17,7 +17,7 @@ amortise compilation.
 import time
 
 from repro.analysis.tables import Table
-from repro.kernels.spmv import spmv_kernel
+from repro.kernels import spmv_kernel
 from repro.system import Soc, SystemConfig
 from repro.workloads.synthetic import random_csr, random_dense_vector
 

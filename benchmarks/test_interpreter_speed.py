@@ -8,7 +8,7 @@ dispatch loop (:mod:`repro.cpu.core`) are visible across runs.
 """
 
 from repro.analysis.tables import Table
-from repro.kernels.spmv import spmv_kernel
+from repro.kernels import spmv_kernel
 from repro.system.soc import Soc
 from repro.workloads.synthetic import random_csr, random_dense_vector
 

@@ -20,17 +20,12 @@ register(HHTFrontEnd())
 register(SSRFrontEnd())
 register(IndexMACFrontEnd())
 
-#: Accelerator selector values accepted by the kernel dispatchers and
-#: the exec layer: None = no accelerator (pure CPU baseline).
-KERNEL_ACCELS = (None, "hht", "ssr", "indexmac")
-
 __all__ = [
     "AcceleratorConfig",
     "AcceleratorFrontEnd",
     "BuildContext",
     "HHTFrontEnd",
     "IndexMACFrontEnd",
-    "KERNEL_ACCELS",
     "SSRFrontEnd",
     "SSRUnit",
     "front_end",

@@ -16,15 +16,16 @@ from ..formats.csr import CSRMatrix
 from ..formats.smash import SMASHMatrix
 from ..formats.sparse_vector import SparseVector
 from ..kernels.firmware import FIRMWARES
-from ..kernels.multicore import (
+from ..kernels.loops import (
     partition_rows,
+    programmable_consumer,
+    spmspv_accel,
+    spmspv_kernel,
     spmspv_multicore_kernel,
+    spmv_kernel,
     spmv_multicore_kernel,
 )
-from ..kernels.programmable import SUPPORTED_FORMATS, programmable_consumer
-from ..kernels.spmspv import spmspv_kernel
-from ..kernels.spmv import spmv_kernel
-from ..system.config import SPMSPV_ACCEL, SystemConfig, run_config
+from ..system.config import SystemConfig, run_config
 from ..system.soc import RunSummary, Soc
 
 
@@ -56,17 +57,16 @@ def _required_ram(matrix: CSRMatrix, extra_words: int = 0) -> int | None:
     return size
 
 
-def _partition(soc: Soc, nrows: int) -> None:
-    """Define every core's row-block bounds for the multi-core kernels."""
-    for name, value in partition_rows(nrows, soc.config.n_cores).items():
-        soc.define_symbol(name, value)
-
-
 def _finish(soc: Soc, text: str, name: str, matrix, x, *,
             verify: bool, probes: tuple) -> RunSummary:
-    """The shared tail: assemble *text* as program *name*, run it, read
-    ``y`` and, with *verify*, check it against ``matrix @ x`` in float64
-    (``x`` is the dense or sparse right-hand side)."""
+    """The shared tail: assemble *text* as program *name* (on a
+    multi-core system, with every core's row-block bounds defined), run
+    it, read ``y`` and, with *verify*, check it against ``matrix @ x`` in
+    float64 (``x`` is the dense or sparse right-hand side)."""
+    if soc.config.n_cores > 1:
+        for symbol, value in partition_rows(
+                matrix.nrows, soc.config.n_cores).items():
+            soc.define_symbol(symbol, value)
     summary = soc.run(soc.assemble(text, name=name), probes=probes)
     summary.y = soc.read_output("y", matrix.nrows)
     if verify:
@@ -98,15 +98,16 @@ def run_spmv(
     """
     config = run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
     vector = config.cpu.vlmax > 1
+    # The text comes first, so a selector with no kernel fails before
+    # any SoC is built.
+    if config.n_cores > 1:
+        text = spmv_multicore_kernel(config.n_cores, vector=vector)
+    else:
+        text = spmv_kernel(accel=accel, vector=vector)
     soc = _make_soc(config, _required_ram(matrix))
     soc.load_csr(matrix)
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
-    if config.n_cores > 1:
-        _partition(soc, matrix.nrows)
-        text = spmv_multicore_kernel(config.n_cores, vector=vector)
-    else:
-        text = spmv_kernel(accel=accel, vector=vector)
     return _finish(soc, text, f"spmv_{accel or 'baseline'}", matrix, v,
                    verify=verify, probes=probes)
 
@@ -130,12 +131,8 @@ def run_spmv_programmable(
     the primary CPU runs the uniform count/pair consumer kernel, named
     ``spmv_programmable_<format_name>``.
     """
-    if format_name not in SUPPORTED_FORMATS:
-        raise ValueError(
-            f"no firmware for format {format_name!r}; supported: "
-            f"{SUPPORTED_FORMATS}"
-        )
     config = run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel="hht")
+    text = programmable_consumer(format_name, vector=config.cpu.vlmax > 1)
     soc = _make_soc(config, _required_ram(matrix, extra_words=matrix.nnz))
     if format_name == "csr":
         soc.load_csr(matrix)
@@ -155,7 +152,6 @@ def run_spmv_programmable(
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
     soc.hht.load_firmware(FIRMWARES[format_name]())
-    text = programmable_consumer(format_name, vector=config.cpu.vlmax > 1)
     return _finish(soc, text, f"spmv_programmable_{format_name}", matrix, v,
                    verify=verify, probes=probes)
 
@@ -177,19 +173,16 @@ def run_spmspv(
     ``'ssr'``, ``'indexmac'``.  ``vlmax`` and ``n_buffers`` shape the
     default Table-1 system when no ``config`` is given.
     """
-    config = run_config(
-        config, vlmax=vlmax, n_buffers=n_buffers,
-        accel=SPMSPV_ACCEL.get(mode),
-    )
+    config = run_config(config, vlmax=vlmax, n_buffers=n_buffers,
+                        accel=spmspv_accel(mode))
     vector = config.cpu.vlmax > 1
+    if config.n_cores > 1:
+        text = spmspv_multicore_kernel(config.n_cores, vector=vector)
+    else:
+        text = spmspv_kernel(mode=mode, vector=vector)
     soc = _make_soc(config, _required_ram(matrix, extra_words=3 * sv.n))
     soc.load_csr(matrix)
     soc.load_sparse_vector(sv)
     soc.allocate_output(matrix.nrows)
-    if config.n_cores > 1:
-        _partition(soc, matrix.nrows)
-        text = spmspv_multicore_kernel(config.n_cores, vector=vector)
-    else:
-        text = spmspv_kernel(mode=mode, vector=vector)
     return _finish(soc, text, f"spmspv_{mode}", matrix, sv,
                    verify=verify, probes=probes)

@@ -25,9 +25,10 @@ by tests/exec/).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any
 
-from ..system.config import SPMSPV_ACCEL, SystemConfig, run_config
+from ..system.config import SystemConfig, run_config
 from ..system.soc import RunSummary
 
 KERNELS = ("spmv", "spmspv", "spmv_programmable")
@@ -49,19 +50,22 @@ def thaw_config(items: ConfigItems) -> SystemConfig:
 
 def _default_config_items(
     config: SystemConfig | None, vlmax: int | None, n_buffers: int | None,
-    accel: str | None,
+    accel: str | None, kernel=None,
 ) -> ConfigItems:
     """Freeze the run's config, materialising the named front-end if absent.
 
     Appending the accelerator *before* freezing means SSR/IndexMAC specs
     differ from HHT-only specs structurally (the ``accelerators.*``
     section), not just by variant string — their cache keys can never
-    alias.  :func:`run_config` also rejects an accelerator on a
-    multi-core system, so such a point fails here, before any sweep.
+    alias.  :func:`run_config` rejects an accelerator on a multi-core
+    system, and *kernel*, the point's kernel generator called with the
+    config's CPU flavour, rejects a selector that has no kernel.  So an
+    invalid point fails here, before any sweep.
     """
-    return freeze_config(
-        run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
-    )
+    config = run_config(config, vlmax=vlmax, n_buffers=n_buffers, accel=accel)
+    if kernel is not None:
+        kernel(vector=config.cpu.vlmax > 1)
+    return freeze_config(config)
 
 
 @dataclass(frozen=True)
@@ -140,12 +144,18 @@ def spmv_spec(
     ``n_buffers`` for the default Table-1 system, or a ``config``, not
     both.
     """
+    # Late import, as in execute(): importing repro.exec loads no kernels.
+    from ..kernels.loops import spmv_kernel
+
     rows, cols = shape
     return RunSpec(
         kernel="spmv", variant=accel or "baseline",
         rows=rows, cols=cols, sparsity=float(sparsity),
         matrix_seed=matrix_seed, vector_seed=vector_seed,
-        config=_default_config_items(config, vlmax, n_buffers, accel=accel),
+        config=_default_config_items(
+            config, vlmax, n_buffers, accel=accel,
+            kernel=partial(spmv_kernel, accel=accel),
+        ),
         verify=verify,
     )
 
@@ -162,6 +172,8 @@ def spmspv_spec(
     ``mode`` is one of ``'baseline'``, ``'hht_v1'``, ``'hht_v2'``,
     ``'ssr'``, ``'indexmac'``.
     """
+    from ..kernels.loops import spmspv_accel, spmspv_kernel
+
     return RunSpec(
         kernel="spmspv", variant=mode,
         rows=size, cols=size, sparsity=float(sparsity),
@@ -170,7 +182,8 @@ def spmspv_spec(
         ),
         matrix_seed=matrix_seed, vector_seed=vector_seed,
         config=_default_config_items(
-            config, vlmax, n_buffers, accel=SPMSPV_ACCEL.get(mode),
+            config, vlmax, n_buffers, accel=spmspv_accel(mode),
+            kernel=partial(spmspv_kernel, mode=mode),
         ),
         verify=verify,
     )
@@ -183,12 +196,17 @@ def programmable_spec(
     config: SystemConfig | None = None, verify: bool = True,
 ) -> RunSpec:
     """Programmable-HHT SpMV point running *format_name* firmware."""
+    from ..kernels.loops import programmable_consumer
+
     rows, cols = shape
     return RunSpec(
         kernel="spmv_programmable", variant=format_name,
         rows=rows, cols=cols, sparsity=float(sparsity),
         matrix_seed=matrix_seed, vector_seed=vector_seed,
-        config=_default_config_items(config, vlmax, n_buffers, accel="hht"),
+        config=_default_config_items(
+            config, vlmax, n_buffers, accel="hht",
+            kernel=partial(programmable_consumer, format_name),
+        ),
         verify=verify,
     )
 

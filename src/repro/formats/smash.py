@@ -42,13 +42,6 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return words
 
 
-def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:
-    out = np.zeros(words.size * 32, dtype=bool)
-    for b in range(32):
-        out[b::32] = (np.asarray(words, dtype=np.uint32) >> np.uint32(b)) & np.uint32(1)
-    return out[:nbits]
-
-
 class SMASHMatrix(SparseFormat):
     """Hierarchical (SMASH-style) bitmap sparse matrix."""
 

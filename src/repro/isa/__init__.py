@@ -6,11 +6,9 @@ from .instructions import ALL_MNEMONICS, INSTRUCTION_CLASS, SYNTAX, Instr, instr
 from .program import Program
 from .registers import (
     RegisterError,
-    freg_name,
     parse_freg,
     parse_vreg,
     parse_xreg,
-    vreg_name,
     xreg_name,
 )
 
@@ -34,6 +32,4 @@ __all__ = [
     "parse_freg",
     "parse_vreg",
     "xreg_name",
-    "freg_name",
-    "vreg_name",
 ]

@@ -75,17 +75,7 @@ def parse_vreg(name: str) -> int:
 
 
 _X_NAMES = [f"x{i}" for i in range(32)]
-_F_NAMES = [f"f{i}" for i in range(32)]
-_V_NAMES = [f"v{i}" for i in range(32)]
 
 
 def xreg_name(i: int) -> str:
     return _X_NAMES[i]
-
-
-def freg_name(i: int) -> str:
-    return _F_NAMES[i]
-
-
-def vreg_name(i: int) -> str:
-    return _V_NAMES[i]

@@ -1,6 +1,6 @@
-"""Assembly kernels: SpMV and SpMSpV, baseline and HHT-assisted."""
+"""Assembly kernels: SpMV and SpMSpV, baseline and accelerator-assisted,
+and the programmable HHT's helper-core firmware."""
 
-from .common import program_hht, program_ssr
 from .firmware import (
     FIRMWARES,
     firmware_spmv_bitvector,
@@ -8,64 +8,33 @@ from .firmware import (
     firmware_spmv_csr,
     firmware_spmv_smash,
 )
-from .multicore import (
+from .loops import (
+    SUPPORTED_FORMATS,
     partition_rows,
-    spmspv_multicore_kernel,
-    spmv_multicore_kernel,
-)
-from .programmable import SUPPORTED_FORMATS, programmable_consumer
-from .spmspv import (
-    spmspv_baseline_scalar,
-    spmspv_baseline_vector,
-    spmspv_hht_aligned_scalar,
-    spmspv_hht_aligned_vector,
-    spmspv_hht_values_scalar,
-    spmspv_hht_values_vector,
-    spmspv_indexmac_vector,
+    program_hht,
+    program_ssr,
+    programmable_consumer,
+    spmspv_accel,
     spmspv_kernel,
-    spmspv_ssr_scalar,
-    spmspv_ssr_vector,
-)
-from .spmv import (
-    spmv_baseline_scalar,
-    spmv_baseline_vector,
-    spmv_hht_scalar,
-    spmv_hht_vector,
-    spmv_indexmac_vector,
+    spmspv_multicore_kernel,
     spmv_kernel,
-    spmv_ssr_scalar,
-    spmv_ssr_vector,
+    spmv_multicore_kernel,
 )
 
 __all__ = [
-    "program_hht",
-    "program_ssr",
     "FIRMWARES",
     "firmware_spmv_bitvector",
     "firmware_spmv_coo",
     "firmware_spmv_csr",
     "firmware_spmv_smash",
     "SUPPORTED_FORMATS",
-    "programmable_consumer",
     "partition_rows",
-    "spmv_multicore_kernel",
-    "spmspv_multicore_kernel",
-    "spmv_baseline_scalar",
-    "spmv_baseline_vector",
-    "spmv_hht_scalar",
-    "spmv_hht_vector",
-    "spmv_ssr_scalar",
-    "spmv_ssr_vector",
-    "spmv_indexmac_vector",
-    "spmv_kernel",
-    "spmspv_baseline_scalar",
-    "spmspv_baseline_vector",
-    "spmspv_hht_aligned_scalar",
-    "spmspv_hht_aligned_vector",
-    "spmspv_hht_values_scalar",
-    "spmspv_hht_values_vector",
-    "spmspv_ssr_scalar",
-    "spmspv_ssr_vector",
-    "spmspv_indexmac_vector",
+    "program_hht",
+    "program_ssr",
+    "programmable_consumer",
+    "spmspv_accel",
     "spmspv_kernel",
+    "spmspv_multicore_kernel",
+    "spmv_kernel",
+    "spmv_multicore_kernel",
 ]

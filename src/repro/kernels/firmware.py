@@ -4,7 +4,7 @@ Each firmware walks one sparse representation and emits, per matrix row,
 the row's non-zero count followed by that many (matrix-value,
 vector-value) pairs — the uniform FIFO protocol of
 :mod:`repro.core.programmable`.  The primary CPU runs the same consumer
-kernel (:func:`repro.kernels.programmable.programmable_consumer`)
+kernel (:func:`repro.kernels.loops.programmable_consumer`)
 whatever the format, which is exactly the flexibility argument of the
 paper's conclusion.
 

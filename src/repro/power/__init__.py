@@ -28,7 +28,6 @@ from .power import (
     cpu_power,
     hht_power,
     power_table,
-    programmable_hht_power,
     system_power,
     tlb_power,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "cpu_power",
     "hht_power",
     "power_table",
-    "programmable_hht_power",
     "system_power",
     "HELPER_CORE_GATES",
     "programmable_area_ratio_vs_ibex",

@@ -101,21 +101,6 @@ def indexmac_power(feature_nm: int = 16, clock_mhz: float = 50.0) -> EnginePower
     return EnginePower("indexmac", dyn, sta)
 
 
-#: Helper-core anchors (Section 7: "consuming less energy than a
-#: full-fledged primary CPU core") — scaled from the CPU anchors by the
-#: helper/Ibex gate ratio.
-_HELPER_DYN_UW_PER_MHZ = 2.4
-_HELPER_STATIC_UW = 10.0
-
-
-def programmable_hht_power(feature_nm: int = 16, clock_mhz: float = 50.0) -> EnginePower:
-    """Programmable HHT power (helper core + FE) at a synthesis corner."""
-    _check_corner(feature_nm, clock_mhz)
-    dyn = _HELPER_DYN_UW_PER_MHZ * clock_mhz * DYNAMIC_SCALE[feature_nm]
-    sta = _HELPER_STATIC_UW * STATIC_SCALE[feature_nm]
-    return EnginePower("programmable_hht", dyn, sta)
-
-
 #: Per-core TLB + page-table walker anchors — a small fully associative
 #: CAM plus a two-state walker FSM, sized from its gate count relative
 #: to the HHT anchors (see repro.power.area.tlb_gates).

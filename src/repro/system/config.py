@@ -256,13 +256,6 @@ class SystemConfig:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in lines)
 
 
-#: SpMSpV kernel mode -> the accelerator front-end its kernel needs
-#: (None for the pure-CPU baseline): the ``accel`` that the runner and
-#: the spec factory pass to :func:`run_config`.
-SPMSPV_ACCEL = {"baseline": None, "hht_v1": "hht", "hht_v2": "hht",
-                "ssr": "ssr", "indexmac": "indexmac"}
-
-
 def run_config(
     config: SystemConfig | None, *, vlmax: int | None = None,
     n_buffers: int | None = None, accel: str | None = None,

@@ -98,3 +98,46 @@ def test_one_result_class():
     assert isinstance(run, RunSummary) and run.y.shape == (32,)
     summary = execute(spmv_spec((8, 8), 0.5))
     assert type(summary) is RunSummary
+
+
+def _two_cores():
+    cfg = SystemConfig.paper_table1()
+    cfg.n_cores = 2
+    return cfg
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: spmspv_spec(24, 0.5, mode="hht_v3"), "unknown SpMSpV"),
+    (lambda: spmspv_spec(24, 0.5, mode="hht_v3", config=_two_cores()),
+     "unknown SpMSpV"),
+    (lambda: programmable_spec((16, 16), 0.5, format_name="ellpack"),
+     "no firmware protocol"),
+    (lambda: spmv_spec((16, 16), 0.5, accel="indexmac", vlmax=1),
+     "no scalar SpMV"),
+    (lambda: spmspv_spec(16, 0.5, mode="indexmac", vlmax=1),
+     "no scalar SpMSpV"),
+], ids=["spmspv_mode", "spmspv_mode_multicore", "programmable_format",
+        "spmv_scalar_indexmac", "spmspv_scalar_indexmac"])
+def test_spec_without_a_kernel_fails_when_made(make, match):
+    """A point no kernel can run fails in its factory, not mid-sweep."""
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda: run_spmspv(MATRIX, SV, mode="hht_v3"), "unknown SpMSpV"),
+    (lambda: run_spmspv(MATRIX, SV, mode="hht_v3", config=_two_cores()),
+     "unknown SpMSpV"),
+    (lambda: run_spmv(MATRIX, V, accel="indexmac", vlmax=1),
+     "no scalar SpMV"),
+    (lambda: run_spmspv(MATRIX, SV, mode="indexmac", vlmax=1),
+     "no scalar SpMSpV"),
+], ids=["spmspv_mode", "spmspv_mode_multicore", "spmv_scalar_indexmac",
+        "spmspv_scalar_indexmac"])
+def test_run_without_a_kernel_fails_before_a_soc(run, match, monkeypatch):
+    def no_soc(*args, **kwargs):
+        raise AssertionError("a SoC was built before the kernel check")
+
+    monkeypatch.setattr(Soc, "__init__", no_soc)
+    with pytest.raises(ValueError, match=match):
+        run()

@@ -68,14 +68,14 @@ class TestTrace:
 
     def test_traces_hht_kernel(self, soc):
         """A full HHT kernel traces end to end (FIFO reads included)."""
-        from repro.kernels import spmv_hht_vector
+        from repro.kernels import spmv_kernel
         from repro.workloads import random_csr, random_dense_vector
 
         matrix = random_csr((8, 8), 0.5, seed=1)
         soc.load_csr(matrix)
         soc.load_dense_vector(random_dense_vector(8, seed=2))
         soc.allocate_output(8)
-        prog = soc.assemble(spmv_hht_vector())
+        prog = soc.assemble(spmv_kernel(accel="hht", vector=True))
         entries = trace_program(soc, prog, only={"vle32.v"})
         # Both the vals loads and the FIFO loads appear.
         assert len(entries) >= matrix.nrows
@@ -118,7 +118,7 @@ class TestTracedValues:
         """The scalar HHT kernel pops gathered vector values with
         ``flw`` from the FIFO MMIO address; those entries must carry the
         popped float, not a stale integer."""
-        from repro.kernels import spmv_hht_scalar
+        from repro.kernels import spmv_kernel
         from repro.workloads import random_csr, random_dense_vector
 
         matrix = random_csr((8, 8), 0.5, seed=3)
@@ -126,7 +126,7 @@ class TestTracedValues:
         soc.load_csr(matrix)
         soc.load_dense_vector(vector)
         soc.allocate_output(8)
-        prog = soc.assemble(spmv_hht_scalar())
+        prog = soc.assemble(spmv_kernel(accel="hht", vector=False))
         entries = trace_program(soc, prog, only={"flw"})
         # Two flw per stored element: the FIFO pop and the vals load.
         assert len(entries) == 2 * matrix.nnz

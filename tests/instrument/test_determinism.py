@@ -34,7 +34,8 @@ from .conservation import assert_fifo_conserved, assert_port_conserved
 # streams staged and popped every element on its own.  The banked and
 # L1D runs (commit bc2f4c7) take the per-element gather path, which the
 # flat Table-1 runs never reach.  The SSR runs (commit 256ab9a) pin the
-# SSR front-end's pop and lookahead timing.
+# SSR front-end's pop and lookahead timing, and the variant-2 stall run
+# (commit 6f0fc49) the ready time of a fill the CPU waits on.
 GOLDEN_RUNS = {
     "spmv_base": {
         "cycles": 3583,
@@ -113,6 +114,13 @@ GOLDEN_RUNS = {
         "instructions": 834,
         "stats_sha": "3a0edf12bf7702b78bb1dffdc988b6ed559339064dc4de6e14fda5ade4c2031e",
     },
+    # One buffer, slow RAM and a long fill pipeline: the CPU waits 57
+    # cycles on variant-2 fills, so their ready time is pinned.
+    "spmspv_hht_v2_stall": {
+        "cycles": 3012,
+        "instructions": 853,
+        "stats_sha": "0da212f160dfa6c23578a5f8acf4415f4f85d7a261a1aee289b222ee30cb260d",
+    },
 }
 
 GOLDEN_SCALAR_TRACE = """\
@@ -178,6 +186,11 @@ def _run(label, workload):
         return run_spmv_programmable(matrix, v, format_name="csr")
     if label == "spmspv_hht_v1_n1":
         return run_spmspv(matrix, sv, mode="hht_v1", n_buffers=1)
+    if label == "spmspv_hht_v2_stall":
+        cfg = SystemConfig.paper_table1(n_buffers=1)
+        cfg.ram_latency = 8
+        cfg.hht.fill_overhead = 8
+        return run_spmspv(matrix, sv, mode="hht_v2", config=cfg)
     return run_spmspv(matrix, sv, mode=label.removeprefix("spmspv_"))
 
 
@@ -265,7 +278,7 @@ class TestGoldenTraces:
         assert_fifo_conserved(soc.stats())
 
     def test_hht_kernel_trace(self, backend, monkeypatch):
-        from repro.kernels import spmv_hht_vector
+        from repro.kernels import spmv_kernel
 
         monkeypatch.setenv("REPRO_BACKEND", backend)
         soc = self._soc()
@@ -273,7 +286,7 @@ class TestGoldenTraces:
         soc.load_csr(matrix)
         soc.load_dense_vector(random_dense_vector(8, seed=2))
         soc.allocate_output(8)
-        prog = soc.assemble(spmv_hht_vector())
+        prog = soc.assemble(spmv_kernel(accel="hht", vector=True))
         text = render_trace(trace_program(soc, prog, limit=12))
         assert text == GOLDEN_HHT_TRACE
         assert_port_conserved(soc.stats())

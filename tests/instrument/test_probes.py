@@ -8,7 +8,7 @@ from repro.instrument import (
     TimelineProbe,
     TraceProbe,
 )
-from repro.kernels import spmv_hht_vector
+from repro.kernels import spmv_kernel
 from repro.workloads import random_csr, random_dense_vector
 
 
@@ -17,7 +17,7 @@ def hht_workload(soc, size=8, seed=1):
     soc.load_csr(matrix)
     soc.load_dense_vector(random_dense_vector(size, seed=seed + 1))
     soc.allocate_output(size)
-    return soc.assemble(spmv_hht_vector())
+    return soc.assemble(spmv_kernel(accel="hht", vector=True))
 
 
 class TestTraceProbe:

@@ -78,7 +78,7 @@ class TestProtocolViolations:
         soc.allocate_output(8)
         # A broken consumer: reads far more pairs than one row holds
         # without ever consuming the counts.
-        from repro.kernels.common import program_hht
+        from repro.kernels import program_hht
         from repro.core.config import HHTMode
 
         bad = program_hht(HHTMode.SPMSPV_ALIGNED, sparse_vector=True) + """

@@ -177,8 +177,8 @@ class TestCachedSystem:
         soc.load_csr(matrix)
         soc.load_dense_vector(v)
         soc.allocate_output(matrix.nrows)
-        from repro.kernels import spmv_hht_vector
-        soc.run(soc.assemble(spmv_hht_vector()))
+        from repro.kernels import spmv_kernel
+        soc.run(soc.assemble(spmv_kernel(accel="hht", vector=True)))
         hht_stats = soc.cache.counters.by_requester.get("hht")
         assert hht_stats is not None
         assert hht_stats[0] > 0  # the HHT's gathers hit the cache

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.component import SimComponent, hht_stats_view, subtree
-from repro.kernels.spmv import spmv_kernel
+from repro.kernels import spmv_kernel
 from repro.memory import CacheConfig
 from repro.system import Soc, SystemConfig
 from repro.workloads import random_csr, random_dense_vector

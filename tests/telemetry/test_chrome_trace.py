@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.kernels import spmv_hht_vector
+from repro.kernels import spmv_kernel
 from repro.telemetry import (
     CHROME_TRACE_SCHEMA,
     ChromeTraceProbe,
@@ -23,7 +23,7 @@ def hht_workload(soc, size=8, seed=1):
     soc.load_csr(matrix)
     soc.load_dense_vector(random_dense_vector(size, seed=seed + 1))
     soc.allocate_output(size)
-    return soc.assemble(spmv_hht_vector(), name="spmv_hht")
+    return soc.assemble(spmv_kernel(accel="hht", vector=True), name="spmv_hht")
 
 
 def multicore_workload(size=8, seed=3):

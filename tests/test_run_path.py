@@ -4,8 +4,9 @@
 builds a :class:`~repro.system.soc.Soc`, loads operands into it and
 assembles a kernel for it, and ``Soc.run`` (with ``Cpu.run`` and the
 sessions themselves) the only code that opens an interpreter session.
-This test scans the package's syntax trees, so a second copy of that
-sequence cannot creep back in beside them.
+Likewise one module writes Algorithm 1's CSR row loop as assembly text.
+This test scans the package's syntax trees, so a second copy of any of
+these cannot creep back in beside them.
 """
 
 import ast
@@ -27,11 +28,16 @@ SOC_SETUP_METHODS = {
 }
 
 
+def _trees():
+    for path in sorted(ROOT.rglob("*.py")):
+        yield path.relative_to(ROOT).as_posix(), ast.parse(
+            path.read_text(), str(path))
+
+
 def _calls():
     """``(module, callee name, is a method call, line)`` for every call."""
-    for path in sorted(ROOT.rglob("*.py")):
-        module = path.relative_to(ROOT).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for module, tree in _trees():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Attribute):
@@ -64,3 +70,14 @@ def test_only_soc_run_and_the_cpu_open_sessions():
     inside, outside = _split(matches, SESSION_OWNERS)
     assert outside == []
     assert {module for module, _, _, _ in inside} == SESSION_OWNERS
+
+
+def test_one_module_writes_the_row_loop():
+    """Kernels differ only in their per-front-end bodies: the string
+    literals of exactly one module define the ``row_loop:`` label."""
+    modules = {
+        module for module, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "row_loop:" in node.value
+    }
+    assert len(modules) == 1, sorted(modules)
