@@ -10,8 +10,12 @@ the speedup story honest.
 
 Timing is best-of-N over the *same* Soc/program pair, so the compiled
 backend's one-off translation cost lands in the warm-up round and the
-steady-state (block-cache-warm) rate is reported, matching how sweeps
-amortise compilation.
+steady-state (block-cache-warm) rate is reported.  Sweeps do not reach
+that state: the block cache lives on the ``Cpu`` and ``execute()``
+builds a new ``Soc`` for every spec, so every spec translates its blocks
+again (432 translations per compiled headline block of ``bench/run.py``,
+about 6% of its simulation time).  ``bench/run.py``'s headline-compiled
+workload is the end-to-end number.
 """
 
 import time

@@ -14,10 +14,12 @@ them.
 The engines are *event-driven*: one ``step()`` call processes one unit of
 work (one BLEN-sized buffer fill for SpMV/variant-2, one matrix row for
 variant-1) and advances the engine clock to when its pipeline can accept
-the next unit.  Functional values are read from RAM snapshots taken at
-START — the kernels never modify the operand arrays during a run — so
-the SpMV and variant-2 engines look up every fill's words once, at
-START, and push slices of them.
+the next unit.  The kernels never modify the operand arrays during a
+run, so the metadata alone fixes each unit's work: its size, the counts
+its reads and gathers take and the words it delivers.  Each engine plans
+every unit at START, with numpy, from RAM snapshots; only when a unit
+lands depends on the shared port, so a ``step`` charges the port in unit
+order and pushes a slice of the planned words.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .stream import BufferedStream
 
 class EngineError(Exception):
     """Raised when the programmed configuration is unusable."""
+
+
+def _read(ram: Ram, addr: int, count: int, dtype) -> np.ndarray:
+    """*count* elements at *addr* (no RAM access when there are none)."""
+    return ram.read_array(addr, count, dtype) if count else np.empty(0, dtype)
 
 
 class BackEndEngine:
@@ -61,17 +68,11 @@ class BackEndEngine:
         return stream
 
     def capacity_ok(self) -> bool:
+        """The gate: every stream has a free buffer slot."""
         for stream in self.streams.values():
-            if not stream.has_room:
+            if stream.occupied_slots >= stream.n_buffers:
                 return False
         return True
-
-    def _seq_read(self, cycle: int, addr: int, words: int) -> int:
-        """Sequential metadata read through the BE's wide interface."""
-        return self.mem.read_seq(
-            addr, words, cycle, self.requester,
-            words_per_slot=self.config.seq_words_per_slot,
-        )
 
     def pump(self, now: int) -> None:
         """Run the back-end as far ahead as buffering allows.
@@ -83,18 +84,31 @@ class BackEndEngine:
         """
         if self.exhausted:
             return
+        if self.capacity_ok():
+            self.refill(now)
+        elif self.blocked_since is None:
+            self.blocked_since = self.time
+
+    def refill(self, now: int) -> None:
+        """:meth:`pump` for a caller that found the gate open: step until
+        the engine is exhausted or gated, testing the gate once per step."""
+        blocked = self.blocked_since
+        if blocked is not None:
+            resume = now if now > blocked else blocked
+            self.wait_for_buffer_cycles += resume - blocked
+            if resume > self.time:
+                self.time = resume
+            self.blocked_since = None
         sink = self.probe_sink
-        while not self.exhausted and self.capacity_ok():
-            if self.blocked_since is not None:
-                resume = max(self.blocked_since, now)
-                self.wait_for_buffer_cycles += resume - self.blocked_since
-                self.time = max(self.time, resume)
-                self.blocked_since = None
+        while True:
             self.step()
             if sink is not None:
                 sink.buffer_fill(self)
-        if not self.exhausted and self.blocked_since is None:
-            self.blocked_since = self.time
+            if self.exhausted:
+                return
+            if not self.capacity_ok():
+                self.blocked_since = self.time
+                return
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -104,24 +118,22 @@ class BackEndEngine:
         return self.exhausted and all(
             not s.unconsumed for s in self.streams.values())
 
-    @staticmethod
-    def _row_chunks(rows: np.ndarray, blen: int) -> list[int]:
-        """Buffer-fill sizes aligned to the CPU's row-chunked vector loop.
 
-        The CPU consumes ``min(blen, remaining_in_row)`` elements per
-        vector load (``vsetvli``), so the BE emits groups on exactly those
-        boundaries — a fill never straddles a row (the control unit knows
-        the row structure from ``M_Rows_Base``).
-        """
-        chunks: list[int] = []
-        lengths = np.diff(rows)
-        for nnz_row in lengths:
-            nnz_row = int(nnz_row)
-            while nnz_row > 0:
-                take = blen if nnz_row >= blen else nnz_row
-                chunks.append(take)
-                nnz_row -= take
-        return chunks
+def _row_fills(rows: np.ndarray, blen: int) -> np.ndarray:
+    """Buffer-fill sizes aligned to the CPU's row-chunked vector loop.
+
+    The CPU consumes ``min(blen, remaining_in_row)`` elements per vector
+    load (``vsetvli``), so the BE emits fills on exactly those
+    boundaries — a fill never straddles a row (the control unit knows
+    the row structure from ``M_Rows_Base``): each row gives its whole
+    BLEN chunks, then its remainder if any.
+    """
+    full, rem = np.divmod(np.diff(rows), blen)
+    ends = np.cumsum(full + (rem > 0))
+    sizes = np.full(int(ends[-1]) if ends.size else 0, blen, np.int32)
+    tail = rem > 0
+    sizes[ends[tail] - 1] = rem[tail]
+    return sizes
 
 
 class SpMVGatherEngine(BackEndEngine):
@@ -132,6 +144,10 @@ class SpMVGatherEngine(BackEndEngine):
     addresses ``V_Base + s*k``; stage 4 issues the ``V`` reads whose
     responses fill the CPU-side buffer.  The V requests for a chunk start
     streaming as soon as the first column response arrives.
+
+    Variant 2 runs the same pipeline over the position map, plus a value
+    gather per map hit, so it shares :meth:`step`; for SpMV every fill
+    has zero hits.
     """
 
     def __init__(self, config, mem, start_cycle, ram: Ram, regs: dict[str, int],
@@ -145,59 +161,75 @@ class SpMVGatherEngine(BackEndEngine):
         # non-zero.
         self.nnz = int(rows[-1] - rows[0]) if nrows else 0
         self.cols_base = regs["m_cols_base"]
-        self.v_base = regs["v_base"]
-        self.cols = (
-            ram.read_array(self.cols_base, self.nnz, np.int32)
-            if self.nnz
-            else np.empty(0, np.int32)
-        )
-        ncols = regs["m_num_cols"]
-        v_bits = (
-            ram.read_array(self.v_base, ncols, np.uint32)
-            if ncols
-            else np.empty(0, np.uint32)
-        )
-        #: Every fill's words, in stream order.
-        self.words = v_bits[self.cols]
+        self.cols = _read(ram, self.cols_base, self.nnz, np.int32)
+        # The gathered array's base (V; variant 2: the position map) and
+        # every fill's words, in stream order.
+        self.gather_base, self.words, hit = self._operands(ram, regs)
+        # The plan: each fill's size and value-gather (map hit) count;
+        # fill i starts where fill i - 1 ended.
+        sizes = _row_fills(rows, config.buffer_elems)
+        self.chunks: list[int] = sizes.tolist()
+        if hit is None or not self.chunks:
+            self.hits = [0] * len(self.chunks)
+        else:
+            starts = np.cumsum(sizes) - sizes
+            self.hits = np.add.reduceat(hit, starts, dtype=np.int64).tolist()
+        self.fill = 0
         self.cursor = 0
-        self.chunks = self._row_chunks(rows, config.buffer_elems)
-        self.chunk_idx = 0
         self.vval = self._make_stream("vval", config.n_buffers, config.buffer_elems)
         if self.nnz == 0:
             self.exhausted = True
 
+    def _operands(self, ram: Ram, regs: dict[str, int]):
+        """``(gather base, words, hit)``: *hit* marks the non-zeros whose
+        vector value is fetched after the gather (None: none are)."""
+        ncols = regs["m_num_cols"]
+        v_bits = _read(ram, regs["v_base"], ncols, np.uint32)
+        return regs["v_base"], v_bits[self.cols], None
+
     def step(self) -> None:
         cfg = self.config
-        count = self.chunks[self.chunk_idx]
-        self.chunk_idx += 1
+        mem = self.mem
+        requester = self.requester
+        i = self.fill
+        self.fill = i + 1
+        count = self.chunks[i]
+        hits = self.hits[i]
         start = self.cursor
-        self.cursor += count
-        chunk = self.cols[start : start + count]
+        end = self.cursor = start + count
 
         t = self.time
         # Stage 1/2: stream the column indices (wide sequential read).
-        t_cols = self._seq_read(t, self.cols_base + 4 * start, count)
-        # Stage 3/4: V gathers start once the first column index arrives,
-        # one request per cycle thereafter.
-        first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
-        v_base = self.v_base
-        t_v = self.mem.gather(
-            count, lambda: [v_base + 4 * col for col in chunk.tolist()],
-            first_col_ready + 1, self.requester,
+        wide = cfg.seq_words_per_slot
+        t_cols = mem.read_seq(self.cols_base + 4 * start, count, t, requester,
+                              words_per_slot=wide)
+        # Stage 3/4: V (map) gathers start once the first column index
+        # arrives, one request per cycle thereafter.
+        cols = self.cols
+        base = self.gather_base
+        t_val = mem.gather(
+            count, lambda: [base + 4 * col for col in cols[start:end].tolist()],
+            t_cols - (count - 1) // wide + 1, requester,
         )
-        ready = t_v + cfg.fill_overhead
+        if hits:
+            # Variant 2: one value gather per map hit, pipelined behind
+            # the map responses.
+            t_val = mem.gather(hits, lambda: self._value_addrs(start, end),
+                               t_val - hits + 2, requester)
 
-        self.vval.push_group(ready, self.words[start : start + count])
-        self.vval.stats.elements_supplied += count
+        vval = self.vval
+        vval.push_fill(t_val + cfg.fill_overhead, self.words[start:end])
+        vval.stats.elements_supplied += count
         self.buffers_filled += 1
         # The pipeline can begin the next chunk once this chunk's requests
         # have all been issued (responses drain in the background).
-        self.time = max(t + 1, t_v - self.port.latency + 1)
-        if self.cursor >= self.nnz:
+        t_next = t_val - self.port.latency + 1
+        self.time = t_next if t_next > t else t + 1
+        if end >= self.nnz:
             self.exhausted = True
 
 
-class SpMSpVValueEngine(BackEndEngine):
+class SpMSpVValueEngine(SpMVGatherEngine):
     """Variant-2: one vector value (or zero) per matrix non-zero.
 
     Per element the BE reads the column index, gathers the position map
@@ -208,79 +240,20 @@ class SpMSpVValueEngine(BackEndEngine):
     computations on zeros".
     """
 
-    def __init__(self, config, mem, start_cycle, ram: Ram, regs: dict[str, int],
-                 requester: str = "hht"):
-        super().__init__(config, mem, start_cycle, requester)
-        nrows = regs["m_num_rows"]
-        rows = ram.read_array(regs["m_rows_base"], nrows + 1, np.int32)
-        self.nnz = int(rows[-1] - rows[0]) if nrows else 0
-        self.cols_base = regs["m_cols_base"]
-        self.map_base = regs["v_map_base"]
+    def _operands(self, ram: Ram, regs: dict[str, int]):
         self.vpad_base = regs["v_vals_base"]
-        self.cols = (
-            ram.read_array(self.cols_base, self.nnz, np.int32)
-            if self.nnz
-            else np.empty(0, np.int32)
-        )
-        ncols = regs["m_num_cols"]
-        self.posmap = (
-            ram.read_array(self.map_base, ncols, np.int32)
-            if ncols
-            else np.empty(0, np.int32)
-        )
-        v_nnz = regs["v_nnz"]
-        vpad_bits = ram.read_array(self.vpad_base, v_nnz + 1, np.uint32)
+        self.posmap = _read(ram, regs["v_map_base"], regs["m_num_cols"],
+                            np.int32)
+        vpad_bits = ram.read_array(self.vpad_base, regs["v_nnz"] + 1,
+                                   np.uint32)
         positions = self.posmap[self.cols]
-        #: Every fill's words (a miss reads ``vpad[0]``, a zero).
-        self.words = vpad_bits[positions]
-        self.cursor = 0
-        self.chunks = self._row_chunks(rows, config.buffer_elems)
-        #: Position-map hits (value fetches) per fill.
-        self.hits: list[int] = []
-        if self.chunks:
-            starts = np.cumsum([0] + self.chunks[:-1])
-            self.hits = np.add.reduceat(
-                positions > 0, starts, dtype=np.int64).tolist()
-        self.chunk_idx = 0
-        self.vval = self._make_stream("vval", config.n_buffers, config.buffer_elems)
-        if self.nnz == 0:
-            self.exhausted = True
+        # A miss reads vpad[0], a zero.
+        return regs["v_map_base"], vpad_bits[positions], positions > 0
 
-    def step(self) -> None:
-        cfg = self.config
-        count = self.chunks[self.chunk_idx]
-        hits = self.hits[self.chunk_idx]
-        self.chunk_idx += 1
-        start = self.cursor
-        self.cursor += count
-        chunk = self.cols[start : start + count]
-
-        t = self.time
-        t_cols = self._seq_read(t, self.cols_base + 4 * start, count)
-        first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
-        map_base = self.map_base
-        t_map = self.mem.gather(
-            count, lambda: [map_base + 4 * col for col in chunk.tolist()],
-            first_col_ready + 1, self.requester,
-        )
-        if hits:
-            first_map_ready = t_map - (hits - 1)
-            vpad_base = self.vpad_base
-            t_val = self.mem.gather(
-                hits, lambda: [vpad_base + 4 * pos
-                               for pos in self.posmap[chunk].tolist() if pos],
-                first_map_ready + 1, self.requester,
-            )
-        else:
-            t_val = t_map
-        ready = t_val + cfg.fill_overhead
-
-        self.vval.push_group(ready, self.words[start : start + count])
-        self.vval.stats.elements_supplied += count
-        self.buffers_filled += 1
-        self.time = max(t + 1, t_val - self.port.latency + 1)
-        if self.cursor >= self.nnz:
-            self.exhausted = True
+    def _value_addrs(self, start: int, end: int) -> list[int]:
+        vpad_base = self.vpad_base
+        return [vpad_base + 4 * pos
+                for pos in self.posmap[self.cols[start:end]].tolist() if pos]
 
 
 class SpMSpVAlignedEngine(BackEndEngine):
@@ -291,39 +264,58 @@ class SpMSpVAlignedEngine(BackEndEngine):
     this is why "HHT is performing more work than the CPU"), then fetches
     the matched matrix and vector values.  The CPU reads the match count
     from the COUNT FIFO, then streams the pairs.
+
+    The merge's outcome depends on the metadata alone, so START runs it
+    once over every row (a sorted-index intersection of all column
+    indices with the vector's index list) and each row's step replays
+    its timing.
     """
 
     def __init__(self, config, mem, start_cycle, ram: Ram, regs: dict[str, int],
                  requester: str = "hht"):
         super().__init__(config, mem, start_cycle, requester)
         self.nrows = regs["m_num_rows"]
-        self.rows = ram.read_array(regs["m_rows_base"], self.nrows + 1, np.int32)
-        if self.nrows and self.rows[0]:
-            # Absolute pointers (tile view): rebase to the tile's start.
-            self.rows = self.rows - self.rows[0]
-        nnz = int(self.rows[-1]) if self.nrows else 0
+        rows = ram.read_array(regs["m_rows_base"], self.nrows + 1, np.int32)
+        # Absolute pointers (tile view): rebase to the tile's start.
+        bounds = rows - rows[0]
+        lengths = np.diff(bounds)
+        nnz = int(bounds[-1])
         self.cols_base = regs["m_cols_base"]
         self.mvals_base = regs["m_vals_base"]
         self.v_idx_base = regs["v_idx_base"]
         self.vpad_base = regs["v_vals_base"]
-        self.cols = (
-            ram.read_array(self.cols_base, nnz, np.int32)
-            if nnz
-            else np.empty(0, np.int32)
-        )
-        self.mvals_bits = (
-            ram.read_array(self.mvals_base, nnz, np.uint32)
-            if nnz
-            else np.empty(0, np.uint32)
-        )
+        cols = _read(ram, self.cols_base, nnz, np.int32)
         v_nnz = regs["v_nnz"]
-        self.v_idx = (
-            ram.read_array(self.v_idx_base, v_nnz, np.int32)
-            if v_nnz
-            else np.empty(0, np.int32)
-        )
-        self.vpad_bits = ram.read_array(self.vpad_base, v_nnz + 1, np.uint32)
+        v_idx = _read(ram, self.v_idx_base, v_nnz, np.int32)
+        # Functional merge (sorted-index intersection), every row at once.
+        pos = np.searchsorted(v_idx, cols).astype(np.int32)
+        hit = (v_idx.take(pos, mode="clip") == cols if v_nnz
+               else np.zeros(nnz, bool))
+        #: Matched non-zeros (indices into M_COLS/M_VALS) and vector
+        #: positions, in stream order: the addresses of the pair gathers.
+        self.match_k = np.flatnonzero(hit).astype(np.int32)
+        self.match_vpos = pos[hit]
+        matches = np.diff(np.searchsorted(self.match_k, bounds))
+        # Vector-index stream entries a row's merge consumes: every entry
+        # up to the row's last column.
+        v_used = np.zeros(self.nrows, np.int32)
+        busy = lengths > 0
+        v_used[busy] = np.searchsorted(v_idx, cols[bounds[1:][busy] - 1],
+                                       side="right")
+        # The plan, per row: its length, vector-index entries consumed
+        # and match count; row i's non-zeros and matches start where row
+        # i - 1's ended.
+        self.lengths: list[int] = lengths.tolist()
+        self.v_used: list[int] = v_used.tolist()
+        self.matches: list[int] = matches.tolist()
+        #: Every row's stream words: its count, its pairs.
+        self.count_words = matches.astype(np.uint32)
+        self.mwords = _read(ram, self.mvals_base, nnz, np.uint32)[self.match_k]
+        self.vwords = ram.read_array(self.vpad_base, v_nnz + 1,
+                                     np.uint32)[self.match_vpos + 1]
         self.row = 0
+        self.cursor = 0
+        self.match_cursor = 0
         self.count = self._make_stream("count", config.n_buffers, 1)
         self.mval = self._make_stream("mval", config.n_buffers, config.buffer_elems)
         self.vval = self._make_stream("vval", config.n_buffers, config.buffer_elems)
@@ -332,67 +324,58 @@ class SpMSpVAlignedEngine(BackEndEngine):
 
     def step(self) -> None:
         cfg = self.config
+        mem = self.mem
+        requester = self.requester
+        latency = self.port.latency
         i = self.row
-        self.row += 1
-        lo, hi = int(self.rows[i]), int(self.rows[i + 1])
-        row_cols = self.cols[lo:hi]
-        nc = hi - lo
-        v_nnz = self.v_idx.size
-
-        # Functional merge (sorted-index intersection).
-        if nc and v_nnz:
-            pos = np.searchsorted(self.v_idx, row_cols)
-            valid = pos < v_nnz
-            valid[valid] &= self.v_idx[pos[valid]] == row_cols[valid]
-            matched_k = np.nonzero(valid)[0]
-            matched_vpos = pos[valid]
-            # Vector-index stream entries consumed before the merge ends.
-            v_used = int(
-                min(v_nnz, np.searchsorted(self.v_idx, row_cols[-1], side="right"))
-            )
-        else:
-            matched_k = np.empty(0, np.int64)
-            matched_vpos = np.empty(0, np.int64)
-            v_used = 0
-        nm = matched_k.size
+        self.row = i + 1
+        nc = self.lengths[i]
+        v_used = self.v_used[i]
+        nm = self.matches[i]
+        lo = self.cursor
+        self.cursor = lo + nc
+        m0 = self.match_cursor
+        m1 = self.match_cursor = m0 + nm
 
         # Timing: stream both index lists, merge at one comparison per
         # merge_cycles_per_step, then gather the matched value pairs.
         t = self.time
-        t_meta = self._seq_read(t, self.cols_base + 4 * lo, nc)
-        t_meta = self._seq_read(
-            (t_meta - self.port.latency + 1) if nc else t,
-            self.v_idx_base,
-            v_used,
-        )
-        steps = (nc + v_used) * cfg.merge_cycles_per_step
-        merge_done = max(t_meta, t + steps)
+        wide = cfg.seq_words_per_slot
+        t_meta = mem.read_seq(self.cols_base + 4 * lo, nc, t, requester,
+                              words_per_slot=wide)
+        t_meta = mem.read_seq(self.v_idx_base, v_used,
+                              (t_meta - latency + 1) if nc else t, requester,
+                              words_per_slot=wide)
+        merge_done = max(t_meta, t + (nc + v_used) * cfg.merge_cycles_per_step)
         if nm:
             # Matched (matrix, vector) value pairs interleave on the
             # port: the matrix values at odd offsets, then the vector
             # values at even offsets.
-            mvals = self.mvals_base + 4 * lo
+            mvals = self.mvals_base
             vpad = self.vpad_base + 4
             t_pairs = max(
-                self.mem.gather(
-                    nm, lambda: [mvals + 4 * k for k in matched_k.tolist()],
-                    merge_done + 1, self.requester, step=2),
-                self.mem.gather(
-                    nm, lambda: [vpad + 4 * p for p in matched_vpos.tolist()],
-                    merge_done + 2, self.requester, step=2),
+                mem.gather(
+                    nm, lambda: [mvals + 4 * k
+                                 for k in self.match_k[m0:m1].tolist()],
+                    merge_done + 1, requester, step=2),
+                mem.gather(
+                    nm, lambda: [vpad + 4 * p
+                                 for p in self.match_vpos[m0:m1].tolist()],
+                    merge_done + 2, requester, step=2),
             )
         else:
             t_pairs = merge_done
-        ready = t_pairs + cfg.fill_overhead
 
-        self.count.push(merge_done + cfg.fill_overhead, nm)
+        self.count.push_fill(merge_done + cfg.fill_overhead,
+                             self.count_words[i:i + 1])
         self.count.stats.elements_supplied += 1
         if nm:
-            self.mval.push_group(ready, self.mvals_bits[lo + matched_k])
-            self.vval.push_group(ready, self.vpad_bits[matched_vpos + 1])
+            ready = t_pairs + cfg.fill_overhead
+            self.mval.push_fill(ready, self.mwords[m0:m1])
+            self.vval.push_fill(ready, self.vwords[m0:m1])
             self.mval.stats.elements_supplied += nm
             self.vval.stats.elements_supplied += nm
         self.buffers_filled += 1
-        self.time = max(t + 1, t_pairs - self.port.latency + 1)
+        self.time = max(t + 1, t_pairs - latency + 1)
         if self.row >= self.nrows:
             self.exhausted = True

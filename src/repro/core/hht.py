@@ -24,7 +24,7 @@ from .engines import (
     SpMSpVValueEngine,
     SpMVGatherEngine,
 )
-from .stream import StreamUnderflow
+from .stream import BufferedStream, StreamUnderflow
 
 _FIFO_STREAMS = {
     MMR.VVAL_FIFO: "vval",
@@ -236,39 +236,21 @@ class HHT(SimComponent):
                 f"stream {stream_name!r} is not produced in mode "
                 f"{HHTMode(self.regs['mode']).name}"
             )
-        values = None
-        last_ready = cycle
-        need = count
-        while need:
-            piece = stream.read(need)
-            if piece is None:
-                if engine.exhausted:
-                    raise StreamUnderflow(
-                        f"CPU read past end of {stream_name!r} stream"
-                    )
-                before = engine.buffers_filled
-                engine.pump(cycle)
-                if engine.buffers_filled == before and not stream.unconsumed:
-                    raise EngineError(
-                        f"FIFO deadlock on {stream_name!r}: back-end blocked "
-                        "while the stream is empty (kernel protocol violation)"
-                    )
-                continue
-            ready, words = piece
-            if ready > last_ready:
-                last_ready = ready
-            # Fills are row-aligned, so the kernels' reads never span
-            # two; a read that does is concatenated.
-            values = (words if values is None
-                      else np.concatenate((values, words)))
-            need -= words.size
-        wait = max(0, last_ready - cycle)
+        # One pass in the common case: the read is served by the oldest
+        # staged fill (row-aligned fills match the kernels' reads).
+        piece = stream.read(count)
+        if piece is not None and piece[1].size == count:
+            ready, values = piece
+        else:
+            ready, values = self._read_rest(engine, stream, piece, count,
+                                            cycle)
         cfg = self.config
-        completion = (
-            max(cycle, last_ready)
-            + cfg.fifo_read_latency
-            + cfg.fifo_beat_per_elem * (count - 1)
-        )
+        if ready > cycle:
+            wait = ready - cycle
+            served = ready + cfg.fifo_read_latency
+        else:
+            wait = 0
+            served = cycle + cfg.fifo_read_latency
         # Consumption recycles buffer slots once the last element has left
         # the buffer into the read datapath (one FE cycle after the data
         # was available) — with N=1 this forces fill/drain alternation.
@@ -276,13 +258,49 @@ class HHT(SimComponent):
         # and only reads reopen the gate, so a read that freed no slot
         # the gate was waiting for leaves nothing to pump.
         if not engine.exhausted and engine.capacity_ok():
-            engine.pump(max(cycle, last_ready) + cfg.fifo_read_latency)
-        self.counters.cpu_wait_cycles += wait
-        self.counters.fifo_reads += 1
-        self.counters.elements_supplied += count
-        stream.stats.reads += 1
-        stream.stats.cpu_wait_cycles += wait
+            engine.refill(served)
+        counters = self.counters
+        counters.cpu_wait_cycles += wait
+        counters.fifo_reads += 1
+        counters.elements_supplied += count
+        stats = stream.stats
+        stats.reads += 1
+        stats.cpu_wait_cycles += wait
         sink = self.probe_sink
         if sink is not None:
             sink.fifo_read(self.name, stream_name, cycle, wait, count)
-        return values, completion
+        return values, served + cfg.fifo_beat_per_elem * (count - 1)
+
+    @staticmethod
+    def _read_rest(engine: BackEndEngine, stream: BufferedStream,
+                   piece: tuple[int, np.ndarray] | None, count: int,
+                   cycle: int) -> tuple[int, np.ndarray]:
+        """The rest of a read that its first *piece* did not serve: pump
+        an empty stream, and concatenate a read that spans fills.
+        Returns ``(latest ready time, words)``."""
+        values = None
+        last_ready = cycle
+        need = count
+        while True:
+            if piece is None:
+                if engine.exhausted:
+                    raise StreamUnderflow(
+                        f"CPU read past end of {stream.name!r} stream"
+                    )
+                before = engine.buffers_filled
+                engine.pump(cycle)
+                if engine.buffers_filled == before and not stream.unconsumed:
+                    raise EngineError(
+                        f"FIFO deadlock on {stream.name!r}: back-end blocked "
+                        "while the stream is empty (kernel protocol violation)"
+                    )
+            else:
+                ready, words = piece
+                if ready > last_ready:
+                    last_ready = ready
+                values = (words if values is None
+                          else np.concatenate((values, words)))
+                need -= words.size
+                if not need:
+                    return last_ready, values
+            piece = stream.read(need)

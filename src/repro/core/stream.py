@@ -67,10 +67,14 @@ class BufferedStream:
         extra slots, which is how the model throttles the back-end.
         """
         words = np.asarray(values, np.uint32)
-        n = words.size
-        if n == 0:
-            return
+        if words.size:
+            self.push_fill(ready_at, words)
+
+    def push_fill(self, ready_at: int, words: np.ndarray) -> None:
+        """:meth:`push_group` for a non-empty ``uint32`` array, staged as
+        is: the engines push slices of their planned words."""
         self._fills.append((ready_at, words))
+        n = words.size
         self.unconsumed += n
         self.occupied_slots += -(-n // self.buffer_elems)
 
@@ -84,18 +88,22 @@ class BufferedStream:
         fills = self._fills
         if not fills:
             return None
-        ready, words = fills[0]
+        fill = fills[0]
+        words = fill[1]
         head = self._head
         n = words.size
         blen = self.buffer_elems
         end = head + count
         if end >= n:
-            end = n
             fills.popleft()
-            self._head = 0
             self.occupied_slots -= -(-n // blen) - head // blen
-        else:
-            self._head = end
-            self.occupied_slots -= end // blen - head // blen
-        self.unconsumed -= end - head
-        return ready, words[head:end]
+            self.unconsumed -= n - head
+            if not head:
+                # The whole fill: the staged entry itself, no slice.
+                return fill
+            self._head = 0
+            return fill[0], words[head:]
+        self._head = end
+        self.occupied_slots -= end // blen - head // blen
+        self.unconsumed -= count
+        return fill[0], words[head:end]

@@ -106,8 +106,11 @@ class MemorySystem(SimComponent):
         The closed form needs only the count, so the element addresses
         are built — by calling *addrs* — only on the per-element path.
         """
-        if self._closed_form():
-            return self.port.issue_gather(cycle, count, requester, step)
+        port = self.port
+        # _closed_form(), inline: the HHT engines gather once or twice
+        # per fill.
+        if self._flat and port.probe_sink is None:
+            return port.issue_gather(cycle, count, requester, step)
         return present_pipelined(
             lambda addr, at: self.read(addr, at, requester),
             addrs(), cycle, step,

@@ -11,6 +11,13 @@ from repro.core.engines import (
 )
 from repro.formats import CSRMatrix, SparseVector
 from repro.memory import MemoryPort, MemorySystem, Ram
+from repro.workloads import (
+    random_csr,
+    random_dense_vector,
+    random_sparse_vector,
+)
+
+from .test_engine_properties import consume
 
 
 def flat_memory() -> MemorySystem:
@@ -228,3 +235,50 @@ class TestSpMSpVAlignedEngine:
         counts = [bits for _, bits in drain(engine.count)]
         assert counts == [0, 0, 0]
         assert drain(engine.mval) == []
+
+
+class TestTileView:
+    """A row tile programmed as a view of a larger CSR — ``M_ROWS_BASE``
+    at the tile's first row pointer (so ``rows[0] != 0``) and
+    ``M_COLS_BASE``/``M_VALS_BASE`` pre-offset to its first non-zero —
+    runs exactly as the same rows loaded as their own CSR."""
+
+    ROWS = slice(8, 16)
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        return (
+            random_csr((24, 24), 0.4, seed=7),
+            random_dense_vector(24, seed=8),
+            random_sparse_vector(24, 0.5, seed=9),
+        )
+
+    def run(self, engine_cls, n_buffers, ram, regs):
+        port = MemoryPort()
+        engine = engine_cls(HHTConfig(n_buffers=n_buffers),
+                            MemorySystem(port), 0, ram, regs)
+        pieces = consume(engine)
+        return pieces, engine.time, engine.buffers_filled, port.stats()
+
+    @pytest.mark.parametrize("n_buffers", [1, 2])
+    @pytest.mark.parametrize("engine_cls", [
+        SpMVGatherEngine, SpMSpVAlignedEngine, SpMSpVValueEngine,
+    ], ids=["spmv", "spmspv_v1", "spmspv_v2"])
+    def test_tile_view_matches_own_csr(self, engine_cls, n_buffers,
+                                       operands):
+        matrix, v, sv = operands
+        first, last = self.ROWS.start, self.ROWS.stop
+        ram, regs = load_operands(matrix, v=v, sv=sv)
+        offset = 4 * int(matrix.rows[first])
+        assert offset
+        regs["m_num_rows"] = last - first
+        regs["m_rows_base"] += 4 * first
+        regs["m_cols_base"] += offset
+        regs["m_vals_base"] += offset
+        view = self.run(engine_cls, n_buffers, ram, regs)
+
+        tile = CSRMatrix.from_dense(matrix.to_dense()[self.ROWS])
+        own = self.run(engine_cls, n_buffers,
+                       *load_operands(tile, v=v, sv=sv))
+        assert view == own
+        assert view[2] > 1

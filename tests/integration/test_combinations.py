@@ -66,8 +66,11 @@ class TestCachedVariants:
 
 class TestProtocolViolations:
     def test_variant1_count_skipping_detected(self):
-        """Reading pairs while counts back up must fail loudly, not hang."""
-        from repro.core import EngineError, StreamUnderflow
+        """Reading pairs while counts back up must fail loudly, not hang:
+        the COUNT buffers fill, the back-end gates, and the pair stream
+        runs dry — a deadlock, not an underflow (the input is not
+        exhausted)."""
+        from repro.core import EngineError
         from repro.system import Soc
 
         matrix = random_csr((8, 8), 0.2, seed=603)
@@ -90,5 +93,10 @@ class TestProtocolViolations:
         bnez t0, loop
         halt
         """
-        with pytest.raises((EngineError, StreamUnderflow)):
+        with pytest.raises(EngineError) as excinfo:
             soc.run(soc.assemble(bad))
+        assert excinfo.type is EngineError
+        assert str(excinfo.value) == (
+            "FIFO deadlock on 'mval': back-end blocked while the stream "
+            "is empty (kernel protocol violation)"
+        )
