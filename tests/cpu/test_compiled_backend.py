@@ -2,27 +2,42 @@
 
 Cross-backend *equivalence* is proven by the determinism suite and
 ``tests/instrument/test_cross_backend.py``; this file tests the
-backend's own machinery — block caching, invalidation, translation
-telemetry, self-loop closures, the budget/PC error paths, and
-register-dataflow corner cases against the reference interpreter.
+backend's own machinery — the process-wide block cache and when a
+translation may be reused, self-loop closures, the budget/PC error
+paths, and register-dataflow corner cases against the reference
+interpreter.
 """
 
 import pytest
 
-from repro.cpu import CompiledBackend, Cpu, CpuConfig, SimulationError
+from repro.cpu import (
+    CompiledBlock, Cpu, CpuConfig, LatencyTable, SimulationError, compiled,
+)
+from repro.exec import execute, spmspv_spec, spmv_spec
 from repro.isa import assemble
+from repro.kernels import spmv_kernel
 from repro.memory import Bus, MemoryPort, Ram
+from repro.system import Soc, SystemConfig
+from repro.workloads.synthetic import random_csr, random_dense_vector
 
 
 def make_cpu(backend: str = "compiled", *, max_instructions: int | None = None,
-             ram_bytes: int = 1 << 16):
+             ram_bytes: int = 1 << 16, **config):
     ram = Ram(ram_bytes)
     bus = Bus(ram, MemoryPort(latency=2))
-    kwargs: dict = {"backend": backend}
+    kwargs: dict = {"backend": backend, **config}
     if max_instructions is not None:
         kwargs["max_instructions"] = max_instructions
     cpu = Cpu(bus, CpuConfig(**kwargs))
     return cpu, ram
+
+
+@pytest.fixture
+def block_cache():
+    """The process's translation cache, emptied first, so a test counts
+    only the blocks it translates itself, whatever ran before it."""
+    compiled.block_cache.clear()
+    return compiled.block_cache
 
 
 COUNT_LOOP = """\
@@ -36,65 +51,185 @@ loop:
 
 
 class TestBlockCache:
-    def test_backend_attached_and_blocks_compiled(self):
+    def test_blocks_translated_into_process_cache(self, block_cache):
         cpu, _ = make_cpu()
         cpu.run(assemble("li a0, 5\nli a1, 7\nadd a2, a0, a1\nhalt"))
-        backend = cpu._compiled_backend
-        assert isinstance(backend, CompiledBackend)
-        assert backend.blocks_compiled >= 1
-        assert backend.instructions_translated >= 4
+        (block,) = block_cache.values()
+        assert isinstance(block, CompiledBlock)
+        assert block.n == 4
         assert cpu.x[12] == 12
 
-    def test_blocks_reused_across_runs(self):
+    def test_blocks_reused_across_runs(self, block_cache):
         cpu, _ = make_cpu()
         program = assemble(COUNT_LOOP)
         cpu.run(program)
-        compiled_once = cpu._compiled_backend.blocks_compiled
+        translated = dict(block_cache)
         cpu.run(program)
-        assert cpu._compiled_backend.blocks_compiled == compiled_once
+        assert block_cache == translated    # the same objects: no new ones
 
-    def test_distinct_programs_cached_by_digest(self):
+    def test_distinct_programs_cached_by_content(self, block_cache):
         cpu, _ = make_cpu()
         cpu.run(assemble("li a0, 1\nhalt"))
         cpu.run(assemble("li a0, 2\nhalt"))
-        assert len(cpu._compiled_backend._programs) == 2
+        cpu.run(assemble("li a0, 2\nhalt"))
+        assert len(block_cache) == 2
 
-    def test_latency_change_invalidates_cache(self):
+    def test_latency_change_invalidates_cache(self, block_cache):
         cpu, _ = make_cpu()
         program = assemble(COUNT_LOOP)
         cpu.run(program)
-        backend = cpu._compiled_backend
-        compiled_once = backend.blocks_compiled
+        translated = len(block_cache)
         cpu.lat.int_alu += 1  # cycle charges are baked into closures
         cpu.run(program)
-        assert backend.blocks_compiled > compiled_once
+        assert len(block_cache) == 2 * translated
 
-    def test_program_cache_is_bounded(self):
+    def test_block_cache_is_bounded(self, block_cache, monkeypatch):
+        monkeypatch.setattr(compiled, "MAX_BLOCKS", 2)
         cpu, _ = make_cpu()
-        backend = CompiledBackend(cpu)
-        cpu._compiled_backend = backend
-        backend.MAX_PROGRAMS = 2
         for k in range(4):
             cpu.run(assemble(f"li a0, {k}\nhalt"))
-        assert len(backend._programs) <= 2
+            assert cpu.x[10] == k
+        assert len(block_cache) == 2
 
 
 class TestTranslationTelemetry:
-    def test_self_loop_compiles_to_loop_block(self):
+    def test_self_loop_compiles_to_loop_block(self, block_cache):
         cpu, _ = make_cpu()
         cpu.run(assemble(COUNT_LOOP))
-        backend = cpu._compiled_backend
-        assert backend.loop_blocks == 1
+        assert sum(block.looping for block in block_cache.values()) == 1
         assert cpu.x[5] == 50
 
-    def test_block_source_is_kept(self):
+    def test_block_source_is_kept(self, block_cache):
         cpu, _ = make_cpu()
-        program = assemble(COUNT_LOOP)
-        cpu.run(program)
-        blocks = cpu._compiled_backend.blocks_for(program)
-        assert blocks, "block cache unexpectedly empty"
-        for block in blocks.values():
+        cpu.run(assemble(COUNT_LOOP))
+        assert block_cache, "block cache unexpectedly empty"
+        for block in block_cache.values():
             assert f"def _block_{block.entry}(" in block.source
+
+
+def _run_spmv_soc(backend: str, accel: str | None, size: int = 32):
+    """A fresh Table-1 SoC running the vector SpMV kernel, and its run."""
+    cfg = SystemConfig.paper_table1()
+    cfg.cpu.backend = backend
+    matrix = random_csr((size, size), 0.5, seed=3)
+    soc = Soc(cfg)
+    soc.load_csr(matrix)
+    soc.load_dense_vector(random_dense_vector(size, seed=4))
+    soc.allocate_output(size)
+    summary = soc.run(soc.assemble(spmv_kernel(accel=accel, vector=True)))
+    return soc, summary, soc.read_output("y", size)
+
+
+VSET_LOOP = """\
+    li a0, 16
+    vsetvli t0, a0, e32, m1
+    li t1, 3
+loop:
+    addi t1, t1, -1
+    add a1, a1, t0
+    bne t1, zero, loop
+    halt
+"""
+
+# lb and sh have no emitter: compiled blocks call the Cpu's handler.
+ESCAPE_PROGRAM = """\
+    li a0, 0x100
+    lb a1, 1(a0)
+    sh a1, 8(a0)
+    lw a2, 8(a0)
+    halt
+"""
+
+
+class TestTranslationReuse:
+    """A translation is shared only where it is valid: the key holds
+    everything it reads, and binding gives it the running Cpu's own bus
+    and handlers."""
+
+    @pytest.mark.parametrize("accel", [None, "hht"])
+    def test_two_socs_one_program(self, block_cache, accel):
+        first, _, _ = _run_spmv_soc("compiled", accel)
+        first_stats = first.stats()
+        translated = dict(block_cache)
+        assert translated
+        _, summary, y = _run_spmv_soc("compiled", accel)
+        assert block_cache == translated    # the second SoC translated nothing
+        assert first.stats() == first_stats  # ... nor reached the first's bus
+        _, ref, ref_y = _run_spmv_soc("reference", accel)
+        assert summary.cycles == ref.cycles
+        assert summary.stats == ref.stats
+        assert y.tobytes() == ref_y.tobytes()
+
+    @pytest.mark.parametrize("config", [
+        {"latencies": LatencyTable(branch_taken_penalty=3)},
+        {"vlmax": 4},
+    ], ids=["latency", "vlmax"])
+    def test_latency_table_and_vlmax_are_keyed(self, block_cache, config):
+        def outcome(backend, **kwargs):
+            cpu, _ = make_cpu(backend, **kwargs)
+            cpu.run(assemble(VSET_LOOP))
+            return list(cpu.x), cpu.cycle, cpu.counters
+
+        base = outcome("compiled")
+        assert base == outcome("reference")
+        translated = len(block_cache)
+        other = outcome("compiled", **config)
+        assert len(block_cache) == 2 * translated   # its own translations
+        assert other == outcome("reference", **config)
+        assert other != base
+
+    def test_escape_hatch_runs_its_own_cpus_handler(self, block_cache):
+        def loaded(backend, byte):
+            cpu, ram = make_cpu(backend)
+            ram.write_u32(0x100, byte << 8)
+            return cpu, ram
+
+        first, first_ram = loaded("compiled", 0x2A)
+        first.run(assemble(ESCAPE_PROGRAM))
+        first_state = (list(first.x), first.cycle, first_ram.read_u32(0x108))
+        translated = dict(block_cache)
+        second, second_ram = loaded("compiled", 0x17)
+        second.run(assemble(ESCAPE_PROGRAM))
+        assert block_cache == translated
+        assert (list(first.x), first.cycle,
+                first_ram.read_u32(0x108)) == first_state
+        ref, ref_ram = loaded("reference", 0x17)
+        ref.run(assemble(ESCAPE_PROGRAM))
+        assert second.x[11:13] == [0x17, 0x17]
+        assert (list(second.x), second.cycle, second.counters) == \
+            (list(ref.x), ref.cycle, ref.counters)
+        assert second_ram.read_u32(0x108) == ref_ram.read_u32(0x108) == 0x17
+
+
+def _compiled_config() -> SystemConfig:
+    cfg = SystemConfig.paper_table1()
+    cfg.cpu.backend = "compiled"
+    return cfg
+
+
+class TestSweepShape:
+    """``execute()`` builds a new SoC for every point.  A point's operand
+    layout reaches only its prologue's ``la``/``li`` immediates, so a
+    point with a new layout translates one block and a point with a
+    known layout translates none."""
+
+    @pytest.mark.parametrize("make", [
+        lambda s, seed: spmv_spec((64, 64), s, accel="hht", matrix_seed=seed,
+                                  config=_compiled_config()),
+        lambda s, seed: spmspv_spec(64, s, mode="hht_v1", matrix_seed=seed,
+                                    vector_seed=seed + 1,
+                                    config=_compiled_config()),
+    ], ids=["spmv-hht", "spmspv-hht_v1"])
+    def test_new_layout_translates_only_its_prologue(self, block_cache, make):
+        def new_blocks(sparsity, seed):
+            before = set(block_cache)
+            execute(make(sparsity, seed))
+            return [key[0] for key in block_cache if key not in before]
+
+        assert len(new_blocks(0.5, 0)) == 6
+        assert new_blocks(0.9, 0) == [0]     # the prologue, at pc 0
+        assert new_blocks(0.5, 7) == []      # same layout, other values
+        assert new_blocks(0.9, 7) == []
 
 
 # Register-dataflow shapes a translator is tempted to special-case
