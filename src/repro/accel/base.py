@@ -1,6 +1,6 @@
 """The accelerator front-end abstraction.
 
-An :class:`AcceleratorFrontEnd` is a named, registrable factory that
+An :class:`AcceleratorFrontEnd` is a named factory that
 contributes everything one accelerator family needs across the stack:
 
 * a :class:`~repro.component.SimComponent` subtree attached to the SoC
@@ -9,7 +9,7 @@ contributes everything one accelerator family needs across the stack:
   assembler symbols;
 * ISA hooks — instructions the front-end's kernels use are gated on the
   CPU attachment the builder installs (``cpu.ssr`` / ``cpu.indexmac``);
-* a power/area contribution (:meth:`power` / :meth:`gates`);
+* an area contribution (:meth:`gates`);
 * config-summary lines for ``SystemConfig.describe()`` / ``repro info``.
 
 :class:`AcceleratorConfig` is the per-entry record of a
@@ -46,13 +46,6 @@ class AcceleratorConfig:
             raise ValueError(
                 f"accelerator lookahead must be >= 1, got {self.lookahead}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "lookahead": self.lookahead,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "AcceleratorConfig":
@@ -92,9 +85,10 @@ class BuildContext:
 
 
 class AcceleratorFrontEnd:
-    """Base class: one accelerator family, registered by :data:`kind`."""
+    """Base class: one accelerator family, named by :data:`kind`."""
 
-    #: Registry name; also the component-name and symbol prefix stem.
+    #: Key in ``repro.accel.FRONT_ENDS``; also the component-name and
+    #: symbol prefix stem.
     kind: str = ""
     #: Label used for the "<label> instances = N" config-summary line.
     instances_label: str = ""
@@ -114,13 +108,8 @@ class AcceleratorFrontEnd:
         return []
 
     # ------------------------------------------------------------------
-    # Power / area contributions (one instance)
+    # Area contribution (one instance)
     # ------------------------------------------------------------------
-    def power(self, config, spec: AcceleratorConfig, *,
-              feature_nm: int, clock_mhz: float):
-        """An ``EnginePower`` contribution, or None if negligible."""
-        return None
-
     def gates(self, config, spec: AcceleratorConfig) -> int:
         """NAND2-equivalent gate count of one instance."""
         return 0

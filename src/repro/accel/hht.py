@@ -2,7 +2,7 @@
 
 The device model itself stays in :mod:`repro.core.hht`; this module only
 adapts it to the :class:`~repro.accel.base.AcceleratorFrontEnd` protocol
-so the SoC, config summary, power model and ``repro compare`` treat it
+so the SoC, config summary, area model and ``repro compare`` treat it
 as one selectable front-end among several.
 """
 
@@ -57,12 +57,6 @@ class HHTFrontEnd(AcceleratorFrontEnd):
             ("ASIC HHT", f"N={config.hht.n_buffers} Buffers"),
             ("", f"Buffer size = {config.hht.buffer_bytes}B"),
         ]
-
-    def power(self, config, spec: AcceleratorConfig, *,
-              feature_nm: int, clock_mhz: float):
-        from ..power.power import hht_power
-
-        return hht_power(feature_nm=feature_nm, clock_mhz=clock_mhz)
 
     def gates(self, config, spec: AcceleratorConfig) -> int:
         from ..power.area import hht_area

@@ -61,12 +61,6 @@ class IndexMACFrontEnd(AcceleratorFrontEnd):
             ("", "Pipelined gather, 1 element/cycle issue"),
         ]
 
-    def power(self, config, spec: AcceleratorConfig, *,
-              feature_nm: int, clock_mhz: float):
-        from ..power.power import indexmac_power
-
-        return indexmac_power(feature_nm=feature_nm, clock_mhz=clock_mhz)
-
     def gates(self, config, spec: AcceleratorConfig) -> int:
         from ..power.area import indexmac_gates
 

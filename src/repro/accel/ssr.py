@@ -283,12 +283,6 @@ class SSRFrontEnd(AcceleratorFrontEnd):
             ("", f"Stream lookahead = {spec.lookahead} Elements"),
         ]
 
-    def power(self, config, spec: AcceleratorConfig, *,
-              feature_nm: int, clock_mhz: float):
-        from ..power.power import ssr_power
-
-        return ssr_power(feature_nm=feature_nm, clock_mhz=clock_mhz)
-
     def gates(self, config, spec: AcceleratorConfig) -> int:
         from ..power.area import ssr_gates
 

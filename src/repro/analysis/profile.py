@@ -131,25 +131,6 @@ def profile_spmspv(
                                       n_buffers=n_buffers, probes=(probe,)))
 
 
-def cycle_breakdown(result: RunSummary) -> Table:
-    """Per-instruction-class cycle breakdown of any run (no profiling)."""
-    table = Table(
-        f"cycle breakdown ({result.cycles:,} cycles)",
-        ["class", "instructions", "cycles", "share"],
-    )
-    stats = result.cpu_stats
-    total = max(result.cycles, 1)
-    for klass in sorted(stats.class_cycles, key=stats.class_cycles.get,
-                        reverse=True):
-        table.add_row(
-            klass,
-            stats.class_counts.get(klass, 0),
-            stats.class_cycles[klass],
-            stats.class_cycles[klass] / total,
-        )
-    return table
-
-
 def metadata_overhead_table(size: int = 128,
                             sparsities=(0.1, 0.5, 0.9)) -> Table:
     """Extension: quantify the Section-2 metadata overhead.

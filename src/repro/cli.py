@@ -343,7 +343,7 @@ def _cmd_info(args) -> int:
     from .power import system_power
     from .power.area import IBEX_GATES, tlb_gates
 
-    # One area line per configured front-end, derived from the registry
+    # One area line per configured front-end, derived from its gates()
     # (the default config renders the historic "ASIC HHT area" line).
     print()
     for spec in cfg.accelerator_specs():

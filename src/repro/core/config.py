@@ -10,7 +10,7 @@ FIFO load addresses the CPU streams data from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 class HHTMode(enum.IntEnum):
@@ -95,15 +95,13 @@ class HHTConfig:
             raise ValueError(f"n_buffers must be >= 1, got {self.n_buffers}")
         if self.buffer_elems < 1:
             raise ValueError(f"buffer_elems must be >= 1, got {self.buffer_elems}")
-        if self.fill_overhead < 0 or self.fifo_read_latency < 0:
+        if min(self.fill_overhead, self.fifo_read_latency,
+               self.fifo_beat_per_elem) < 0:
             raise ValueError("overheads must be non-negative")
         if self.merge_cycles_per_step < 1:
             raise ValueError("merge_cycles_per_step must be >= 1")
         if self.seq_words_per_slot < 1:
             raise ValueError("seq_words_per_slot must be >= 1")
-
-    def to_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> "HHTConfig":
@@ -112,7 +110,3 @@ class HHTConfig:
     @property
     def buffer_bytes(self) -> int:
         return self.buffer_elems * 4
-
-    def stream_capacity(self) -> int:
-        """Maximum unconsumed elements buffered per stream (N x BLEN)."""
-        return self.n_buffers * self.buffer_elems

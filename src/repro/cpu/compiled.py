@@ -76,7 +76,7 @@ from types import CodeType, FunctionType
 
 import numpy as np
 
-from ..isa.encoding import s32
+from ..isa.instructions import s32
 from ..isa.program import Program
 
 #: Ops that end a basic block (control transfer or machine stop).

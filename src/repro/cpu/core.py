@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..component import SimComponent, StatsDict
-from ..isa.encoding import s32
-from ..isa.instructions import INSTRUCTION_CLASS, Instr
+from ..isa.instructions import INSTRUCTION_CLASS, Instr, s32
 from ..isa.program import Program
 from ..memory.bus import Bus
 from .timing import CpuConfig
@@ -33,7 +32,7 @@ _UNPACK_I = struct.Struct("<i").unpack
 _PACK_I = struct.Struct("<i").pack
 _UNPACK_F = struct.Struct("<f").unpack
 
-# Local alias for the public repro.isa.encoding.s32 (the handlers below
+# Local alias for the public repro.isa.instructions.s32 (the handlers below
 # call it on every ALU result).
 _s32 = s32
 
@@ -66,10 +65,6 @@ class CpuStats:
     pc_counts: dict[int, int] = field(default_factory=dict)
     pc_cycles: dict[int, int] = field(default_factory=dict)
 
-    def merge_class(self, klass: str, cycles: int) -> None:
-        self.class_counts[klass] = self.class_counts.get(klass, 0) + 1
-        self.class_cycles[klass] = self.class_cycles.get(klass, 0) + cycles
-
 
 class Cpu(SimComponent):
     """In-order RV32-style core bound to a :class:`~repro.memory.bus.Bus`."""
@@ -100,8 +95,7 @@ class Cpu(SimComponent):
         self.halted = False
         self.counters = CpuStats()
         # Hot-path aliases: _charge bumps these on every instruction, so
-        # skip the counters-object indirection (and merge_class's dict.get
-        # pair) in the dispatch loop.
+        # skip the counters-object indirection in the dispatch loop.
         self._class_counts = self.counters.class_counts
         self._class_cycles = self.counters.class_cycles
 
@@ -147,11 +141,6 @@ class Cpu(SimComponent):
     def step_one(self) -> bool:
         """Execute one instruction; returns False once halted."""
         return self._session.step()
-
-    @property
-    def _step_pc(self) -> int:
-        """Next instruction index of the prepared session (debug aid)."""
-        return self._session._pc
 
     def _build_dispatch(self) -> dict[str, object]:
         table: dict[str, object] = {}

@@ -57,11 +57,10 @@ class LatencyTable:
     load_use: int = 1              # writeback cycle after the memory response
     system: int = 1
 
-    def copy(self) -> "LatencyTable":
-        return LatencyTable(**vars(self))
-
-    def to_dict(self) -> dict[str, int]:
-        return dict(vars(self))
+    def __post_init__(self) -> None:
+        for name, cycles in vars(self).items():
+            if cycles < 0:
+                raise ValueError(f"latency {name} must be >= 0, got {cycles}")
 
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> "LatencyTable":
@@ -91,18 +90,3 @@ class CpuConfig:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "vlmax": self.vlmax,
-            "frequency_hz": self.frequency_hz,
-            "max_instructions": self.max_instructions,
-            "backend": self.backend,
-            "latencies": self.latencies.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "CpuConfig":
-        fields_ = dict(data)
-        latencies = LatencyTable.from_dict(fields_.pop("latencies", {}))
-        return cls(latencies=latencies, **fields_)

@@ -7,9 +7,9 @@ The paper's Fig. 1 defines the three arrays:
 * ``cols``: column indices of the non-zero values, row-major.
 * ``vals``: the non-zero values themselves.
 
-Algorithm 1 of the paper (the CSR SpMV loop) is provided here as the
-functional reference (:meth:`CSRMatrix.spmv`); the simulated kernels in
-:mod:`repro.kernels` are validated against it.
+Algorithm 1 of the paper (the CSR SpMV loop) runs as simulated kernels
+(:mod:`repro.kernels`); :mod:`repro.analysis.runners` checks their
+output against a float64 numpy product of :meth:`CSRMatrix.to_dense`.
 """
 
 from __future__ import annotations
@@ -143,69 +143,3 @@ class CSRMatrix(SparseFormat):
         for i in range(self.nrows):
             cols, vals = self.row_slice(i)
             yield i, cols, vals
-
-    # ------------------------------------------------------------------
-    # Reference kernels (functional golden models)
-    # ------------------------------------------------------------------
-    def spmv(self, v) -> np.ndarray:
-        """Sparse matrix × dense vector, Algorithm 1 of the paper.
-
-        Computed in ``float32`` with per-row left-to-right accumulation so
-        the result matches the simulated scalar kernel bit-for-bit.
-        """
-        v = as_value_array(v, name="v")
-        if v.size != self.ncols:
-            raise SparseFormatError(
-                f"vector length {v.size} does not match ncols {self.ncols}"
-            )
-        y = np.zeros(self.nrows, dtype=VALUE_DTYPE)
-        for i in range(self.nrows):
-            lo, hi = self.rows[i], self.rows[i + 1]
-            s = VALUE_DTYPE(0.0)
-            for k in range(lo, hi):
-                s = VALUE_DTYPE(s + self.vals[k] * v[self.cols[k]])
-            y[i] = s
-        return y
-
-    def spmv_fast(self, v) -> np.ndarray:
-        """Vectorised SpMV (may differ from :meth:`spmv` in rounding order)."""
-        v = as_value_array(v, name="v")
-        if v.size != self.ncols:
-            raise SparseFormatError(
-                f"vector length {v.size} does not match ncols {self.ncols}"
-            )
-        products = self.vals * v[self.cols]
-        y = np.add.reduceat(
-            np.concatenate([products, np.zeros(1, dtype=VALUE_DTYPE)]),
-            np.minimum(self.rows[:-1], products.size),
-            dtype=VALUE_DTYPE,
-        )[: self.nrows]
-        empty = self.rows[:-1] == self.rows[1:]
-        y[empty] = 0.0
-        return y.astype(VALUE_DTYPE)
-
-    def spmspv(self, sv) -> np.ndarray:
-        """Sparse matrix × sparse vector reference (dense float32 result)."""
-        from .sparse_vector import SparseVector
-
-        if not isinstance(sv, SparseVector):
-            sv = SparseVector.from_dense(sv)
-        if sv.n != self.ncols:
-            raise SparseFormatError(
-                f"sparse vector length {sv.n} does not match ncols {self.ncols}"
-            )
-        vpad = sv.padded_values()
-        posmap = sv.position_map()
-        y = np.zeros(self.nrows, dtype=VALUE_DTYPE)
-        for i in range(self.nrows):
-            lo, hi = self.rows[i], self.rows[i + 1]
-            s = VALUE_DTYPE(0.0)
-            for k in range(lo, hi):
-                pos = posmap[self.cols[k]]
-                s = VALUE_DTYPE(s + self.vals[k] * vpad[pos])
-            y[i] = s
-        return y
-
-    def transpose(self) -> "CSRMatrix":
-        """Return the transpose, still in CSR (i.e. CSC of the original)."""
-        return CSRMatrix.from_dense(self.to_dense().T)

@@ -89,30 +89,5 @@ class SparseVector:
         """``[0.0] + values`` so that ``padded[position_map[j]]`` never branches."""
         return np.concatenate([np.zeros(1, dtype=VALUE_DTYPE), self.values])
 
-    def lookup(self, j: int) -> float:
-        """Vector value at logical index *j* (0.0 if absent)."""
-        k = np.searchsorted(self.indices, j)
-        if k < self.nnz and self.indices[k] == j:
-            return float(self.values[k])
-        return 0.0
-
-    def dot(self, other: "SparseVector") -> float:
-        """Sparse dot product via two-pointer index merge (float32)."""
-        if self.n != other.n:
-            raise SparseFormatError("dot requires equal logical lengths")
-        i = j = 0
-        acc = VALUE_DTYPE(0.0)
-        while i < self.nnz and j < other.nnz:
-            a, b = self.indices[i], other.indices[j]
-            if a == b:
-                acc = VALUE_DTYPE(acc + self.values[i] * other.values[j])
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        return float(acc)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<SparseVector n={self.n} nnz={self.nnz} sparsity={self.sparsity:.3f}>"

@@ -8,7 +8,7 @@ chains, so an event nobody subscribed to costs the emitter a single
 Shipped probes:
 
 * :class:`TraceProbe` — per-instruction execution trace (the engine
-  behind :func:`repro.analysis.trace.trace_program`);
+  behind ``repro trace``);
 * :class:`PcProfileProbe` — per-instruction-index cycle attribution
   (the engine behind :func:`repro.analysis.profile.profile_spmv`);
 * :class:`TimelineProbe` — HHT stream-occupancy / buffer-fill timeline
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa.encoding import s32
-from ..isa.instructions import Instr
+from ..isa.instructions import Instr, s32
 
 
 class ProbeHalt(Exception):

@@ -1,7 +1,7 @@
 """The one canonical execution path: :class:`SimSession`.
 
 Every way of running a program on the simulated machine — ``Soc.run``
-(which the kernel runners, ``trace_program`` and the profiler go
+(which the kernel runners, ``repro trace`` and the profiler go
 through), ``Cpu.run`` and the ``prepare``/``step_one`` single-stepper
 the programmable HHT's helper core uses — is one ``SimSession`` (or,
 with several cores, one :class:`MultiCoreSession`): resolve the entry

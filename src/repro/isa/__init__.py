@@ -1,8 +1,14 @@
 """Behavioural RV32-style instruction set: mnemonics, assembler, programs."""
 
 from .assembler import AssemblerError, assemble
-from .encoding import EncodingError, decode, encodable, encode, encode_program, s32
-from .instructions import ALL_MNEMONICS, INSTRUCTION_CLASS, SYNTAX, Instr, instruction_class
+from .instructions import (
+    ALL_MNEMONICS,
+    INSTRUCTION_CLASS,
+    SYNTAX,
+    Instr,
+    instruction_class,
+    s32,
+)
 from .program import Program
 from .registers import (
     RegisterError,
@@ -15,11 +21,6 @@ from .registers import (
 __all__ = [
     "AssemblerError",
     "assemble",
-    "EncodingError",
-    "decode",
-    "encodable",
-    "encode",
-    "encode_program",
     "s32",
     "ALL_MNEMONICS",
     "INSTRUCTION_CLASS",

@@ -37,6 +37,16 @@ class Instr:
         return self.text or self.op
 
 
+def s32(value: int) -> int:
+    """Wrap an int to signed 32-bit two's complement.
+
+    The architectural sign interpretation of a 32-bit word — shared by
+    the interpreter (every ALU result) and the instrumentation layer
+    (rendering destination-register values in traces).
+    """
+    return ((value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+
+
 # ---------------------------------------------------------------------------
 # Operand-pattern table.  Pattern names are interpreted by the assembler:
 #   r3      op rd, rs1, rs2            (integer)

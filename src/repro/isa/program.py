@@ -26,31 +26,8 @@ class Program:
     def __getitem__(self, idx: int) -> Instr:
         return self.instructions[idx]
 
-    def label_address(self, label: str) -> int:
-        """Byte address of *label* (index * 4)."""
-        return self.labels[label] * 4
-
     def entry_index(self, label: str | None = None) -> int:
         """Instruction index to start execution from (0 or a label)."""
         if label is None:
             return 0
         return self.labels[label]
-
-    def disassemble(self) -> str:
-        """Human-readable listing with label annotations."""
-        by_index: dict[int, list[str]] = {}
-        for label, idx in self.labels.items():
-            by_index.setdefault(idx, []).append(label)
-        lines = []
-        for i, ins in enumerate(self.instructions):
-            for label in by_index.get(i, []):
-                lines.append(f"{label}:")
-            lines.append(f"  {i * 4:#07x}: {ins.text or ins.op}")
-        return "\n".join(lines)
-
-    def static_histogram(self) -> dict[str, int]:
-        """Static mnemonic counts (useful for code-size style analyses)."""
-        hist: dict[str, int] = {}
-        for ins in self.instructions:
-            hist[ins.op] = hist.get(ins.op, 0) + 1
-        return hist

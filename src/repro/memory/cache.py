@@ -42,14 +42,6 @@ class CacheConfig:
         if self.hit_latency < 1:
             raise ValueError(f"hit_latency must be >= 1, got {self.hit_latency}")
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "line_bytes": self.line_bytes,
-            "n_sets": self.n_sets,
-            "assoc": self.assoc,
-            "hit_latency": self.hit_latency,
-        }
-
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> "CacheConfig":
         return cls(**{k: int(v) for k, v in data.items()})

@@ -57,13 +57,6 @@ class MmuConfig:
                 f"walk_levels must be >= 1, got {self.walk_levels}"
             )
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "page_bytes": self.page_bytes,
-            "tlb_entries": self.tlb_entries,
-            "walk_levels": self.walk_levels,
-        }
-
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> "MmuConfig":
         return cls(**{k: int(v) for k, v in data.items()})

@@ -171,9 +171,6 @@ class SweepSummary:
                     histogram.get(record.attempts, 0) + 1)
         return dict(sorted(histogram.items()))
 
-    def total_faults(self) -> int:
-        return sum(self.faults_by_kind.values())
-
     # -- rendering ---------------------------------------------------------
     def to_json_dict(self) -> dict:
         return {

@@ -27,7 +27,6 @@ from .power import (
     PowerModelError,
     cpu_power,
     hht_power,
-    power_table,
     system_power,
     tlb_power,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "PowerModelError",
     "cpu_power",
     "hht_power",
-    "power_table",
     "system_power",
     "HELPER_CORE_GATES",
     "programmable_area_ratio_vs_ibex",

@@ -74,33 +74,6 @@ def hht_power(feature_nm: int = 16, clock_mhz: float = 50.0) -> EnginePower:
     return EnginePower("hht", dyn, sta)
 
 
-#: Rival front-end anchors (ROADMAP item 2 bake-off), scaled from the
-#: HHT anchors by gate-count ratio: the SSR unit is a couple of address
-#: generators plus a small stream queue; the IndexMAC extension is
-#: control logic folded into the existing vector unit (its datapath
-#: energy is charged per instruction by repro.power.activity).
-_SSR_DYN_UW_PER_MHZ = 0.62
-_SSR_STATIC_UW = 2.6
-_INDEXMAC_DYN_UW_PER_MHZ = 0.21
-_INDEXMAC_STATIC_UW = 0.9
-
-
-def ssr_power(feature_nm: int = 16, clock_mhz: float = 50.0) -> EnginePower:
-    """SSR stream-unit power at a synthesis corner."""
-    _check_corner(feature_nm, clock_mhz)
-    dyn = _SSR_DYN_UW_PER_MHZ * clock_mhz * DYNAMIC_SCALE[feature_nm]
-    sta = _SSR_STATIC_UW * STATIC_SCALE[feature_nm]
-    return EnginePower("ssr", dyn, sta)
-
-
-def indexmac_power(feature_nm: int = 16, clock_mhz: float = 50.0) -> EnginePower:
-    """IndexMAC vector-unit extension power at a synthesis corner."""
-    _check_corner(feature_nm, clock_mhz)
-    dyn = _INDEXMAC_DYN_UW_PER_MHZ * clock_mhz * DYNAMIC_SCALE[feature_nm]
-    sta = _INDEXMAC_STATIC_UW * STATIC_SCALE[feature_nm]
-    return EnginePower("indexmac", dyn, sta)
-
-
 #: Per-core TLB + page-table walker anchors — a small fully associative
 #: CAM plus a two-state walker FSM, sized from its gate count relative
 #: to the HHT anchors (see repro.power.area.tlb_gates).
@@ -135,19 +108,3 @@ def system_power(feature_nm: int = 16, clock_mhz: float = 50.0,
     if with_hht:
         total += hht_power(feature_nm, clock_mhz).total_uw
     return total
-
-
-def power_table() -> list[tuple[int, float, float, float]]:
-    """(feature_nm, clock_mhz, cpu_uw, cpu+hht_uw) over all corners."""
-    rows = []
-    for nm in FEATURE_SIZES_NM:
-        for mhz in CLOCKS_MHZ:
-            rows.append(
-                (
-                    nm,
-                    float(mhz),
-                    system_power(nm, mhz, with_hht=False),
-                    system_power(nm, mhz, with_hht=True),
-                )
-            )
-    return rows

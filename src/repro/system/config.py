@@ -62,8 +62,18 @@ class SystemConfig:
     accelerators: tuple[AcceleratorConfig, ...] | None = None
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Run every field check, the sub-configs' included.
+
+        Construction runs it; :func:`run_config` runs it again, because a
+        field set by assignment after construction skips the checks.
+        """
         if self.ram_bytes <= 0 or self.ram_bytes % 4:
-            raise ValueError(f"ram_bytes must be a positive multiple of 4")
+            raise ValueError(
+                f"ram_bytes must be a positive multiple of 4, got {self.ram_bytes}"
+            )
         if self.ram_latency < 1:
             raise ValueError(f"ram_latency must be >= 1, got {self.ram_latency}")
         if self.banks < 1:
@@ -82,13 +92,17 @@ class SystemConfig:
                         f"accelerators entries must be AcceleratorConfig, "
                         f"got {spec!r}"
                     )
-                front_end(spec.kind)  # raises on unregistered kinds
+                front_end(spec.kind)  # raises on unknown kinds
             kinds = [s.kind for s in self.accelerators]
             if len(kinds) != len(set(kinds)):
                 raise ValueError(
                     f"duplicate accelerator kinds: {kinds} (raise count= "
                     "instead of repeating an entry)"
                 )
+        for part in (self.cpu, self.cpu.latencies, self.hht, self.cache,
+                     self.mmu, *(self.accelerators or ())):
+            if part is not None:
+                part.__post_init__()
 
     def accelerator_specs(self) -> tuple[AcceleratorConfig, ...]:
         """The effective accelerator list (legacy view = one HHT entry)."""
@@ -116,13 +130,13 @@ class SystemConfig:
     @classmethod
     def paper_table1(cls, *, vlmax: int = 8, n_buffers: int = 2) -> "SystemConfig":
         """The Table 1 system, with the two swept parameters exposed."""
-        cfg = cls()
-        cfg.cpu.vlmax = vlmax
-        cfg.hht.n_buffers = n_buffers
         # Buffers hold one vector-register's worth of elements; with a
         # scalar CPU the Table-1 32-byte (8-element) buffer is kept.
-        cfg.hht.buffer_elems = 8 if vlmax == 1 else vlmax
-        return cfg
+        return cls(
+            cpu=CpuConfig(vlmax=vlmax),
+            hht=HHTConfig(n_buffers=n_buffers,
+                          buffer_elems=8 if vlmax == 1 else vlmax),
+        )
 
     # ------------------------------------------------------------------
     # Serialisation / content addressing (used by repro.exec)
@@ -206,7 +220,7 @@ class SystemConfig:
     def describe(self) -> str:
         """Render the configuration in the shape of the paper's Table 1.
 
-        The accelerator block is derived from the registered front-ends
+        The accelerator block is derived from the configured front-ends
         (each contributes its ``summary_lines``), so the summary covers
         whatever ``accelerators:`` configures; the legacy HHT-only view
         renders byte-identically to the historic hard-coded table.
@@ -265,11 +279,13 @@ def run_config(
     ``vlmax``/``n_buffers`` shape the default Table-1 system only: a
     given *config* carries its own, so passing both is a ``TypeError``
     rather than one system with two vector widths.  *accel* names the
-    front-end the kernel needs (None for the pure-CPU baseline).  An
-    SSR/IndexMAC *accel* missing from the config is appended; ``"hht"``
-    needs nothing, since every config builds an HHT (legacy ``n_hhts``
-    view).  Multi-core systems run only the pure-CPU row-partitioned
-    baseline, so any *accel* with ``n_cores > 1`` is a ``ValueError``.
+    front-end the kernel needs (None for the pure-CPU baseline); an
+    *accel* missing from the config is appended (a config without an
+    ``accelerators`` section already lists the HHT).  Multi-core systems
+    run only the pure-CPU row-partitioned baseline, so any *accel* with
+    ``n_cores > 1`` is a ``ValueError``.  The returned config has passed
+    :meth:`SystemConfig.validate`, so a bad field fails here, before a
+    SoC is built.
     """
     if config is None:
         config = SystemConfig.paper_table1(
@@ -286,8 +302,9 @@ def run_config(
             "multi-core runs are the pure-CPU row-partitioned baseline; "
             f"accel={accel!r} is single-core only"
         )
-    if accel not in (None, "hht") and all(
+    if accel is not None and all(
         spec.kind != accel for spec in config.accelerator_specs()
     ):
         config = config.with_accelerator(accel)
+    config.validate()
     return config

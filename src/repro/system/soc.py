@@ -226,7 +226,7 @@ class Soc(SimComponent):
         self.layout = MemoryLayout(self.ram, base=0x100)
         self._symbols: dict[str, int] = {}
         # Accelerator front-ends, built from the config's (possibly
-        # implicit) accelerators section through the registry.  MMIO
+        # implicit) accelerators section through ``front_end``.  MMIO
         # windows are assigned from a cursor starting at the legacy HHT
         # base, so the single-HHT system keeps the paper's addresses,
         # names ("hht" component, "hht" port requester) and unprefixed

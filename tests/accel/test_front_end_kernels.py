@@ -11,10 +11,12 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.accel import AcceleratorConfig
 from repro.analysis.profile import profile_spmv
 from repro.analysis.runners import run_spmspv, run_spmv
-from repro.exec import spmv_spec
+from repro.exec import execute, programmable_spec, spmspv_spec, spmv_spec
 from repro.kernels import spmspv_kernel, spmv_kernel
+from repro.system import SystemConfig
 from repro.workloads import (
     random_csr,
     random_dense_vector,
@@ -132,3 +134,20 @@ class TestCrossBackendDeterminism:
         assert jit.cycles == ref.cycles
         assert jit.stats == ref.stats
         np.testing.assert_array_equal(jit.y, ref.y)
+
+
+class TestHHTMissingFromConfig:
+    """An explicit ``accelerators`` section without ``hht`` gains one
+    when an HHT kernel runs on it, as SSR and IndexMAC do."""
+
+    CONFIG = SystemConfig(accelerators=(AcceleratorConfig("ssr"),))
+
+    @pytest.mark.parametrize("make", [
+        lambda **kw: spmv_spec((32, 32), 0.5, accel="hht", **kw),
+        lambda **kw: spmspv_spec(32, 0.5, mode="hht_v1", **kw),
+        lambda **kw: spmspv_spec(32, 0.5, mode="hht_v2", **kw),
+        lambda **kw: programmable_spec((32, 32), 0.5, format_name="csr", **kw),
+    ], ids=["spmv", "spmspv_v1", "spmspv_v2", "programmable"])
+    def test_runs_verify_with_default_cycles(self, make):
+        run = execute(make(config=self.CONFIG))
+        assert run.cycles == execute(make()).cycles

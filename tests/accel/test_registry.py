@@ -1,27 +1,23 @@
-"""Accelerator front-end registry and config integration."""
+"""Accelerator front-end lookup and config integration."""
 
 import pytest
 
-from repro.accel import (
-    AcceleratorConfig,
-    front_end,
-    registered_kinds,
-)
+from repro.accel import FRONT_ENDS, AcceleratorConfig, front_end
 from repro.kernels import spmv_kernel
 from repro.system import SystemConfig
 
 
 class TestRegistry:
     def test_builtin_kinds_registered(self):
-        assert set(registered_kinds()) >= {"hht", "ssr", "indexmac"}
+        assert set(FRONT_ENDS) >= {"hht", "ssr", "indexmac"}
 
     def test_kernel_accels_cover_registry(self):
-        # Every registered front-end, and the pure CPU, has a kernel.
-        for kind in (None, *registered_kinds()):
+        # Every front-end, and the pure CPU, has a kernel.
+        for kind in (None, *FRONT_ENDS):
             assert spmv_kernel(accel=kind, vector=True)
 
     def test_lookup_returns_front_end(self):
-        for kind in registered_kinds():
+        for kind in FRONT_ENDS:
             fe = front_end(kind)
             assert fe.kind == kind
 
@@ -44,7 +40,8 @@ class TestAcceleratorConfig:
 
     def test_dict_round_trip(self):
         spec = AcceleratorConfig(kind="ssr", count=2, lookahead=8)
-        assert AcceleratorConfig.from_dict(spec.to_dict()) == spec
+        cfg = SystemConfig(accelerators=(spec,))
+        assert SystemConfig.from_flat(cfg.to_flat()) == cfg
 
 
 class TestSystemConfigIntegration:
@@ -92,11 +89,7 @@ class TestSystemConfigIntegration:
         assert "SSR" in text
         assert "IndexMAC" in text
 
-    def test_power_and_gates_available_per_front_end(self):
+    def test_gates_available_per_front_end(self):
         cfg = SystemConfig.paper_table1()
-        for kind in registered_kinds():
-            spec = AcceleratorConfig(kind=kind)
-            fe = front_end(kind)
-            assert fe.gates(cfg, spec) > 0
-            power = fe.power(cfg, spec, feature_nm=16, clock_mhz=50.0)
-            assert power.total_uw > 0
+        for kind, fe in FRONT_ENDS.items():
+            assert fe.gates(cfg, AcceleratorConfig(kind=kind)) > 0

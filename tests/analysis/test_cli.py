@@ -37,6 +37,17 @@ class TestInfo:
             payload["power_uw_16nm_50mhz"]["cpu"]
         )
 
+    def test_cores_and_mmu_text(self, capsys):
+        code, out = run_cli(capsys, "info", "--cores", "2", "--mmu")
+        assert code == 0
+        tail = out.split("\n\n", 1)[1].splitlines()
+        assert tail == [
+            "ASIC HHT area      : 38.9% of an Ibex core",
+            "TLB area (x2)      : 19.1% of an Ibex core each",
+            "power @16nm/50MHz  : 483 uW (2 CPUs+MMU) / "
+            "574 uW (2 CPUs+MMU+HHT)",
+        ]
+
 
 class TestSpmv:
     def test_baseline_and_hht(self, capsys):

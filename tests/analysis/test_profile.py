@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    cycle_breakdown,
     metadata_overhead_table,
     profile_spmspv,
     profile_spmv,
@@ -109,13 +108,3 @@ class TestProfilingMachinery:
         # A subsequent unprofiled run must not accumulate pc stats.
         plain = run_spmv(matrix, v, accel=None)
         assert not plain.cpu_stats.pc_cycles
-
-    def test_cycle_breakdown_table(self):
-        matrix = random_csr((24, 24), 0.5, seed=103)
-        v = random_dense_vector(24, seed=104)
-        run = run_spmv(matrix, v, accel=None)
-        table = cycle_breakdown(run)
-        classes = table.column("class")
-        assert "vector_gather" in classes
-        shares = table.column("share")
-        assert sum(shares) == pytest.approx(1.0, abs=1e-6)

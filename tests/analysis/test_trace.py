@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.analysis.trace import render_trace, trace_program
+from repro.instrument import TraceProbe, render_trace
 from repro.system import Soc, SystemConfig
+
+
+def trace(soc, program, **kwargs):
+    """Run *program* on *soc* under a ``TraceProbe(**kwargs)``."""
+    probe = TraceProbe(**kwargs)
+    soc.run(program, probes=(probe,))
+    return probe.entries
 
 
 @pytest.fixture
@@ -16,13 +23,13 @@ def soc():
 class TestTrace:
     def test_records_every_instruction(self, soc):
         prog = soc.assemble("li a0, 1\nli a1, 2\nadd a2, a0, a1\nhalt")
-        entries = trace_program(soc, prog)
+        entries = trace(soc, prog)
         assert [e.op for e in entries] == ["li", "li", "add", "halt"]
         assert entries[0].seq == 1
 
     def test_rd_values_captured(self, soc):
         prog = soc.assemble("li a0, 5\nli a1, 7\nadd a2, a0, a1\nhalt")
-        entries = trace_program(soc, prog)
+        entries = trace(soc, prog)
         assert entries[2].rd_value == 12
 
     def test_float_values_captured(self, soc):
@@ -32,19 +39,19 @@ class TestTrace:
             fadd.s fa1, fa0, fa0
             halt
         """)
-        entries = trace_program(soc, prog)
+        entries = trace(soc, prog)
         assert entries[2].rd_value == pytest.approx(6.0)
 
     def test_cycle_intervals_monotonic(self, soc):
         prog = soc.assemble("lw a0, 0x100(zero)\nmul a1, a0, a0\nhalt")
-        entries = trace_program(soc, prog)
+        entries = trace(soc, prog)
         for prev, cur in zip(entries, entries[1:]):
             assert cur.cycle_start == prev.cycle_end
         assert entries[0].cycles > 1  # the load paid memory latency
 
     def test_limit(self, soc):
         prog = soc.assemble("loop: addi a0, a0, 1\nj loop")
-        entries = trace_program(soc, prog, limit=25)
+        entries = trace(soc, prog, limit=25)
         assert len(entries) == 25
 
     def test_only_filter(self, soc):
@@ -55,13 +62,13 @@ class TestTrace:
             bnez t0, loop
             halt
         """)
-        entries = trace_program(soc, prog, only={"bne"})
+        entries = trace(soc, prog, only={"bne"})
         assert len(entries) == 3
         assert all(e.op == "bne" for e in entries)
 
     def test_render(self, soc):
         prog = soc.assemble("li a0, 1\nhalt")
-        text = render_trace(trace_program(soc, prog))
+        text = render_trace(trace(soc, prog))
         assert "li a0, 1" in text
         assert "@0" in text
         assert "-> 0x1" in text
@@ -76,7 +83,7 @@ class TestTrace:
         soc.load_dense_vector(random_dense_vector(8, seed=2))
         soc.allocate_output(8)
         prog = soc.assemble(spmv_kernel(accel="hht", vector=True))
-        entries = trace_program(soc, prog, only={"vle32.v"})
+        entries = trace(soc, prog, only={"vle32.v"})
         # Both the vals loads and the FIFO loads appear.
         assert len(entries) >= matrix.nrows
 
@@ -95,7 +102,7 @@ class TestTracedValues:
             vse32.v v0, (a1)
             halt
         """)
-        entries = trace_program(soc, prog)
+        entries = trace(soc, prog)
         by_op = {e.op: e for e in entries}
         for op in ("vle32.v", "vse32.v", "vmv.v.i", "vfmacc.vv", "vsetvli"):
             assert by_op[op].rd_value is None, op
@@ -110,7 +117,7 @@ class TestTracedValues:
         prog = soc.assemble(
             "li a0, 6\nslli a1, a0, 2\nsub a2, a1, a0\nhalt"
         )
-        entries = trace_program(soc, prog)
+        entries = trace(soc, prog)
         assert [e.rd_value for e in entries[:3]] == [6, 24, 18]
         assert all(isinstance(e.rd_value, int) for e in entries[:3])
 
@@ -127,7 +134,7 @@ class TestTracedValues:
         soc.load_dense_vector(vector)
         soc.allocate_output(8)
         prog = soc.assemble(spmv_kernel(accel="hht", vector=False))
-        entries = trace_program(soc, prog, only={"flw"})
+        entries = trace(soc, prog, only={"flw"})
         # Two flw per stored element: the FIFO pop and the vals load.
         assert len(entries) == 2 * matrix.nnz
         assert all(isinstance(e.rd_value, float) for e in entries)
@@ -159,7 +166,7 @@ class TestMultiCoreTrace:
         for name, value in partition_rows(16, 2).items():
             soc.define_symbol(name, value)
         prog = soc.assemble(spmv_multicore_kernel(2, vector=True))
-        entries = trace_program(soc, prog, limit=100_000)
+        entries = trace(soc, prog, limit=100_000)
         result = soc.run(prog)
         assert len(entries) == result.instructions
         assert [e.seq for e in entries] == list(range(1, len(entries) + 1))
@@ -174,7 +181,7 @@ class TestMultiCoreTrace:
             addi a0, a0, 1
             halt
         """)
-        entries = trace_program(two_core, prog)
+        entries = trace(two_core, prog)
         assert sorted(e.rd_value for e in entries if e.op != "halt") == [
             10, 20, 21,
         ]

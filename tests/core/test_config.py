@@ -12,14 +12,12 @@ class TestHHTConfig:
         assert cfg.buffer_elems == 8
         assert cfg.buffer_bytes == 32  # Table 1: buffer size = 32B
 
-    def test_stream_capacity(self):
-        assert HHTConfig(n_buffers=2, buffer_elems=8).stream_capacity() == 16
-
     @pytest.mark.parametrize("field,value", [
         ("n_buffers", 0),
         ("buffer_elems", 0),
         ("fill_overhead", -1),
         ("fifo_read_latency", -1),
+        ("fifo_beat_per_elem", -1),
         ("merge_cycles_per_step", 0),
         ("seq_words_per_slot", 0),
     ])

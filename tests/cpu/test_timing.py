@@ -108,11 +108,9 @@ class TestConfigurableLatencies:
         with pytest.raises(ValueError):
             CpuConfig(frequency_hz=0)
 
-    def test_latency_table_copy_is_independent(self):
-        a = LatencyTable()
-        b = a.copy()
-        b.int_alu = 99
-        assert a.int_alu == 1
+    def test_negative_latency_rejected(self):
+        with pytest.raises(ValueError, match="int_alu"):
+            LatencyTable(int_alu=-1)
 
 
 class TestReset:

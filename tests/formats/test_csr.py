@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.formats import CSRMatrix, SparseFormatError, SparseVector
+from repro.formats import CSRMatrix, SparseFormatError
 
 # The paper's Fig. 1 example matrix:
 #   [a 0 b]
@@ -121,57 +121,6 @@ class TestRowAccess:
             (1, [2], [3.0]),
             (2, [0], [4.0]),
         ]
-
-
-class TestReferenceKernels:
-    def test_spmv_fig1(self):
-        m = fig1_csr()
-        v = np.array([1.0, 2.0, 3.0], dtype=np.float32)
-        # y = [1*1 + 2*3, 3*3, 4*1]
-        assert m.spmv(v).tolist() == [7.0, 9.0, 4.0]
-
-    def test_spmv_matches_numpy(self, rng):
-        dense = rng.random((20, 30), dtype=np.float32)
-        dense[rng.random((20, 30)) < 0.6] = 0
-        m = CSRMatrix.from_dense(dense)
-        v = rng.random(30, dtype=np.float32)
-        assert np.allclose(m.spmv(v), dense @ v, rtol=1e-5)
-
-    def test_spmv_fast_matches_loop(self, rng):
-        dense = rng.random((16, 16), dtype=np.float32)
-        dense[rng.random((16, 16)) < 0.5] = 0
-        m = CSRMatrix.from_dense(dense)
-        v = rng.random(16, dtype=np.float32)
-        assert np.allclose(m.spmv_fast(v), m.spmv(v), rtol=1e-5)
-
-    def test_spmv_fast_empty_rows(self):
-        dense = np.zeros((4, 4), np.float32)
-        dense[1, 2] = 5.0
-        m = CSRMatrix.from_dense(dense)
-        v = np.ones(4, np.float32)
-        assert m.spmv_fast(v).tolist() == [0.0, 5.0, 0.0, 0.0]
-
-    def test_spmv_wrong_vector_length(self):
-        with pytest.raises(SparseFormatError, match="vector length"):
-            fig1_csr().spmv(np.ones(4, np.float32))
-
-    def test_spmspv_matches_dense(self, rng):
-        dense = rng.random((12, 18), dtype=np.float32)
-        dense[rng.random((12, 18)) < 0.5] = 0
-        m = CSRMatrix.from_dense(dense)
-        vd = rng.random(18, dtype=np.float32)
-        vd[rng.random(18) < 0.5] = 0
-        sv = SparseVector.from_dense(vd)
-        assert np.allclose(m.spmspv(sv), dense @ vd, rtol=1e-5)
-
-    def test_spmspv_accepts_dense_input(self):
-        m = fig1_csr()
-        y = m.spmspv(np.array([0.0, 0.0, 2.0], np.float32))
-        assert y.tolist() == [4.0, 6.0, 0.0]
-
-    def test_transpose(self):
-        m = fig1_csr()
-        assert np.array_equal(m.transpose().to_dense(), FIG1_DENSE.T)
 
 
 class TestStorage:

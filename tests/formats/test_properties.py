@@ -86,24 +86,3 @@ def test_sparse_vector_map_composition(dense):
     sv = SparseVector.from_dense(dense)
     posmap, vpad = sv.position_map(), sv.padded_values()
     assert np.array_equal(vpad[posmap], dense)
-
-
-@settings(max_examples=40, deadline=None)
-@given(da=dense_vectors(24), db=dense_vectors(24))
-def test_sparse_dot_matches_dense(da, db):
-    n = min(da.size, db.size)
-    da, db = da[:n], db[:n]
-    a, b = SparseVector.from_dense(da), SparseVector.from_dense(db)
-    expected = float(np.dot(da.astype(np.float64), db.astype(np.float64)))
-    assert abs(a.dot(b) - expected) <= 1e-3 + 1e-4 * abs(expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(dense=dense_matrices(10), vec=dense_vectors(10))
-def test_spmv_reference_matches_numpy(dense, vec):
-    if vec.size != dense.shape[1]:
-        vec = np.resize(vec, dense.shape[1]).astype(np.float32)
-    m = CSRMatrix.from_dense(dense)
-    expected = dense.astype(np.float64) @ vec.astype(np.float64)
-    got = m.spmv(vec)
-    assert np.allclose(got, expected, rtol=1e-4, atol=1e-4)

@@ -26,12 +26,6 @@ class TestAgainstScipy:
         assert np.array_equal(ours.cols, theirs.indices)
         assert np.array_equal(ours.vals, theirs.data)
 
-    def test_spmv_matches_scipy(self, matrix, rng):
-        ours = CSRMatrix.from_dense(matrix)
-        theirs = scipy_sparse.csr_matrix(matrix)
-        v = rng.random(matrix.shape[1], dtype=np.float32)
-        assert np.allclose(ours.spmv_fast(v), theirs @ v, rtol=1e-5)
-
     def test_coo_matches_scipy(self, matrix):
         ours = COOMatrix.from_dense(matrix).sorted_row_major()
         theirs = scipy_sparse.coo_matrix(matrix)

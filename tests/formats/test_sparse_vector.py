@@ -68,38 +68,6 @@ class TestDerivedStructures:
         reconstructed = vpad[posmap]
         assert np.array_equal(reconstructed, dense)
 
-    def test_lookup_hit_and_miss(self):
-        sv = SparseVector(5, [1, 4], [2.0, 3.0])
-        assert sv.lookup(1) == 2.0
-        assert sv.lookup(4) == 3.0
-        assert sv.lookup(0) == 0.0
-        assert sv.lookup(3) == 0.0
-
-
-class TestDot:
-    def test_dot_basic(self):
-        a = SparseVector(6, [0, 2, 5], [1.0, 2.0, 3.0])
-        b = SparseVector(6, [2, 4, 5], [10.0, 20.0, 30.0])
-        assert a.dot(b) == pytest.approx(2 * 10 + 3 * 30)
-
-    def test_dot_disjoint(self):
-        a = SparseVector(4, [0], [1.0])
-        b = SparseVector(4, [3], [1.0])
-        assert a.dot(b) == 0.0
-
-    def test_dot_matches_dense(self, rng):
-        da = rng.random(31, dtype=np.float32)
-        da[rng.random(31) < 0.5] = 0
-        db = rng.random(31, dtype=np.float32)
-        db[rng.random(31) < 0.5] = 0
-        a, b = SparseVector.from_dense(da), SparseVector.from_dense(db)
-        assert a.dot(b) == pytest.approx(float(da @ db), rel=1e-5)
-
-    def test_dot_length_mismatch(self):
-        with pytest.raises(SparseFormatError, match="equal logical"):
-            SparseVector(3, [], []).dot(SparseVector(4, [], []))
-
-
 def test_storage_bytes():
     sv = SparseVector(100, [5, 50], [1.0, 2.0])
     assert sv.storage_bytes() == 4 * 4

@@ -14,8 +14,12 @@ for one port.  Every run must also conserve the port's request count.
 import pytest
 
 from repro.analysis.runners import run_spmspv, run_spmv
-from repro.analysis.trace import render_trace, trace_program
-from repro.instrument import ContentionProbe, TimelineProbe
+from repro.instrument import (
+    ContentionProbe,
+    TimelineProbe,
+    TraceProbe,
+    render_trace,
+)
 from repro.memory import CacheConfig, MmuConfig
 from repro.system import Soc, SystemConfig
 from repro.workloads import (
@@ -186,7 +190,7 @@ class TestProbeParity:
 
 
 class TestTracesMatch:
-    """trace_program renders the same bytes under both backends."""
+    """A TraceProbe renders the same bytes under both backends."""
 
     def test_rendered_trace_identical(self, workload, monkeypatch):
         matrix, v, _ = workload
@@ -200,7 +204,9 @@ class TestTracesMatch:
                 "li a0, 5\nli a1, 7\nadd a2, a0, a1\n"
                 "lw t0, 0x100(zero)\nhalt"
             )
-            text = render_trace(trace_program(soc, prog))
+            probe = TraceProbe()
+            soc.run(prog, probes=(probe,))
+            text = render_trace(probe.entries)
             assert_port_conserved(soc.stats())
             assert_fifo_conserved(soc.stats())
             return text

@@ -4,7 +4,7 @@ The golden values below were captured from the pre-refactor execution
 path (duplicated profile/non-profile loops in ``Cpu.run``, the
 ``step_one`` tracer).  With no probes attached, the unified loop must
 reproduce them bit for bit: cycles, instruction counts, the flat stats
-registry, and ``trace_program``'s rendered text.  A fully-probed run
+registry, and a :class:`TraceProbe`'s rendered text.  A fully-probed run
 must change none of the timing either — probes observe, never perturb.
 """
 
@@ -14,8 +14,13 @@ import json
 import pytest
 
 from repro.analysis.runners import run_spmspv, run_spmv, run_spmv_programmable
-from repro.analysis.trace import render_trace, trace_program
-from repro.instrument import ContentionProbe, PcProfileProbe, TimelineProbe
+from repro.instrument import (
+    ContentionProbe,
+    PcProfileProbe,
+    TimelineProbe,
+    TraceProbe,
+    render_trace,
+)
 from repro.memory import CacheConfig
 from repro.system import Soc, SystemConfig
 from repro.workloads import (
@@ -255,7 +260,7 @@ class TestProbesDoNotPerturb:
 
 @pytest.mark.parametrize("backend", ["reference", "compiled"])
 class TestGoldenTraces:
-    """trace_program's rendered output is byte-identical to before.
+    """A TraceProbe's rendered output is byte-identical to before.
 
     Under the compiled backend the trace probe forces per-instruction
     deference to the reference path, so the rendered text must be the
@@ -273,7 +278,9 @@ class TestGoldenTraces:
         prog = soc.assemble(
             "li a0, 5\nli a1, 7\nadd a2, a0, a1\nlw t0, 0x100(zero)\nhalt"
         )
-        assert render_trace(trace_program(soc, prog)) == GOLDEN_SCALAR_TRACE
+        probe = TraceProbe()
+        soc.run(prog, probes=(probe,))
+        assert render_trace(probe.entries) == GOLDEN_SCALAR_TRACE
         assert_port_conserved(soc.stats())
         assert_fifo_conserved(soc.stats())
 
@@ -287,8 +294,9 @@ class TestGoldenTraces:
         soc.load_dense_vector(random_dense_vector(8, seed=2))
         soc.allocate_output(8)
         prog = soc.assemble(spmv_kernel(accel="hht", vector=True))
-        text = render_trace(trace_program(soc, prog, limit=12))
-        assert text == GOLDEN_HHT_TRACE
+        probe = TraceProbe(limit=12)
+        soc.run(prog, probes=(probe,))
+        assert render_trace(probe.entries) == GOLDEN_HHT_TRACE
         assert_port_conserved(soc.stats())
         assert_fifo_conserved(soc.stats())
 

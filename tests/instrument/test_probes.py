@@ -21,19 +21,6 @@ def hht_workload(soc, size=8, seed=1):
 
 
 class TestTraceProbe:
-    def test_matches_trace_program(self, soc_factory):
-        from repro.analysis.trace import trace_program
-
-        soc = soc_factory()
-        prog = hht_workload(soc)
-        legacy = trace_program(soc, prog, limit=40)
-
-        soc = soc_factory()
-        prog = hht_workload(soc)
-        probe = TraceProbe(limit=40)
-        soc.run(prog, probes=(probe,))
-        assert probe.entries == legacy
-
     def test_only_filter(self, soc):
         prog = soc.assemble("li a0, 3\nloop: addi a0, a0, -1\n"
                             "bnez a0, loop\nhalt")

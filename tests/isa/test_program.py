@@ -19,28 +19,10 @@ class TestProgram:
         assert len(prog) == 4
         assert prog[0].op == "li"
 
-    def test_label_address(self):
-        prog = assemble(SAMPLE)
-        assert prog.label_address("start") == 0
-        assert prog.label_address("loop") == 4  # second instruction * 4
-
     def test_entry_index(self):
         prog = assemble(SAMPLE)
         assert prog.entry_index() == 0
         assert prog.entry_index("loop") == 1
-
-    def test_disassemble_contains_labels_and_ops(self):
-        text = assemble(SAMPLE).disassemble()
-        assert "start:" in text
-        assert "loop:" in text
-        assert "halt" in text
-
-    def test_static_histogram(self):
-        prog = assemble(SAMPLE)
-        hist = prog.static_histogram()
-        assert hist["li"] == 1
-        assert hist["addi"] == 1
-        assert sum(hist.values()) == 4
 
 
 class TestInstructionTable:

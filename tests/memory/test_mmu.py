@@ -24,8 +24,8 @@ def mmu_config(n_cores=1, **mmu_kwargs):
 
 class TestMmuConfig:
     def test_defaults_round_trip(self):
-        cfg = MmuConfig()
-        assert MmuConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = SystemConfig(mmu=MmuConfig())
+        assert SystemConfig.from_flat(cfg.to_flat()) == cfg
 
     @pytest.mark.parametrize("bad", [
         {"page_bytes": 100},   # not a power of two

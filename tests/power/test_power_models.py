@@ -14,7 +14,6 @@ from repro.power import (
     hht_area,
     hht_power,
     ibex_area_um2,
-    power_table,
     seconds,
     system_power,
 )
@@ -71,12 +70,6 @@ class TestPower:
 
     def test_hht_draws_less_than_cpu(self):
         assert hht_power(16, 50).total_uw < cpu_power(16, 50).total_uw
-
-    def test_power_table_covers_all_corners(self):
-        rows = power_table()
-        assert len(rows) == 9  # 3 nodes x 3 clocks
-        nodes = {r[0] for r in rows}
-        assert nodes == {28, 16, 7}
 
     def test_invalid_corner(self):
         with pytest.raises(PowerModelError):

@@ -137,3 +137,55 @@ class TestMultiCoreFields:
             SystemConfig(mmu=MmuConfig(tlb_entries=8)).content_key(),
         }
         assert len(keys) == 6
+
+
+class TestFieldsSetByAssignment:
+    """A bad field fails when its spec or run is made, before any SoC."""
+
+    @pytest.fixture(autouse=True)
+    def no_soc(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a SoC was built")
+
+        monkeypatch.setattr("repro.analysis.runners.Soc", refuse)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(accel="hht", n_buffers=0),
+        dict(vlmax=0),
+    ], ids=["n_buffers", "vlmax"])
+    def test_spec_factory_checks_swept_parameters(self, kwargs):
+        from repro.exec import spmv_spec
+
+        name = list(kwargs)[-1]
+        with pytest.raises(ValueError, match=name):
+            spmv_spec((16, 16), 0.5, **kwargs)
+
+    def test_runner_checks_swept_parameters(self):
+        from repro.analysis import run_spmv
+        from repro.workloads import random_csr, random_dense_vector
+
+        with pytest.raises(ValueError, match="n_buffers"):
+            run_spmv(random_csr((16, 16), 0.5, seed=1),
+                     random_dense_vector(16, seed=2),
+                     accel="hht", n_buffers=0)
+
+    @pytest.mark.parametrize("path,value,message", [
+        ("ram_latency", 0, "ram_latency"),
+        ("ram_bytes", 6, "got 6"),
+        ("banks", 0, "banks"),
+        ("cpu.vlmax", 0, "vlmax"),
+        ("cpu.latencies.int_alu", -1, "int_alu"),
+        ("hht.n_buffers", 0, "n_buffers"),
+        ("hht.fifo_beat_per_elem", -1, "non-negative"),
+    ])
+    def test_spec_factory_rechecks_assigned_fields(self, path, value, message):
+        from repro.exec import spmv_spec
+
+        cfg = SystemConfig.paper_table1()
+        *parents, name = path.split(".")
+        owner = cfg
+        for parent in parents:
+            owner = getattr(owner, parent)
+        setattr(owner, name, value)
+        with pytest.raises(ValueError, match=message):
+            spmv_spec((16, 16), 0.5, accel="hht", config=cfg)
