@@ -89,9 +89,9 @@ def test_interpreter_dispatch_speed(benchmark, record_table):
 def test_mmio_fifo_pop_speed(record_table):
     """I2 — host cost of one HHT FIFO pop, refill included.
 
-    A vector load from an HHT FIFO walks ``Bus.load_burst``, the device
-    lookup, ``HHT.read_burst`` and ``HHT._fifo_read``, whose pop reopens
-    the buffer gate and so runs the back-end's next fill.  This times
+    A vector load from an HHT FIFO walks ``Bus.load_burst``, which finds
+    the address in its FIFO map, and ``HHT._fifo_read``, whose pop
+    reopens the buffer gate and so runs the back-end's next fill.  This times
     that layer alone: no CPU runs, so instruction dispatch, RAM bursts
     and the multiply-accumulates of a whole kernel do not dilute it.
     Each round programs a fresh HHT for a 256x256 SpMV and pops every

@@ -8,6 +8,8 @@ functions, and every one returns a :class:`~repro.system.soc.RunSummary`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..formats.bitvector import BitVectorMatrix
@@ -36,8 +38,9 @@ class VerificationError(AssertionError):
 def _make_soc(config: SystemConfig, ram_bytes: int | None) -> Soc:
     if ram_bytes is not None and ram_bytes > config.ram_bytes:
         # Grow-only: the operands must fit, whether the caller supplied
-        # the config or not.  RAM capacity never affects timing.
-        config.ram_bytes = ram_bytes
+        # the config or not.  RAM capacity never affects timing.  A copy,
+        # so a caller's config still keys the system it describes.
+        config = replace(config, ram_bytes=ram_bytes)
     return Soc(config)
 
 

@@ -183,6 +183,12 @@ class HHT(SimComponent):
             return self.regs[name] & 0xFFFFFFFF, cycle + 1
         raise EngineError(f"read from unmapped HHT offset 0x{offset:02x}")
 
+    def fifo_readers(self) -> dict[int, tuple]:
+        """The bus's direct route for vector loads from the FIFOs:
+        ``{offset: (reader, stream)}`` (see ``repro.memory.bus``)."""
+        return {offset: (self._fifo_read, stream)
+                for offset, stream in _FIFO_STREAMS.items()}
+
     def read_burst(self, offset: int, count: int,
                    cycle: int) -> tuple[np.ndarray, int]:
         stream = _FIFO_STREAMS.get(offset)

@@ -50,6 +50,7 @@ import numpy as np
 
 from ..cpu.core import Cpu
 from ..cpu.timing import CpuConfig, LatencyTable
+from ..instrument.session import SimSession
 from ..isa.program import Program
 from ..memory.bus import Bus
 from ..memory.hierarchy import MemorySystem
@@ -150,7 +151,8 @@ class ProgrammableEngine(BackEndEngine):
         x[20] = FIRMWARE_SYMBOLS["emit_count"]   # s4
         x[21] = FIRMWARE_SYMBOLS["emit_mval"]    # s5
         x[22] = FIRMWARE_SYMBOLS["emit_vval"]    # s6
-        self.helper.prepare(firmware)
+        # Stepped one instruction at a time under this engine's clock.
+        self.session = SimSession(self.helper, firmware)
 
         self.count = self._make_stream("count", config.n_buffers, 1)
         self.mval = self._make_stream("mval", config.n_buffers, config.buffer_elems)
@@ -184,8 +186,9 @@ class ProgrammableEngine(BackEndEngine):
         vvals: list[int] = []
         last_ready = helper.cycle
 
+        step = self.session.step
         while True:
-            alive = helper.step_one()
+            alive = step()
             while pending:
                 stream, bits, ready = pending.popleft()
                 last_ready = ready

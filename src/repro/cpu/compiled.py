@@ -36,12 +36,14 @@ keyed by everything a translation reads: the entry pc, the span's
 ``vlmax``.  ``execute()`` builds a new ``Soc`` for every sweep point,
 and each run binds the blocks it meets: a block that any earlier run in
 the process translated costs a key and a bind, not a translation.
-Binding gives the shared code object this run's bus methods, vector
-scratch and escape handlers as its globals, so a closure can only reach
-its own SoC.  The kernels keep a point's operand layout in their
-prologue's ``la``/``li`` immediates, so a point with a new layout
-translates one block.  At most :data:`MAX_BLOCKS` translations are
-kept; past that, the oldest goes.
+Binding gives the shared code object this run's bus methods, the Cpu's
+vector scratch and its escape handlers (bound to this Cpu) as its
+globals, so a closure can only reach its own SoC.  Vector blocks read
+the Cpu's typed register views (``cpu.vf``/``cpu.vi``, rebuilt with the
+registers on every reset) in their prologue.  The kernels keep a
+point's operand layout in their prologue's ``la``/``li`` immediates, so
+a point with a new layout translates one block.  At most
+:data:`MAX_BLOCKS` translations are kept; past that, the oldest goes.
 
 **Bit-identity contract.**  With no probes attached, a compiled run
 produces exactly the reference interpreter's cycles, instruction counts,
@@ -72,7 +74,7 @@ instruction.
 from __future__ import annotations
 
 import math
-from types import CodeType, FunctionType
+from types import CodeType, FunctionType, MethodType
 
 import numpy as np
 
@@ -309,7 +311,7 @@ class CompiledBackend:
         self.lat = cpu.lat
         self.vlmax = cpu.vlmax
         self._config = (tuple(vars(cpu.lat).items()), cpu.vlmax)
-        self._dispatch = cpu._dispatch
+        self._cpu = cpu
         bus = cpu.bus
         self._globals = {
             "_np": np,
@@ -322,9 +324,9 @@ class CompiledBackend:
             "_bus_burst": bus.load_burst,
             "_bus_store_burst": bus.store_burst,
             "_bus_chain": bus.gather_chain,
-            # Scratch for vfmacc's product (avoids a temp allocation);
-            # never escapes a single emitted statement pair.
-            "_scr": np.empty(64, dtype=np.float32),
+            # The Cpu's scratch for vfmacc's product, as in the reference
+            # handler; never escapes a single emitted statement pair.
+            "_scr": cpu._scr,
         }
         from .core import (
             _PACK_F, _PACK_I, _UNPACK_F, _UNPACK_I, _bits_f32, _f32bits,
@@ -351,9 +353,10 @@ class CompiledBackend:
                 del block_cache[next(iter(block_cache))]
             block_cache[key] = block
         scope = dict(self._globals)
+        cpu = self._cpu
         for k, pc in enumerate(block.escapes):
             ins = instructions[pc]
-            scope[f"_h{k}"] = self._dispatch[ins.op]
+            scope[f"_h{k}"] = MethodType(cpu._dispatch[ins.op], cpu)
             scope[f"_i{k}"] = ins
         return FunctionType(block.code, scope), block.n, block.looping
 
@@ -402,9 +405,9 @@ class CompiledBackend:
         if "v" in cg.needs:
             head.append("    v = cpu.v")
         if "vf" in cg.needs:
-            head.append("    _vf = cpu._compiled_vf32")
+            head.append("    _vf = cpu.vf")
         if "vi" in cg.needs:
-            head.append("    _vi = cpu._compiled_vi32")
+            head.append("    _vi = cpu.vi")
         if "vl" in cg.needs:
             head.append("    vl_ = cpu.vl")
         head.append("    cycle = cpu.cycle")
@@ -868,12 +871,6 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
     cpu = session.cpu
     program = session.program
     backend = CompiledBackend(cpu)
-    # Per-run register-file views: ``Cpu.reset`` replaces the vector
-    # arrays, so float/int views are rebuilt at run entry (they stay
-    # valid for the whole run) and fetched by block prologues from the
-    # cpu.
-    cpu._compiled_vf32 = [a.view(np.float32) for a in cpu.v]
-    cpu._compiled_vi32 = [a.view(np.int32) for a in cpu.v]
     blocks: dict[int, tuple] = {}       # pc -> bound (fn, n, looping)
     blocks_get = blocks.get
     code = session._code

@@ -9,7 +9,8 @@ HHT FIFO loads, which may stall the core until a buffer is ready.
 The interpreter is written for speed (per the HPC guides: tight dispatch,
 no per-cycle loop): handlers are pre-bound per program, registers are
 plain Python lists, and vector registers are small ``uint32`` numpy arrays
-reinterpreted as ``float32``/``int32`` views inside vector handlers.
+with ``float32``/``int32`` views (``vf``/``vi``) built once per reset, so
+a vector handler indexes a view instead of making one.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ class Cpu(SimComponent):
         # Their instructions trap (SimulationError) while unattached.
         self.ssr = None
         self.indexmac = None
+        # The product of vfmacc.vv/vfmacidx (both backends): filled and
+        # consumed within one instruction.
+        self._scr = np.empty(self.vlmax, dtype=np.float32)
         self._reset_local()
         self._dispatch = self._build_dispatch()
 
@@ -90,6 +94,10 @@ class Cpu(SimComponent):
         self.v: list[np.ndarray] = [
             np.zeros(self.vlmax, dtype=np.uint32) for _ in range(32)
         ]
+        # The typed register file: float32/int32 views of the same
+        # words, rebuilt with ``v`` so they always alias it.
+        self.vf: list[np.ndarray] = [r.view(np.float32) for r in self.v]
+        self.vi: list[np.ndarray] = [r.view(np.int32) for r in self.v]
         self.vl = self.vlmax
         self.cycle = 0
         self.halted = False
@@ -117,8 +125,8 @@ class Cpu(SimComponent):
         return out
 
     # ------------------------------------------------------------------
-    # Execution (both entry points are views of one SimSession — the
-    # single canonical interpreter loop lives in repro.instrument).
+    # Execution (a view of one SimSession — the single canonical
+    # interpreter loop lives in repro.instrument).
     # ------------------------------------------------------------------
     def run(self, program: Program, entry: int | str | None = None,
             probes: tuple = ()) -> CpuStats:
@@ -127,26 +135,14 @@ class Cpu(SimComponent):
 
         return SimSession(self, program, entry=entry, probes=probes).run()
 
-    def prepare(self, program: Program, entry: int | str | None = None) -> None:
-        """Load *program* for incremental execution via :meth:`step_one`.
-
-        Used by the programmable HHT's helper core, which must interleave
-        with the rest of the system event by event under an external
-        clock (the engine mutates ``cycle`` between steps).
-        """
-        from ..instrument.session import SimSession
-
-        self._session = SimSession(self, program, entry=entry)
-
-    def step_one(self) -> bool:
-        """Execute one instruction; returns False once halted."""
-        return self._session.step()
-
     def _build_dispatch(self) -> dict[str, object]:
+        """Mnemonic -> plain handler function.  Each session binds the
+        handlers to its Cpu, so a Cpu holds no bound method of itself
+        and reference counting alone frees it."""
         table: dict[str, object] = {}
         for op in INSTRUCTION_CLASS:
             mangled = "_op_" + op.replace(".", "_")
-            fn = getattr(self, mangled, None)
+            fn = getattr(type(self), mangled, None)
             if fn is None:
                 raise SimulationError(f"missing handler {mangled} for {op!r}")
             table[op] = fn
@@ -557,22 +553,24 @@ class Cpu(SimComponent):
     # Vector extension (SEW=32, LMUL=1, tail-undisturbed)
     # ------------------------------------------------------------------
     def _op_vsetvli(self, ins, pc):
-        requested = self.x[ins.rs1] & _U32
-        if ins.rs1 == 0:
-            vl = self.vlmax
-        else:
-            vl = min(requested, self.vlmax)
-        self.vl = int(vl)
+        vl = self.vlmax
+        if ins.rs1:
+            requested = self.x[ins.rs1] & _U32
+            if requested < vl:
+                vl = requested
+        self.vl = vl
         if ins.rd:
-            self.x[ins.rd] = self.vl
+            self.x[ins.rd] = vl
         self._charge("vector_config", self.lat.vector_config)
         return pc + 1
 
     def _op_vle32_v(self, ins, pc):
         addr = self.x[ins.rs1] & _U32
         start = self.cycle
-        values, completion = self.bus.load_burst(addr, self.vl, start)
-        self.v[ins.rd][: self.vl] = values
+        vl = self.vl
+        # The words may alias RAM or a FIFO fill: copy them in at once.
+        values, completion = self.bus.load_burst(addr, vl, start)
+        self.v[ins.rd][:vl] = values
         self._charge("vector_load", (completion - start) + self.lat.load_use)
         return pc + 1
 
@@ -658,7 +656,7 @@ class Cpu(SimComponent):
         unit = self._require_indexmac()
         vl = self.vl
         base = self.x[ins.rs1] & _U32
-        indices = self.v[ins.rs2][:vl].view(np.int32)
+        indices = self.vi[ins.rs2][:vl]
         gathered, latest = self._pipelined_gather(base, indices)
         self.v[ins.rd][:vl] = gathered
         unit.gathers += 1
@@ -672,52 +670,52 @@ class Cpu(SimComponent):
         unit = self._require_indexmac()
         vl = self.vl
         base = self.x[ins.rs1] & _U32
-        indices = self.v[ins.rs2][:vl].view(np.int32)
+        indices = self.vi[ins.rs2][:vl]
         gathered, latest = self._pipelined_gather(base, indices)
-        b = self.v[ins.rs3][:vl].view(np.float32)
-        acc = self.v[ins.rd][:vl].view(np.float32)
-        acc += gathered.view(np.float32) * b
+        vf = self.vf
+        acc = vf[ins.rd][:vl]
+        acc += np.multiply(gathered.view(np.float32), vf[ins.rs3][:vl],
+                           out=self._scr[:vl])
         unit.macs += 1
         unit.gathered_elements += vl
         cost = (latest - self.cycle) + self.lat.load_use + self.lat.vector_fp
         self._charge("vector_mac_idx", cost)
         return pc + 1
 
-    def _vf_binary(self, ins, pc, fn) -> int:
+    def _vf_binary(self, ins, pc, ufunc) -> int:
         vl = self.vl
-        a = self.v[ins.rs1][:vl].view(np.float32)
-        b = self.v[ins.rs2][:vl].view(np.float32)
-        out = self.v[ins.rd][:vl].view(np.float32)
-        fn(a, b, out)
+        vf = self.vf
+        ufunc(vf[ins.rs1][:vl], vf[ins.rs2][:vl], out=vf[ins.rd][:vl])
         self._charge("vector_fp", self.lat.vector_fp)
         return pc + 1
 
     def _op_vfadd_vv(self, ins, pc):
-        return self._vf_binary(ins, pc, lambda a, b, out: np.add(a, b, out=out))
+        return self._vf_binary(ins, pc, np.add)
 
     def _op_vfsub_vv(self, ins, pc):
-        return self._vf_binary(ins, pc, lambda a, b, out: np.subtract(a, b, out=out))
+        return self._vf_binary(ins, pc, np.subtract)
 
     def _op_vfmul_vv(self, ins, pc):
-        return self._vf_binary(ins, pc, lambda a, b, out: np.multiply(a, b, out=out))
+        return self._vf_binary(ins, pc, np.multiply)
 
     def _op_vfmacc_vv(self, ins, pc):
         vl = self.vl
-        a = self.v[ins.rs1][:vl].view(np.float32)
-        b = self.v[ins.rs2][:vl].view(np.float32)
-        acc = self.v[ins.rd][:vl].view(np.float32)
-        acc += a * b
+        vf = self.vf
+        acc = vf[ins.rd][:vl]
+        acc += np.multiply(vf[ins.rs1][:vl], vf[ins.rs2][:vl],
+                           out=self._scr[:vl])
         self._charge("vector_fp", self.lat.vector_fp)
         return pc + 1
 
     def _op_vfredosum_vs(self, ins, pc):
         """Ordered reduction: vd[0] = vs1[0] + sum(vs2[0..vl-1]) in order."""
         vl = self.vl
-        vec = self.v[ins.rs1][:vl].view(np.float32)
-        acc = np.float32(self.v[ins.rs2][:1].view(np.float32)[0])
+        vf = self.vf
+        vec = vf[ins.rs1][:vl]
+        acc = np.float32(vf[ins.rs2][0])
         for i in range(vl):
             acc = np.float32(acc + vec[i])
-        self.v[ins.rd][:1].view(np.float32)[0] = acc
+        vf[ins.rd][0] = acc
         cost = self.lat.vector_fp + self.lat.vector_reduction_per_elem * vl
         self._charge("vector_fp", cost)
         return pc + 1
@@ -725,111 +723,100 @@ class Cpu(SimComponent):
     def _op_vfredusum_vs(self, ins, pc):
         # Unordered sum — same value here (we keep order), cheaper timing.
         vl = self.vl
-        vec = self.v[ins.rs1][:vl].view(np.float32)
-        acc = np.float32(self.v[ins.rs2][:1].view(np.float32)[0])
-        total = np.float32(acc + vec.sum(dtype=np.float32))
-        self.v[ins.rd][:1].view(np.float32)[0] = total
+        vf = self.vf
+        acc = np.float32(vf[ins.rs2][0])
+        vf[ins.rd][0] = np.float32(acc + vf[ins.rs1][:vl].sum(dtype=np.float32))
         cost = self.lat.vector_fp + max(1, vl.bit_length())
         self._charge("vector_fp", cost)
         return pc + 1
 
     def _op_vredsum_vs(self, ins, pc):
         vl = self.vl
-        vec = self.v[ins.rs1][:vl].view(np.int32)
-        acc = int(self.v[ins.rs2][:1].view(np.int32)[0])
-        total = _s32(acc + int(vec.sum()))
-        self.v[ins.rd][:1].view(np.int32)[0] = total
+        vi = self.vi
+        acc = int(vi[ins.rs2][0])
+        vi[ins.rd][0] = _s32(acc + int(vi[ins.rs1][:vl].sum()))
         self._charge("vector_int", self.lat.vector_int + max(1, vl.bit_length()))
         return pc + 1
 
-    def _vi_binary(self, ins, pc, fn) -> int:
+    def _vi_binary(self, ins, pc, ufunc) -> int:
         vl = self.vl
-        a = self.v[ins.rs1][:vl].view(np.int32)
-        b = self.v[ins.rs2][:vl].view(np.int32)
-        out = self.v[ins.rd][:vl].view(np.int32)
-        fn(a, b, out)
+        vi = self.vi
+        ufunc(vi[ins.rs1][:vl], vi[ins.rs2][:vl], out=vi[ins.rd][:vl])
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
     def _op_vadd_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, lambda a, b, out: np.add(a, b, out=out))
+        return self._vi_binary(ins, pc, np.add)
 
     def _op_vsub_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, lambda a, b, out: np.subtract(a, b, out=out))
+        return self._vi_binary(ins, pc, np.subtract)
 
     def _op_vmul_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, lambda a, b, out: np.multiply(a, b, out=out))
+        return self._vi_binary(ins, pc, np.multiply)
 
     def _op_vand_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, lambda a, b, out: np.bitwise_and(a, b, out=out))
+        return self._vi_binary(ins, pc, np.bitwise_and)
 
     def _op_vor_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, lambda a, b, out: np.bitwise_or(a, b, out=out))
+        return self._vi_binary(ins, pc, np.bitwise_or)
 
     def _op_vxor_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, lambda a, b, out: np.bitwise_xor(a, b, out=out))
+        return self._vi_binary(ins, pc, np.bitwise_xor)
 
-    def _vx_binary(self, ins, pc, fn) -> int:
+    def _vx_binary(self, ins, pc, ufunc, scalar: int) -> int:
+        """``vd = ufunc(vs1, scalar)`` over int32 lanes (``.vx`` takes
+        x[rs2], ``.vi`` the immediate)."""
         vl = self.vl
-        a = self.v[ins.rs1][:vl].view(np.int32)
-        s = np.int32(_s32(self.x[ins.rs2]))
-        out = self.v[ins.rd][:vl].view(np.int32)
-        fn(a, s, out)
+        vi = self.vi
+        ufunc(vi[ins.rs1][:vl], np.int32(scalar), out=vi[ins.rd][:vl])
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
     def _op_vadd_vx(self, ins, pc):
-        return self._vx_binary(ins, pc, lambda a, s, out: np.add(a, s, out=out))
+        return self._vx_binary(ins, pc, np.add, _s32(self.x[ins.rs2]))
 
     def _op_vmul_vx(self, ins, pc):
-        return self._vx_binary(ins, pc, lambda a, s, out: np.multiply(a, s, out=out))
+        return self._vx_binary(ins, pc, np.multiply, _s32(self.x[ins.rs2]))
 
     def _op_vand_vx(self, ins, pc):
-        return self._vx_binary(ins, pc, lambda a, s, out: np.bitwise_and(a, s, out=out))
+        return self._vx_binary(ins, pc, np.bitwise_and, _s32(self.x[ins.rs2]))
 
     def _op_vor_vx(self, ins, pc):
-        return self._vx_binary(ins, pc, lambda a, s, out: np.bitwise_or(a, s, out=out))
+        return self._vx_binary(ins, pc, np.bitwise_or, _s32(self.x[ins.rs2]))
+
+    def _op_vadd_vi(self, ins, pc):
+        return self._vx_binary(ins, pc, np.add, ins.imm)
+
+    def _op_vand_vi(self, ins, pc):
+        return self._vx_binary(ins, pc, np.bitwise_and, ins.imm)
 
     def _op_vsll_vi(self, ins, pc):
+        # numpy's uint32 << drops shifted-out bits, like the hardware.
         vl = self.vl
-        a = self.v[ins.rs1][:vl]
-        self.v[ins.rd][:vl] = (a << np.uint32(ins.imm)) & np.uint32(_U32)
+        v = self.v
+        np.left_shift(v[ins.rs1][:vl], ins.imm, out=v[ins.rd][:vl])
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
     def _op_vsrl_vi(self, ins, pc):
         vl = self.vl
-        a = self.v[ins.rs1][:vl]
-        self.v[ins.rd][:vl] = a >> np.uint32(ins.imm)
-        self._charge("vector_int", self.lat.vector_int)
-        return pc + 1
-
-    def _op_vadd_vi(self, ins, pc):
-        vl = self.vl
-        a = self.v[ins.rs1][:vl].view(np.int32)
-        self.v[ins.rd][:vl].view(np.int32)[:] = a + np.int32(ins.imm)
-        self._charge("vector_int", self.lat.vector_int)
-        return pc + 1
-
-    def _op_vand_vi(self, ins, pc):
-        vl = self.vl
-        a = self.v[ins.rs1][:vl].view(np.int32)
-        self.v[ins.rd][:vl].view(np.int32)[:] = a & np.int32(ins.imm)
+        v = self.v
+        np.right_shift(v[ins.rs1][:vl], ins.imm, out=v[ins.rd][:vl])
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
     def _op_vmv_v_i(self, ins, pc):
-        self.v[ins.rd][: self.vl].view(np.int32)[:] = np.int32(ins.imm)
+        self.vi[ins.rd][: self.vl] = np.int32(ins.imm)
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
     def _op_vmv_v_x(self, ins, pc):
-        self.v[ins.rd][: self.vl].view(np.int32)[:] = np.int32(_s32(self.x[ins.rs1]))
+        self.vi[ins.rd][: self.vl] = np.int32(_s32(self.x[ins.rs1]))
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
     def _op_vmv_s_x(self, ins, pc):
-        self.v[ins.rd][:1].view(np.int32)[0] = np.int32(_s32(self.x[ins.rs1]))
+        self.vi[ins.rd][0] = np.int32(_s32(self.x[ins.rs1]))
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
@@ -839,17 +826,17 @@ class Cpu(SimComponent):
         return pc + 1
 
     def _op_vfmv_f_s(self, ins, pc):
-        self.f[ins.rd] = float(self.v[ins.rs1][:1].view(np.float32)[0])
+        self.f[ins.rd] = float(self.vf[ins.rs1][0])
         self._charge("vector_fp", self.lat.vector_fp)
         return pc + 1
 
     def _op_vfmv_s_f(self, ins, pc):
-        self.v[ins.rd][:1].view(np.float32)[0] = np.float32(self.f[ins.rs1])
+        self.vf[ins.rd][0] = np.float32(self.f[ins.rs1])
         self._charge("vector_fp", self.lat.vector_fp)
         return pc + 1
 
     def _op_vfmv_v_f(self, ins, pc):
-        self.v[ins.rd][: self.vl].view(np.float32)[:] = np.float32(self.f[ins.rs1])
+        self.vf[ins.rd][: self.vl] = np.float32(self.f[ins.rs1])
         self._charge("vector_fp", self.lat.vector_fp)
         return pc + 1
 

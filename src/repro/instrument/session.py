@@ -2,10 +2,11 @@
 
 Every way of running a program on the simulated machine — ``Soc.run``
 (which the kernel runners, ``repro trace`` and the profiler go
-through), ``Cpu.run`` and the ``prepare``/``step_one`` single-stepper
-the programmable HHT's helper core uses — is one ``SimSession`` (or,
-with several cores, one :class:`MultiCoreSession`): resolve the entry
-point, pre-bind the handlers, then drive a single interpreter loop.
+through), ``Cpu.run`` and the programmable HHT's helper core, which
+keeps its own session and advances it with :meth:`SimSession.step` — is
+one ``SimSession`` (or, with several cores, one
+:class:`MultiCoreSession`): resolve the entry point, bind the handlers
+to the core, then drive a single interpreter loop.
 What used to be forked loops (profiling, tracing) is now a chain of
 per-event hooks contributed by :class:`~repro.instrument.probes.Probe`
 objects.
@@ -23,6 +24,8 @@ duration of the run when some probe subscribed.
 """
 
 from __future__ import annotations
+
+from types import MethodType
 
 from ..cpu.core import Cpu, CpuStats, SimulationError
 from ..isa.program import Program
@@ -100,13 +103,15 @@ class SimSession:
             self._pc = program.entry_index(entry)
         else:
             self._pc = int(entry or 0)
+        # The Cpu's table holds plain functions; the session binds the
+        # ones its program uses, so only the session refers back to cpu.
         dispatch = cpu._dispatch
         try:
-            self._code = [
-                (dispatch[ins.op], ins) for ins in program.instructions
-            ]
+            bound = {op: MethodType(dispatch[op], cpu)
+                     for op in {ins.op for ins in program.instructions}}
         except KeyError as exc:  # pragma: no cover - table kept in sync
             raise SimulationError(f"no handler for mnemonic {exc}") from None
+        self._code = [(bound[ins.op], ins) for ins in program.instructions]
         cpu.halted = False
 
         self._instr_hooks = _hooks(self.probes, "on_instruction")
@@ -294,10 +299,9 @@ class SimSession:
 
     def step(self) -> bool:
         """Execute one instruction under an *external* clock; returns
-        False once halted.  This is the ``step_one`` path: the caller
-        (the programmable HHT's engine) mutates ``cpu.cycle`` between
-        steps, and the instruction budget is checked against the
-        absolute counter."""
+        False once halted.  The caller (the programmable HHT's engine)
+        mutates ``cpu.cycle`` between steps, and the instruction budget
+        is checked against the absolute counter."""
         cpu = self.cpu
         if not self._started:
             self._start_probes()

@@ -11,10 +11,14 @@ Address layout (32-bit physical space):
 RAM accesses pay for an issue slot on the shared :class:`MemoryPort`;
 device accesses are handled by the device, which returns its own
 completion cycle (the HHT front-end uses this to stall CPU loads until a
-buffer is ready).
+buffer is ready).  A device that serves stream FIFOs lists them at
+attach time (``fifo_readers``), and a vector load from one of those
+addresses goes straight to the device's reader.
 
 Multi-word RAM traffic moves numpy word slices and is timed by the
 :class:`MemorySystem` shapes (bursts, pipelined and chained gathers).
+A burst load returns the words without a copy, so its caller copies
+them out before the next store.
 A gather with any element outside RAM — or misaligned, or on a
 translating bus — is loaded element by element through ``load_word``
 by :func:`load_each`, so devices and faults see the exact reference
@@ -55,6 +59,12 @@ class MMIODevice(Protocol):
         """Return ``(u32 words, completion_cycle)`` for a *count*-element
         vector load at *offset* (FIFO semantics for stream devices)."""
         ...
+
+
+#: ``(read, stream)``: a device's FIFO reader, called as
+#: ``read(stream, count, cycle)`` like ``read_burst``.  A device with
+#: FIFOs lists them as ``fifo_readers() -> {offset: FifoReader}``.
+FifoReader = tuple[Callable[[str, int, int], tuple[np.ndarray, int]], str]
 
 
 def load_each(load_word: Callable, present: Callable, addrs: Sequence[int],
@@ -100,10 +110,12 @@ class Bus(SimComponent):
         self.mem = MemorySystem(port, cache)
         self.add_child(self.mem)
         self.default_requester = default_requester
-        # Sorted by base so lookups can bisect; the HHT FIFO path hits
-        # _find_device once per FIFO load.
+        # Sorted by base so lookups can bisect.
         self._devices: list[tuple[int, int, MMIODevice]] = []
         self._device_bases: list[int] = []
+        # Absolute FIFO address -> reader: a vector load from a FIFO
+        # skips the bisect and the device's offset decode.
+        self._fifos: dict[int, FifoReader] = {}
 
     def attach_device(self, base: int, size: int, device: MMIODevice) -> None:
         """Map *device* at ``[base, base+size)``; must not overlap RAM/devices."""
@@ -119,6 +131,10 @@ class Bus(SimComponent):
         idx = bisect_right(self._device_bases, base)
         self._devices.insert(idx, (base, size, device))
         self._device_bases.insert(idx, base)
+        fifo_readers = getattr(device, "fifo_readers", None)
+        if fifo_readers is not None:
+            for offset, reader in fifo_readers().items():
+                self._fifos[base + offset] = reader
 
     def _find_device(self, addr: int) -> tuple[int, MMIODevice]:
         idx = bisect_right(self._device_bases, addr) - 1
@@ -155,13 +171,14 @@ class Bus(SimComponent):
     ) -> tuple[np.ndarray, int]:
         """Unit-stride vector load of *count* words.
 
-        RAM bursts pipeline through the port (one issue slot per beat)
-        and return a ``uint32`` copy of the words; device bursts (the
-        HHT FIFOs) are delegated to the device so it can apply FIFO pop
-        semantics and buffer-ready stalls, and return ``uint32`` words
-        too.
+        RAM bursts pipeline through the port (one issue slot per beat);
+        device bursts go to the device so it can apply FIFO pop
+        semantics and buffer-ready stalls: a listed FIFO address calls
+        its reader directly, any other address ``read_burst``.  Either
+        way the result is ``(uint32 words, completion)``, and the words
+        are not a copy: they may alias RAM or a device's buffer, so the
+        caller copies them into its register before anything else runs.
         """
-        requester = requester or self.default_requester
         if count <= 0:
             return np.empty(0, np.uint32), cycle
         ram = self.ram
@@ -170,12 +187,17 @@ class Bus(SimComponent):
                 raise MemoryAccessError(
                     f"burst of {count} words at 0x{addr:08x} exceeds RAM"
                 )
-            completion = self.mem.read_burst(cycle, count, requester, addr)
+            completion = self.mem.read_burst(
+                cycle, count, requester or self.default_requester, addr)
             if addr & 3:
                 raise MemoryAccessError(
                     f"misaligned word access at 0x{addr:08x}")
             word = addr >> 2
-            return ram._u32[word : word + count].copy(), completion
+            return ram._u32[word : word + count], completion
+        fifo = self._fifos.get(addr)
+        if fifo is not None:
+            read, stream = fifo
+            return read(stream, count, cycle)
         offset, device = self._find_device(addr)
         return device.read_burst(offset, count, cycle)
 

@@ -141,3 +141,31 @@ def test_run_without_a_kernel_fails_before_a_soc(run, match, monkeypatch):
     monkeypatch.setattr(Soc, "__init__", no_soc)
     with pytest.raises(ValueError, match=match):
         run()
+
+
+#: Operands past Table 1's 1 MB: the vector alone is 140,000 words.
+WIDE = random_csr((4, 140_000), 0.9999, seed=73)
+GROWING_RUNS = {
+    "run_spmv": lambda cfg: run_spmv(
+        WIDE, random_dense_vector(WIDE.ncols, seed=74), config=cfg),
+    "run_spmspv": lambda cfg: run_spmspv(
+        WIDE, random_sparse_vector(WIDE.ncols, 0.9999, seed=75),
+        mode="baseline", config=cfg),
+    "run_spmv_programmable": lambda cfg: run_spmv_programmable(
+        WIDE, random_dense_vector(WIDE.ncols, seed=74), format_name="csr",
+        config=cfg),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(GROWING_RUNS))
+def test_growing_ram_leaves_the_callers_config_alone(runner):
+    """The runner grows RAM for the operands on a copy: the caller's
+    config (which already lists the kernel's front-end, so the runner
+    gets that very object) still describes, and keys, the system it
+    described before."""
+    cfg = SystemConfig.paper_table1()
+    key = cfg.content_key()
+    summary = GROWING_RUNS[runner](cfg)
+    assert summary.cycles > 0
+    assert cfg.ram_bytes == 1 << 20
+    assert cfg.content_key() == key

@@ -1,8 +1,10 @@
-"""Single-step execution interface tests (used by the programmable HHT)."""
+"""Single-step execution tests: ``SimSession.step`` under an external
+clock, as the programmable HHT's engine drives its helper core."""
 
 import pytest
 
 from repro.cpu import CpuConfig, SimulationError
+from repro.instrument import SimSession
 from repro.isa import assemble
 
 from .helpers import make_machine
@@ -11,24 +13,24 @@ from .helpers import make_machine
 class TestStepOne:
     def test_step_until_halt(self):
         cpu, _ = make_machine()
-        cpu.prepare(assemble("li a0, 1\nli a1, 2\nhalt"))
-        assert cpu.step_one() is True
+        session = SimSession(cpu, assemble("li a0, 1\nli a1, 2\nhalt"))
+        assert session.step() is True
         assert cpu.x[10] == 1
-        assert cpu.step_one() is True
+        assert session.step() is True
         assert cpu.x[11] == 2
-        assert cpu.step_one() is False  # halt
+        assert session.step() is False  # halt
         assert cpu.halted
 
     def test_step_after_halt_is_noop(self):
         cpu, _ = make_machine()
-        cpu.prepare(assemble("halt"))
-        assert cpu.step_one() is False
-        assert cpu.step_one() is False
+        session = SimSession(cpu, assemble("halt"))
+        assert session.step() is False
+        assert session.step() is False
 
     def test_stats_accumulate(self):
         cpu, _ = make_machine()
-        cpu.prepare(assemble("nop\nnop\nhalt"))
-        while cpu.step_one():
+        session = SimSession(cpu, assemble("nop\nnop\nhalt"))
+        while session.step():
             pass
         assert cpu.counters.instructions == 3
         assert cpu.counters.cycles == cpu.cycle
@@ -36,36 +38,36 @@ class TestStepOne:
     def test_entry_label(self):
         cpu, _ = make_machine()
         prog = assemble("li a0, 1\nhalt\nstart: li a0, 9\nhalt")
-        cpu.prepare(prog, entry="start")
-        while cpu.step_one():
+        session = SimSession(cpu, prog, entry="start")
+        while session.step():
             pass
         assert cpu.x[10] == 9
 
     def test_pc_out_of_range(self):
         cpu, _ = make_machine()
-        cpu.prepare(assemble("nop"))  # falls off the end
-        cpu.step_one()
+        session = SimSession(cpu, assemble("nop"))  # falls off the end
+        session.step()
         with pytest.raises(SimulationError, match="PC out of range"):
-            cpu.step_one()
+            session.step()
 
     def test_budget_enforced(self):
         from repro.cpu import Cpu
         from repro.memory import Bus, MemoryPort, Ram
 
         cpu = Cpu(Bus(Ram(1 << 12), MemoryPort()), CpuConfig(max_instructions=10))
-        cpu.prepare(assemble("loop: j loop"))
+        session = SimSession(cpu, assemble("loop: j loop"))
         with pytest.raises(SimulationError, match="budget"):
-            while cpu.step_one():
+            while session.step():
                 pass
 
     def test_interleaves_with_cycle_mutation(self):
         """The programmable engine fast-forwards helper.cycle between
         steps; stepping must honour the adjusted clock."""
         cpu, _ = make_machine()
-        cpu.prepare(assemble("nop\nnop\nhalt"))
-        cpu.step_one()
+        session = SimSession(cpu, assemble("nop\nnop\nhalt"))
+        session.step()
         cpu.cycle = 1000
-        cpu.step_one()
+        session.step()
         assert cpu.cycle >= 1001
 
 

@@ -94,18 +94,17 @@ class TestErrorParity:
         assert plain == "PC out of range: 1 (program prog)"
 
     def test_step_path_uses_same_messages(self):
-        cpu = make_cpu(max_instructions=16)
-        cpu.prepare(assemble("loop: j loop", name="prog"))
+        session = SimSession(make_cpu(max_instructions=16),
+                             assemble("loop: j loop", name="prog"))
         with pytest.raises(SimulationError,
                            match="instruction budget of 16 exhausted in prog"):
-            while cpu.step_one():
+            while session.step():
                 pass
-        cpu = make_cpu()
-        cpu.prepare(assemble("nop", name="prog"))
-        cpu.step_one()
+        session = SimSession(make_cpu(), assemble("nop", name="prog"))
+        session.step()
         with pytest.raises(SimulationError,
                            match=r"PC out of range: 1 \(program prog\)"):
-            cpu.step_one()
+            session.step()
 
 
 class TestProbeHalt:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import HHT, HHT_BASE, MMR, EngineError, HHTConfig, HHTMode
 from repro.memory import MMIO_BASE, Bus, MemoryAccessError, MemoryPort, Ram
+from repro.workloads import random_csr, random_sparse_vector
 
 
 class StubDevice:
@@ -84,9 +86,12 @@ class TestDeviceRouting:
         assert device.writes == [(4, 123)]
 
     def test_device_burst(self, system):
-        bus, _, _ = system
-        values, _ = bus.load_burst(MMIO_BASE, 3, cycle=0)
+        """A device that lists no FIFOs gets every burst as read_burst."""
+        bus, _, device = system
+        assert not hasattr(device, "fifo_readers")
+        values, completion = bus.load_burst(MMIO_BASE, 3, cycle=0)
         assert values == [0, 1, 2]
+        assert completion == 0 + 5 + 3
 
     def test_unmapped_address(self, system):
         bus, _, _ = system
@@ -163,3 +168,114 @@ class TestAttachment:
         bus.attach_device(MMIO_BASE + 0x100, 0x10, StubDevice())
         value, _ = bus.load_word(MMIO_BASE + 0x104, cycle=0)
         assert value == 8
+
+
+def _variant1_hht(bus: Bus, base: int, seed: int) -> HHT:
+    """An HHT attached at *base* and started in SpMSpV variant 1, which
+    feeds all three FIFOs (count, matrix values, vector values)."""
+    matrix = random_csr((16, 16), 0.5, seed=seed)
+    sv = random_sparse_vector(16, 0.5, seed=seed + 1)
+    hht = HHT(HHTConfig(), bus.ram, bus.mem, name=f"hht@{base:x}")
+    bus.attach_device(base, MMR.REGION_SIZE, hht)
+    addr = 0x100 + 0x2000 * (base - HHT_BASE) // MMR.REGION_SIZE
+
+    def place(arr):
+        nonlocal addr
+        start = addr
+        arr = np.ascontiguousarray(arr)
+        bus.ram.write_array(start, arr)
+        addr += max(arr.size * 4, 4)
+        return start
+
+    for reg, value in (
+        (MMR.M_NUM_ROWS, matrix.nrows),
+        (MMR.M_NUM_COLS, matrix.ncols),
+        (MMR.M_ROWS_BASE, place(matrix.rows)),
+        (MMR.M_COLS_BASE, place(matrix.cols)),
+        (MMR.M_VALS_BASE, place(matrix.vals)),
+        (MMR.V_NNZ, sv.nnz),
+        (MMR.V_IDX_BASE, place(sv.indices)),
+        (MMR.V_VALS_BASE, place(sv.padded_values())),
+        (MMR.MODE, int(HHTMode.SPMSPV_ALIGNED)),
+        (MMR.START, 1),
+    ):
+        hht.write_word(reg, value, 0)
+    return hht
+
+
+def _drain_variant1(read, rows: int = 16):
+    """Every row's count, then its matrix/vector values eight at a time,
+    through ``read(offset, count, cycle)``; returns each read's words
+    and completion."""
+    out = []
+    cycle = 0
+    for _ in range(rows):
+        words, cycle = read(MMR.COUNT_FIFO, 1, cycle)
+        out.append((words.tolist(), cycle))
+        left = int(words[0])
+        while left:
+            chunk = min(8, left)
+            for offset in (MMR.MVAL_FIFO, MMR.VVAL_FIFO):
+                words, cycle = read(offset, chunk, cycle)
+                out.append((offset, words.tolist(), cycle))
+            left -= chunk
+    return out
+
+
+class TestFifoRouting:
+    """``Bus.load_burst`` serves a listed FIFO address by calling the
+    device's reader directly; every other address keeps the device
+    lookup and ``read_burst``, with their errors."""
+
+    @staticmethod
+    def _bus():
+        return Bus(Ram(1 << 16), MemoryPort(latency=2))
+
+    def test_bus_fifo_loads_match_read_burst_on_a_twin(self):
+        bus, twin_bus = self._bus(), self._bus()
+        hht = _variant1_hht(bus, HHT_BASE, seed=31)
+        twin = _variant1_hht(twin_bus, HHT_BASE, seed=31)
+        routed = _drain_variant1(
+            lambda off, n, cycle: bus.load_burst(HHT_BASE + off, n, cycle))
+        direct = _drain_variant1(twin.read_burst)
+        assert {entry[0] for entry in routed if len(entry) == 3} == {
+            MMR.MVAL_FIFO, MMR.VVAL_FIFO}
+        assert routed == direct
+        assert hht.stats() == twin.stats()
+        assert bus.stats() == twin_bus.stats()
+        assert hht.counters.fifo_reads == len(routed)
+
+    def test_fifo_load_skips_the_device_lookup(self, monkeypatch):
+        bus = self._bus()
+        hht = _variant1_hht(bus, HHT_BASE, seed=31)
+
+        def lookup(addr):
+            raise AssertionError(f"device lookup for 0x{addr:08x}")
+
+        monkeypatch.setattr(bus, "_find_device", lookup)
+        words, _ = bus.load_burst(HHT_BASE + MMR.COUNT_FIFO, 1, 0)
+        assert hht.counters.fifo_reads == 1
+        assert words.dtype == np.uint32
+
+    def test_non_fifo_hht_offset_rejected(self):
+        bus = self._bus()
+        _variant1_hht(bus, HHT_BASE, seed=31)
+        with pytest.raises(EngineError,
+                           match="vector load from non-FIFO HHT offset 0x00"):
+            bus.load_burst(HHT_BASE + MMR.M_NUM_ROWS, 4, 0)
+
+    def test_unmapped_address_rejected(self):
+        bus = self._bus()
+        _variant1_hht(bus, HHT_BASE, seed=31)
+        with pytest.raises(MemoryAccessError, match="no device mapped"):
+            bus.load_burst(HHT_BASE + MMR.REGION_SIZE + MMR.VVAL_FIFO, 4, 0)
+
+    def test_each_fifo_reaches_its_own_hht(self):
+        bus = self._bus()
+        second_base = HHT_BASE + MMR.REGION_SIZE
+        first = _variant1_hht(bus, HHT_BASE, seed=31)
+        second = _variant1_hht(bus, second_base, seed=41)
+        bus.load_burst(second_base + MMR.COUNT_FIFO, 1, 0)
+        assert (first.counters.fifo_reads, second.counters.fifo_reads) == (0, 1)
+        bus.load_burst(HHT_BASE + MMR.COUNT_FIFO, 1, 0)
+        assert (first.counters.fifo_reads, second.counters.fifo_reads) == (1, 1)

@@ -2,8 +2,9 @@
 
 :mod:`repro.analysis.runners` is the only code in the package that
 builds a :class:`~repro.system.soc.Soc`, loads operands into it and
-assembles a kernel for it, and ``Soc.run`` (with ``Cpu.run`` and the
-sessions themselves) the only code that opens an interpreter session.
+assembles a kernel for it, and ``Soc.run`` (with ``Cpu.run``, the
+programmable HHT's helper-core stepper and the sessions themselves) the
+only code that opens an interpreter session.
 Likewise one module writes Algorithm 1's CSR row loop as assembly text.
 This test scans the package's syntax trees, so a second copy of any of
 these cannot creep back in beside them.
@@ -17,7 +18,8 @@ import repro
 ROOT = Path(repro.__file__).resolve().parent
 
 RUNNERS = {"analysis/runners.py"}
-SESSION_OWNERS = {"system/soc.py", "cpu/core.py", "instrument/session.py"}
+SESSION_OWNERS = {"system/soc.py", "cpu/core.py", "instrument/session.py",
+                  "core/programmable.py"}
 
 #: Methods of Soc that build a kernel run: only the runners call them.
 #: (The assembler *function* ``assemble(text, ...)`` is not a method
