@@ -6,8 +6,9 @@ The package models the paper's full system in Python:
 * :mod:`repro.formats` — the sparse representations the kernels and
   firmwares read (CSR, COO, bit-vector, SMASH-style hierarchical bitmaps,
   sparse vectors) and Matrix Market I/O.
-* :mod:`repro.isa` / :mod:`repro.cpu` — a behavioural RV32IMF+V subset
-  with an assembler and a cycle-approximate in-order core model.
+* :mod:`repro.isa` / :mod:`repro.cpu` — the RV32I/F/V instructions the
+  kernels execute, with an assembler and a cycle-approximate in-order
+  core model.
 * :mod:`repro.memory` — the shared pipelined on-chip RAM and MMIO bus.
 * :mod:`repro.core` — **the paper's contribution**: the Hardware Helper
   Thread (HHT) front-end/back-end, for SpMV and both SpMSpV variants.

@@ -174,29 +174,24 @@ class HHT(SimComponent):
         if offset == MMR.STATUS:
             done = int(self.engine is not None and self.engine.drained())
             return done, cycle + 1
-        stream = _FIFO_STREAMS.get(offset)
-        if stream is not None:
-            values, completion = self._fifo_read(stream, 1, cycle)
-            return int(values[0]), completion
         name = self._REG_BY_OFFSET.get(offset)
         if name is not None:
             return self.regs[name] & 0xFFFFFFFF, cycle + 1
         raise EngineError(f"read from unmapped HHT offset 0x{offset:02x}")
 
     def fifo_readers(self) -> dict[int, tuple]:
-        """The bus's direct route for vector loads from the FIFOs:
-        ``{offset: (reader, stream)}`` (see ``repro.memory.bus``)."""
+        """The bus's route for every load from the FIFOs, scalar
+        (``lw``/``flw``) or vector: ``{offset: (reader, stream)}`` (see
+        ``repro.memory.bus``).  So the FIFO offsets never reach
+        :meth:`read_word` or :meth:`read_burst`."""
         return {offset: (self._fifo_read, stream)
                 for offset, stream in _FIFO_STREAMS.items()}
 
     def read_burst(self, offset: int, count: int,
                    cycle: int) -> tuple[np.ndarray, int]:
-        stream = _FIFO_STREAMS.get(offset)
-        if stream is None:
-            raise EngineError(
-                f"vector load from non-FIFO HHT offset 0x{offset:02x}"
-            )
-        return self._fifo_read(stream, count, cycle)
+        raise EngineError(
+            f"vector load from non-FIFO HHT offset 0x{offset:02x}"
+        )
 
     # ------------------------------------------------------------------
     # Control

@@ -1,4 +1,5 @@
-"""Primary-core model: in-order RV32IMF+V with a non-pipelined vector unit."""
+"""Primary-core model: an in-order core that runs the RV32I/F/V
+instructions the kernels execute, with a non-pipelined vector unit."""
 
 from .compiled import CompiledBackend, CompiledBlock, run_compiled
 from .core import Cpu, CpuStats, SimulationError

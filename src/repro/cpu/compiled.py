@@ -26,9 +26,12 @@ Specialization folds everything static into the generated source:
 
 The backend models dispatch only.  Every memory operation in a block is
 one call on the CPU's bus (``load_word``, ``store_word``,
-``load_burst``, ``store_burst``, ``gather_chain``), which owns RAM,
-MMIO routing, translation and port timing for both backends — see
-:mod:`repro.memory.hierarchy` for the burst and gather shapes.
+``load_burst``, ``gather_chain``), which owns RAM, MMIO routing,
+translation and port timing for both backends — see
+:mod:`repro.memory.hierarchy` for the burst and gather shapes.  The
+four accelerator front-end ops (``fssrpop``, ``vssrpop.v``,
+``vlpidx.v``, ``vfmacidx``) are not translated: they call the Cpu's
+reference handler (the escape hatch).
 
 Translations are cached once per process, in :data:`block_cache`,
 keyed by everything a translation reads: the entry pc, the span's
@@ -73,7 +76,6 @@ instruction.
 
 from __future__ import annotations
 
-import math
 from types import CodeType, FunctionType, MethodType
 
 import numpy as np
@@ -82,9 +84,7 @@ from ..isa.instructions import s32
 from ..isa.program import Program
 
 #: Ops that end a basic block (control transfer or machine stop).
-CONTROL_OPS = frozenset(
-    "beq bne blt bge bltu bgeu jal jalr halt ecall ebreak".split()
-)
+CONTROL_OPS = frozenset("beq bne blt bge jal halt".split())
 
 #: Translation stops after this many instructions even without a
 #: control op; the dispatcher simply chains into the next block.
@@ -94,11 +94,7 @@ MAX_BLOCK_LEN = 64
 #: 72 points of a headline sweep block (figs 4-7) share 70 blocks.
 MAX_BLOCKS = 512
 
-_BRANCH_COND = {
-    "beq": ("==", False), "bne": ("!=", False),
-    "blt": ("<", False), "bge": (">=", False),
-    "bltu": ("<", True), "bgeu": (">=", True),
-}
+_BRANCH_COND = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">="}
 
 
 def _w(expr: str) -> str:
@@ -108,11 +104,7 @@ def _w(expr: str) -> str:
 
 def _branch_cond(cg: "_Codegen", ins) -> str:
     """Source text of a conditional branch's taken test."""
-    a, b = cg.xref(ins.rs1), cg.xref(ins.rs2)
-    cmp_op, unsigned = _BRANCH_COND[ins.op]
-    if unsigned:
-        return f"({a} & 0xFFFFFFFF) {cmp_op} ({b} & 0xFFFFFFFF)"
-    return f"{a} {cmp_op} {b}"
+    return f"{cg.xref(ins.rs1)} {_BRANCH_COND[ins.op]} {cg.xref(ins.rs2)}"
 
 
 # op -> expr builder over two operand atoms, mirroring Cpu._op_*
@@ -121,56 +113,14 @@ _ALU3 = {
     "add": lambda a, b: _w(f"{a} + {b}"),
     "sub": lambda a, b: _w(f"{a} - {b}"),
     "and": lambda a, b: _w(f"{a} & {b}"),
-    "or": lambda a, b: _w(f"{a} | {b}"),
-    "xor": lambda a, b: _w(f"{a} ^ {b}"),
-    "sll": lambda a, b: _w(f"{a} << ({b} & 31)"),
     "srl": lambda a, b: _w(f"({a} & 0xFFFFFFFF) >> ({b} & 31)"),
-    "sra": lambda a, b: f"{a} >> ({b} & 31)",
-    "slt": lambda a, b: f"int({a} < {b})",
-    "sltu": lambda a, b: f"int(({a} & 0xFFFFFFFF) < ({b} & 0xFFFFFFFF))",
-    "mul": lambda a, b: _w(f"{a} * {b}"),
-    "mulh": lambda a, b: _w(f"({a} * {b}) >> 32"),
-    "mulhu": lambda a, b:
-        _w(f"(({a} & 0xFFFFFFFF) * ({b} & 0xFFFFFFFF)) >> 32"),
-    "mulhsu": lambda a, b: _w(f"({a} * ({b} & 0xFFFFFFFF)) >> 32"),
     # Immediate shifts take the immediate unmasked, like the handlers.
     "slli": lambda a, b: _w(f"{a} << {b}"),
     "srli": lambda a, b: _w(f"({a} & 0xFFFFFFFF) >> {b}"),
-    "srai": lambda a, b: f"{a} >> {b}",
 }
 
 #: Immediate ALU ops sharing a 3-register builder's semantics.
-_ALU_IMM = {
-    "addi": "add", "andi": "and", "ori": "or", "xori": "xor",
-    "slti": "slt", "sltiu": "sltu",
-    "slli": "slli", "srli": "srli", "srai": "srai",
-}
-
-_FP2 = {
-    "fadd.s": lambda a, b: f"{a} + {b}",
-    "fsub.s": lambda a, b: f"{a} - {b}",
-    "fmul.s": lambda a, b: f"{a} * {b}",
-    "fmin.s": lambda a, b: f"min({a}, {b})",
-    "fmax.s": lambda a, b: f"max({a}, {b})",
-    "fsgnj.s": lambda a, b: f"_math.copysign(abs({a}), {b})",
-    "fsgnjn.s": lambda a, b:
-        f"_math.copysign(abs({a}), -_math.copysign(1.0, {b}))",
-}
-
-_FMA = {
-    "fmadd.s": lambda a, b, c: f"{a} * {b} + {c}",
-    "fmsub.s": lambda a, b, c: f"{a} * {b} - {c}",
-    "fnmadd.s": lambda a, b, c: f"-({a} * {b}) - {c}",
-    "fnmsub.s": lambda a, b, c: f"-({a} * {b}) + {c}",
-}
-
-_VF_BINARY = {"vfadd.vv": "add", "vfsub.vv": "subtract",
-              "vfmul.vv": "multiply"}
-_VI_BINARY = {"vadd.vv": "add", "vsub.vv": "subtract",
-              "vmul.vv": "multiply", "vand.vv": "bitwise_and",
-              "vor.vv": "bitwise_or", "vxor.vv": "bitwise_xor"}
-_VX_BINARY = {"vadd.vx": "add", "vmul.vx": "multiply",
-              "vand.vx": "bitwise_and", "vor.vx": "bitwise_or"}
+_ALU_IMM = {"addi": "add", "andi": "and", "slli": "slli", "srli": "srli"}
 
 
 class CompiledBlock:
@@ -316,23 +266,17 @@ class CompiledBackend:
         self._globals = {
             "_np": np,
             "_f32": np.float32,
-            "_i32": np.int32,
-            "_u32": np.uint32,
-            "_math": math,
             "_bus_load": bus.load_word,
             "_bus_store": bus.store_word,
             "_bus_burst": bus.load_burst,
-            "_bus_store_burst": bus.store_burst,
             "_bus_chain": bus.gather_chain,
             # The Cpu's scratch for vfmacc's product, as in the reference
             # handler; never escapes a single emitted statement pair.
             "_scr": cpu._scr,
         }
-        from .core import (
-            _PACK_F, _PACK_I, _UNPACK_F, _UNPACK_I, _bits_f32, _f32bits,
-        )
+        from .core import _PACK_I, _UNPACK_F, _bits_f32, _f32bits
         self._globals.update(
-            _pkf=_PACK_F, _pki=_PACK_I, _upf=_UNPACK_F, _upi=_UNPACK_I,
+            _pki=_PACK_I, _upf=_UNPACK_F,
             _bits_f32=_bits_f32, _f32bits=_f32bits,
         )
 
@@ -497,14 +441,6 @@ class CompiledBackend:
             cg.xwrite(ins.rd, str(s32(ins.imm)))
             cg.charge_static("int_alu", lat.int_alu)
             return
-        if op == "lui":
-            cg.xwrite(ins.rd, str(s32(ins.imm << 12)))
-            cg.charge_static("int_alu", lat.int_alu)
-            return
-        if op == "auipc":
-            cg.xwrite(ins.rd, str(s32((ins.imm << 12) + pc * 4)))
-            cg.charge_static("int_alu", lat.int_alu)
-            return
         if op in _ALU_IMM:
             imm = ins.imm
             b = f"({imm})" if imm < 0 else str(imm)
@@ -512,14 +448,9 @@ class CompiledBackend:
             cg.charge_static("int_alu", lat.int_alu)
             return
         if op in _ALU3 and ins.rs2 is not None:
-            klass = ("int_mul" if op.startswith("mul") else "int_alu")
-            cost = lat.int_mul if klass == "int_mul" else lat.int_alu
             cg.xwrite(ins.rd,
                       _ALU3[op](cg.xref(ins.rs1), cg.xref(ins.rs2)))
-            cg.charge_static(klass, cost)
-            return
-        if op in ("div", "divu", "rem", "remu"):
-            self._emit_divrem(cg, ins, op, lat)
+            cg.charge_static("int_alu", lat.int_alu)
             return
 
         # ---- loads / stores --------------------------------------------
@@ -551,19 +482,9 @@ class CompiledBackend:
             cg.xwrite(ins.rd, str((pc + 1) * 4))
             self._exit_arm(cg, lat.jump, "jump", lat.jump, str(ins.target))
             return
-        if op == "jalr":
-            # The destination reads rs1 before rd is written (rd == rs1).
-            a = cg.xref(ins.rs1)
-            cg.emit(f"_dest = (({_w(f'{a} + {ins.imm or 0}')}) & -2) // 4")
-            cg.xwrite(ins.rd, str((pc + 1) * 4))
-            self._exit_arm(cg, lat.jump, "jump", lat.jump, "_dest")
-            return
-        if op in ("halt", "ecall", "ebreak"):
+        if op == "halt":
             cg.emit("cpu.halted = True")
             self._exit_arm(cg, lat.system, "system", lat.system, str(pc))
-            return
-        if op == "nopseudo":
-            cg.charge_static("system", lat.system)
             return
 
         # ---- scalar FP --------------------------------------------------
@@ -575,9 +496,9 @@ class CompiledBackend:
             return
 
         # ---- escape hatch ----------------------------------------------
-        # Rare ops (sub-word loads/stores, anything future) call the
-        # reference handler with the decoded Instr; bind() puts both in
-        # the function's globals.  The handler charges through
+        # The accelerator front-end ops (the SSR pops and the IndexMAC
+        # pair) call the reference handler with the decoded Instr; bind()
+        # puts both in the function's globals.  The handler charges through
         # cpu._charge itself, so sync the batched cycle counter around
         # the call.
         cg.flush_pending()
@@ -588,34 +509,6 @@ class CompiledBackend:
         cg.emit("cycle = cpu.cycle")
 
     # ------------------------------------------------------------------
-    def _emit_divrem(self, cg: _Codegen, ins, op: str, lat) -> None:
-        a = cg.xref(ins.rs1)
-        b = cg.xref(ins.rs2)
-        if op == "div":
-            cg.emit(f"_a = {a}; _b = {b}")
-            cg.emit("if _b == 0:")
-            cg.emit("    _q = -1")
-            cg.emit("elif _a == -2147483648 and _b == -1:")
-            cg.emit("    _q = _a")
-            cg.emit("else:")
-            cg.emit("    _q = int(_a / _b)")
-        elif op == "divu":
-            cg.emit(f"_a = {a} & 0xFFFFFFFF; _b = {b} & 0xFFFFFFFF")
-            cg.emit("_q = 0xFFFFFFFF if _b == 0 else _a // _b")
-        elif op == "rem":
-            cg.emit(f"_a = {a}; _b = {b}")
-            cg.emit("if _b == 0:")
-            cg.emit("    _q = _a")
-            cg.emit("elif _a == -2147483648 and _b == -1:")
-            cg.emit("    _q = 0")
-            cg.emit("else:")
-            cg.emit("    _q = _a - int(_a / _b) * _b")
-        else:  # remu
-            cg.emit(f"_a = {a} & 0xFFFFFFFF; _b = {b} & 0xFFFFFFFF")
-            cg.emit("_q = _a if _b == 0 else _a % _b")
-        cg.xwrite(ins.rd, _w("_q"))
-        cg.charge_static("int_div", lat.int_div)
-
     def _exit_arm(self, cg: _Codegen, cost: int, klass: str,
                   klass_cycles: int, dest: str) -> None:
         """Terminal instruction: flush everything and return *dest*."""
@@ -641,60 +534,13 @@ class CompiledBackend:
 
     # ------------------------------------------------------------------
     def _emit_scalar_fp(self, cg: _Codegen, ins, op: str, lat) -> bool:
-        if op in _FP2:
-            cg.fwrite(ins.rd, _FP2[op](cg.fref(ins.rs1), cg.fref(ins.rs2)))
-            cg.charge_static("fp_alu", lat.fp_alu)
-            return True
-        if op == "fsgnjx.s":
-            a, b = cg.fref(ins.rs1), cg.fref(ins.rs2)
-            cg.emit(f"_sgn = _math.copysign(1.0, {a}) * "
-                    f"_math.copysign(1.0, {b})")
-            cg.fwrite(ins.rd, f"_math.copysign(abs({a}), _sgn)")
-            cg.charge_static("fp_alu", lat.fp_alu)
-            return True
-        if op == "fdiv.s":
-            a, b = cg.fref(ins.rs1), cg.fref(ins.rs2)
-            cg.emit(f"_fa = {a}; _fb = {b}")
-            cg.fwrite(ins.rd,
-                      "float('nan') if _fb == 0.0 and _fa == 0.0 else "
-                      "(float('inf') if _fb == 0.0 else _fa / _fb)")
-            cg.charge_static("fp_div", lat.fp_div)
-            return True
-        if op in _FMA:
-            expr = _FMA[op](cg.fref(ins.rs1), cg.fref(ins.rs2),
-                            cg.fref(ins.rs3))
-            cg.fwrite(ins.rd, expr)
+        if op == "fmadd.s":
+            cg.fwrite(ins.rd, f"{cg.fref(ins.rs1)} * {cg.fref(ins.rs2)} + "
+                              f"{cg.fref(ins.rs3)}")
             cg.charge_static("fp_fma", lat.fp_fma)
-            return True
-        if op in ("feq.s", "flt.s", "fle.s"):
-            cmp_op = {"feq.s": "==", "flt.s": "<", "fle.s": "<="}[op]
-            cg.xwrite(ins.rd, f"int({cg.fref(ins.rs1)} {cmp_op} "
-                              f"{cg.fref(ins.rs2)})")
-            cg.charge_static("fp_alu", lat.fp_alu)
-            return True
-        if op == "fmv.x.w":
-            cg.xwrite(ins.rd, f"_upi(_pkf({cg.fref(ins.rs1)}))[0]")
-            cg.charge_static("fp_alu", lat.fp_alu)
             return True
         if op == "fmv.w.x":
             cg.fwrite(ins.rd, f"_upf(_pki({_w(cg.xref(ins.rs1))}))[0]")
-            cg.charge_static("fp_alu", lat.fp_alu)
-            return True
-        if op == "fcvt.w.s":
-            cg.xwrite(ins.rd, _w(f"int({cg.fref(ins.rs1)})"))
-            cg.charge_static("fp_alu", lat.fp_alu)
-            return True
-        if op == "fcvt.wu.s":
-            cg.xwrite(ins.rd,
-                      _w(f"max(0, int({cg.fref(ins.rs1)})) & 0xFFFFFFFF"))
-            cg.charge_static("fp_alu", lat.fp_alu)
-            return True
-        if op == "fcvt.s.w":
-            cg.fwrite(ins.rd, f"float({cg.xref(ins.rs1)})")
-            cg.charge_static("fp_alu", lat.fp_alu)
-            return True
-        if op == "fcvt.s.wu":
-            cg.fwrite(ins.rd, f"float({cg.xref(ins.rs1)} & 0xFFFFFFFF)")
             cg.charge_static("fp_alu", lat.fp_alu)
             return True
         return False
@@ -722,16 +568,6 @@ class CompiledBackend:
             cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
             cg.charge_dyn("vector_load", "_cost")
             return True
-        if op == "vse32.v":
-            cg.need("v", "vl")
-            addr = self._address(cg, ins.rs1)
-            cg.flush_pending()
-            cg.emit(f"_bus_store_burst({addr}, v[{ins.rs2}][:vl_], cycle)")
-            per = lat.vector_store_per_elem
-            cg.emit(f"_cost = {per} * vl_")
-            cg.emit("if _cost < 1: _cost = 1")
-            cg.charge_dyn("vector_store", "_cost")
-            return True
         if op == "vluxei32.v":
             cg.need("v", "vl")
             base = self._address(cg, ins.rs1)
@@ -741,13 +577,6 @@ class CompiledBackend:
             cg.emit(f"v[{ins.rd}][:vl_] = _vals")
             cg.emit(f"_cost = _t - cycle + {lat.load_use}")
             cg.charge_dyn("vector_gather", "_cost")
-            return True
-        if op in _VF_BINARY:
-            cg.need("vf", "vl")
-            fn = _VF_BINARY[op]
-            cg.emit(f"_np.{fn}(_vf[{ins.rs1}][:vl_], "
-                    f"_vf[{ins.rs2}][:vl_], out=_vf[{ins.rd}][:vl_])")
-            cg.charge_static("vector_fp", lat.vector_fp)
             return True
         if op == "vfmacc.vv":
             cg.need("vf", "vl")
@@ -769,38 +598,6 @@ class CompiledBackend:
                     f"{lat.vector_reduction_per_elem} * vl_")
             cg.charge_dyn("vector_fp", "_cost")
             return True
-        if op == "vfredusum.vs":
-            cg.need("vf", "vl")
-            cg.emit(f"_vec = _vf[{ins.rs1}][:vl_]")
-            cg.emit(f"_acc = _f32(_vf[{ins.rs2}][0])")
-            cg.emit("_tot = _f32(_acc + _vec.sum(dtype=_f32))")
-            cg.emit(f"_vf[{ins.rd}][0] = _tot")
-            cg.emit(f"_cost = {lat.vector_fp} + max(1, vl_.bit_length())")
-            cg.charge_dyn("vector_fp", "_cost")
-            return True
-        if op == "vredsum.vs":
-            cg.need("vi", "vl")
-            cg.emit(f"_vec = _vi[{ins.rs1}][:vl_]")
-            cg.emit(f"_acc = int(_vi[{ins.rs2}][0])")
-            cg.emit(f"_tot = {_w('_acc + int(_vec.sum())')}")
-            cg.emit(f"_vi[{ins.rd}][0] = _tot")
-            cg.emit(f"_cost = {lat.vector_int} + max(1, vl_.bit_length())")
-            cg.charge_dyn("vector_int", "_cost")
-            return True
-        if op in _VI_BINARY:
-            cg.need("vi", "vl")
-            fn = _VI_BINARY[op]
-            cg.emit(f"_np.{fn}(_vi[{ins.rs1}][:vl_], "
-                    f"_vi[{ins.rs2}][:vl_], out=_vi[{ins.rd}][:vl_])")
-            cg.charge_static("vector_int", lat.vector_int)
-            return True
-        if op in _VX_BINARY:
-            cg.need("vi", "vl")
-            fn = _VX_BINARY[op]
-            cg.emit(f"_np.{fn}(_vi[{ins.rs1}][:vl_], "
-                    f"_i32({_w(cg.xref(ins.rs2))}), out=_vi[{ins.rd}][:vl_])")
-            cg.charge_static("vector_int", lat.vector_int)
-            return True
         if op == "vsll.vi":
             # numpy's uint32 << drops shifted-out bits like C, so the
             # reference's ``& 0xFFFFFFFF`` is an identity — elided.
@@ -809,36 +606,9 @@ class CompiledBackend:
                     f"out=v[{ins.rd}][:vl_])")
             cg.charge_static("vector_int", lat.vector_int)
             return True
-        if op == "vsrl.vi":
-            cg.need("v", "vl")
-            cg.emit(f"_np.right_shift(v[{ins.rs1}][:vl_], {ins.imm}, "
-                    f"out=v[{ins.rd}][:vl_])")
-            cg.charge_static("vector_int", lat.vector_int)
-            return True
-        if op in ("vadd.vi", "vand.vi"):
-            fn = "add" if op == "vadd.vi" else "bitwise_and"
-            cg.need("vi", "vl")
-            cg.emit(f"_np.{fn}(_vi[{ins.rs1}][:vl_], _i32({ins.imm}), "
-                    f"out=_vi[{ins.rd}][:vl_])")
-            cg.charge_static("vector_int", lat.vector_int)
-            return True
         if op == "vmv.v.i":
             cg.need("vi", "vl")
             cg.emit(f"_vi[{ins.rd}][:vl_] = {ins.imm}")
-            cg.charge_static("vector_int", lat.vector_int)
-            return True
-        if op in ("vmv.v.x", "vmv.s.x"):
-            cg.need("vi", "vl")
-            atom = _w(cg.xref(ins.rs1))
-            if op == "vmv.v.x":
-                cg.emit(f"_vi[{ins.rd}][:vl_] = {atom}")
-            else:
-                cg.emit(f"_vi[{ins.rd}][0] = {atom}")
-            cg.charge_static("vector_int", lat.vector_int)
-            return True
-        if op == "vid.v":
-            cg.need("v", "vl")
-            cg.emit(f"v[{ins.rd}][:vl_] = _np.arange(vl_, dtype=_u32)")
             cg.charge_static("vector_int", lat.vector_int)
             return True
         if op == "vfmv.f.s":
@@ -849,11 +619,6 @@ class CompiledBackend:
         if op == "vfmv.s.f":
             cg.need("vf")
             cg.emit(f"_vf[{ins.rd}][0] = {cg.fref(ins.rs1)}")
-            cg.charge_static("vector_fp", lat.vector_fp)
-            return True
-        if op == "vfmv.v.f":
-            cg.need("vf", "vl")
-            cg.emit(f"_vf[{ins.rd}][:vl_] = {cg.fref(ins.rs1)}")
             cg.charge_static("vector_fp", lat.vector_fp)
             return True
         return False

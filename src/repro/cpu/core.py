@@ -1,7 +1,8 @@
-"""Behavioural, cycle-approximate model of the RV32IMF+V primary core.
+"""Behavioural, cycle-approximate model of the primary core.
 
 This plays the role of the paper's extended Spike: it executes assembled
-programs (see :mod:`repro.isa`) instruction by instruction, charging each
+programs (see :mod:`repro.isa`: the RV32I/F/V instructions the kernels
+execute, plus the front-end ops) instruction by instruction, charging each
 one a latency from :class:`~repro.cpu.timing.LatencyTable` and interacting
 with the shared memory system for loads/stores — including memory-mapped
 HHT FIFO loads, which may stall the core until a buffer is ready.
@@ -15,7 +16,6 @@ a vector handler indexes a view instead of making one.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,7 +29,6 @@ from .timing import CpuConfig
 
 _U32 = 0xFFFFFFFF
 _PACK_F = struct.Struct("<f").pack
-_UNPACK_I = struct.Struct("<i").unpack
 _PACK_I = struct.Struct("<i").pack
 _UNPACK_F = struct.Struct("<f").unpack
 
@@ -179,26 +178,8 @@ class Cpu(SimComponent):
     def _op_and(self, ins, pc):
         return self._alu3(ins, pc, _s32(self.x[ins.rs1] & self.x[ins.rs2]))
 
-    def _op_or(self, ins, pc):
-        return self._alu3(ins, pc, _s32(self.x[ins.rs1] | self.x[ins.rs2]))
-
-    def _op_xor(self, ins, pc):
-        return self._alu3(ins, pc, _s32(self.x[ins.rs1] ^ self.x[ins.rs2]))
-
-    def _op_sll(self, ins, pc):
-        return self._alu3(ins, pc, _s32(self.x[ins.rs1] << (self.x[ins.rs2] & 31)))
-
     def _op_srl(self, ins, pc):
         return self._alu3(ins, pc, _s32((self.x[ins.rs1] & _U32) >> (self.x[ins.rs2] & 31)))
-
-    def _op_sra(self, ins, pc):
-        return self._alu3(ins, pc, self.x[ins.rs1] >> (self.x[ins.rs2] & 31))
-
-    def _op_slt(self, ins, pc):
-        return self._alu3(ins, pc, int(self.x[ins.rs1] < self.x[ins.rs2]))
-
-    def _op_sltu(self, ins, pc):
-        return self._alu3(ins, pc, int((self.x[ins.rs1] & _U32) < (self.x[ins.rs2] & _U32)))
 
     def _op_addi(self, ins, pc):
         return self._alu3(ins, pc, _s32(self.x[ins.rs1] + ins.imm))
@@ -206,107 +187,17 @@ class Cpu(SimComponent):
     def _op_andi(self, ins, pc):
         return self._alu3(ins, pc, _s32(self.x[ins.rs1] & ins.imm))
 
-    def _op_ori(self, ins, pc):
-        return self._alu3(ins, pc, _s32(self.x[ins.rs1] | ins.imm))
-
-    def _op_xori(self, ins, pc):
-        return self._alu3(ins, pc, _s32(self.x[ins.rs1] ^ ins.imm))
-
-    def _op_slti(self, ins, pc):
-        return self._alu3(ins, pc, int(self.x[ins.rs1] < ins.imm))
-
-    def _op_sltiu(self, ins, pc):
-        return self._alu3(ins, pc, int((self.x[ins.rs1] & _U32) < (ins.imm & _U32)))
-
     def _op_slli(self, ins, pc):
         return self._alu3(ins, pc, _s32(self.x[ins.rs1] << ins.imm))
 
     def _op_srli(self, ins, pc):
         return self._alu3(ins, pc, _s32((self.x[ins.rs1] & _U32) >> ins.imm))
 
-    def _op_srai(self, ins, pc):
-        return self._alu3(ins, pc, self.x[ins.rs1] >> ins.imm)
-
-    def _op_lui(self, ins, pc):
-        return self._alu3(ins, pc, _s32(ins.imm << 12))
-
-    def _op_auipc(self, ins, pc):
-        return self._alu3(ins, pc, _s32((ins.imm << 12) + pc * 4))
-
     def _op_li(self, ins, pc):
         return self._alu3(ins, pc, _s32(ins.imm))
 
     def _op_la(self, ins, pc):
         return self._alu3(ins, pc, _s32(ins.imm))
-
-    # ------------------------------------------------------------------
-    # M extension
-    # ------------------------------------------------------------------
-    def _op_mul(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = _s32(self.x[ins.rs1] * self.x[ins.rs2])
-        self._charge("int_mul", self.lat.int_mul)
-        return pc + 1
-
-    def _op_mulh(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = _s32((self.x[ins.rs1] * self.x[ins.rs2]) >> 32)
-        self._charge("int_mul", self.lat.int_mul)
-        return pc + 1
-
-    def _op_mulhu(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = _s32(((self.x[ins.rs1] & _U32) * (self.x[ins.rs2] & _U32)) >> 32)
-        self._charge("int_mul", self.lat.int_mul)
-        return pc + 1
-
-    def _op_mulhsu(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = _s32((self.x[ins.rs1] * (self.x[ins.rs2] & _U32)) >> 32)
-        self._charge("int_mul", self.lat.int_mul)
-        return pc + 1
-
-    def _op_div(self, ins, pc):
-        a, b = self.x[ins.rs1], self.x[ins.rs2]
-        if b == 0:
-            q = -1
-        elif a == -(2**31) and b == -1:
-            q = a
-        else:
-            q = int(a / b)  # truncation toward zero
-        if ins.rd:
-            self.x[ins.rd] = _s32(q)
-        self._charge("int_div", self.lat.int_div)
-        return pc + 1
-
-    def _op_divu(self, ins, pc):
-        a, b = self.x[ins.rs1] & _U32, self.x[ins.rs2] & _U32
-        q = _U32 if b == 0 else a // b
-        if ins.rd:
-            self.x[ins.rd] = _s32(q)
-        self._charge("int_div", self.lat.int_div)
-        return pc + 1
-
-    def _op_rem(self, ins, pc):
-        a, b = self.x[ins.rs1], self.x[ins.rs2]
-        if b == 0:
-            r = a
-        elif a == -(2**31) and b == -1:
-            r = 0
-        else:
-            r = a - int(a / b) * b
-        if ins.rd:
-            self.x[ins.rd] = _s32(r)
-        self._charge("int_div", self.lat.int_div)
-        return pc + 1
-
-    def _op_remu(self, ins, pc):
-        a, b = self.x[ins.rs1] & _U32, self.x[ins.rs2] & _U32
-        r = a if b == 0 else a % b
-        if ins.rd:
-            self.x[ins.rd] = _s32(r)
-        self._charge("int_div", self.lat.int_div)
-        return pc + 1
 
     # ------------------------------------------------------------------
     # Loads / stores: the memory response time comes from the bus, and a
@@ -327,44 +218,6 @@ class Cpu(SimComponent):
             self.x[ins.rd] = _s32(value)
         return pc + 1
 
-    def _op_lh(self, ins, pc):
-        addr = _s32(self.x[ins.rs1] + ins.imm) & _U32
-        start = self.cycle
-        _, completion = self.bus.load_word(addr & ~3, start)
-        half = self.bus.ram.read_u16(addr)
-        if ins.rd:
-            self.x[ins.rd] = _s32(half | (0xFFFF0000 if half & 0x8000 else 0))
-        self._charge("scalar_load", (completion - start) + self.lat.load_use)
-        return pc + 1
-
-    def _op_lhu(self, ins, pc):
-        addr = _s32(self.x[ins.rs1] + ins.imm) & _U32
-        start = self.cycle
-        _, completion = self.bus.load_word(addr & ~3, start)
-        if ins.rd:
-            self.x[ins.rd] = self.bus.ram.read_u16(addr)
-        self._charge("scalar_load", (completion - start) + self.lat.load_use)
-        return pc + 1
-
-    def _op_lb(self, ins, pc):
-        addr = _s32(self.x[ins.rs1] + ins.imm) & _U32
-        start = self.cycle
-        _, completion = self.bus.load_word(addr & ~3, start)
-        byte = self.bus.ram.read_u8(addr)
-        if ins.rd:
-            self.x[ins.rd] = _s32(byte | (0xFFFFFF00 if byte & 0x80 else 0))
-        self._charge("scalar_load", (completion - start) + self.lat.load_use)
-        return pc + 1
-
-    def _op_lbu(self, ins, pc):
-        addr = _s32(self.x[ins.rs1] + ins.imm) & _U32
-        start = self.cycle
-        _, completion = self.bus.load_word(addr & ~3, start)
-        if ins.rd:
-            self.x[ins.rd] = self.bus.ram.read_u8(addr)
-        self._charge("scalar_load", (completion - start) + self.lat.load_use)
-        return pc + 1
-
     def _op_flw(self, ins, pc):
         value = self._load_word(ins)
         self.f[ins.rd] = _bits_f32(value)
@@ -373,20 +226,6 @@ class Cpu(SimComponent):
     def _op_sw(self, ins, pc):
         addr = _s32(self.x[ins.rs1] + ins.imm) & _U32
         self.bus.store_word(addr, self.x[ins.rs2] & _U32, self.cycle)
-        self._charge("scalar_store", self.lat.scalar_store)
-        return pc + 1
-
-    def _op_sh(self, ins, pc):
-        addr = _s32(self.x[ins.rs1] + ins.imm) & _U32
-        self.bus.mem.write(addr, self.cycle, self.bus.default_requester)
-        self.bus.ram.write_u16(addr, self.x[ins.rs2] & 0xFFFF)
-        self._charge("scalar_store", self.lat.scalar_store)
-        return pc + 1
-
-    def _op_sb(self, ins, pc):
-        addr = _s32(self.x[ins.rs1] + ins.imm) & _U32
-        self.bus.mem.write(addr, self.cycle, self.bus.default_requester)
-        self.bus.ram.write_u8(addr, self.x[ins.rs2] & 0xFF)
         self._charge("scalar_store", self.lat.scalar_store)
         return pc + 1
 
@@ -419,133 +258,22 @@ class Cpu(SimComponent):
     def _op_bge(self, ins, pc):
         return self._branch(ins, pc, self.x[ins.rs1] >= self.x[ins.rs2])
 
-    def _op_bltu(self, ins, pc):
-        return self._branch(ins, pc, (self.x[ins.rs1] & _U32) < (self.x[ins.rs2] & _U32))
-
-    def _op_bgeu(self, ins, pc):
-        return self._branch(ins, pc, (self.x[ins.rs1] & _U32) >= (self.x[ins.rs2] & _U32))
-
     def _op_jal(self, ins, pc):
         if ins.rd:
             self.x[ins.rd] = (pc + 1) * 4
         self._charge("jump", self.lat.jump)
         return ins.target
 
-    def _op_jalr(self, ins, pc):
-        dest = (_s32(self.x[ins.rs1] + ins.imm) & ~1) // 4
-        if ins.rd:
-            self.x[ins.rd] = (pc + 1) * 4
-        self._charge("jump", self.lat.jump)
-        return dest
-
     # ------------------------------------------------------------------
     # Scalar floating point (computed in double, rounded at memory edges)
     # ------------------------------------------------------------------
-    def _fp2(self, ins, pc, value: float, klass: str = "fp_alu", cost: int | None = None) -> int:
-        self.f[ins.rd] = value
-        self._charge(klass, cost if cost is not None else self.lat.fp_alu)
-        return pc + 1
-
-    def _op_fadd_s(self, ins, pc):
-        return self._fp2(ins, pc, self.f[ins.rs1] + self.f[ins.rs2])
-
-    def _op_fsub_s(self, ins, pc):
-        return self._fp2(ins, pc, self.f[ins.rs1] - self.f[ins.rs2])
-
-    def _op_fmul_s(self, ins, pc):
-        return self._fp2(ins, pc, self.f[ins.rs1] * self.f[ins.rs2])
-
-    def _op_fdiv_s(self, ins, pc):
-        b = self.f[ins.rs2]
-        value = float("nan") if b == 0.0 and self.f[ins.rs1] == 0.0 else (
-            float("inf") if b == 0.0 else self.f[ins.rs1] / b
-        )
-        return self._fp2(ins, pc, value, "fp_div", self.lat.fp_div)
-
-    def _op_fmin_s(self, ins, pc):
-        return self._fp2(ins, pc, min(self.f[ins.rs1], self.f[ins.rs2]))
-
-    def _op_fmax_s(self, ins, pc):
-        return self._fp2(ins, pc, max(self.f[ins.rs1], self.f[ins.rs2]))
-
-    def _op_fsgnj_s(self, ins, pc):
-        return self._fp2(
-            ins, pc, math.copysign(abs(self.f[ins.rs1]), self.f[ins.rs2])
-        )
-
-    def _op_fsgnjn_s(self, ins, pc):
-        return self._fp2(
-            ins, pc, math.copysign(abs(self.f[ins.rs1]), -math.copysign(1.0, self.f[ins.rs2]))
-        )
-
-    def _op_fsgnjx_s(self, ins, pc):
-        sign = math.copysign(1.0, self.f[ins.rs1]) * math.copysign(1.0, self.f[ins.rs2])
-        return self._fp2(ins, pc, math.copysign(abs(self.f[ins.rs1]), sign))
-
     def _op_fmadd_s(self, ins, pc):
-        value = self.f[ins.rs1] * self.f[ins.rs2] + self.f[ins.rs3]
-        return self._fp2(ins, pc, value, "fp_fma", self.lat.fp_fma)
-
-    def _op_fmsub_s(self, ins, pc):
-        value = self.f[ins.rs1] * self.f[ins.rs2] - self.f[ins.rs3]
-        return self._fp2(ins, pc, value, "fp_fma", self.lat.fp_fma)
-
-    def _op_fnmadd_s(self, ins, pc):
-        value = -(self.f[ins.rs1] * self.f[ins.rs2]) - self.f[ins.rs3]
-        return self._fp2(ins, pc, value, "fp_fma", self.lat.fp_fma)
-
-    def _op_fnmsub_s(self, ins, pc):
-        value = -(self.f[ins.rs1] * self.f[ins.rs2]) + self.f[ins.rs3]
-        return self._fp2(ins, pc, value, "fp_fma", self.lat.fp_fma)
-
-    def _op_feq_s(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = int(self.f[ins.rs1] == self.f[ins.rs2])
-        self._charge("fp_alu", self.lat.fp_alu)
-        return pc + 1
-
-    def _op_flt_s(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = int(self.f[ins.rs1] < self.f[ins.rs2])
-        self._charge("fp_alu", self.lat.fp_alu)
-        return pc + 1
-
-    def _op_fle_s(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = int(self.f[ins.rs1] <= self.f[ins.rs2])
-        self._charge("fp_alu", self.lat.fp_alu)
-        return pc + 1
-
-    def _op_fmv_x_w(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = _UNPACK_I(_PACK_F(self.f[ins.rs1]))[0]
-        self._charge("fp_alu", self.lat.fp_alu)
+        self.f[ins.rd] = self.f[ins.rs1] * self.f[ins.rs2] + self.f[ins.rs3]
+        self._charge("fp_fma", self.lat.fp_fma)
         return pc + 1
 
     def _op_fmv_w_x(self, ins, pc):
         self.f[ins.rd] = _UNPACK_F(_PACK_I(_s32(self.x[ins.rs1])))[0]
-        self._charge("fp_alu", self.lat.fp_alu)
-        return pc + 1
-
-    def _op_fcvt_w_s(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = _s32(int(self.f[ins.rs1]))
-        self._charge("fp_alu", self.lat.fp_alu)
-        return pc + 1
-
-    def _op_fcvt_wu_s(self, ins, pc):
-        if ins.rd:
-            self.x[ins.rd] = _s32(max(0, int(self.f[ins.rs1])) & _U32)
-        self._charge("fp_alu", self.lat.fp_alu)
-        return pc + 1
-
-    def _op_fcvt_s_w(self, ins, pc):
-        self.f[ins.rd] = float(self.x[ins.rs1])
-        self._charge("fp_alu", self.lat.fp_alu)
-        return pc + 1
-
-    def _op_fcvt_s_wu(self, ins, pc):
-        self.f[ins.rd] = float(self.x[ins.rs1] & _U32)
         self._charge("fp_alu", self.lat.fp_alu)
         return pc + 1
 
@@ -572,14 +300,6 @@ class Cpu(SimComponent):
         values, completion = self.bus.load_burst(addr, vl, start)
         self.v[ins.rd][:vl] = values
         self._charge("vector_load", (completion - start) + self.lat.load_use)
-        return pc + 1
-
-    def _op_vse32_v(self, ins, pc):
-        addr = self.x[ins.rs1] & _U32
-        self.bus.store_burst(addr, self.v[ins.rs2][: self.vl], self.cycle)
-        self._charge(
-            "vector_store", max(1, self.lat.vector_store_per_elem * self.vl)
-        )
         return pc + 1
 
     def _op_vluxei32_v(self, ins, pc):
@@ -682,22 +402,6 @@ class Cpu(SimComponent):
         self._charge("vector_mac_idx", cost)
         return pc + 1
 
-    def _vf_binary(self, ins, pc, ufunc) -> int:
-        vl = self.vl
-        vf = self.vf
-        ufunc(vf[ins.rs1][:vl], vf[ins.rs2][:vl], out=vf[ins.rd][:vl])
-        self._charge("vector_fp", self.lat.vector_fp)
-        return pc + 1
-
-    def _op_vfadd_vv(self, ins, pc):
-        return self._vf_binary(ins, pc, np.add)
-
-    def _op_vfsub_vv(self, ins, pc):
-        return self._vf_binary(ins, pc, np.subtract)
-
-    def _op_vfmul_vv(self, ins, pc):
-        return self._vf_binary(ins, pc, np.multiply)
-
     def _op_vfmacc_vv(self, ins, pc):
         vl = self.vl
         vf = self.vf
@@ -720,76 +424,6 @@ class Cpu(SimComponent):
         self._charge("vector_fp", cost)
         return pc + 1
 
-    def _op_vfredusum_vs(self, ins, pc):
-        # Unordered sum — same value here (we keep order), cheaper timing.
-        vl = self.vl
-        vf = self.vf
-        acc = np.float32(vf[ins.rs2][0])
-        vf[ins.rd][0] = np.float32(acc + vf[ins.rs1][:vl].sum(dtype=np.float32))
-        cost = self.lat.vector_fp + max(1, vl.bit_length())
-        self._charge("vector_fp", cost)
-        return pc + 1
-
-    def _op_vredsum_vs(self, ins, pc):
-        vl = self.vl
-        vi = self.vi
-        acc = int(vi[ins.rs2][0])
-        vi[ins.rd][0] = _s32(acc + int(vi[ins.rs1][:vl].sum()))
-        self._charge("vector_int", self.lat.vector_int + max(1, vl.bit_length()))
-        return pc + 1
-
-    def _vi_binary(self, ins, pc, ufunc) -> int:
-        vl = self.vl
-        vi = self.vi
-        ufunc(vi[ins.rs1][:vl], vi[ins.rs2][:vl], out=vi[ins.rd][:vl])
-        self._charge("vector_int", self.lat.vector_int)
-        return pc + 1
-
-    def _op_vadd_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, np.add)
-
-    def _op_vsub_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, np.subtract)
-
-    def _op_vmul_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, np.multiply)
-
-    def _op_vand_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, np.bitwise_and)
-
-    def _op_vor_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, np.bitwise_or)
-
-    def _op_vxor_vv(self, ins, pc):
-        return self._vi_binary(ins, pc, np.bitwise_xor)
-
-    def _vx_binary(self, ins, pc, ufunc, scalar: int) -> int:
-        """``vd = ufunc(vs1, scalar)`` over int32 lanes (``.vx`` takes
-        x[rs2], ``.vi`` the immediate)."""
-        vl = self.vl
-        vi = self.vi
-        ufunc(vi[ins.rs1][:vl], np.int32(scalar), out=vi[ins.rd][:vl])
-        self._charge("vector_int", self.lat.vector_int)
-        return pc + 1
-
-    def _op_vadd_vx(self, ins, pc):
-        return self._vx_binary(ins, pc, np.add, _s32(self.x[ins.rs2]))
-
-    def _op_vmul_vx(self, ins, pc):
-        return self._vx_binary(ins, pc, np.multiply, _s32(self.x[ins.rs2]))
-
-    def _op_vand_vx(self, ins, pc):
-        return self._vx_binary(ins, pc, np.bitwise_and, _s32(self.x[ins.rs2]))
-
-    def _op_vor_vx(self, ins, pc):
-        return self._vx_binary(ins, pc, np.bitwise_or, _s32(self.x[ins.rs2]))
-
-    def _op_vadd_vi(self, ins, pc):
-        return self._vx_binary(ins, pc, np.add, ins.imm)
-
-    def _op_vand_vi(self, ins, pc):
-        return self._vx_binary(ins, pc, np.bitwise_and, ins.imm)
-
     def _op_vsll_vi(self, ins, pc):
         # numpy's uint32 << drops shifted-out bits, like the hardware.
         vl = self.vl
@@ -798,30 +432,8 @@ class Cpu(SimComponent):
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
-    def _op_vsrl_vi(self, ins, pc):
-        vl = self.vl
-        v = self.v
-        np.right_shift(v[ins.rs1][:vl], ins.imm, out=v[ins.rd][:vl])
-        self._charge("vector_int", self.lat.vector_int)
-        return pc + 1
-
     def _op_vmv_v_i(self, ins, pc):
         self.vi[ins.rd][: self.vl] = np.int32(ins.imm)
-        self._charge("vector_int", self.lat.vector_int)
-        return pc + 1
-
-    def _op_vmv_v_x(self, ins, pc):
-        self.vi[ins.rd][: self.vl] = np.int32(_s32(self.x[ins.rs1]))
-        self._charge("vector_int", self.lat.vector_int)
-        return pc + 1
-
-    def _op_vmv_s_x(self, ins, pc):
-        self.vi[ins.rd][0] = np.int32(_s32(self.x[ins.rs1]))
-        self._charge("vector_int", self.lat.vector_int)
-        return pc + 1
-
-    def _op_vid_v(self, ins, pc):
-        self.v[ins.rd][: self.vl] = np.arange(self.vl, dtype=np.uint32)
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
@@ -835,11 +447,6 @@ class Cpu(SimComponent):
         self._charge("vector_fp", self.lat.vector_fp)
         return pc + 1
 
-    def _op_vfmv_v_f(self, ins, pc):
-        self.vf[ins.rd][: self.vl] = np.float32(self.f[ins.rs1])
-        self._charge("vector_fp", self.lat.vector_fp)
-        return pc + 1
-
     # ------------------------------------------------------------------
     # System
     # ------------------------------------------------------------------
@@ -847,10 +454,3 @@ class Cpu(SimComponent):
         self.halted = True
         self._charge("system", self.lat.system)
         return pc
-
-    _op_ecall = _op_halt
-    _op_ebreak = _op_halt
-
-    def _op_nopseudo(self, ins, pc):
-        self._charge("system", self.lat.system)
-        return pc + 1

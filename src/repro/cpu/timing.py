@@ -7,7 +7,7 @@ instruction a whole-pipeline cost:
 
 * single-cycle integer ops retire 1/cycle (the steady-state of a 3-stage
   in-order pipeline),
-* multi-cycle ops (multiply, divide, FP, vector) stall for their latency,
+* multi-cycle ops (FP, vector) stall for their latency,
 * loads stall until the memory response arrives (port completion), plus
   one writeback cycle,
 * taken branches pay a flush penalty,
@@ -37,7 +37,15 @@ def _default_backend() -> str:
 
 @dataclass
 class LatencyTable:
-    """Per-class instruction costs, in cycles (excluding memory time)."""
+    """Per-class instruction costs, in cycles (excluding memory time).
+
+    ``int_mul``, ``int_div``, ``fp_div`` and ``vector_store_per_elem``
+    are charged by no instruction: the ISA holds only what the kernels
+    execute, and no kernel has an integer multiply or divide, an FP
+    divide or a vector store.  The fields stay because ``to_flat()`` and
+    ``content_key()`` hash every field, so removing one would re-key
+    every cached result and bench golden.
+    """
 
     int_alu: int = 1
     int_mul: int = 3

@@ -1,4 +1,5 @@
-"""Behavioural RV32-style instruction set: mnemonics, assembler, programs."""
+"""Behavioural RV32-style instruction set — the RV32I/F/V instructions the
+kernels execute plus the front-end ops: mnemonics, assembler, programs."""
 
 from .assembler import AssemblerError, assemble
 from .instructions import (

@@ -1,10 +1,10 @@
 """Two-pass assembler for the behavioural RV32-style ISA.
 
 Supports labels, comments (``#``, ``//``, ``;``), the operand patterns
-declared in :mod:`repro.isa.instructions`, the standard pseudo-instructions
-(``li``, ``la``, ``mv``, ``j``, ``ret``, ``beqz`` …) and symbolic
-immediates resolved against a caller-supplied symbol table (the kernel
-builders pass the data-segment addresses from the memory layout).
+declared in :mod:`repro.isa.instructions`, the pseudo-instructions the
+kernels write (``mv``, ``j``, ``beqz``, ``bnez``) and symbolic immediates
+resolved against a caller-supplied symbol table (the kernel builders pass
+the data-segment addresses from the memory layout).
 """
 
 from __future__ import annotations
@@ -111,73 +111,18 @@ class _Parser:
 
 def _expand_pseudo(op: str, ops: list[str]) -> tuple[str, list[str]]:
     """Rewrite pseudo-instructions into base mnemonics + operands."""
-    if op == "nop":
-        return "addi", ["x0", "x0", "0"]
     if op == "mv":
         _need(op, ops, 2)
         return "addi", [ops[0], ops[1], "0"]
-    if op == "neg":
-        _need(op, ops, 2)
-        return "sub", [ops[0], "x0", ops[1]]
-    if op == "not":
-        _need(op, ops, 2)
-        return "xori", [ops[0], ops[1], "-1"]
-    if op == "seqz":
-        _need(op, ops, 2)
-        return "sltiu", [ops[0], ops[1], "1"]
-    if op == "snez":
-        _need(op, ops, 2)
-        return "sltu", [ops[0], "x0", ops[1]]
     if op == "j":
         _need(op, ops, 1)
         return "jal", ["x0", ops[0]]
-    if op == "call":
-        _need(op, ops, 1)
-        return "jal", ["ra", ops[0]]
-    if op == "jr":
-        _need(op, ops, 1)
-        return "jalr", ["x0", f"0({ops[0]})"]
-    if op == "ret":
-        return "jalr", ["x0", "0(ra)"]
     if op == "beqz":
         _need(op, ops, 2)
         return "beq", [ops[0], "x0", ops[1]]
     if op == "bnez":
         _need(op, ops, 2)
         return "bne", [ops[0], "x0", ops[1]]
-    if op == "bltz":
-        _need(op, ops, 2)
-        return "blt", [ops[0], "x0", ops[1]]
-    if op == "bgez":
-        _need(op, ops, 2)
-        return "bge", [ops[0], "x0", ops[1]]
-    if op == "blez":
-        _need(op, ops, 2)
-        return "bge", ["x0", ops[0], ops[1]]
-    if op == "bgtz":
-        _need(op, ops, 2)
-        return "blt", ["x0", ops[0], ops[1]]
-    if op == "ble":
-        _need(op, ops, 3)
-        return "bge", [ops[1], ops[0], ops[2]]
-    if op == "bgt":
-        _need(op, ops, 3)
-        return "blt", [ops[1], ops[0], ops[2]]
-    if op == "bleu":
-        _need(op, ops, 3)
-        return "bgeu", [ops[1], ops[0], ops[2]]
-    if op == "bgtu":
-        _need(op, ops, 3)
-        return "bltu", [ops[1], ops[0], ops[2]]
-    if op == "fmv.s":
-        _need(op, ops, 2)
-        return "fsgnj.s", [ops[0], ops[1], ops[1]]
-    if op == "fneg.s":
-        _need(op, ops, 2)
-        return "fsgnjn.s", [ops[0], ops[1], ops[1]]
-    if op == "fabs.s":
-        _need(op, ops, 2)
-        return "fsgnjx.s", [ops[0], ops[1], ops[1]]
     return op, ops
 
 
@@ -223,9 +168,6 @@ def _parse_instr(p: _Parser, op: str, ops: list[str], text: str) -> Instr:
         _check(p, op, ops, 3)
         ins.rs1, ins.rs2 = p.xreg(ops[0]), p.xreg(ops[1])
         ins.label = ops[2]
-    elif pattern == "u":
-        _check(p, op, ops, 2)
-        ins.rd, ins.imm = p.xreg(ops[0]), p.imm(ops[1])
     elif pattern in ("li", "la"):
         _check(p, op, ops, 2)
         ins.rd, ins.imm = p.xreg(ops[0]), p.imm(ops[1])
@@ -235,24 +177,11 @@ def _parse_instr(p: _Parser, op: str, ops: list[str], text: str) -> Instr:
         else:
             _check(p, op, ops, 2)
             ins.rd, ins.label = p.xreg(ops[0]), ops[1]
-    elif pattern == "jalr":
-        _check(p, op, ops, 2)
-        ins.rd = p.xreg(ops[0])
-        ins.imm, ins.rs1 = p.mem(ops[1])
-    elif pattern == "f3":
-        _check(p, op, ops, 3)
-        ins.rd, ins.rs1, ins.rs2 = p.freg(ops[0]), p.freg(ops[1]), p.freg(ops[2])
     elif pattern == "f4":
         _check(p, op, ops, 4)
         ins.rd, ins.rs1, ins.rs2, ins.rs3 = (
             p.freg(ops[0]), p.freg(ops[1]), p.freg(ops[2]), p.freg(ops[3])
         )
-    elif pattern == "fcmp":
-        _check(p, op, ops, 3)
-        ins.rd, ins.rs1, ins.rs2 = p.xreg(ops[0]), p.freg(ops[1]), p.freg(ops[2])
-    elif pattern == "fmvxw":
-        _check(p, op, ops, 2)
-        ins.rd, ins.rs1 = p.xreg(ops[0]), p.freg(ops[1])
     elif pattern == "fmvwx":
         _check(p, op, ops, 2)
         ins.rd, ins.rs1 = p.freg(ops[0]), p.xreg(ops[1])
@@ -276,12 +205,6 @@ def _parse_instr(p: _Parser, op: str, ops: list[str], text: str) -> Instr:
         off, ins.rs1 = p.mem(ops[1])
         if off != 0:
             raise p.error("vector loads take a plain (reg) address")
-    elif pattern == "vstore":
-        _check(p, op, ops, 2)
-        ins.rs2 = p.vreg(ops[0])
-        off, ins.rs1 = p.mem(ops[1])
-        if off != 0:
-            raise p.error("vector stores take a plain (reg) address")
     elif pattern == "vgather":
         _check(p, op, ops, 3)
         ins.rd = p.vreg(ops[0])
@@ -308,27 +231,18 @@ def _parse_instr(p: _Parser, op: str, ops: list[str], text: str) -> Instr:
     elif pattern == "vred":
         _check(p, op, ops, 3)
         ins.rd, ins.rs1, ins.rs2 = p.vreg(ops[0]), p.vreg(ops[1]), p.vreg(ops[2])
-    elif pattern == "vx":
-        _check(p, op, ops, 3)
-        ins.rd, ins.rs1, ins.rs2 = p.vreg(ops[0]), p.vreg(ops[1]), p.xreg(ops[2])
     elif pattern == "vi":
         _check(p, op, ops, 3)
         ins.rd, ins.rs1, ins.imm = p.vreg(ops[0]), p.vreg(ops[1]), p.imm(ops[2])
     elif pattern == "vmvvi":
         _check(p, op, ops, 2)
         ins.rd, ins.imm = p.vreg(ops[0]), p.imm(ops[1])
-    elif pattern == "vmvvx":
-        _check(p, op, ops, 2)
-        ins.rd, ins.rs1 = p.vreg(ops[0]), p.xreg(ops[1])
     elif pattern == "vfmvfs":
         _check(p, op, ops, 2)
         ins.rd, ins.rs1 = p.freg(ops[0]), p.vreg(ops[1])
     elif pattern == "vfmvsf":
         _check(p, op, ops, 2)
         ins.rd, ins.rs1 = p.vreg(ops[0]), p.freg(ops[1])
-    elif pattern == "vid":
-        _check(p, op, ops, 1)
-        ins.rd = p.vreg(ops[0])
     elif pattern == "none":
         _check(p, op, ops, 0)
     else:  # pragma: no cover - table and parser kept in sync

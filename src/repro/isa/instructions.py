@@ -1,11 +1,13 @@
 """Instruction representation and the opcode syntax table.
 
 We model the instruction set behaviourally (no binary encoding): each
-instruction is an :class:`Instr` record with symbolic operands.  The
-subset covers what Table 1's core provides — RV32I base, M (multiply),
-F (single-precision float) and the vector extension operations the SpMV /
-SpMSpV kernels need (including the indexed gather ``vluxei32.v`` that the
-baseline uses, cf. Section 2's discussion of vector gather instructions).
+instruction is an :class:`Instr` record with symbolic operands.  The set
+is exactly what the shipped SpMV / SpMSpV kernels and the helper-core
+firmware assemble: the RV32I/F/V instructions the kernels execute
+(including the indexed gather ``vluxei32.v`` that the baseline uses, cf.
+Section 2's discussion of vector gather instructions) plus the four
+accelerator front-end instructions.  Any other mnemonic is an
+``AssemblerError`` at assembly time.
 
 ``SYNTAX`` maps each mnemonic to an operand-pattern name understood by the
 assembler; ``INSTRUCTION_CLASS`` groups mnemonics for the timing model and
@@ -57,32 +59,23 @@ def s32(value: int) -> int:
 #   fload   op fd, imm(rs1)
 #   fstore  op fs2, imm(rs1)
 #   branch  op rs1, rs2, label
-#   u       op rd, imm
 #   li      op rd, imm32
 #   la      op rd, symbol
 #   jal     op rd, label
-#   jalr    op rd, imm(rs1)
-#   f3      op fd, fs1, fs2
 #   f4      op fd, fs1, fs2, fs3
-#   fcmp    op rd, fs1, fs2
-#   fmvxw   op rd, fs1
 #   fmvwx   op fd, rs1
 #   vsetvli op rd, rs1, vtype-tokens
 #   vload   op vd, (rs1)
-#   vstore  op vs3, (rs1)
 #   vgather op vd, (rs1), vs2
 #   vmacidx op vd, (rs1), vs2, vs3     (indexed gather + MAC, IndexMAC)
 #   fpop    op fd, imm                 (SSR stream pop, scalar)
 #   vpop    op vd, imm                 (SSR stream pop, vector)
-#   v3      op vd, va, vb              (element-wise, our operand order)
+#   v3      op vd, vs1, vs2            (vfmacc.vv: vd += vs1 * vs2)
 #   vred    op vd, vs2, vs1            (ordered reduction)
-#   vx      op vd, vs2, rs1
 #   vi      op vd, vs2, imm
 #   vmvvi   op vd, imm
-#   vmvvx   op vd, rs1
 #   vfmvfs  op fd, vs2
 #   vfmvsf  op vd, fs1
-#   vid     op vd
 #   none    op
 # ---------------------------------------------------------------------------
 SYNTAX: dict[str, str] = {}
@@ -94,45 +87,33 @@ def _reg(ops: str, pattern: str) -> None:
 
 
 # RV32I base integer
-_reg("add sub and or xor sll srl sra slt sltu", "r3")
-_reg("addi andi ori xori slti sltiu", "i2")
-_reg("slli srli srai", "shifti")
-_reg("lw lh lhu lb lbu", "load")
-_reg("sw sh sb", "store")
-_reg("beq bne blt bge bltu bgeu", "branch")
-_reg("lui auipc", "u")
+_reg("add sub and srl", "r3")
+_reg("addi andi", "i2")
+_reg("slli srli", "shifti")
+_reg("lw", "load")
+_reg("sw", "store")
+_reg("beq bne blt bge", "branch")
 _reg("li", "li")
 _reg("la", "la")
 _reg("jal", "jal")
-_reg("jalr", "jalr")
-_reg("halt ecall ebreak nopseudo", "none")
-
-# M extension
-_reg("mul mulh mulhu mulhsu div divu rem remu", "r3")
+_reg("halt", "none")
 
 # F extension (single precision)
 _reg("flw", "fload")
 _reg("fsw", "fstore")
-_reg("fadd.s fsub.s fmul.s fdiv.s fmin.s fmax.s fsgnj.s fsgnjn.s fsgnjx.s", "f3")
-_reg("fmadd.s fmsub.s fnmadd.s fnmsub.s", "f4")
-_reg("feq.s flt.s fle.s", "fcmp")
-_reg("fmv.x.w fcvt.w.s fcvt.wu.s", "fmvxw")
-_reg("fmv.w.x fcvt.s.w fcvt.s.wu", "fmvwx")
+_reg("fmadd.s", "f4")
+_reg("fmv.w.x", "fmvwx")
 
 # V extension subset
 _reg("vsetvli", "vsetvli")
 _reg("vle32.v", "vload")
-_reg("vse32.v", "vstore")
 _reg("vluxei32.v", "vgather")
-_reg("vfadd.vv vfsub.vv vfmul.vv vfmacc.vv vadd.vv vsub.vv vmul.vv vand.vv vor.vv vxor.vv", "v3")
-_reg("vfredosum.vs vfredusum.vs vredsum.vs", "vred")
-_reg("vadd.vx vmul.vx vand.vx vor.vx", "vx")
-_reg("vsll.vi vsrl.vi vadd.vi vand.vi", "vi")
+_reg("vfmacc.vv", "v3")
+_reg("vfredosum.vs", "vred")
+_reg("vsll.vi", "vi")
 _reg("vmv.v.i", "vmvvi")
-_reg("vmv.v.x vmv.s.x", "vmvvx")
 _reg("vfmv.f.s", "vfmvfs")
-_reg("vfmv.s.f vfmv.v.f", "vfmvsf")
-_reg("vid.v", "vid")
+_reg("vfmv.s.f", "vfmvsf")
 
 # Accelerator front-end extensions (repro.accel).  The handlers exist on
 # every CPU; executing one without the owning front-end configured is a
@@ -154,29 +135,19 @@ def _cls(ops: str, klass: str) -> None:
         INSTRUCTION_CLASS[op] = klass
 
 
-_cls("add sub and or xor sll srl sra slt sltu addi andi ori xori slti sltiu "
-     "slli srli srai lui auipc li la", "int_alu")
-_cls("mul mulh mulhu mulhsu", "int_mul")
-_cls("div divu rem remu", "int_div")
-_cls("lw lh lhu lb lbu flw", "scalar_load")
-_cls("sw sh sb fsw", "scalar_store")
-_cls("beq bne blt bge bltu bgeu", "branch")
-_cls("jal jalr", "jump")
-_cls("fadd.s fsub.s fmul.s fmin.s fmax.s fsgnj.s fsgnjn.s fsgnjx.s "
-     "feq.s flt.s fle.s fmv.x.w fmv.w.x fcvt.w.s fcvt.wu.s fcvt.s.w fcvt.s.wu",
-     "fp_alu")
-_cls("fmadd.s fmsub.s fnmadd.s fnmsub.s", "fp_fma")
-_cls("fdiv.s", "fp_div")
+_cls("add sub and srl addi andi slli srli li la", "int_alu")
+_cls("lw flw", "scalar_load")
+_cls("sw fsw", "scalar_store")
+_cls("beq bne blt bge", "branch")
+_cls("jal", "jump")
+_cls("fmv.w.x", "fp_alu")
+_cls("fmadd.s", "fp_fma")
 _cls("vsetvli", "vector_config")
 _cls("vle32.v", "vector_load")
-_cls("vse32.v", "vector_store")
 _cls("vluxei32.v", "vector_gather")
-_cls("vfadd.vv vfsub.vv vfmul.vv vfmacc.vv vfredosum.vs vfredusum.vs "
-     "vfmv.f.s vfmv.s.f vfmv.v.f", "vector_fp")
-_cls("vadd.vv vsub.vv vmul.vv vand.vv vor.vv vxor.vv vredsum.vs vadd.vx "
-     "vmul.vx vand.vx vor.vx vsll.vi vsrl.vi vadd.vi vand.vi vmv.v.i "
-     "vmv.v.x vmv.s.x vid.v", "vector_int")
-_cls("halt ecall ebreak nopseudo", "system")
+_cls("vfmacc.vv vfredosum.vs vfmv.f.s vfmv.s.f", "vector_fp")
+_cls("vsll.vi vmv.v.i", "vector_int")
+_cls("halt", "system")
 _cls("fssrpop vssrpop.v", "ssr_pop")
 _cls("vlpidx.v", "vector_pgather")
 _cls("vfmacidx", "vector_mac_idx")

@@ -12,13 +12,15 @@ RAM accesses pay for an issue slot on the shared :class:`MemoryPort`;
 device accesses are handled by the device, which returns its own
 completion cycle (the HHT front-end uses this to stall CPU loads until a
 buffer is ready).  A device that serves stream FIFOs lists them at
-attach time (``fifo_readers``), and a vector load from one of those
-addresses goes straight to the device's reader.
+attach time (``fifo_readers``), and a load of either width from one of
+those addresses — ``lw``/``flw`` or ``vle32.v`` — goes straight to the
+device's reader.
 
-Multi-word RAM traffic moves numpy word slices and is timed by the
-:class:`MemorySystem` shapes (bursts, pipelined and chained gathers).
-A burst load returns the words without a copy, so its caller copies
-them out before the next store.
+Multi-word RAM traffic (loads only: the kernels store one word at a
+time) moves numpy word slices and is timed by the :class:`MemorySystem`
+shapes (bursts, pipelined and chained gathers).  A burst load returns
+the words without a copy, so its caller copies them out before the
+next store.
 A gather with any element outside RAM — or misaligned, or on a
 translating bus — is loaded element by element through ``load_word``
 by :func:`load_each`, so devices and faults see the exact reference
@@ -57,13 +59,14 @@ class MMIODevice(Protocol):
     def read_burst(self, offset: int, count: int,
                    cycle: int) -> tuple[np.ndarray, int]:
         """Return ``(u32 words, completion_cycle)`` for a *count*-element
-        vector load at *offset* (FIFO semantics for stream devices)."""
+        vector load at *offset* that is not a listed FIFO."""
         ...
 
 
 #: ``(read, stream)``: a device's FIFO reader, called as
-#: ``read(stream, count, cycle)`` like ``read_burst``.  A device with
-#: FIFOs lists them as ``fifo_readers() -> {offset: FifoReader}``.
+#: ``read(stream, count, cycle)`` like ``read_burst`` (``count`` is 1 for
+#: a scalar load).  A device with FIFOs lists them as
+#: ``fifo_readers() -> {offset: FifoReader}``.
 FifoReader = tuple[Callable[[str, int, int], tuple[np.ndarray, int]], str]
 
 
@@ -113,8 +116,8 @@ class Bus(SimComponent):
         # Sorted by base so lookups can bisect.
         self._devices: list[tuple[int, int, MMIODevice]] = []
         self._device_bases: list[int] = []
-        # Absolute FIFO address -> reader: a vector load from a FIFO
-        # skips the bisect and the device's offset decode.
+        # Absolute FIFO address -> reader: a load of either width from a
+        # FIFO skips the bisect and the device's offset decode.
         self._fifos: dict[int, FifoReader] = {}
 
     def attach_device(self, base: int, size: int, device: MMIODevice) -> None:
@@ -153,6 +156,11 @@ class Bus(SimComponent):
         if addr < self.ram.size:
             completion = self.mem.read(addr, cycle, requester)
             return self.ram.read_u32(addr), completion
+        fifo = self._fifos.get(addr)
+        if fifo is not None:
+            read, stream = fifo
+            values, completion = read(stream, 1, cycle)
+            return int(values[0]), completion
         offset, device = self._find_device(addr)
         return device.read_word(offset, cycle)
 
@@ -200,29 +208,6 @@ class Bus(SimComponent):
             return read(stream, count, cycle)
         offset, device = self._find_device(addr)
         return device.read_burst(offset, count, cycle)
-
-    def store_burst(
-        self, addr: int, values: Sequence[int], cycle: int,
-        requester: str | None = None,
-    ) -> int:
-        """Unit-stride vector store; returns completion of the last beat."""
-        requester = requester or self.default_requester
-        count = len(values)
-        if not count:
-            return cycle
-        if addr < self.ram.size:
-            if addr + 4 * count > self.ram.size:
-                raise MemoryAccessError(
-                    f"burst of {count} words at 0x{addr:08x} exceeds RAM"
-                )
-            completion = self.mem.write_seq(addr, count, cycle, requester)
-            self.ram.write_array(addr, np.asarray(values, dtype=np.uint32))
-            return completion
-        offset, device = self._find_device(addr)
-        completion = cycle
-        for i, v in enumerate(values):
-            completion = device.write_word(offset + 4 * i, int(v), completion)
-        return completion
 
     def _ram_words(self, addrs: Sequence[int]) -> bool:
         """True when every address is an aligned word inside RAM."""

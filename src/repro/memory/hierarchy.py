@@ -8,8 +8,8 @@ for the CPU *and* the HHT ("HHT will access the cache for fetching
 sparse data") — and writes are written through.
 
 Multi-word traffic comes in three shapes, each timed here and nowhere
-else: unit-stride bursts (:attr:`MemorySystem.read_burst`,
-:meth:`~MemorySystem.read_seq` / :meth:`~MemorySystem.write_seq`),
+else: unit-stride burst reads (:attr:`MemorySystem.read_burst`,
+:meth:`~MemorySystem.read_seq`),
 *pipelined* gathers (element ``i`` presented at ``cycle + step * i`` —
 the HHT back-end's V/map/value gathers, variant 1's matched pairs at
 ``step=2``, IndexMAC) and *chained* gathers (each element presented one
@@ -158,15 +158,4 @@ class MemorySystem(SimComponent):
             completion = max(completion, self.cache.read(first, t, requester))
             t += 1  # one lookup per cycle
             first += line
-        return completion
-
-    def write_seq(self, addr: int, words: int, cycle: int, requester: str) -> int:
-        """Sequential write of *words* words (write-through when cached)."""
-        if words <= 0:
-            return cycle
-        if self.cache is None:
-            return self.port.issue_burst(cycle, words, requester, addr=addr)
-        completion = cycle
-        for i in range(words):
-            completion = self.cache.write(addr + 4 * i, cycle + i, requester)
         return completion

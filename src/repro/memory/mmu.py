@@ -161,18 +161,13 @@ class TranslatingBus:
     """Identity-mapped translation front for a :class:`Bus`.
 
     Exposes the exact surface the CPU uses (``load_word`` /
-    ``store_word`` / ``load_burst`` / ``store_burst`` / ``gather`` /
-    ``gather_chain`` plus the ``ram`` / ``mem`` / ``port`` /
+    ``store_word`` / ``load_burst`` / ``gather`` / ``gather_chain``
+    plus the ``ram`` / ``mem`` / ``port`` /
     ``default_requester`` attributes) and charges a TLB lookup per page
     touched before delegating to the wrapped bus.  Gathers translate
     every element at its own presentation time, so they always take the
     per-element path.  MMIO addresses (``addr >= ram.size``) pass
     through untranslated.
-
-    Sub-word accesses reach RAM via the exposed ``mem``/``ram``
-    attributes and are charged at demand-word granularity by the CPU
-    itself; their pages are effectively covered by the neighbouring
-    word traffic, so they skip the extra lookup.
 
     Not a :class:`SimComponent`: the wrapped bus (and the TLB, as a
     core child) already own the registry entries.
@@ -226,12 +221,6 @@ class TranslatingBus:
         if count > 0 and addr < self._ram_size:
             cycle = self._translate_range(addr, 4 * count, cycle)
         return self._bus.load_burst(addr, count, cycle, requester)
-
-    def store_burst(self, addr: int, values, cycle: int,
-                    requester: str | None = None) -> int:
-        if len(values) and addr < self._ram_size:
-            cycle = self._translate_range(addr, 4 * len(values), cycle)
-        return self._bus.store_burst(addr, values, cycle, requester)
 
     def gather(self, addrs, cycle: int, requester: str | None = None, *,
                step: int = 1):

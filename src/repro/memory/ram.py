@@ -3,8 +3,8 @@
 The functional half of the memory system (the timing half lives in
 :mod:`repro.memory.port`).  Storage is one ``uint8`` numpy buffer with
 ``uint32``/``int32``/``float32`` views sharing the same bytes, so aligned
-word accesses — the overwhelmingly common case in the kernels — cost one
-numpy scalar index.
+word accesses — the only kind the kernels make — cost one numpy scalar
+index.
 """
 
 from __future__ import annotations
@@ -55,34 +55,6 @@ class Ram:
 
     def write_f32(self, addr: int, value: float) -> None:
         self._f32[self._word_index(addr)] = np.float32(value)
-
-    # ------------------------------------------------------------------
-    # Sub-word access (for lb/lh/sb/sh completeness)
-    # ------------------------------------------------------------------
-    def read_u8(self, addr: int) -> int:
-        if not (0 <= addr < self.size):
-            raise MemoryAccessError(f"byte access out of range at 0x{addr:08x}")
-        return int(self._bytes[addr])
-
-    def write_u8(self, addr: int, value: int) -> None:
-        if not (0 <= addr < self.size):
-            raise MemoryAccessError(f"byte access out of range at 0x{addr:08x}")
-        self._bytes[addr] = np.uint8(value & 0xFF)
-
-    def read_u16(self, addr: int) -> int:
-        if addr & 1:
-            raise MemoryAccessError(f"misaligned halfword access at 0x{addr:08x}")
-        if not (0 <= addr + 1 < self.size):
-            raise MemoryAccessError(f"halfword access out of range at 0x{addr:08x}")
-        return int(self._bytes[addr]) | (int(self._bytes[addr + 1]) << 8)
-
-    def write_u16(self, addr: int, value: int) -> None:
-        if addr & 1:
-            raise MemoryAccessError(f"misaligned halfword access at 0x{addr:08x}")
-        if not (0 <= addr + 1 < self.size):
-            raise MemoryAccessError(f"halfword access out of range at 0x{addr:08x}")
-        self._bytes[addr] = np.uint8(value & 0xFF)
-        self._bytes[addr + 1] = np.uint8((value >> 8) & 0xFF)
 
     # ------------------------------------------------------------------
     # Bulk array access (used by the loader and result extraction)

@@ -25,18 +25,14 @@ from .power import DYNAMIC_SCALE, STATIC_SCALE, cpu_power, hht_power
 #: a representative SpMV mix matches the 223 uW anchor at 50 MHz.
 ENERGY_PER_OP_PJ = {
     "int_alu": 1.5,
-    "int_mul": 4.0,
-    "int_div": 12.0,
     "branch": 1.8,
     "jump": 2.0,
     "scalar_load": 6.0,
     "scalar_store": 5.0,
     "fp_alu": 5.0,
     "fp_fma": 9.0,
-    "fp_div": 20.0,
     "vector_config": 1.5,
     "vector_load": 14.0,
-    "vector_store": 14.0,
     "vector_gather": 26.0,
     "vector_fp": 16.0,
     "vector_int": 8.0,

@@ -201,13 +201,14 @@ class Soc(SimComponent):
                 # A per-core *view* of the shared memory system: same
                 # RAM/port/L1D objects, own requester label.  Not a
                 # tree child — the primary bus already registers the
-                # port and cache — and the MMIO device map is shared
-                # by reference so front-ends attached later are
+                # port and cache — and the MMIO device and FIFO maps are
+                # shared by reference so front-ends attached later are
                 # visible from every core.
                 bus_k = Bus(self.ram, self.port,
                             default_requester=f"cpu{k}", cache=cache)
                 bus_k._devices = self.bus._devices
                 bus_k._device_bases = self.bus._device_bases
+                bus_k._fifos = self.bus._fifos
             core_name = "cpu" if n_cores == 1 else f"cpu{k}"
             cpu_bus = bus_k
             tlb = None

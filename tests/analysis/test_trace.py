@@ -34,16 +34,17 @@ class TestTrace:
 
     def test_float_values_captured(self, soc):
         prog = soc.assemble("""
-            li t0, 0x40400000
+            li t0, 0x40000000
             fmv.w.x fa0, t0
-            fadd.s fa1, fa0, fa0
+            fmadd.s fa1, fa0, fa0, fa0
             halt
         """)
         entries = trace(soc, prog)
         assert entries[2].rd_value == pytest.approx(6.0)
 
     def test_cycle_intervals_monotonic(self, soc):
-        prog = soc.assemble("lw a0, 0x100(zero)\nmul a1, a0, a0\nhalt")
+        prog = soc.assemble(
+            "lw a0, 0x100(zero)\nfmadd.s fa1, fa0, fa0, fa0\nhalt")
         entries = trace(soc, prog)
         for prev, cur in zip(entries, entries[1:]):
             assert cur.cycle_start == prev.cycle_end
@@ -99,12 +100,13 @@ class TestTracedValues:
             vle32.v v1, (a0)
             vmv.v.i v0, 0
             vfmacc.vv v0, v1, v1
-            vse32.v v0, (a1)
+            vluxei32.v v2, (a1), v0
             halt
         """)
         entries = trace(soc, prog)
         by_op = {e.op: e for e in entries}
-        for op in ("vle32.v", "vse32.v", "vmv.v.i", "vfmacc.vv", "vsetvli"):
+        for op in ("vle32.v", "vluxei32.v", "vmv.v.i", "vfmacc.vv",
+                   "vsetvli"):
             assert by_op[op].rd_value is None, op
         # ...while the scalar arithmetic around them still reports values.
         assert entries[0].rd_value == 0x100

@@ -1,19 +1,31 @@
-"""HHT device (front-end) tests: MMR protocol, FIFO reads, stalls, stats."""
+"""HHT device (front-end) tests: MMR protocol, FIFO reads, stalls, stats.
+
+The HHT sits on a bus at ``HHT_BASE``, and FIFO reads go through
+``Bus.load_word``/``load_burst`` like the CPU's ``lw``/``flw`` and
+``vle32.v``: the bus, not the device's offset decode, routes them."""
 
 import numpy as np
 import pytest
 
-from repro.core import HHT, MMR, EngineError, HHTConfig, HHTMode, StreamUnderflow
+from repro.core import (
+    HHT, HHT_BASE, MMR, EngineError, HHTConfig, HHTMode, StreamUnderflow,
+)
 from repro.formats import CSRMatrix
-from repro.memory import MemoryPort, MemorySystem, Ram
+from repro.memory import Bus, MemoryPort, Ram
+
+VVAL = HHT_BASE + MMR.VVAL_FIFO
 
 
 @pytest.fixture
-def machine():
-    ram = Ram(1 << 16)
-    port = MemoryPort(latency=2)
-    hht = HHT(HHTConfig(), ram, MemorySystem(port))
-    return ram, port, hht
+def bus():
+    return Bus(Ram(1 << 16), MemoryPort(latency=2))
+
+
+@pytest.fixture
+def machine(bus):
+    hht = HHT(HHTConfig(), bus.ram, bus.mem)
+    bus.attach_device(HHT_BASE, MMR.REGION_SIZE, hht)
+    return bus.ram, bus.port, hht
 
 
 def program_spmv(ram, hht, matrix: CSRMatrix, v: np.ndarray, cycle=0):
@@ -57,10 +69,9 @@ class TestMMRProtocol:
         with pytest.raises(EngineError, match="unmapped"):
             hht.read_word(0xF0, 0)
 
-    def test_fifo_read_before_start_rejected(self, machine):
-        _, _, hht = machine
+    def test_fifo_read_before_start_rejected(self, machine, bus):
         with pytest.raises(EngineError, match="before START"):
-            hht.read_word(MMR.VVAL_FIFO, 0)
+            bus.load_word(VVAL, 0)
 
     def test_non_4byte_elements_rejected(self, machine):
         ram, _, hht = machine
@@ -73,73 +84,73 @@ class TestMMRProtocol:
         hht.write_word(MMR.START, 0, 0)
         assert hht.engine is None
 
-    def test_status_register(self, machine, simple):
+    def test_status_register(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
         done, _ = hht.read_word(MMR.STATUS, 100)
         assert done == 0  # values staged but not yet consumed
-        hht.read_burst(MMR.VVAL_FIFO, 3, 200)
+        bus.load_burst(VVAL, 3, 200)
         done, _ = hht.read_word(MMR.STATUS, 300)
         assert done == 1
 
 
 class TestFIFOReads:
-    def test_values_match_gather(self, machine, simple):
+    def test_values_match_gather(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
-        values, _ = hht.read_burst(MMR.VVAL_FIFO, 3, 50)
+        values, _ = bus.load_burst(VVAL, 3, 50)
         got = np.array(values, np.uint32).view(np.float32)
         # cols [0, 2, 1] -> v values [10, 30, 20]
         assert got.tolist() == [10.0, 30.0, 20.0]
 
-    def test_scalar_read(self, machine, simple):
+    def test_scalar_read(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
-        bits, _ = hht.read_word(MMR.VVAL_FIFO, 50)
+        bits, _ = bus.load_word(VVAL, 50)
         assert np.array([bits], np.uint32).view(np.float32)[0] == 10.0
 
-    def test_early_read_stalls_until_ready(self, machine, simple):
+    def test_early_read_stalls_until_ready(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v, cycle=0)
-        _, completion = hht.read_word(MMR.VVAL_FIFO, 0)
+        _, completion = bus.load_word(VVAL, 0)
         # Data cannot be ready at cycle 0: the fill needs memory round-trips.
         assert completion > 1
         assert hht.counters.cpu_wait_cycles > 0
 
-    def test_late_read_no_wait(self, machine, simple):
+    def test_late_read_no_wait(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v, cycle=0)
-        _, completion = hht.read_word(MMR.VVAL_FIFO, 1000)
+        _, completion = bus.load_word(VVAL, 1000)
         assert completion == 1000 + hht.config.fifo_read_latency
         assert hht.counters.cpu_wait_cycles == 0
 
-    def test_vector_read_pays_per_beat(self, machine, simple):
+    def test_vector_read_pays_per_beat(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
-        _, completion = hht.read_burst(MMR.VVAL_FIFO, 3, 1000)
+        _, completion = bus.load_burst(VVAL, 3, 1000)
         cfg = hht.config
         assert completion == 1000 + cfg.fifo_read_latency + 2 * cfg.fifo_beat_per_elem
 
-    def test_overread_raises_underflow(self, machine, simple):
+    def test_overread_raises_underflow(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
-        hht.read_burst(MMR.VVAL_FIFO, 3, 100)
+        bus.load_burst(VVAL, 3, 100)
         with pytest.raises(StreamUnderflow):
-            hht.read_word(MMR.VVAL_FIFO, 200)
+            bus.load_word(VVAL, 200)
 
-    def test_wrong_stream_for_mode(self, machine, simple):
+    def test_wrong_stream_for_mode(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
         with pytest.raises(EngineError, match="not produced"):
-            hht.read_word(MMR.COUNT_FIFO, 100)
+            bus.load_word(HHT_BASE + MMR.COUNT_FIFO, 100)
 
     def test_vector_load_from_mmr_rejected(self, machine, simple):
         ram, _, hht = machine
@@ -150,11 +161,11 @@ class TestFIFOReads:
 
 
 class TestStatistics:
-    def test_snapshot_fields(self, machine, simple):
+    def test_snapshot_fields(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
-        hht.read_burst(MMR.VVAL_FIFO, 3, 100)
+        bus.load_burst(VVAL, 3, 100)
         stats = hht.stats()
         assert stats["hht.fifo_reads"] == 1
         assert stats["hht.elements_supplied"] == 3
@@ -162,31 +173,31 @@ class TestStatistics:
         assert "hht.hht_wait_cycles" in stats
         assert "hht.buffers_filled" in stats
 
-    def test_reset_stats(self, machine, simple):
+    def test_reset_stats(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
-        hht.read_burst(MMR.VVAL_FIFO, 3, 100)
+        bus.load_burst(VVAL, 3, 100)
         hht.reset()
         assert hht.stats()["hht.fifo_reads"] == 0
 
-    def test_port_requests_attributed_to_hht(self, machine, simple):
+    def test_port_requests_attributed_to_hht(self, machine, bus, simple):
         ram, port, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
-        hht.read_burst(MMR.VVAL_FIFO, 3, 100)
+        bus.load_burst(VVAL, 3, 100)
         assert port.counters.by_requester.get("hht", 0) > 0
 
 
 class TestRestart:
-    def test_second_start_reinitialises(self, machine, simple):
+    def test_second_start_reinitialises(self, machine, bus, simple):
         ram, _, hht = machine
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
-        hht.read_burst(MMR.VVAL_FIFO, 3, 100)
+        bus.load_burst(VVAL, 3, 100)
         # Restart the same computation.
         hht.write_word(MMR.START, 1, 200)
-        values, _ = hht.read_burst(MMR.VVAL_FIFO, 3, 300)
+        values, _ = bus.load_burst(VVAL, 3, 300)
         got = np.array(values, np.uint32).view(np.float32)
         assert got.tolist() == [10.0, 30.0, 20.0]
         assert hht.stats()["hht.starts"] == 2

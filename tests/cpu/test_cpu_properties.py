@@ -34,40 +34,14 @@ def test_sub_matches_int32(a, b):
     assert run_binop("sub", a, b) == ref32(a - b)
 
 
-@settings(max_examples=120, deadline=None)
-@given(a=I32, b=I32)
-def test_mul_matches_int32(a, b):
-    assert run_binop("mul", a, b) == ref32(a * b)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=I32, b=I32)
-def test_div_rem_identity(a, b):
-    """RISC-V guarantees a == div(a,b)*b + rem(a,b) (b != 0, no overflow)."""
-    if b == 0 or (a == -(2**31) and b == -1):
-        return
-    q = run_binop("div", a, b)
-    r = run_binop("rem", a, b)
-    assert ref32(q * b + r) == a
-    assert abs(r) < abs(b)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=I32, b=I32)
-def test_slt_sltu_consistency(a, b):
-    assert run_binop("slt", a, b) == int(a < b)
-    assert run_binop("sltu", a, b) == int((a & 0xFFFFFFFF) < (b & 0xFFFFFFFF))
-
-
 @settings(max_examples=100, deadline=None)
 @given(a=I32, sh=U5)
 def test_shifts_match_numpy(a, sh):
     cpu, _ = make_machine()
     cpu.x[1] = a
-    cpu.run(assemble(f"slli x3, x1, {sh}\nsrli x4, x1, {sh}\nsrai x5, x1, {sh}\nhalt"))
+    cpu.run(assemble(f"slli x3, x1, {sh}\nsrli x4, x1, {sh}\nhalt"))
     assert cpu.x[3] == ref32(a << sh)
     assert cpu.x[4] == ref32((a & 0xFFFFFFFF) >> sh)
-    assert cpu.x[5] == a >> sh
 
 
 @settings(max_examples=80, deadline=None)

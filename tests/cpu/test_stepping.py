@@ -29,7 +29,7 @@ class TestStepOne:
 
     def test_stats_accumulate(self):
         cpu, _ = make_machine()
-        session = SimSession(cpu, assemble("nop\nnop\nhalt"))
+        session = SimSession(cpu, assemble("addi x0, x0, 0\naddi x0, x0, 0\nhalt"))
         while session.step():
             pass
         assert cpu.counters.instructions == 3
@@ -45,7 +45,7 @@ class TestStepOne:
 
     def test_pc_out_of_range(self):
         cpu, _ = make_machine()
-        session = SimSession(cpu, assemble("nop"))  # falls off the end
+        session = SimSession(cpu, assemble("addi x0, x0, 0"))  # falls off the end
         session.step()
         with pytest.raises(SimulationError, match="PC out of range"):
             session.step()
@@ -64,79 +64,8 @@ class TestStepOne:
         """The programmable engine fast-forwards helper.cycle between
         steps; stepping must honour the adjusted clock."""
         cpu, _ = make_machine()
-        session = SimSession(cpu, assemble("nop\nnop\nhalt"))
+        session = SimSession(cpu, assemble("addi x0, x0, 0\naddi x0, x0, 0\nhalt"))
         session.step()
         cpu.cycle = 1000
         session.step()
         assert cpu.cycle >= 1001
-
-
-class TestMoreVectorOps:
-    def _run(self, setup_regs, source, vlmax=8):
-        cpu, ram = make_machine(vlmax=vlmax)
-        for reg, (vals, kind) in setup_regs.items():
-            import numpy as np
-
-            arr = np.asarray(vals, dtype=kind)
-            cpu.v[reg][: arr.size] = arr.view(np.uint32)
-        cpu.x[10] = 4
-        cpu.run(assemble("vsetvli t0, a0, e32, m1\n" + source + "\nhalt"))
-        return cpu
-
-    def test_vsub_vv(self):
-        import numpy as np
-
-        cpu = self._run(
-            {1: ([10, 20, 30, 40], np.int32), 2: ([1, 2, 3, 4], np.int32)},
-            "vsub.vv v3, v1, v2",
-        )
-        assert cpu.v[3][:4].view(np.int32).tolist() == [9, 18, 27, 36]
-
-    def test_vmul_vx(self):
-        import numpy as np
-
-        cpu = self._run({1: ([1, -2, 3, 4], np.int32)}, "li a1, 5\nvmul.vx v2, v1, a1")
-        assert cpu.v[2][:4].view(np.int32).tolist() == [5, -10, 15, 20]
-
-    def test_vand_vor_vx(self):
-        import numpy as np
-
-        cpu = self._run(
-            {1: ([0b1100] * 4, np.int32)},
-            "li a1, 0b1010\nvand.vx v2, v1, a1\nvor.vx v3, v1, a1",
-        )
-        assert cpu.v[2][:4].view(np.int32).tolist() == [0b1000] * 4
-        assert cpu.v[3][:4].view(np.int32).tolist() == [0b1110] * 4
-
-    def test_vsrl_vi(self):
-        import numpy as np
-
-        cpu = self._run({1: ([16, 32, 64, 128], np.int32)}, "vsrl.vi v2, v1, 3")
-        assert cpu.v[2][:4].view(np.int32).tolist() == [2, 4, 8, 16]
-
-    def test_vadd_vand_vi(self):
-        import numpy as np
-
-        cpu = self._run(
-            {1: ([5, 6, 7, 8], np.int32)},
-            "vadd.vi v2, v1, 3\nvand.vi v3, v1, 6",
-        )
-        assert cpu.v[2][:4].view(np.int32).tolist() == [8, 9, 10, 11]
-        assert cpu.v[3][:4].view(np.int32).tolist() == [4, 6, 6, 0]
-
-    def test_vfsub_vfmul(self):
-        import numpy as np
-
-        cpu = self._run(
-            {1: ([4.0, 9.0, 2.0, 8.0], np.float32),
-             2: ([1.0, 3.0, 0.5, 2.0], np.float32)},
-            "vfsub.vv v3, v1, v2\nvfmul.vv v4, v1, v2",
-        )
-        assert cpu.v[3][:4].view(np.float32).tolist() == [3.0, 6.0, 1.5, 6.0]
-        assert cpu.v[4][:4].view(np.float32).tolist() == [4.0, 27.0, 1.0, 16.0]
-
-    def test_vxor_zeroes_self(self):
-        import numpy as np
-
-        cpu = self._run({1: ([7, 8, 9, 10], np.int32)}, "vxor.vv v2, v1, v1")
-        assert cpu.v[2][:4].view(np.int32).tolist() == [0, 0, 0, 0]

@@ -19,12 +19,6 @@ class TestBasicLatencies:
         assert cycles_of("addi a0, a0, 1") == 2
         assert cycles_of("addi a0, a0, 1\naddi a0, a0, 1") == 3
 
-    def test_mul_slower_than_add(self):
-        assert cycles_of("mul a0, a1, a2") > cycles_of("add a0, a1, a2")
-
-    def test_div_slower_than_mul(self):
-        assert cycles_of("div a0, a1, a2") > cycles_of("mul a0, a1, a2")
-
     def test_fma_latency(self):
         lat = LatencyTable()
         assert cycles_of("fmadd.s f0, f1, f2, f3") == lat.fp_fma + lat.system
@@ -34,7 +28,7 @@ class TestBasicLatencies:
         lat = LatencyTable()
         assert lat.vector_fp == 4
         base = cycles_of("vsetvli t0, x0, e32, m1")
-        with_op = cycles_of("vsetvli t0, x0, e32, m1\nvfadd.vv v1, v2, v3")
+        with_op = cycles_of("vsetvli t0, x0, e32, m1\nvfmacc.vv v1, v2, v3")
         assert with_op - base == 4
 
 
@@ -65,14 +59,15 @@ class TestMemoryTiming:
 
 class TestStatistics:
     def test_instruction_count(self):
-        cpu = run_asm("nop\nnop\nnop")
-        assert cpu.counters.instructions == 4  # 3 nops + halt
+        cpu = run_asm("addi x0, x0, 0\naddi x0, x0, 0\naddi x0, x0, 0")
+        assert cpu.counters.instructions == 4  # 3 no-ops + halt
 
     def test_class_counts(self):
-        cpu = run_asm("add a0, a1, a2\nlw a3, 0x100(zero)\nmul a4, a1, a2")
+        cpu = run_asm("add a0, a1, a2\nlw a3, 0x100(zero)\n"
+                      "fmadd.s f4, f1, f2, f3")
         assert cpu.counters.class_counts["int_alu"] == 1
         assert cpu.counters.class_counts["scalar_load"] == 1
-        assert cpu.counters.class_counts["int_mul"] == 1
+        assert cpu.counters.class_counts["fp_fma"] == 1
 
     def test_class_cycles_sum_to_total(self):
         cpu = run_asm("""
@@ -85,7 +80,7 @@ class TestStatistics:
         assert sum(cpu.counters.class_cycles.values()) == cpu.cycle
 
     def test_stats_cycles_matches_cpu_cycle(self):
-        cpu = run_asm("nop")
+        cpu = run_asm("addi x0, x0, 0")
         assert cpu.counters.cycles == cpu.cycle
 
 

@@ -36,7 +36,7 @@ class TestTraceProbe:
 
 class TestPcProfileProbe:
     def test_cycles_sum_to_total(self, soc):
-        prog = soc.assemble("li a0, 1\nmul a1, a0, a0\nhalt")
+        prog = soc.assemble("li a0, 1\nfmadd.s fa1, fa0, fa0, fa0\nhalt")
         result = soc.run(prog, probes=(PcProfileProbe(),))
         assert sum(result.cpu_stats.pc_cycles.values()) == result.cycles
 

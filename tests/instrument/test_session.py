@@ -43,7 +43,7 @@ class TestRunParity:
         assert len(probe.events) == plain.counters.instructions
 
     def test_inert_probe_changes_nothing(self):
-        src = "li a0, 2\nmul a1, a0, a0\nhalt"
+        src = "li a0, 2\nfmadd.s fa1, fa0, fa0, fa0\nhalt"
         plain = make_cpu()
         plain.run(assemble(src))
         probed = make_cpu()
@@ -54,7 +54,8 @@ class TestRunParity:
     def test_hook_sees_cycle_interval(self):
         cpu = make_cpu()
         probe = CountingProbe()
-        cpu.run(assemble("li a0, 1\nmul a1, a0, a0\nhalt"), probes=(probe,))
+        cpu.run(assemble("li a0, 1\nfmadd.s fa1, fa0, fa0, fa0\nhalt"),
+                probes=(probe,))
         # Intervals tile the run: each event ends where the next starts.
         for (_, _, _, end), (_, _, start, _) in zip(probe.events,
                                                     probe.events[1:]):
@@ -87,7 +88,7 @@ class TestErrorParity:
         assert plain == "instruction budget of 16 exhausted in prog"
 
     def test_pc_message_identical(self):
-        src = "nop"  # falls off the end
+        src = "addi x0, x0, 0"  # falls off the end
         plain = self._message(src, profile=False)
         profiled = self._message(src, profile=True)
         assert plain == profiled
@@ -100,7 +101,7 @@ class TestErrorParity:
                            match="instruction budget of 16 exhausted in prog"):
             while session.step():
                 pass
-        session = SimSession(make_cpu(), assemble("nop", name="prog"))
+        session = SimSession(make_cpu(), assemble("addi x0, x0, 0", name="prog"))
         session.step()
         with pytest.raises(SimulationError,
                            match=r"PC out of range: 1 \(program prog\)"):
@@ -138,7 +139,7 @@ class TestProbeHalt:
 class TestStepSession:
     def test_step_with_external_clock(self):
         cpu = make_cpu()
-        session = SimSession(cpu, assemble("nop\nnop\nhalt"))
+        session = SimSession(cpu, assemble("addi x0, x0, 0\naddi x0, x0, 0\nhalt"))
         assert session.step() is True
         cpu.cycle = 1000
         assert session.step() is True

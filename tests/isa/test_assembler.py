@@ -95,14 +95,7 @@ class TestLabels:
 
 class TestPseudoInstructions:
     @pytest.mark.parametrize("src,op,check", [
-        ("nop", "addi", lambda i: i.rd == 0 and i.imm == 0),
         ("mv a0, a1", "addi", lambda i: i.rd == 10 and i.rs1 == 11 and i.imm == 0),
-        ("neg a0, a1", "sub", lambda i: i.rs1 == 0 and i.rs2 == 11),
-        ("not a0, a1", "xori", lambda i: i.imm == -1),
-        ("seqz a0, a1", "sltiu", lambda i: i.imm == 1),
-        ("snez a0, a1", "sltu", lambda i: i.rs1 == 0),
-        ("jr a0", "jalr", lambda i: i.rd == 0 and i.rs1 == 10),
-        ("ret", "jalr", lambda i: i.rd == 0 and i.rs1 == 1),
     ])
     def test_expansion(self, src, op, check):
         ins = first(src)
@@ -114,27 +107,13 @@ class TestPseudoInstructions:
         l:
             beqz a0, l
             bnez a0, l
-            bltz a0, l
-            bgez a0, l
-            blez a0, l
-            bgtz a0, l
-            ble a0, a1, l
-            bgt a0, a1, l
         """)
         ops = [i.op for i in prog.instructions]
-        assert ops == ["beq", "bne", "blt", "bge", "bge", "blt", "bge", "blt"]
-        # ble a,b -> bge b,a (operands swapped)
-        assert prog.instructions[6].rs1 == 11 and prog.instructions[6].rs2 == 10
+        assert ops == ["beq", "bne"]
 
-    def test_fp_pseudos(self):
-        assert first("fmv.s fa0, fa1").op == "fsgnj.s"
-        assert first("fneg.s fa0, fa1").op == "fsgnjn.s"
-        assert first("fabs.s fa0, fa1").op == "fsgnjx.s"
-
-    def test_call_and_j(self):
-        prog = assemble("f:\ncall f\nj f")
-        assert prog.instructions[0].op == "jal" and prog.instructions[0].rd == 1
-        assert prog.instructions[1].op == "jal" and prog.instructions[1].rd == 0
+    def test_j(self):
+        prog = assemble("f:\nj f")
+        assert prog.instructions[0].op == "jal" and prog.instructions[0].rd == 0
 
 
 class TestSymbols:
@@ -184,14 +163,12 @@ class TestVectorSyntax:
         ins = first("vfredosum.vs v4, v0, v4")
         assert (ins.rd, ins.rs1, ins.rs2) == (4, 0, 4)
 
-    def test_vx_and_vi(self):
-        assert first("vadd.vx v1, v2, a0").rs2 == 10
+    def test_vi(self):
         assert first("vsll.vi v1, v2, 2").imm == 2
 
     def test_moves(self):
         assert first("vfmv.f.s fa0, v3").rd == 10
         assert first("vmv.v.i v1, 0").imm == 0
-        assert first("vid.v v5").rd == 5
 
 
 class TestErrors:
@@ -213,12 +190,12 @@ class TestErrors:
 
     def test_error_reports_line_number(self):
         with pytest.raises(AssemblerError, match="line 2"):
-            assemble("nop\nbadop x, y")
+            assemble("addi x0, x0, 0\nbadop x, y")
 
 
 class TestSourceMetadata:
     def test_source_lines_recorded(self):
-        prog = assemble("nop\nadd a0, a1, a2")
+        prog = assemble("addi x0, x0, 0\nadd a0, a1, a2")
         assert prog.instructions[0].source_line == 1
         assert prog.instructions[1].source_line == 2
 

@@ -62,7 +62,7 @@ def test_label_targets_resolve(labels):
     for label in labels:
         lines.append(f"j {label}")
     for label in labels:
-        lines.append(f"{label}: nop")
+        lines.append(f"{label}: addi x0, x0, 0")
     prog = assemble("\n".join(lines))
     for i, label in enumerate(labels):
         assert prog.instructions[i].target == prog.labels[label]

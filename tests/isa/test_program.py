@@ -35,5 +35,6 @@ class TestInstructionTable:
         assert instruction_class("fmadd.s") == "fp_fma"
 
     def test_all_mnemonics_frozen(self):
+        # The exact set is pinned by tests/isa/test_kernel_isa.py.
         assert "add" in ALL_MNEMONICS
-        assert len(ALL_MNEMONICS) > 80
+        assert ALL_MNEMONICS == frozenset(SYNTAX)

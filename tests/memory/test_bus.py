@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import HHT, HHT_BASE, MMR, EngineError, HHTConfig, HHTMode
+from repro.core.hht import _FIFO_STREAMS
 from repro.memory import MMIO_BASE, Bus, MemoryAccessError, MemoryPort, Ram
 from repro.workloads import random_csr, random_sparse_vector
 
@@ -60,12 +61,6 @@ class TestRamRouting:
         values, completion = bus.load_burst(0x20, 0, cycle=3)
         assert values.dtype == np.uint32 and values.size == 0
         assert completion == 3
-
-    def test_store_burst(self, system):
-        bus, ram, _ = system
-        bus.store_burst(0x40, [7, 8], cycle=0)
-        assert ram.read_u32(0x40) == 7
-        assert ram.read_u32(0x44) == 8
 
     def test_burst_beyond_ram_rejected(self, system):
         bus, _, _ = system
@@ -223,21 +218,23 @@ def _drain_variant1(read, rows: int = 16):
 
 
 class TestFifoRouting:
-    """``Bus.load_burst`` serves a listed FIFO address by calling the
-    device's reader directly; every other address keeps the device
-    lookup and ``read_burst``, with their errors."""
+    """``Bus.load_word`` and ``Bus.load_burst`` serve a listed FIFO
+    address by calling the device's reader directly; every other address
+    keeps the device lookup and ``read_word``/``read_burst``, with their
+    errors."""
 
     @staticmethod
     def _bus():
         return Bus(Ram(1 << 16), MemoryPort(latency=2))
 
-    def test_bus_fifo_loads_match_read_burst_on_a_twin(self):
+    def test_bus_fifo_loads_match_fifo_read_on_a_twin(self):
         bus, twin_bus = self._bus(), self._bus()
         hht = _variant1_hht(bus, HHT_BASE, seed=31)
         twin = _variant1_hht(twin_bus, HHT_BASE, seed=31)
         routed = _drain_variant1(
             lambda off, n, cycle: bus.load_burst(HHT_BASE + off, n, cycle))
-        direct = _drain_variant1(twin.read_burst)
+        direct = _drain_variant1(
+            lambda off, n, cycle: twin._fifo_read(_FIFO_STREAMS[off], n, cycle))
         assert {entry[0] for entry in routed if len(entry) == 3} == {
             MMR.MVAL_FIFO, MMR.VVAL_FIFO}
         assert routed == direct
@@ -256,6 +253,30 @@ class TestFifoRouting:
         words, _ = bus.load_burst(HHT_BASE + MMR.COUNT_FIFO, 1, 0)
         assert hht.counters.fifo_reads == 1
         assert words.dtype == np.uint32
+
+    def test_scalar_fifo_load_matches_fifo_read_without_lookup(
+            self, monkeypatch):
+        """An ``lw`` of COUNT or an ``flw`` of VVAL is a one-element FIFO
+        read: the same word and completion as ``_fifo_read`` on a twin,
+        and no device lookup."""
+        bus, twin_bus = self._bus(), self._bus()
+        hht = _variant1_hht(bus, HHT_BASE, seed=31)
+        twin = _variant1_hht(twin_bus, HHT_BASE, seed=31)
+
+        def lookup(addr):
+            raise AssertionError(f"device lookup for 0x{addr:08x}")
+
+        monkeypatch.setattr(bus, "_find_device", lookup)
+        cycle = twin_cycle = 0
+        for offset in (MMR.COUNT_FIFO, MMR.VVAL_FIFO):
+            value, cycle = bus.load_word(HHT_BASE + offset, cycle)
+            words, twin_cycle = twin._fifo_read(_FIFO_STREAMS[offset], 1,
+                                                twin_cycle)
+            assert type(value) is int
+            assert (value, cycle) == (int(words[0]), twin_cycle)
+        assert hht.counters.fifo_reads == 2
+        assert hht.stats() == twin.stats()
+        assert bus.stats() == twin_bus.stats()
 
     def test_non_fifo_hht_offset_rejected(self):
         bus = self._bus()

@@ -119,7 +119,6 @@ class TestMemorySystem:
     def test_zero_words_noop(self, cache):
         mem = MemorySystem(cache.port, cache)
         assert mem.read_seq(0x100, 0, 7, "cpu") == 7
-        assert mem.write_seq(0x100, 0, 7, "cpu") == 7
 
     def test_reset_cascades(self, cache):
         mem = MemorySystem(cache.port, cache)

@@ -43,26 +43,6 @@ class TestWordAccess:
             ram.read_u32(-4)
 
 
-class TestSubWord:
-    def test_byte_access(self):
-        ram = Ram(16)
-        ram.write_u8(3, 0xAB)
-        assert ram.read_u8(3) == 0xAB
-
-    def test_bytes_compose_little_endian_word(self):
-        ram = Ram(16)
-        for i, b in enumerate([0x44, 0x33, 0x22, 0x11]):
-            ram.write_u8(i, b)
-        assert ram.read_u32(0) == 0x11223344
-
-    def test_halfword(self):
-        ram = Ram(16)
-        ram.write_u16(4, 0xBEEF)
-        assert ram.read_u16(4) == 0xBEEF
-        with pytest.raises(MemoryAccessError, match="misaligned"):
-            ram.read_u16(5)
-
-
 class TestArrays:
     def test_write_read_f32(self):
         ram = Ram(1024)

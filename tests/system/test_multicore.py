@@ -91,6 +91,7 @@ class TestConstruction:
     def test_secondary_buses_share_the_mmio_map(self):
         soc = Soc(multicore_config(2))
         assert soc.cpus[1].bus._devices is soc.bus._devices
+        assert soc.cpus[1].bus._fifos is soc.bus._fifos
 
     def test_n_cores_validation(self):
         with pytest.raises(ValueError, match="n_cores"):
