@@ -8,10 +8,15 @@ while the vector kernel retires most work inside numpy ufuncs whose
 fixed call latency caps any dispatch-side gain; reporting both keeps
 the speedup story honest.
 
-Timing is best of N rounds of ``Soc.run``.  The *reused* rows run one
-Soc/program pair every round; the *fresh* rows build a new Soc each
-round, as ``execute()`` does for every sweep point, and time its run
-alone.  The compiled backend translates each basic block once per
+Each round times one ``Soc.run`` per backend back to back, alternating
+which goes first, as I3 does.  The table keeps each backend's best
+round, and the gates read those, and it adds the median of the
+per-round compiled/reference ratios: adjacent runs share the host's
+phase (frequency scaling, noisy neighbours), so the paired ratio does
+not follow it the way a ratio of two best-ofs can.  The *reused* rows
+run one Soc/program pair every round; the *fresh* rows build a new Soc
+each round, as ``execute()`` does for every sweep point, and time its
+run alone.  The compiled backend translates each basic block once per
 process (:mod:`repro.cpu.compiled`), so its one-off translation cost
 lands in the first round either way, and a fresh SoC pays a key and a
 bind per block: the fresh row is what a sweep gets after its first
@@ -19,6 +24,7 @@ point.  ``bench/run.py``'s headline-compiled workload is the end-to-end
 number.
 """
 
+import statistics
 import time
 
 from repro.analysis.tables import Table
@@ -40,39 +46,54 @@ def _setup(backend: str, vector: bool, size: int = 64):
     return soc, program
 
 
-def _measure(backend: str, vector: bool, fresh: bool, rounds: int = 7):
-    best = float("inf")
-    instructions = 0
+BACKENDS = ("reference", "compiled")
+
+
+def _measure(vector: bool, fresh: bool, rounds: int = 7):
+    """``(instructions, best seconds)`` per backend, and the median of
+    the per-round reference/compiled time ratios."""
+    runs = {}
+    best = dict.fromkeys(BACKENDS, float("inf"))
+    instructions = {}
+    ratios = []
     for k in range(rounds):
-        if fresh or k == 0:
-            soc, program = _setup(backend, vector)
-        start = time.perf_counter()
-        result = soc.run(program)
-        best = min(best, time.perf_counter() - start)
-        instructions = result.instructions
-    return instructions, best, instructions / best
+        seconds = {}
+        for backend in BACKENDS[::-1] if k % 2 else BACKENDS:
+            if fresh or k == 0:
+                runs[backend] = _setup(backend, vector)
+            soc, program = runs[backend]
+            start = time.perf_counter()
+            result = soc.run(program)
+            seconds[backend] = time.perf_counter() - start
+            best[backend] = min(best[backend], seconds[backend])
+            instructions[backend] = result.instructions
+        ratios.append(seconds["reference"] / seconds["compiled"])
+    return instructions, best, statistics.median(ratios)
 
 
 def test_backend_dispatch_speed(record_table):
     table = Table(
-        "execution backend throughput (64x64 SpMV baseline, best of 7)",
+        "execution backend throughput (64x64 SpMV baseline, best of 7; "
+        "paired: median of 7 per-round ratios)",
         ["kernel", "soc", "backend", "instructions", "best_seconds",
-         "instructions_per_second", "speedup_vs_reference"],
+         "instructions_per_second", "speedup_vs_reference",
+         "paired_speedup"],
     )
     ratios = {}
     for vector in (False, True):
         kernel = "vector" if vector else "scalar"
         for soc in ("reused", "fresh"):
-            fresh = soc == "fresh"
-            ref_n, ref_s, ref_ips = _measure("reference", vector, fresh)
-            com_n, com_s, com_ips = _measure("compiled", vector, fresh)
+            n, best, paired = _measure(vector, soc == "fresh")
             # Identical simulated work, or the ratio is meaningless.
-            assert com_n == ref_n
-            ratios[kernel, soc] = com_ips / ref_ips
-            table.add_row(kernel, soc, "reference", ref_n, ref_s, ref_ips,
-                          1.0)
-            table.add_row(kernel, soc, "compiled", com_n, com_s, com_ips,
-                          ratios[kernel, soc])
+            assert n["compiled"] == n["reference"]
+            ratios[kernel, soc] = best["reference"] / best["compiled"]
+            for backend in BACKENDS:
+                compiled = backend == "compiled"
+                table.add_row(
+                    kernel, soc, backend, n[backend], best[backend],
+                    n[backend] / best[backend],
+                    ratios[kernel, soc] if compiled else 1.0,
+                    paired if compiled else 1.0)
     record_table(table, "backend_speed")
 
     # Loose floors: the compiled backend's scalar advantage is ~2.5x on

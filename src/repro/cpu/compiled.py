@@ -39,13 +39,15 @@ keyed by everything a translation reads: the entry pc, the span's
 ``vlmax``.  ``execute()`` builds a new ``Soc`` for every sweep point,
 and each run binds the blocks it meets: a block that any earlier run in
 the process translated costs a key and a bind, not a translation.
-Binding gives the shared code object this run's bus methods, the Cpu's
-vector scratch and its escape handlers (bound to this Cpu) as its
-globals, so a closure can only reach its own SoC.  Vector blocks read
-the Cpu's typed register views (``cpu.vf``/``cpu.vi``, rebuilt with the
-registers on every reset) in their prologue.  The kernels keep a
-point's operand layout in their prologue's ``la``/``li`` immediates, so
-a point with a new layout translates one block.  At most
+Binding gives the shared code object this run's bus methods and its
+escape handlers (bound to this Cpu) as its globals, so a closure can
+only reach its own SoC.  Vector blocks bind the Cpu's register views at
+the current VL (``cpu.vset``, a :class:`~repro.cpu.core.VlViews`) in
+their prologue; a ``vsetvli`` that changes VL rebinds them and switches
+the Cpu's own set, so an escape handler later in the block sees the new
+VL.  The element-0 ops read the full ``cpu.vf`` views.  The kernels
+keep a point's operand layout in their prologue's ``la``/``li``
+immediates, so a point with a new layout translates one block.  At most
 :data:`MAX_BLOCKS` translations are kept; past that, the oldest goes.
 
 **Bit-identity contract.**  With no probes attached, a compiled run
@@ -251,10 +253,10 @@ class CompiledBackend:
 
     :meth:`bind` looks the block at a pc up in :data:`block_cache`,
     translates it on a miss, and binds the shared code to this Cpu: the
-    function's globals hold this Cpu's bus methods, vector scratch and
-    escape handlers.  Translation reads nothing but the key's parts: the
-    span, ``lat`` and ``vlmax``.  Registers and counters are fetched
-    from ``cpu`` in every closure's prologue.
+    function's globals hold this Cpu's bus methods and escape handlers.
+    Translation reads nothing but the key's parts: the span, ``lat`` and
+    ``vlmax``.  Registers, register views and counters are fetched from
+    ``cpu`` in every closure's prologue.
     """
 
     def __init__(self, cpu):
@@ -270,9 +272,6 @@ class CompiledBackend:
             "_bus_store": bus.store_word,
             "_bus_burst": bus.load_burst,
             "_bus_chain": bus.gather_chain,
-            # The Cpu's scratch for vfmacc's product, as in the reference
-            # handler; never escapes a single emitted statement pair.
-            "_scr": cpu._scr,
         }
         from .core import _PACK_I, _UNPACK_F, _bits_f32, _f32bits
         self._globals.update(
@@ -346,12 +345,12 @@ class CompiledBackend:
             head.append("    x = cpu.x")
         if "f" in cg.needs:
             head.append("    f = cpu.f")
-        if "v" in cg.needs:
-            head.append("    v = cpu.v")
+        if "vset" in cg.needs:
+            # The Cpu's current VlViews: the registers' first vl_ words
+            # as uint32, float32 and int32, and the vfmacc scratch.
+            head.append("    _sv, _sf, _si, _sc = cpu.vset")
         if "vf" in cg.needs:
             head.append("    _vf = cpu.vf")
-        if "vi" in cg.needs:
-            head.append("    _vi = cpu.vi")
         if "vl" in cg.needs:
             head.append("    vl_ = cpu.vl")
         head.append("    cycle = cpu.cycle")
@@ -550,46 +549,49 @@ class CompiledBackend:
         if op == "vsetvli":
             cg.need("vl")
             if ins.rs1 == 0:
-                cg.emit(f"vl_ = {self.vlmax}")
+                cg.emit(f"_vl = {self.vlmax}")
             else:
                 cg.emit(f"_req = {cg.xref(ins.rs1)} & 0xFFFFFFFF")
-                cg.emit(f"vl_ = _req if _req < {self.vlmax} "
+                cg.emit(f"_vl = _req if _req < {self.vlmax} "
                         f"else {self.vlmax}")
-            cg.emit("cpu.vl = vl_")
+            # Switch the Cpu's set with the block's: an escape handler
+            # later in the block indexes cpu.vset.
+            cg.emit("if _vl != vl_:")
+            cg.emit("    vl_ = cpu.vl = _vl")
+            cg.emit("    _sv, _sf, _si, _sc = cpu.vset = cpu._vsets[_vl]")
             cg.xwrite(ins.rd, "vl_")
             cg.charge_static("vector_config", lat.vector_config)
             return True
         if op == "vle32.v":
-            cg.need("v", "vl")
+            cg.need("vset", "vl")
             addr = self._address(cg, ins.rs1)
             cg.flush_pending()
             cg.emit(f"_vals, _comp = _bus_burst({addr}, vl_, cycle)")
-            cg.emit(f"v[{ins.rd}][:vl_] = _vals")
+            cg.emit(f"_sv[{ins.rd}][...] = _vals")
             cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
             cg.charge_dyn("vector_load", "_cost")
             return True
         if op == "vluxei32.v":
-            cg.need("v", "vl")
+            cg.need("vset")
             base = self._address(cg, ins.rs1)
             cg.flush_pending()
             cg.emit(f"_vals, _t = _bus_chain([({base} + _o) & 0xFFFFFFFF "
-                    f"for _o in v[{ins.rs2}][:vl_].tolist()], cycle)")
-            cg.emit(f"v[{ins.rd}][:vl_] = _vals")
+                    f"for _o in _sv[{ins.rs2}].tolist()], cycle)")
+            cg.emit(f"_sv[{ins.rd}][...] = _vals")
             cg.emit(f"_cost = _t - cycle + {lat.load_use}")
             cg.charge_dyn("vector_gather", "_cost")
             return True
         if op == "vfmacc.vv":
-            cg.need("vf", "vl")
-            cg.emit("_sc = _scr[:vl_]")
-            cg.emit(f"_np.multiply(_vf[{ins.rs1}][:vl_], "
-                    f"_vf[{ins.rs2}][:vl_], out=_sc)")
-            cg.emit(f"_acc = _vf[{ins.rd}][:vl_]")
+            cg.need("vset")
+            cg.emit(f"_np.multiply(_sf[{ins.rs1}], _sf[{ins.rs2}], out=_sc)")
+            cg.emit(f"_acc = _sf[{ins.rd}]")
             cg.emit("_np.add(_acc, _sc, out=_acc)")
             cg.charge_static("vector_fp", lat.vector_fp)
             return True
         if op == "vfredosum.vs":
-            cg.need("vf", "vl")
-            cg.emit(f"_vec = _vf[{ins.rs1}][:vl_]")
+            # The scalar operand and the result are element 0, at any VL.
+            cg.need("vset", "vf", "vl")
+            cg.emit(f"_vec = _sf[{ins.rs1}]")
             cg.emit(f"_acc = _f32(_vf[{ins.rs2}][0])")
             cg.emit("for _i in range(vl_):")
             cg.emit("    _acc = _f32(_acc + _vec[_i])")
@@ -601,14 +603,14 @@ class CompiledBackend:
         if op == "vsll.vi":
             # numpy's uint32 << drops shifted-out bits like C, so the
             # reference's ``& 0xFFFFFFFF`` is an identity — elided.
-            cg.need("v", "vl")
-            cg.emit(f"_np.left_shift(v[{ins.rs1}][:vl_], {ins.imm}, "
-                    f"out=v[{ins.rd}][:vl_])")
+            cg.need("vset")
+            cg.emit(f"_np.left_shift(_sv[{ins.rs1}], {ins.imm}, "
+                    f"out=_sv[{ins.rd}])")
             cg.charge_static("vector_int", lat.vector_int)
             return True
         if op == "vmv.v.i":
-            cg.need("vi", "vl")
-            cg.emit(f"_vi[{ins.rd}][:vl_] = {ins.imm}")
+            cg.need("vset")
+            cg.emit(f"_si[{ins.rd}][...] = {ins.imm}")
             cg.charge_static("vector_int", lat.vector_int)
             return True
         if op == "vfmv.f.s":

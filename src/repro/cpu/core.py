@@ -10,14 +10,17 @@ HHT FIFO loads, which may stall the core until a buffer is ready.
 The interpreter is written for speed (per the HPC guides: tight dispatch,
 no per-cycle loop): handlers are pre-bound per program, registers are
 plain Python lists, and vector registers are small ``uint32`` numpy arrays
-with ``float32``/``int32`` views (``vf``/``vi``) built once per reset, so
-a vector handler indexes a view instead of making one.
+with ``float32``/``int32`` views (``vf``/``vi``) built once per reset.
+The views of the first ``vl`` words of every register (:class:`VlViews`)
+are built once per VL a run uses, and ``vsetvli`` switches to them only
+when VL changes, so a vector handler indexes a view instead of making one.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,34 @@ def _bits_f32(bits: int) -> float:
 
 class SimulationError(Exception):
     """Raised on runtime faults (bad PC, instruction budget exhausted)."""
+
+
+class VlViews(NamedTuple):
+    """The vector registers at one VL: views of the first ``vl`` words of
+    every register as ``uint32`` (``v``), ``float32`` (``vf``) and
+    ``int32`` (``vi``), and of the ``vfmacc`` scratch (``scr``)."""
+
+    v: list[np.ndarray]
+    vf: list[np.ndarray]
+    vi: list[np.ndarray]
+    scr: np.ndarray
+
+
+class _VlViewCache(dict):
+    """``vl -> VlViews``, each set built the first time its VL is asked
+    for; at VL = vlmax the set is the registers themselves.  It holds the
+    register arrays, never the Cpu, so reference counting alone still
+    frees a Cpu."""
+
+    def __init__(self, full: VlViews):
+        super().__init__({len(full.scr): full})
+        self._full = full
+
+    def __missing__(self, vl: int) -> VlViews:
+        v, vf, vi, scr = self._full
+        views = self[vl] = VlViews([r[:vl] for r in v], [r[:vl] for r in vf],
+                                   [r[:vl] for r in vi], scr[:vl])
+        return views
 
 
 @dataclass
@@ -97,7 +128,12 @@ class Cpu(SimComponent):
         # words, rebuilt with ``v`` so they always alias it.
         self.vf: list[np.ndarray] = [r.view(np.float32) for r in self.v]
         self.vi: list[np.ndarray] = [r.view(np.int32) for r in self.v]
+        # The same registers at each VL a run uses, and the set at the
+        # current VL (``vset``), which every VL-bound handler indexes.
+        self._vsets = _VlViewCache(VlViews(self.v, self.vf, self.vi,
+                                           self._scr))
         self.vl = self.vlmax
+        self.vset = self._vsets[self.vl]
         self.cycle = 0
         self.halted = False
         self.counters = CpuStats()
@@ -286,7 +322,9 @@ class Cpu(SimComponent):
             requested = self.x[ins.rs1] & _U32
             if requested < vl:
                 vl = requested
-        self.vl = vl
+        if vl != self.vl:
+            self.vl = vl
+            self.vset = self._vsets[vl]
         if ins.rd:
             self.x[ins.rd] = vl
         self._charge("vector_config", self.lat.vector_config)
@@ -295,10 +333,9 @@ class Cpu(SimComponent):
     def _op_vle32_v(self, ins, pc):
         addr = self.x[ins.rs1] & _U32
         start = self.cycle
-        vl = self.vl
         # The words may alias RAM or a FIFO fill: copy them in at once.
-        values, completion = self.bus.load_burst(addr, vl, start)
-        self.v[ins.rd][:vl] = values
+        values, completion = self.bus.load_burst(addr, self.vl, start)
+        self.vset.v[ins.rd][...] = values
         self._charge("vector_load", (completion - start) + self.lat.load_use)
         return pc + 1
 
@@ -310,14 +347,14 @@ class Cpu(SimComponent):
         response — the expensive metadata access pattern of Section 2.
         """
         base = self.x[ins.rs1] & _U32
-        vl = self.vl
+        v = self.vset.v
         start = self.cycle
         # Non-pipelined vector unit: the next element's address is
         # generated only after this response returns (1 cycle).
         values, t = self.bus.gather_chain(
-            [(base + o) & _U32 for o in self.v[ins.rs2][:vl].tolist()], start
+            [(base + o) & _U32 for o in v[ins.rs2].tolist()], start
         )
-        self.v[ins.rd][:vl] = values
+        v[ins.rd][...] = values
         self._charge("vector_gather", (t - start) + self.lat.load_use)
         return pc + 1
 
@@ -348,7 +385,7 @@ class Cpu(SimComponent):
         unit = self._require_ssr()
         start = self.cycle
         values, completion = unit.pop(ins.imm or 0, self.vl, start)
-        self.v[ins.rd][: self.vl] = values
+        self.vset.v[ins.rd][...] = values
         self._charge("ssr_pop", (completion - start) + self.lat.load_use)
         return pc + 1
 
@@ -374,13 +411,12 @@ class Cpu(SimComponent):
 
     def _op_vlpidx_v(self, ins, pc):
         unit = self._require_indexmac()
-        vl = self.vl
+        vset = self.vset
         base = self.x[ins.rs1] & _U32
-        indices = self.vi[ins.rs2][:vl]
-        gathered, latest = self._pipelined_gather(base, indices)
-        self.v[ins.rd][:vl] = gathered
+        gathered, latest = self._pipelined_gather(base, vset.vi[ins.rs2])
+        vset.v[ins.rd][...] = gathered
         unit.gathers += 1
-        unit.gathered_elements += vl
+        unit.gathered_elements += self.vl
         self._charge(
             "vector_pgather", (latest - self.cycle) + self.lat.load_use
         )
@@ -388,34 +424,33 @@ class Cpu(SimComponent):
 
     def _op_vfmacidx(self, ins, pc):
         unit = self._require_indexmac()
-        vl = self.vl
+        vset = self.vset
         base = self.x[ins.rs1] & _U32
-        indices = self.vi[ins.rs2][:vl]
-        gathered, latest = self._pipelined_gather(base, indices)
-        vf = self.vf
-        acc = vf[ins.rd][:vl]
-        acc += np.multiply(gathered.view(np.float32), vf[ins.rs3][:vl],
-                           out=self._scr[:vl])
+        gathered, latest = self._pipelined_gather(base, vset.vi[ins.rs2])
+        vf = vset.vf
+        acc = vf[ins.rd]
+        acc += np.multiply(gathered.view(np.float32), vf[ins.rs3],
+                           out=vset.scr)
         unit.macs += 1
-        unit.gathered_elements += vl
+        unit.gathered_elements += self.vl
         cost = (latest - self.cycle) + self.lat.load_use + self.lat.vector_fp
         self._charge("vector_mac_idx", cost)
         return pc + 1
 
     def _op_vfmacc_vv(self, ins, pc):
-        vl = self.vl
-        vf = self.vf
-        acc = vf[ins.rd][:vl]
-        acc += np.multiply(vf[ins.rs1][:vl], vf[ins.rs2][:vl],
-                           out=self._scr[:vl])
+        vset = self.vset
+        vf = vset.vf
+        acc = vf[ins.rd]
+        acc += np.multiply(vf[ins.rs1], vf[ins.rs2], out=vset.scr)
         self._charge("vector_fp", self.lat.vector_fp)
         return pc + 1
 
     def _op_vfredosum_vs(self, ins, pc):
         """Ordered reduction: vd[0] = vs1[0] + sum(vs2[0..vl-1]) in order."""
         vl = self.vl
+        vec = self.vset.vf[ins.rs1]
+        # The scalar operand and the result are element 0, at any VL.
         vf = self.vf
-        vec = vf[ins.rs1][:vl]
         acc = np.float32(vf[ins.rs2][0])
         for i in range(vl):
             acc = np.float32(acc + vec[i])
@@ -426,14 +461,13 @@ class Cpu(SimComponent):
 
     def _op_vsll_vi(self, ins, pc):
         # numpy's uint32 << drops shifted-out bits, like the hardware.
-        vl = self.vl
-        v = self.v
-        np.left_shift(v[ins.rs1][:vl], ins.imm, out=v[ins.rd][:vl])
+        v = self.vset.v
+        np.left_shift(v[ins.rs1], ins.imm, out=v[ins.rd])
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 
     def _op_vmv_v_i(self, ins, pc):
-        self.vi[ins.rd][: self.vl] = np.int32(ins.imm)
+        self.vset.vi[ins.rd][...] = np.int32(ins.imm)
         self._charge("vector_int", self.lat.vector_int)
         return pc + 1
 

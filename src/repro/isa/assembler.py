@@ -109,26 +109,22 @@ class _Parser:
             raise self.error(str(exc)) from None
 
 
-def _expand_pseudo(op: str, ops: list[str]) -> tuple[str, list[str]]:
+def _expand_pseudo(p: _Parser, op: str,
+                   ops: list[str]) -> tuple[str, list[str]]:
     """Rewrite pseudo-instructions into base mnemonics + operands."""
     if op == "mv":
-        _need(op, ops, 2)
+        _check(p, op, ops, 2)
         return "addi", [ops[0], ops[1], "0"]
     if op == "j":
-        _need(op, ops, 1)
+        _check(p, op, ops, 1)
         return "jal", ["x0", ops[0]]
     if op == "beqz":
-        _need(op, ops, 2)
+        _check(p, op, ops, 2)
         return "beq", [ops[0], "x0", ops[1]]
     if op == "bnez":
-        _need(op, ops, 2)
+        _check(p, op, ops, 2)
         return "bne", [ops[0], "x0", ops[1]]
     return op, ops
-
-
-def _need(op: str, ops: list[str], n: int) -> None:
-    if len(ops) != n:
-        raise AssemblerError(f"{op} expects {n} operands, got {len(ops)}")
 
 
 def _parse_instr(p: _Parser, op: str, ops: list[str], text: str) -> Instr:
@@ -287,7 +283,7 @@ def assemble(text: str, symbols: dict[str, int] | None = None, name: str = "prog
         op = parts[0].lower()
         operand_text = parts[1] if len(parts) > 1 else ""
         ops = _split_operands(operand_text)
-        op, ops = _expand_pseudo(op, ops)
+        op, ops = _expand_pseudo(p, op, ops)
         ins = _parse_instr(p, op, ops, line)
         ins.meta = is_meta
         instrs.append(ins)

@@ -1,16 +1,20 @@
-"""The typed register file and the burst contract.
+"""The typed register file, its per-VL views and the burst contract.
 
 ``Cpu.vf``/``Cpu.vi`` are float32/int32 views of the vector registers
-``Cpu.v``, built with them on every reset, and every vector handler of
-both backends works through them.  ``Bus.load_burst`` hands RAM words
-back without a copy, so a vector load must copy them into its register
-before the next instruction can store over them.
+``Cpu.v``, built with them on every reset.  ``Cpu.vset`` holds the
+views of every register's first ``vl`` words (a ``VlViews`` set), built
+once per VL a run uses and again at every reset, and every VL-bound
+vector handler of both backends works through it.  ``Bus.load_burst``
+hands RAM words back without a copy, so a vector load must copy them
+into its register before the next instruction can store over them.
 """
 
 import numpy as np
 import pytest
 
-from repro.cpu import Cpu, CpuConfig
+from repro.accel.indexmac import IndexMACUnit
+from repro.accel.ssr import SSRMMR, SSRUnit
+from repro.cpu import Cpu, CpuConfig, compiled
 from repro.isa import assemble
 from repro.kernels import spmv_kernel
 from repro.kernels.loops import partition_rows, spmv_multicore_kernel
@@ -44,6 +48,12 @@ def _spmv_soc(backend: str, *, n_cores: int = 1, accel: str | None = None):
     return soc, soc.assemble(text), expected
 
 
+def _starts_at(view: np.ndarray, array: np.ndarray) -> bool:
+    """True when *view* begins at *array*'s first byte (any length)."""
+    return (view.__array_interface__["data"][0]
+            == array.__array_interface__["data"][0])
+
+
 @pytest.mark.parametrize("n_cores", [1, 2])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_views_alias_the_registers_after_every_run(backend, n_cores):
@@ -56,6 +66,19 @@ def test_views_alias_the_registers_after_every_run(backend, n_cores):
                 assert vf.dtype == np.float32 and vi.dtype == np.int32
                 assert np.shares_memory(vf, reg)
                 assert np.shares_memory(vi, reg)
+            # Every VL the run used, the row tails' too, has its set.
+            assert len(cpu._vsets) > 1
+            assert cpu.vset is cpu._vsets[cpu.vl]
+            for vl, views in cpu._vsets.items():
+                regs = zip(cpu.v, views.v, views.vf, views.vi)
+                for reg, *typed in regs:
+                    for view, dtype in zip(typed, (np.uint32, np.float32,
+                                                   np.int32)):
+                        assert view.dtype == dtype and len(view) == vl
+                        assert _starts_at(view, reg)
+                        assert vl == 0 or np.shares_memory(view, reg)
+                assert len(views.scr) == vl
+                assert _starts_at(views.scr, cpu._scr)
 
 
 @pytest.mark.parametrize("accel", [None, "hht"])
@@ -95,3 +118,126 @@ def test_a_store_after_a_burst_leaves_the_register_alone(backend):
     cpu.run(assemble(BURST_THEN_STORE))
     assert cpu.v[1].tolist() == words.tolist()
     assert ram.read_u32(0x100) == ram.read_u32(0x11C) == 99
+
+
+# ----------------------------------------------------------------------
+# Every VL-bound op works on the first vl words and nothing else.
+# ----------------------------------------------------------------------
+RAM_WORDS = 0x100     # eight float32 words
+SSR_INDICES = 0x200   # eight int32 element indices into RAM_WORDS
+
+
+def _vector_machine(backend: str) -> Cpu:
+    """A bare core with both front-end units, RAM operands, a started
+    SSR stream and a distinct word in every vector register element."""
+    ram = Ram(1 << 12)
+    bus = Bus(ram, MemoryPort(latency=2))
+    cpu = Cpu(bus, CpuConfig(backend=backend))
+    ram.write_array(RAM_WORDS, np.arange(1, 9, dtype=np.float32) * 1.5)
+    ram.write_array(SSR_INDICES, np.arange(7, -1, -1, dtype=np.int32))
+    cpu.ssr = SSRUnit(ram, bus.mem)
+    cpu.ssr.regs.update(idx_base=SSR_INDICES, val_base=RAM_WORDS, length=8)
+    cpu.ssr.write_word(SSRMMR.START, 1, 0)
+    cpu.indexmac = IndexMACUnit()
+    for k, reg in enumerate(cpu.vf):
+        reg[:] = k + np.arange(8, dtype=np.float32) / 8
+    cpu.vi[1][:] = 4 * np.arange(7, -1, -1)           # byte offsets
+    cpu.vi[2][:] = [0, 2, 4, 6, 1, 3, 5, 7]           # element indices
+    cpu.f[0] = 2.5
+    return cpu
+
+
+def _state(cpu: Cpu):
+    stats = {**cpu.stats(), **cpu.ssr.stats(), **cpu.indexmac.stats()}
+    return [r.tobytes() for r in cpu.v], list(cpu.x), cpu.cycle, stats
+
+
+def _run_at_vl(backend: str, vl: int, body: str):
+    cpu = _vector_machine(backend)
+    before = [r.copy() for r in cpu.v]
+    cpu.run(assemble(f"""\
+    li a0, {vl}
+    vsetvli t0, a0, e32, m1
+    li a1, {RAM_WORDS}
+{body}
+    halt
+"""))
+    return cpu, before
+
+
+#: Every op that writes a vector register, writing v8.
+WRITERS = [
+    "vle32.v v8, (a1)",
+    "vluxei32.v v8, (a1), v1",
+    "vfmacc.vv v8, v3, v4",
+    "vfredosum.vs v8, v3, v4",
+    "vsll.vi v8, v1, 2",
+    "vmv.v.i v8, 5",
+    "vfmv.s.f v8, ft0",
+    "vssrpop.v v8, 0",
+    "vlpidx.v v8, (a1), v2",
+    "vfmacidx v8, (a1), v2, v3",
+]
+
+
+@pytest.mark.parametrize("op", WRITERS, ids=[op.split()[0] for op in WRITERS])
+def test_an_op_below_vlmax_leaves_the_tail_alone(op):
+    vl = 3
+    states = []
+    for backend in BACKENDS:
+        cpu, before = _run_at_vl(backend, vl, f"    {op}")
+        assert cpu.vl == vl < cpu.vlmax
+        for k, (reg, old) in enumerate(zip(cpu.v, before)):
+            if k != 8:
+                assert reg.tobytes() == old.tobytes(), k
+        assert cpu.v[8][vl:].tolist() == before[8][vl:].tolist()
+        assert cpu.v[8][:vl].tolist() != before[8][:vl].tolist()
+        states.append(_state(cpu))
+    assert states[0] == states[1]
+
+
+def test_vl_zero_leaves_every_register_alone():
+    # vfredosum.vs writes element 0 at any VL: its result is its own
+    # scalar operand here.  The element-0 moves ignore VL altogether.
+    body = "\n".join(f"    {op}" for op in WRITERS
+                     if not op.startswith(("vfredosum", "vfmv")))
+    body += "\n    vfredosum.vs v4, v3, v4"
+    states = []
+    for backend in BACKENDS:
+        cpu, before = _run_at_vl(backend, 0, body)
+        assert cpu.vl == 0
+        assert [r.tobytes() for r in cpu.v] == [r.tobytes() for r in before]
+        states.append(_state(cpu))
+    assert states[0] == states[1]
+    assert states[0][2] > 0
+
+
+# A VL change right before an escape-hatch op in one compiled block: the
+# handler reads the Cpu's set, which the emitted vsetvli switched.
+VSET_THEN_ESCAPE = f"""\
+    li a1, {RAM_WORDS}
+    li t0, 3
+    vsetvli t0, t0, e32, m1
+    vlpidx.v v8, (a1), v2
+    li t0, 8
+    vsetvli t0, t0, e32, m1
+    vlpidx.v v9, (a1), v2
+    li t0, 5
+    vsetvli t0, t0, e32, m1
+    vfmacidx v10, (a1), v2, v3
+    halt
+"""
+
+
+def test_a_vl_change_reaches_the_escape_hatch_in_its_block(monkeypatch):
+    monkeypatch.setattr(compiled, "block_cache", {})
+    states = []
+    for backend in BACKENDS:
+        cpu = _vector_machine(backend)
+        cpu.run(assemble(VSET_THEN_ESCAPE))
+        assert cpu.vl == 5 and cpu.vset is cpu._vsets[5]
+        states.append(_state(cpu))
+    assert states[0] == states[1]
+    # The program ran as one compiled block with three escapes.
+    (block,) = compiled.block_cache.values()
+    assert len(block.escapes) == 3

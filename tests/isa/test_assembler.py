@@ -192,6 +192,18 @@ class TestErrors:
         with pytest.raises(AssemblerError, match="line 2"):
             assemble("addi x0, x0, 0\nbadop x, y")
 
+    @pytest.mark.parametrize("line,message", [
+        ("mv a0", "mv expects 2 operands, got 1"),
+        ("j", "j expects 1 operands, got 0"),
+        ("beqz a0", "beqz expects 2 operands, got 1"),
+        ("bnez a0, a1, l", "bnez expects 2 operands, got 3"),
+    ])
+    def test_pseudo_op_error_names_its_line(self, line, message):
+        with pytest.raises(AssemblerError) as err:
+            assemble(f"li a0, 1\n{line}")
+        assert err.value.line_no == 2
+        assert str(err.value) == f"{message} (line 2: {line!r})"
+
 
 class TestSourceMetadata:
     def test_source_lines_recorded(self):

@@ -1,19 +1,29 @@
-"""Structural guard: one typed register file.
+"""Structural guard: one typed register file, at the current VL.
 
 :class:`~repro.cpu.core.Cpu` builds float32/int32 views of its vector
-registers (``vf``/``vi``) once per reset, in ``_reset_local``, and both
-backends index those views.  A vector instruction that re-views a
-register slice, or a compiled run that builds its own views, pays per
+registers (``vf``/``vi``) once per reset, in ``_reset_local``, and the
+views of every register's first ``vl`` words (a
+:class:`~repro.cpu.core.VlViews` set) once per VL a run uses.  Both
+backends index those views.  A vector instruction that re-views or
+slices a register, or a compiled run that builds its own views, pays per
 instruction or per run for what the Cpu already holds.  This test scans
-the syntax trees, so neither can creep back in.
+the syntax trees and the emitted block sources, so neither can creep
+back in.
 """
 
 import ast
 from pathlib import Path
 
 import repro
+from repro.cpu import Cpu, CpuConfig, compiled
+from repro.isa import assemble
+from repro.memory import Bus, MemoryPort, Ram
+from tests.kernels.test_kernel_streams import STREAMS, SYMBOLS, _text
 
 ROOT = Path(repro.__file__).resolve().parent
+
+#: The prologue line that binds the Cpu's current VlViews in a block.
+VSET_PROLOGUE = "    _sv, _sf, _si, _sc = cpu.vset"
 
 
 def _tree(module: str) -> ast.Module:
@@ -38,10 +48,19 @@ def _views(node: ast.AST):
             yield call.lineno, _is_register(call.func.value)
 
 
+def _slices(node: ast.AST) -> list[int]:
+    """Lines of every ``x[a:b]`` under *node*."""
+    return [sub.lineno for sub in ast.walk(node)
+            if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Slice)]
+
+
+def _class(name: str) -> ast.ClassDef:
+    return next(node for node in _tree("cpu/core.py").body
+                if isinstance(node, ast.ClassDef) and node.name == name)
+
+
 def _cpu_methods():
-    cpu = next(node for node in _tree("cpu/core.py").body
-               if isinstance(node, ast.ClassDef) and node.name == "Cpu")
-    return {node.name: node for node in cpu.body
+    return {node.name: node for node in _class("Cpu").body
             if isinstance(node, ast.FunctionDef)}
 
 
@@ -59,17 +78,61 @@ def test_vector_handlers_index_the_typed_views():
     assert any(name.startswith("_op_v") for name in methods)
 
 
+def test_no_vector_handler_slices_a_register():
+    handlers = {name: method for name, method in _cpu_methods().items()
+                if name.startswith("_op_v")}
+    offenders = [f"Cpu.{name}:{line}" for name, method in handlers.items()
+                 for line in _slices(method)]
+    assert offenders == []
+    # Not vacuous: every handler that works at the current VL is
+    # scanned, and the per-VL sets are where the slices are made.
+    assert {"_op_vle32_v", "_op_vluxei32_v", "_op_vfmacc_vv",
+            "_op_vfredosum_vs", "_op_vsll_vi", "_op_vmv_v_i",
+            "_op_vssrpop_v", "_op_vlpidx_v", "_op_vfmacidx"} <= set(handlers)
+    assert _slices(_class("_VlViewCache"))
+
+
 def test_the_compiled_backend_builds_no_register_views():
     tree = _tree("cpu/compiled.py")
     calls = [line for line, _ in _views(tree)]
-    emitted = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and ".view(" in node.value
-    ]
+    strings = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    emitted = [node.lineno for node in strings
+               if ".view(" in node.value or "[:vl_]" in node.value]
     assert calls == [] and emitted == []
-    # Its blocks read the Cpu's views instead.
-    constants = {node.value for node in ast.walk(tree)
-                 if isinstance(node, ast.Constant)
-                 and isinstance(node.value, str)}
-    assert {"    _vf = cpu.vf", "    _vi = cpu.vi"} <= constants
+    # Its blocks bind the Cpu's views at the current VL instead.
+    assert VSET_PROLOGUE in {node.value for node in strings}
+
+
+#: Every single-core vector kernel stream, so each vector op is translated.
+VECTOR_STREAMS = sorted(case for case in STREAMS
+                        if case.endswith("-vector") and "multicore" not in case)
+
+
+def test_emitted_blocks_index_the_current_set(monkeypatch):
+    """Translate the block at every pc of every vector kernel: no
+    source slices to ``vl_`` or views a register, and every block that
+    touches the set binds it in its prologue."""
+    monkeypatch.setattr(compiled, "block_cache", {})
+    cpu = Cpu(Bus(Ram(1 << 12), MemoryPort()), CpuConfig(backend="compiled"))
+    backend = compiled.CompiledBackend(cpu)
+    sources = []
+    for case in VECTOR_STREAMS:
+        program = assemble(_text(case), SYMBOLS)
+        for pc in range(len(program.instructions)):
+            backend.bind(program, pc)
+        sources += [block.source for block in compiled.block_cache.values()]
+        compiled.block_cache.clear()
+    assert sources
+    uses_set = 0
+    for source in sources:
+        assert "[:vl_]" not in source and ".view(" not in source, source
+        prologue = source.split("    cycle = cpu.cycle")[0]
+        if any(name in source for name in ("_sv[", "_sf[", "_si[", "=_sc")):
+            assert VSET_PROLOGUE + "\n" in prologue, source
+            uses_set += 1
+    assert uses_set
+    # A VL change rebinds the block's set and the Cpu's.
+    assert any("_sv, _sf, _si, _sc = cpu.vset = cpu._vsets[_vl]" in source
+               for source in sources)
+
