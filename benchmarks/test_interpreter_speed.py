@@ -2,10 +2,16 @@
 
 Not a paper figure: this guards the simulator's own speed, which bounds
 every sweep in the suite.  The benchmark executes a fixed baseline SpMV
-program repeatedly through :meth:`Soc.run` and reports host-side
-instructions per second, archiving the number so regressions in the
-dispatch loop (:mod:`repro.cpu.core`) are visible across runs.  I2 does
-the same for the HHT FIFO pop, and I3 gates the probe hooks' overhead.
+program repeatedly through :meth:`Soc.run` on the per-instruction path
+(one-instruction translations, :mod:`repro.instrument.session`) and
+reports host-side instructions per second, archiving the number so
+regressions in the dispatch loop are visible across runs.  I2 does the
+same for the HHT FIFO pop, and I3 gates the probe hooks' overhead.
+
+I1 and I2 time each round back to back with a fixed host-reference
+workload (``benchmarks/conftest.py``), alternating which goes first, and
+archive the median per-round ratio of the two next to the raw times: the
+raw times follow the shared host, the paired ratio much less.
 """
 
 import time
@@ -68,17 +74,27 @@ def _fifo_pops(size: int = 256, sparsity: float = 0.5):
     return bus.load_burst, HHT_BASE + MMR.VVAL_FIFO, fills
 
 
-def test_interpreter_dispatch_speed(benchmark, record_table):
+def test_interpreter_dispatch_speed(record_table, paired_rounds):
     soc, program = _spmv_setup()
-    result = benchmark(soc.run, program)
+    instructions = soc.run(program).instructions     # translations made
 
-    mean_seconds = benchmark.stats.stats.mean
-    ips = result.instructions / mean_seconds
+    def run() -> float:
+        start = time.perf_counter()
+        soc.run(program)
+        return time.perf_counter() - start
+
+    rounds = 15
+    seconds, paired = paired_rounds(run, rounds)
+    mean_seconds = sum(seconds) / rounds
+    ips = instructions / mean_seconds
     table = Table(
-        "interpreter dispatch throughput (64x64 SpMV baseline, VL=8)",
-        ["instructions", "mean_seconds", "instructions_per_second"],
+        "interpreter dispatch throughput (64x64 SpMV baseline, VL=8, mean "
+        f"of {rounds}; paired: median of {rounds} per-round ratios to the "
+        "host reference)",
+        ["instructions", "mean_seconds", "instructions_per_second",
+         "paired_ratio"],
     )
-    table.add_row(result.instructions, mean_seconds, ips)
+    table.add_row(instructions, mean_seconds, ips, paired)
     record_table(table, "interpreter_speed")
 
     # Loose floor: even a slow CI box manages two orders of magnitude
@@ -86,7 +102,7 @@ def test_interpreter_dispatch_speed(benchmark, record_table):
     assert ips > 20_000
 
 
-def test_mmio_fifo_pop_speed(record_table):
+def test_mmio_fifo_pop_speed(record_table, paired_rounds):
     """I2 — host cost of one HHT FIFO pop, refill included.
 
     A vector load from an HHT FIFO walks ``Bus.load_burst``, which finds
@@ -98,25 +114,34 @@ def test_mmio_fifo_pop_speed(record_table):
     fill through ``Bus.load_burst`` on the VVAL address; the best round
     is reported.
     """
-    rounds = 7
-    best = float("inf")
-    cycle = 0
-    for _ in range(rounds):
+    drained = []
+
+    def pop_all() -> float:
         load, fifo, fills = _fifo_pops()
         cycle = 0
         start = time.perf_counter()
         for count in fills:
             _, cycle = load(fifo, count, cycle)
-        best = min(best, time.perf_counter() - start)
-    assert cycle > len(fills)
+        elapsed = time.perf_counter() - start
+        drained.append((len(fills), cycle))
+        return elapsed
 
-    pops_per_second = len(fills) / best
+    rounds = 7
+    seconds, paired = paired_rounds(pop_all, rounds)
+    best = min(seconds)
+    n_fills, cycle = drained[-1]
+    assert cycle > n_fills
+
+    pops_per_second = n_fills / best
     table = Table(
         "MMIO FIFO pop cost, refill included (256x256 SpMV on the ASIC "
-        f"HHT, BLEN 8, best of {rounds})",
-        ["fifo_reads", "best_seconds", "us_per_pop", "pops_per_second"],
+        f"HHT, BLEN 8, best of {rounds}; paired: median of {rounds} "
+        "per-round ratios to the host reference)",
+        ["fifo_reads", "best_seconds", "us_per_pop", "pops_per_second",
+         "paired_ratio"],
     )
-    table.add_row(len(fills), best, best / len(fills) * 1e6, pops_per_second)
+    table.add_row(n_fills, best, best / n_fills * 1e6, pops_per_second,
+                  paired)
     record_table(table, "mmio_fifo_pop_speed")
 
     # Same spirit as I1: only a catastrophic regression in the bus

@@ -218,7 +218,7 @@ class SSRUnit(SimComponent):
             self._gen_time = max(t + 1, t_idx - port_latency)
 
     # ------------------------------------------------------------------
-    # Pop interface (called by the fssrpop / vssrpop.v handlers)
+    # Pop interface (called by the fssrpop / vssrpop.v instructions)
     # ------------------------------------------------------------------
     def pop(self, stream: int, count: int, cycle: int) -> tuple[list[int], int]:
         """Consume *count* elements; returns (bit patterns, completion)."""

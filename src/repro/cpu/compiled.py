@@ -1,89 +1,87 @@
-"""Compiled execution backend: basic-block translation to closures.
+"""The one definition of every instruction, and the translator that runs it.
 
-The reference interpreter in :mod:`repro.cpu.core` pays, per simulated
-instruction, one dispatch-tuple load, one bound-method call, a handful of
-attribute loads (``self.x``, ``self.lat``, ``ins.rd`` ...) and one
-``_charge`` call.  This module removes that tax the way Spike and other
-fast functional simulators do: discover *basic blocks* at first
-execution, translate each decoded block into one specialized Python
-closure, and thereafter run whole blocks per dispatch.
+Each op of the ISA (:mod:`repro.isa`) is defined once, here, by an
+*emitter* that writes the op's Python source: register indices,
+immediates, branch targets and cycle charges become literals, and the
+charge goes to the op's class in
+:data:`~repro.isa.instructions.INSTRUCTION_CLASS`.  A translation is a
+span of emitted ops compiled into one function of a
+:class:`~repro.cpu.core.Cpu`, and both backends run translations, the
+way Spike builds its interpreter from one definition per instruction:
 
-Specialization folds everything static into the generated source:
-
-* register indices, immediates and branch targets become literals;
-  register values are read from and written to the architectural
-  ``x``/``f`` lists directly;
-* per-instruction cycle charges are summed at translation time, so a run
-  of K single-cycle ALU ops costs one ``cycle += K`` at runtime;
-* class counts are batched into one dict update per class per block;
-* a *self-loop* block — terminal branch targeting its own entry, the
-  shape of every hot inner loop — compiles to a closure that iterates
-  internally: register/counter prologue, exit epilogue and dispatch are
-  paid once per burst of iterations, and per-class counts are applied
-  once, multiplied by the iteration count.  The dispatcher caps each
-  burst so the instruction budget still fires at the exact reference
+* every per-instruction path runs *one-instruction translations*, one
+  per dispatch: the reference backend, a run with probes, the
+  multi-core interleave, the programmable HHT's helper core
+  (:meth:`~repro.instrument.session.SimSession.step`) and the compiled
+  backend's budget tail;
+* the compiled backend translates whole *basic blocks* at first
+  execution and runs a block per dispatch.  Per-instruction cycle
+  charges are summed at translation time, class counts are batched into
+  one dict update per class per block, and a *self-loop* block
+  (terminal branch targeting its own entry, the shape of every hot
+  inner loop) iterates inside its function, paying its prologue,
+  epilogue and dispatch once per burst of iterations.  The dispatcher
+  caps each burst so the instruction budget still fires at the exact
   instruction.
 
-The backend models dispatch only.  Every memory operation in a block is
-one call on the CPU's bus (``load_word``, ``store_word``,
-``load_burst``, ``gather_chain``), which owns RAM, MMIO routing,
-translation and port timing for both backends — see
-:mod:`repro.memory.hierarchy` for the burst and gather shapes.  The
-four accelerator front-end ops (``fssrpop``, ``vssrpop.v``,
-``vlpidx.v``, ``vfmacidx``) are not translated: they call the Cpu's
-reference handler (the escape hatch).
+An op with no emitter fails when translated, with a ``SimulationError``
+that names it.  Every memory operation is one call on the Cpu's bus
+(``load_word``, ``store_word``, ``load_burst``, ``gather``,
+``gather_chain``), which owns RAM, MMIO routing, translation and port
+timing (see :mod:`repro.memory.hierarchy`).  The four accelerator
+front-end ops (``fssrpop``, ``vssrpop.v``, ``vlpidx.v``, ``vfmacidx``)
+look the Cpu's unit up when they run, since no key records which units
+a Cpu has, and trap with a ``SimulationError`` on a Cpu without one.
 
-Translations are cached once per process, in :data:`block_cache`,
-keyed by everything a translation reads: the entry pc, the span's
-``(op, rd, rs1, rs2, rs3, imm, target)`` fields, the latency table and
-``vlmax``.  ``execute()`` builds a new ``Soc`` for every sweep point,
-and each run binds the blocks it meets: a block that any earlier run in
-the process translated costs a key and a bind, not a translation.
-Binding gives the shared code object this run's bus methods and its
-escape handlers (bound to this Cpu) as its globals, so a closure can
-only reach its own SoC.  Vector blocks bind the Cpu's register views at
-the current VL (``cpu.vset``, a :class:`~repro.cpu.core.VlViews`) in
-their prologue; a ``vsetvli`` that changes VL rebinds them and switches
-the Cpu's own set, so an escape handler later in the block sees the new
-VL.  The element-0 ops read the full ``cpu.vf`` views.  The kernels
+Translations are cached once per process, keyed by everything a
+translation reads: the entry pc, the span's ``(op, rd, rs1, rs2, rs3,
+imm, target)`` fields, the latency table and ``vlmax``.  Blocks live in
+:data:`block_cache` (at most :data:`MAX_BLOCKS`) and one-instruction
+translations in their own :data:`step_cache` (at most
+:data:`MAX_STEPS`); past the bound, the oldest goes.  ``execute()``
+builds a new ``Soc`` for every sweep point, and each run binds the
+translations it meets: one that any earlier run in the process made
+costs a key and a bind, not a translation.  Binding gives the shared
+code object this Cpu's bus methods as its globals, so a function can
+only reach its own SoC.  Vector ops index the Cpu's register views at
+the current VL (``cpu.vset``, a :class:`~repro.cpu.core.VlViews`),
+bound in the prologue; a ``vsetvli`` that changes VL rebinds them and
+switches the Cpu's own set, so the next translation finds it.  The
+element-0 op ``vfmv.f.s`` reads the full ``cpu.vf`` views.  The kernels
 keep a point's operand layout in their prologue's ``la``/``li``
-immediates, so a point with a new layout translates one block.  At most
-:data:`MAX_BLOCKS` translations are kept; past that, the oldest goes.
+immediates, so a point with a new layout translates one block.
 
-**Bit-identity contract.**  With no probes attached, a compiled run
-produces exactly the reference interpreter's cycles, instruction counts,
-flat stats registry, architectural state and ``SimulationError``
-messages.  Every generated operation mirrors the corresponding
-``Cpu._op_*`` handler's arithmetic (including numpy float32 rounding in
-the vector unit) and makes the same bus calls.  Three deliberate
-boundaries:
+**Bit-identity contract.**  A block produces exactly the cycles,
+instruction counts, flat stats registry, architectural state and
+``SimulationError`` messages of its one-instruction translations run
+one after the other.  Three deliberate boundaries:
 
-* probes/samplers force deference — :meth:`SimSession.run` only enters
-  :func:`run_compiled` when *no* probe is attached, because compiled
-  blocks skip the per-instruction hooks and ``probe_sink`` events;
-* only single-core runs are compiled — a multi-core
+* probes/samplers force the per-instruction path —
+  :meth:`SimSession.run` only enters :func:`run_compiled` when *no*
+  probe is attached, because blocks skip the per-instruction hooks and
+  ``probe_sink`` events;
+* only single-core runs take blocks — a multi-core
   :class:`~repro.instrument.session.MultiCoreSession` always takes the
   per-instruction earliest-clock interleave, so its cycles are the same
   on both backends;
-* a ``MemoryAccessError`` aborts mid-block, so the *partial* charges of
-  the faulting block may differ from the reference abort state (the
-  exception type, message and memory-system side effects are identical;
-  no test or figure depends on post-fault timing).
-
-The instruction budget stays bit-exact: when a block could cross the
-budget limit the dispatcher falls back to per-instruction reference
-stepping for the tail, reproducing the reference error at the exact
-instruction.
+* a ``MemoryAccessError`` or a front-end trap aborts mid-block, so the
+  *partial* charges of the faulting block may differ from the
+  per-instruction abort state (the exception type, message and
+  memory-system side effects are identical; no test or figure depends
+  on post-fault timing).
 """
 
 from __future__ import annotations
 
-from types import CodeType, FunctionType, MethodType
+import struct
+from operator import attrgetter
+from types import CodeType, FunctionType
 
 import numpy as np
 
-from ..isa.instructions import s32
+from ..isa.instructions import INSTRUCTION_CLASS, s32
 from ..isa.program import Program
+from .core import SimulationError
 
 #: Ops that end a basic block (control transfer or machine stop).
 CONTROL_OPS = frozenset("beq bne blt bge jal halt".split())
@@ -96,7 +94,38 @@ MAX_BLOCK_LEN = 64
 #: 72 points of a headline sweep block (figs 4-7) share 70 blocks.
 MAX_BLOCKS = 512
 
+#: Most one-instruction translations :data:`step_cache` keeps (about
+#: 2 KiB each).  A bench block of seed 0 runs 888 distinct ones on
+#: bakeoff, 333 on headline and 142 on fig9-dnn; a bound below a
+#: workload's count evicts every translation before its next use.
+MAX_STEPS = 2048
+
 _BRANCH_COND = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">="}
+
+#: The fields of an instruction that its translation reads.
+_FIELDS = attrgetter("op", "rd", "rs1", "rs2", "rs3", "imm", "target")
+
+#: The trap of a front-end op on a Cpu without the unit that runs it.
+_MISSING_UNIT = {
+    "ssr": "SSR instruction without the 'ssr' front-end configured "
+           "(add an accelerators entry with kind='ssr')",
+    "indexmac": "IndexMAC instruction without the 'indexmac' front-end "
+                "configured (add an accelerators entry with kind='indexmac')",
+}
+
+_PACK_F = struct.Struct("<f").pack
+_PACK_I = struct.Struct("<i").pack
+_UNPACK_F = struct.Struct("<f").unpack
+
+
+def _f32bits(value: float) -> int:
+    """Bit pattern (u32) of a float rounded to binary32."""
+    return int.from_bytes(_PACK_F(value), "little")
+
+
+def _bits_f32(bits: int) -> float:
+    """Float value of a binary32 bit pattern."""
+    return _UNPACK_F(bits.to_bytes(4, "little"))[0]
 
 
 def _w(expr: str) -> str:
@@ -109,14 +138,13 @@ def _branch_cond(cg: "_Codegen", ins) -> str:
     return f"{cg.xref(ins.rs1)} {_BRANCH_COND[ins.op]} {cg.xref(ins.rs2)}"
 
 
-# op -> expr builder over two operand atoms, mirroring Cpu._op_*
-# arithmetic exactly.
+# op -> expr builder over two operand atoms.
 _ALU3 = {
     "add": lambda a, b: _w(f"{a} + {b}"),
     "sub": lambda a, b: _w(f"{a} - {b}"),
     "and": lambda a, b: _w(f"{a} & {b}"),
     "srl": lambda a, b: _w(f"({a} & 0xFFFFFFFF) >> ({b} & 31)"),
-    # Immediate shifts take the immediate unmasked, like the handlers.
+    # Immediate shifts take the immediate unmasked.
     "slli": lambda a, b: _w(f"{a} << {b}"),
     "srli": lambda a, b: _w(f"({a} & 0xFFFFFFFF) >> {b}"),
 }
@@ -126,37 +154,38 @@ _ALU_IMM = {"addi": "add", "andi": "and", "slli": "slli", "srli": "srli"}
 
 
 class CompiledBlock:
-    """One translated basic block, shared by every Cpu in the process.
+    """One translation, shared by every Cpu in the process.
 
-    ``code`` is the block function's code object, which
+    ``code`` is the translation's code object, which
     :meth:`CompiledBackend.bind` turns into a function of one Cpu.  A
     *looping* block (terminal branch targeting its own entry) has the
     signature ``fn(cpu, max_execs) -> (next_pc, execs)`` and iterates
-    internally; a plain block is ``fn(cpu) -> next_pc``.  ``escapes``
-    holds the pcs of the ops that run through the Cpu's own reference
-    handler (``_h<k>(_i<k>, pc)`` in the source).
+    internally; any other translation is ``fn(cpu) -> next_pc``.
     """
 
-    __slots__ = ("code", "n", "entry", "source", "looping", "escapes")
+    __slots__ = ("code", "n", "entry", "source", "looping")
 
     def __init__(self, code: CodeType, n: int, entry: int, source: str,
-                 looping: bool, escapes: tuple[int, ...]):
+                 looping: bool):
         self.code = code
         self.n = n
         self.entry = entry
         self.source = source
         self.looping = looping
-        self.escapes = escapes
 
 
-#: The process's translations, oldest first (see :meth:`CompiledBackend.bind`
-#: for the key).  A hit gives the code a miss would have produced, so
-#: sharing it changes what is translated, never what a run computes.
+#: The process's block translations, oldest first (see
+#: :meth:`CompiledBackend.bind` for the key).  A hit gives the code a
+#: miss would have produced, so sharing it changes what is translated,
+#: never what a run computes.
 block_cache: dict[tuple, CompiledBlock] = {}
+
+#: The process's one-instruction translations, keyed like blocks.
+step_cache: dict[tuple, CompiledBlock] = {}
 
 
 class _Codegen:
-    """Accumulates the source of one block closure."""
+    """Accumulates the source of one translation."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -225,7 +254,7 @@ class _Codegen:
                  extra_cycles: dict[str, int] | None = None) -> None:
         """Flush cycle and batched class counters back to the cpu.
 
-        Emitted once per block exit arm (branch taken / fallthrough /
+        Emitted once per exit arm (branch taken / fallthrough /
         straight-line end), so each arm can carry its own branch cost.
         """
         self.emit("cpu.cycle = cycle")
@@ -249,21 +278,21 @@ class _Codegen:
 
 
 class CompiledBackend:
-    """Binds the process's translations to one Cpu, for one run.
+    """Binds the process's translations to one Cpu.
 
-    :meth:`bind` looks the block at a pc up in :data:`block_cache`,
-    translates it on a miss, and binds the shared code to this Cpu: the
-    function's globals hold this Cpu's bus methods and escape handlers.
-    Translation reads nothing but the key's parts: the span, ``lat`` and
-    ``vlmax``.  Registers, register views and counters are fetched from
-    ``cpu`` in every closure's prologue.
+    :meth:`bind` (a block) and :meth:`bind_step` (one instruction) look
+    the translation at a pc up in its cache, translate it on a miss, and
+    bind the shared code to this Cpu: every function's globals hold this
+    Cpu's bus methods.  Translation reads nothing but the key's parts:
+    the span, ``lat`` and ``vlmax``.  Registers, register views,
+    front-end units and counters are fetched from ``cpu`` when a
+    function runs.
     """
 
     def __init__(self, cpu):
         self.lat = cpu.lat
         self.vlmax = cpu.vlmax
         self._config = (tuple(vars(cpu.lat).items()), cpu.vlmax)
-        self._cpu = cpu
         bus = cpu.bus
         self._globals = {
             "_np": np,
@@ -271,63 +300,68 @@ class CompiledBackend:
             "_bus_load": bus.load_word,
             "_bus_store": bus.store_word,
             "_bus_burst": bus.load_burst,
+            "_bus_gather": bus.gather,
             "_bus_chain": bus.gather_chain,
+            "_pki": _PACK_I,
+            "_upf": _UNPACK_F,
+            "_bits_f32": _bits_f32,
+            "_f32bits": _f32bits,
+            "_SimulationError": SimulationError,
         }
-        from .core import _PACK_I, _UNPACK_F, _bits_f32, _f32bits
-        self._globals.update(
-            _pki=_PACK_I, _upf=_UNPACK_F,
-            _bits_f32=_bits_f32, _f32bits=_f32bits,
-        )
 
     def bind(self, program: Program, entry: int):
         """``(fn, n, looping)`` for the block at *entry*, bound to this Cpu."""
-        instructions = program.instructions
         span = []
-        for ins in instructions[entry:entry + MAX_BLOCK_LEN]:
+        for ins in program.instructions[entry:entry + MAX_BLOCK_LEN]:
             span.append(ins)
             if ins.op in CONTROL_OPS:
                 break
-        key = (entry, self._config, tuple(
-            (i.op, i.rd, i.rs1, i.rs2, i.rs3, i.imm, i.target) for i in span))
-        block = block_cache.get(key)
+        block = self._lookup(block_cache, MAX_BLOCKS, span, entry)
+        return FunctionType(block.code, self._globals), block.n, block.looping
+
+    def bind_step(self, program: Program, pc: int):
+        """``fn(cpu) -> next_pc`` running the instruction at *pc* alone."""
+        block = self._lookup(step_cache, MAX_STEPS,
+                             [program.instructions[pc]], pc)
+        return FunctionType(block.code, self._globals)
+
+    def _lookup(self, cache: dict, limit: int, span: list,
+                entry: int) -> CompiledBlock:
+        """The translation of *span* at *entry* in *cache*, made on a
+        miss; past *limit* entries the oldest goes."""
+        key = (entry, self._config, tuple(map(_FIELDS, span)))
+        block = cache.get(key)
         if block is None:
             block = self._translate(span, entry)
-            if len(block_cache) >= MAX_BLOCKS:
-                del block_cache[next(iter(block_cache))]
-            block_cache[key] = block
-        scope = dict(self._globals)
-        cpu = self._cpu
-        for k, pc in enumerate(block.escapes):
-            ins = instructions[pc]
-            scope[f"_h{k}"] = MethodType(cpu._dispatch[ins.op], cpu)
-            scope[f"_i{k}"] = ins
-        return FunctionType(block.code, scope), block.n, block.looping
+            if len(cache) >= limit:
+                del cache[next(iter(cache))]
+            cache[key] = block
+        return block
 
     # ------------------------------------------------------------------
     # Translation
     # ------------------------------------------------------------------
     def _translate(self, span: list, entry: int) -> CompiledBlock:
         # A block whose terminal branch targets its own entry is a
-        # *self-loop*: compile it as a closure that iterates internally,
-        # paying prologue/epilogue/dispatch once per burst of
-        # iterations instead of once per iteration.
+        # *self-loop*: compile it as a function that iterates
+        # internally, paying prologue/epilogue/dispatch once per burst
+        # of iterations instead of once per iteration.
         last_pc, last_ins = entry + len(span) - 1, span[-1]
         looping = (len(span) >= 2 and last_ins.op in _BRANCH_COND
                    and last_ins.target == entry)
         cg = _Codegen()
-        escapes: list[int] = []
         if looping:
             cg.ind = 1                      # body inside ``while True:``
         body = span[:-1] if looping else span
         for pc, ins in enumerate(body, entry):
-            self._emit_instruction(cg, ins, pc, escapes)
+            self._emit_instruction(cg, ins, pc)
 
         if looping:
             self._emit_loop_branch(cg, last_ins, last_pc)
         elif last_ins.op not in CONTROL_OPS:
-            # Straight-line block (length cap or end of program): fall
-            # through to the next pc; an out-of-range fallthrough is
-            # raised by the dispatcher, exactly like the reference.
+            # Straight-line span (length cap, end of program or one
+            # instruction): fall through to the next pc; an out-of-range
+            # fallthrough is raised by the dispatcher.
             cg.flush_pending()
             cg.epilogue()
             cg.emit(f"return {last_pc + 1}")
@@ -335,8 +369,7 @@ class CompiledBackend:
         source = self._render(cg, entry, looping)
         module = compile(source, f"<block@{entry}>", "exec")
         code = next(c for c in module.co_consts if isinstance(c, CodeType))
-        return CompiledBlock(code, len(span), entry, source, looping,
-                             tuple(escapes))
+        return CompiledBlock(code, len(span), entry, source, looping)
 
     def _render(self, cg: _Codegen, entry: int, looping: bool) -> str:
         arg = "cpu, _max" if looping else "cpu"
@@ -370,11 +403,12 @@ class CompiledBackend:
         Each iteration charges its own cycles (memory ops inside the
         body read the live clock), while class counts multiply by the
         iteration count ``_ex`` once at exit.  All but the last
-        iteration take the branch; the closure also exits when the
+        iteration take the branch; the function also exits when the
         dispatcher's budget cap ``_max`` is reached with the branch
         still taken, returning to the dispatcher for the tail.
         """
         lat = self.lat
+        klass = INSTRUCTION_CLASS[ins.op]
         taken_cost = lat.branch + lat.branch_taken_penalty
         pending = cg.pending
         cg.pending = 0
@@ -386,21 +420,24 @@ class CompiledBackend:
         cg.emit("if _ex < _max:")
         cg.emit("    continue")
         cg.emit("cpu.counters.taken_branches += _ex")
-        self._loop_epilogue(cg, f"{taken_cost} * _ex")
+        self._loop_epilogue(cg, f"{taken_cost} * _ex", klass)
         cg.emit(f"return {ins.target}, _ex")
         cg.ind -= 1
         if pending + lat.branch:
             cg.emit(f"cycle += {pending + lat.branch}")
         cg.emit("cpu.counters.taken_branches += _ex - 1")
-        self._loop_epilogue(cg, f"{taken_cost} * (_ex - 1) + {lat.branch}")
+        self._loop_epilogue(cg, f"{taken_cost} * (_ex - 1) + {lat.branch}",
+                            klass)
         cg.emit(f"return {pc + 1}, _ex")
 
-    def _loop_epilogue(self, cg: _Codegen, branch_cycles: str) -> None:
+    def _loop_epilogue(self, cg: _Codegen, branch_cycles: str,
+                       branch_klass: str) -> None:
         """Exit-arm accounting for a self-loop block: per-iteration
         class counts and static cycles multiply by ``_ex``; dynamic
         accumulators already summed across iterations.  The branch
-        class lands last, matching the reference's first-charge order
-        (the terminal branch charges after the body on iteration 1).
+        class lands last, matching the per-instruction first-charge
+        order (the terminal branch charges after the body on iteration
+        1).
         """
         cg.emit("cpu.cycle = cycle")
         cg.need("cc")
@@ -415,8 +452,9 @@ class CompiledBackend:
             if parts:
                 cg.emit(f"_ccy[{klass!r}] = _ccy.get({klass!r}, 0) + "
                         + " + ".join(parts))
-        cg.emit("_cc['branch'] = _cc.get('branch', 0) + _ex")
-        cg.emit(f"_ccy['branch'] = _ccy.get('branch', 0) + {branch_cycles}")
+        cg.emit(f"_cc[{branch_klass!r}] = _cc.get({branch_klass!r}, 0) + _ex")
+        cg.emit(f"_ccy[{branch_klass!r}] = _ccy.get({branch_klass!r}, 0) + "
+                f"{branch_cycles}")
 
     # ------------------------------------------------------------------
     def _address(self, cg: _Codegen, rs1: int, imm: int = 0) -> str:
@@ -430,35 +468,37 @@ class CompiledBackend:
         return "_addr"
 
     # ------------------------------------------------------------------
-    def _emit_instruction(self, cg: _Codegen, ins, pc: int,
-                          escapes: list) -> None:
+    def _emit_instruction(self, cg: _Codegen, ins, pc: int) -> None:
+        """Emit *ins*, the one definition of its op, charging its class."""
         op = ins.op
         lat = self.lat
+        klass = INSTRUCTION_CLASS.get(op)
 
         # ---- integer ALU ------------------------------------------------
         if op in ("li", "la"):
             cg.xwrite(ins.rd, str(s32(ins.imm)))
-            cg.charge_static("int_alu", lat.int_alu)
+            cg.charge_static(klass, lat.int_alu)
             return
         if op in _ALU_IMM:
             imm = ins.imm
             b = f"({imm})" if imm < 0 else str(imm)
             cg.xwrite(ins.rd, _ALU3[_ALU_IMM[op]](cg.xref(ins.rs1), b))
-            cg.charge_static("int_alu", lat.int_alu)
+            cg.charge_static(klass, lat.int_alu)
             return
         if op in _ALU3 and ins.rs2 is not None:
             cg.xwrite(ins.rd,
                       _ALU3[op](cg.xref(ins.rs1), cg.xref(ins.rs2)))
-            cg.charge_static("int_alu", lat.int_alu)
+            cg.charge_static(klass, lat.int_alu)
             return
 
-        # ---- loads / stores --------------------------------------------
+        # ---- loads / stores: a load that does not complete at once
+        # stalls the whole in-order pipeline (Table 1) ------------------
         if op in ("lw", "flw"):
             addr = self._address(cg, ins.rs1, ins.imm or 0)
             cg.flush_pending()
             cg.emit(f"_val, _comp = _bus_load({addr}, cycle)")
             cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
-            cg.charge_dyn("scalar_load", "_cost")
+            cg.charge_dyn(klass, "_cost")
             if op == "lw":
                 cg.xwrite(ins.rd, _w("_val"))
             else:
@@ -470,42 +510,39 @@ class CompiledBackend:
                      else f"_f32bits({cg.fref(ins.rs2)})")
             cg.flush_pending()
             cg.emit(f"_bus_store({addr}, {value}, cycle)")
-            cg.charge_static("scalar_store", lat.scalar_store)
+            cg.charge_static(klass, lat.scalar_store)
             return
 
         # ---- branches / jumps / system ---------------------------------
         if op in _BRANCH_COND:
-            self._emit_branch(cg, ins, pc, lat)
+            self._emit_branch(cg, ins, pc, klass)
             return
         if op == "jal":
             cg.xwrite(ins.rd, str((pc + 1) * 4))
-            self._exit_arm(cg, lat.jump, "jump", lat.jump, str(ins.target))
+            self._exit_arm(cg, lat.jump, klass, lat.jump, str(ins.target))
             return
         if op == "halt":
             cg.emit("cpu.halted = True")
-            self._exit_arm(cg, lat.system, "system", lat.system, str(pc))
+            self._exit_arm(cg, lat.system, klass, lat.system, str(pc))
             return
 
-        # ---- scalar FP --------------------------------------------------
-        if self._emit_scalar_fp(cg, ins, op, lat):
+        # ---- scalar FP (computed in double, rounded at memory edges) ----
+        if op == "fmadd.s":
+            cg.fwrite(ins.rd, f"{cg.fref(ins.rs1)} * {cg.fref(ins.rs2)} + "
+                              f"{cg.fref(ins.rs3)}")
+            cg.charge_static(klass, lat.fp_fma)
+            return
+        if op == "fmv.w.x":
+            cg.fwrite(ins.rd, f"_upf(_pki({_w(cg.xref(ins.rs1))}))[0]")
+            cg.charge_static(klass, lat.fp_alu)
             return
 
-        # ---- vector -----------------------------------------------------
-        if self._emit_vector(cg, ins, op, lat):
+        # ---- vector (SEW=32, LMUL=1, tail-undisturbed) -----------------
+        if self._emit_vector(cg, ins, op, klass, lat):
             return
-
-        # ---- escape hatch ----------------------------------------------
-        # The accelerator front-end ops (the SSR pops and the IndexMAC
-        # pair) call the reference handler with the decoded Instr; bind()
-        # puts both in the function's globals.  The handler charges through
-        # cpu._charge itself, so sync the batched cycle counter around
-        # the call.
-        cg.flush_pending()
-        cg.emit("cpu.cycle = cycle")
-        k = len(escapes)
-        escapes.append(pc)
-        cg.emit(f"_h{k}(_i{k}, {pc})")
-        cg.emit("cycle = cpu.cycle")
+        if self._emit_front_end(cg, ins, op, klass, lat):
+            return
+        raise SimulationError(f"no emitter for instruction {op!r}")
 
     # ------------------------------------------------------------------
     def _exit_arm(self, cg: _Codegen, cost: int, klass: str,
@@ -519,59 +556,56 @@ class CompiledBackend:
                     extra_cycles={klass: klass_cycles})
         cg.emit(f"return {dest}")
 
-    def _emit_branch(self, cg: _Codegen, ins, pc: int, lat) -> None:
+    def _emit_branch(self, cg: _Codegen, ins, pc: int, klass: str) -> None:
+        lat = self.lat
         taken_cost = lat.branch + lat.branch_taken_penalty
         pending = cg.pending
         cg.emit(f"if {_branch_cond(cg, ins)}:")
         cg.ind += 1
         cg.emit("cpu.counters.taken_branches += 1")
-        self._exit_arm(cg, taken_cost, "branch", taken_cost,
-                       str(ins.target))
+        self._exit_arm(cg, taken_cost, klass, taken_cost, str(ins.target))
         cg.ind -= 1
         cg.pending = pending
-        self._exit_arm(cg, lat.branch, "branch", lat.branch, str(pc + 1))
+        self._exit_arm(cg, lat.branch, klass, lat.branch, str(pc + 1))
 
     # ------------------------------------------------------------------
-    def _emit_scalar_fp(self, cg: _Codegen, ins, op: str, lat) -> bool:
-        if op == "fmadd.s":
-            cg.fwrite(ins.rd, f"{cg.fref(ins.rs1)} * {cg.fref(ins.rs2)} + "
-                              f"{cg.fref(ins.rs3)}")
-            cg.charge_static("fp_fma", lat.fp_fma)
-            return True
-        if op == "fmv.w.x":
-            cg.fwrite(ins.rd, f"_upf(_pki({_w(cg.xref(ins.rs1))}))[0]")
-            cg.charge_static("fp_alu", lat.fp_alu)
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    def _emit_vector(self, cg: _Codegen, ins, op: str, lat) -> bool:
+    def _emit_vector(self, cg: _Codegen, ins, op: str, klass: str,
+                     lat) -> bool:
         if op == "vsetvli":
-            cg.need("vl")
-            if ins.rs1 == 0:
-                cg.emit(f"_vl = {self.vlmax}")
-            else:
-                cg.emit(f"_req = {cg.xref(ins.rs1)} & 0xFFFFFFFF")
-                cg.emit(f"_vl = _req if _req < {self.vlmax} "
-                        f"else {self.vlmax}")
-            # Switch the Cpu's set with the block's: an escape handler
-            # later in the block indexes cpu.vset.
-            cg.emit("if _vl != vl_:")
-            cg.emit("    vl_ = cpu.vl = _vl")
-            cg.emit("    _sv, _sf, _si, _sc = cpu.vset = cpu._vsets[_vl]")
-            cg.xwrite(ins.rd, "vl_")
-            cg.charge_static("vector_config", lat.vector_config)
+            # vl = min(AVL, VLMAX), one of the choices RVV 1.0 allows.
+            # The AVL is x[rs1]; rs1 = x0 asks for VLMAX, except that
+            # with rd = x0 too it keeps the current vl.
+            if ins.rs1 or ins.rd:
+                cg.need("vl")
+                if ins.rs1 == 0:
+                    cg.emit(f"_vl = {self.vlmax}")
+                else:
+                    cg.emit(f"_req = {cg.xref(ins.rs1)} & 0xFFFFFFFF")
+                    cg.emit(f"_vl = _req if _req < {self.vlmax} "
+                            f"else {self.vlmax}")
+                # Switch the Cpu's set with the block's, only on a
+                # change: the next translation binds cpu.vset.
+                cg.emit("if _vl != vl_:")
+                cg.emit("    vl_ = cpu.vl = _vl")
+                cg.emit("    _sv, _sf, _si, _sc = cpu.vset = cpu._vsets[_vl]")
+                cg.xwrite(ins.rd, "vl_")
+            cg.charge_static(klass, lat.vector_config)
             return True
         if op == "vle32.v":
+            # The words may alias RAM or a FIFO fill: copy them in at once.
             cg.need("vset", "vl")
             addr = self._address(cg, ins.rs1)
             cg.flush_pending()
             cg.emit(f"_vals, _comp = _bus_burst({addr}, vl_, cycle)")
             cg.emit(f"_sv[{ins.rd}][...] = _vals")
             cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
-            cg.charge_dyn("vector_load", "_cost")
+            cg.charge_dyn(klass, "_cost")
             return True
         if op == "vluxei32.v":
+            # Indexed gather at base + byte offset.  The vector unit is
+            # not pipelined (Table 1): each element's request issues one
+            # cycle after the previous response — the expensive
+            # metadata access pattern of Section 2.
             cg.need("vset")
             base = self._address(cg, ins.rs1)
             cg.flush_pending()
@@ -579,49 +613,106 @@ class CompiledBackend:
                     f"for _o in _sv[{ins.rs2}].tolist()], cycle)")
             cg.emit(f"_sv[{ins.rd}][...] = _vals")
             cg.emit(f"_cost = _t - cycle + {lat.load_use}")
-            cg.charge_dyn("vector_gather", "_cost")
+            cg.charge_dyn(klass, "_cost")
             return True
         if op == "vfmacc.vv":
+            # The product rounds to float32 before the add, in the scratch.
             cg.need("vset")
             cg.emit(f"_np.multiply(_sf[{ins.rs1}], _sf[{ins.rs2}], out=_sc)")
             cg.emit(f"_acc = _sf[{ins.rd}]")
             cg.emit("_np.add(_acc, _sc, out=_acc)")
-            cg.charge_static("vector_fp", lat.vector_fp)
+            cg.charge_static(klass, lat.vector_fp)
             return True
         if op == "vfredosum.vs":
-            # The scalar operand and the result are element 0, at any VL.
-            cg.need("vset", "vf", "vl")
-            cg.emit(f"_vec = _sf[{ins.rs1}]")
-            cg.emit(f"_acc = _f32(_vf[{ins.rs2}][0])")
-            cg.emit("for _i in range(vl_):")
-            cg.emit("    _acc = _f32(_acc + _vec[_i])")
-            cg.emit(f"_vf[{ins.rd}][0] = _acc")
+            # Ordered: vd[0] = vs1[0] + vs2[0] + ... + vs2[vl-1], each
+            # sum rounded to float32.  At VL = 0 vd is left alone.
+            cg.need("vset", "vl")
+            cg.emit("if vl_:")
+            cg.emit(f"    _vec = _sf[{ins.rs1}]")
+            cg.emit(f"    _acc = _f32(_sf[{ins.rs2}][0])")
+            cg.emit("    for _i in range(vl_):")
+            cg.emit("        _acc = _f32(_acc + _vec[_i])")
+            cg.emit(f"    _sf[{ins.rd}][0] = _acc")
             cg.emit(f"_cost = {lat.vector_fp} + "
                     f"{lat.vector_reduction_per_elem} * vl_")
-            cg.charge_dyn("vector_fp", "_cost")
+            cg.charge_dyn(klass, "_cost")
             return True
         if op == "vsll.vi":
-            # numpy's uint32 << drops shifted-out bits like C, so the
-            # reference's ``& 0xFFFFFFFF`` is an identity — elided.
+            # numpy's uint32 << drops shifted-out bits, like the hardware.
             cg.need("vset")
             cg.emit(f"_np.left_shift(_sv[{ins.rs1}], {ins.imm}, "
                     f"out=_sv[{ins.rd}])")
-            cg.charge_static("vector_int", lat.vector_int)
+            cg.charge_static(klass, lat.vector_int)
             return True
         if op == "vmv.v.i":
             cg.need("vset")
             cg.emit(f"_si[{ins.rd}][...] = {ins.imm}")
-            cg.charge_static("vector_int", lat.vector_int)
+            cg.charge_static(klass, lat.vector_int)
             return True
         if op == "vfmv.f.s":
+            # Element 0 at any VL, VL = 0 included.
             cg.need("vf")
             cg.fwrite(ins.rd, f"float(_vf[{ins.rs1}][0])")
-            cg.charge_static("vector_fp", lat.vector_fp)
+            cg.charge_static(klass, lat.vector_fp)
             return True
         if op == "vfmv.s.f":
-            cg.need("vf")
-            cg.emit(f"_vf[{ins.rd}][0] = {cg.fref(ins.rs1)}")
-            cg.charge_static("vector_fp", lat.vector_fp)
+            # Element 0, and at VL = 0 nothing.
+            cg.need("vset", "vl")
+            cg.emit("if vl_:")
+            cg.emit(f"    _sf[{ins.rd}][0] = {cg.fref(ins.rs1)}")
+            cg.charge_static(klass, lat.vector_fp)
+            return True
+        return False
+
+    # ------------------------------------------------------------------
+    # Accelerator front-end ops (repro.accel).  The SSR pops read the
+    # stream unit the SoC attached; the IndexMAC pair issues *pipelined*
+    # gathers at base + 4 * element index — one request per cycle,
+    # letting the port overlap responses — unlike vluxei32.v's chain.
+    # ------------------------------------------------------------------
+    def _unit(self, cg: _Codegen, kind: str) -> None:
+        """Emit ``_u = cpu.<kind>``, trapping when the Cpu has none."""
+        cg.emit(f"_u = cpu.{kind}")
+        cg.emit("if _u is None:")
+        cg.emit(f"    raise _SimulationError({_MISSING_UNIT[kind]!r})")
+
+    def _emit_front_end(self, cg: _Codegen, ins, op: str, klass: str,
+                        lat) -> bool:
+        if op in ("fssrpop", "vssrpop.v"):
+            self._unit(cg, "ssr")
+            cg.flush_pending()
+            if op == "fssrpop":
+                cg.emit(f"_vals, _comp = _u.pop({ins.imm or 0}, 1, cycle)")
+                cg.fwrite(ins.rd, "_bits_f32(_vals[0])")
+            else:
+                cg.need("vset", "vl")
+                cg.emit(f"_vals, _comp = _u.pop({ins.imm or 0}, vl_, cycle)")
+                cg.emit(f"_sv[{ins.rd}][...] = _vals")
+            cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
+            cg.charge_dyn(klass, "_cost")
+            return True
+        if op in ("vlpidx.v", "vfmacidx"):
+            self._unit(cg, "indexmac")
+            cg.need("vset", "vl")
+            base = self._address(cg, ins.rs1)
+            cg.flush_pending()
+            cg.emit(f"_vals, _t = _bus_gather([({base} + 4 * _i) & 0xFFFFFFFF "
+                    f"for _i in _si[{ins.rs2}].tolist()], cycle)")
+            cost = lat.load_use
+            if op == "vlpidx.v":
+                cg.emit(f"_sv[{ins.rd}][...] = _vals")
+                cg.emit("_u.gathers += 1")
+            else:
+                # As vfmacc.vv: the product rounds in the scratch first.
+                cg.emit(f"_np.multiply(_np.frombuffer(_vals, _f32), "
+                        f"_sf[{ins.rs3}], out=_sc)")
+                cg.emit(f"_acc = _sf[{ins.rd}]")
+                cg.emit("_np.add(_acc, _sc, out=_acc)")
+                cg.emit("_u.macs += 1")
+                cost += lat.vector_fp
+            cg.emit("_u.gathered_elements += vl_")
+            cg.emit(f"_cost = _t - cycle + {cost}")
+            cg.charge_dyn(klass, "_cost")
             return True
         return False
 
@@ -631,17 +722,17 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
 
     Mirrors :meth:`SimSession.run` for the no-probe case: same entry
     state, same budget semantics, same ``finally`` bookkeeping.  Blocks
-    that could cross the instruction budget are executed on the
-    reference per-instruction path so the budget error fires at the
-    exact instruction with the exact message.
+    that could cross the instruction budget are executed one instruction
+    at a time, through the session's one-instruction translations, so
+    the budget error fires at the exact instruction with the exact
+    message.
     """
     cpu = session.cpu
     program = session.program
     backend = CompiledBackend(cpu)
     blocks: dict[int, tuple] = {}       # pc -> bound (fn, n, looping)
     blocks_get = blocks.get
-    code = session._code
-    n = len(code)
+    n = len(program.instructions)
     budget = cpu.config.max_instructions
     stats = cpu.counters
     executed = stats.instructions
@@ -656,20 +747,18 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
                 block = blocks[pc] = backend.bind(program, pc)
             fn, bn, looping = block
             if executed + bn >= limit:
-                # Reference tail: bit-exact budget accounting.
+                # Per-instruction tail: bit-exact budget accounting.
+                steps_get = session._steps.get
                 while not cpu.halted:
-                    if not 0 <= pc < n:
-                        raise session._pc_error(pc)
-                    handler, ins = code[pc]
-                    pc = handler(ins, pc)
+                    pc = (steps_get(pc) or session._bind_step(pc))(cpu)
                     executed += 1
                     if executed >= limit:
                         raise session._budget_error(budget)
                 break
             if looping:
-                # Iterate inside the closure, capped so a full burst
+                # Iterate inside the function, capped so a full burst
                 # stays strictly under the budget; a capped burst falls
-                # back here and ultimately into the reference tail.
+                # back here and ultimately into the per-instruction tail.
                 pc, ex = fn(cpu, (limit - executed - 1) // bn)
                 executed += ex * bn
             else:
@@ -680,4 +769,3 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
         stats.instructions = executed
         stats.cycles = cpu.cycle
     return stats
-

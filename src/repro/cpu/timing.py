@@ -83,10 +83,11 @@ class CpuConfig:
     frequency_hz: float = 1.1e9        # Table 1: 1.1 GHz
     latencies: LatencyTable = field(default_factory=LatencyTable)
     max_instructions: int = 500_000_000
-    # Execution backend: "reference" is the per-instruction interpreter
-    # in repro.cpu.core; "compiled" translates basic blocks to
-    # specialized closures (repro.cpu.compiled) with bit-identical
-    # results.  Timing is backend-independent by contract.
+    # Execution backend: "reference" runs one instruction per dispatch
+    # (repro.instrument.session); "compiled" runs basic blocks.  Both run
+    # translations of the same per-op definitions (repro.cpu.compiled),
+    # with bit-identical results.  Timing is backend-independent by
+    # contract.
     backend: str = field(default_factory=_default_backend)
 
     def __post_init__(self) -> None:

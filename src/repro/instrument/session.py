@@ -5,17 +5,21 @@ Every way of running a program on the simulated machine — ``Soc.run``
 through), ``Cpu.run`` and the programmable HHT's helper core, which
 keeps its own session and advances it with :meth:`SimSession.step` — is
 one ``SimSession`` (or, with several cores, one
-:class:`MultiCoreSession`): resolve the entry point, bind the handlers
-to the core, then drive a single interpreter loop.
-What used to be forked loops (profiling, tracing) is now a chain of
+:class:`MultiCoreSession`): resolve the entry point, then drive a single
+interpreter loop.  The loop runs one instruction per dispatch, each a
+*one-instruction translation* from :mod:`repro.cpu.compiled`, the one
+definition of every op, bound to the core the first time its pc runs.
+The compiled backend's blocks are translations of the same definitions,
+so they equal their one-instruction translations run one by one.
+What used to be forked loops (profiling, tracing) is a chain of
 per-event hooks contributed by :class:`~repro.instrument.probes.Probe`
 objects.
 
 The hook chains are built from *overridden* probe methods only, and the
 loop skips all hook bookkeeping when the chain is empty, so a session
-with no probes attached executes the same work per instruction as the
-old dedicated loop — bit-identical cycles, and (by CI gate) within a
-few percent of its dispatch rate.
+with no probes attached executes the same work per instruction as a
+dedicated loop — bit-identical cycles, and (by CI gate) within a few
+percent of its dispatch rate.
 
 Memory-side events (port issues, buffer fills, FIFO pops) are published
 by their components through a ``probe_sink`` attribute: ``None`` by
@@ -25,8 +29,7 @@ duration of the run when some probe subscribed.
 
 from __future__ import annotations
 
-from types import MethodType
-
+from ..cpu.compiled import CompiledBackend, run_compiled
 from ..cpu.core import Cpu, CpuStats, SimulationError
 from ..isa.program import Program
 from ..memory.port import MemoryPort
@@ -103,15 +106,11 @@ class SimSession:
             self._pc = program.entry_index(entry)
         else:
             self._pc = int(entry or 0)
-        # The Cpu's table holds plain functions; the session binds the
-        # ones its program uses, so only the session refers back to cpu.
-        dispatch = cpu._dispatch
-        try:
-            bound = {op: MethodType(dispatch[op], cpu)
-                     for op in {ins.op for ins in program.instructions}}
-        except KeyError as exc:  # pragma: no cover - table kept in sync
-            raise SimulationError(f"no handler for mnemonic {exc}") from None
-        self._code = [(bound[ins.op], ins) for ins in program.instructions]
+        # pc -> the one-instruction translation there, bound to cpu the
+        # first time the pc runs (a compiled run binds none unless it
+        # reaches its budget tail).
+        self._steps: dict[int, object] = {}
+        self._backend: CompiledBackend | None = None
         cpu.halted = False
 
         self._instr_hooks = _hooks(self.probes, "on_instruction")
@@ -149,6 +148,15 @@ class SimSession:
         return SimulationError(
             f"instruction budget of {budget} exhausted in {self.program.name}"
         )
+
+    def _bind_step(self, pc: int):
+        """Bind the one-instruction translation at *pc* (its first run)."""
+        if not 0 <= pc < len(self.program.instructions):
+            raise self._pc_error(pc)
+        if self._backend is None:
+            self._backend = CompiledBackend(self.cpu)
+        fn = self._steps[pc] = self._backend.bind_step(self.program, pc)
+        return fn
 
     # ------------------------------------------------------------------
     # Event-sink attachment
@@ -237,11 +245,10 @@ class SimSession:
         # reference path below; both paths are bit-identical in cycles,
         # stats, and errors.
         if not self.probes and cpu.config.backend == "compiled":
-            from ..cpu.compiled import run_compiled
-
             return run_compiled(self)
-        code = self._code
-        n = len(code)
+        steps_get = self._steps.get
+        bind_step = self._bind_step
+        instructions = self.program.instructions
         budget = cpu.config.max_instructions
         stats = cpu.counters
         executed = stats.instructions
@@ -263,17 +270,16 @@ class SimSession:
                 chunk = self._sample_chunk
                 check_at = min(limit, executed + chunk)
             while not cpu.halted:
-                if not 0 <= pc < n:
-                    raise self._pc_error(pc)
-                handler, ins = code[pc]
+                fn = steps_get(pc) or bind_step(pc)
                 if hooks:
                     before = cpu.cycle
-                    next_pc = handler(ins, pc)
+                    next_pc = fn(cpu)
+                    ins = instructions[pc]
                     for hook in hooks:
                         hook(pc, ins, before, cpu.cycle)
                     pc = next_pc
                 else:
-                    pc = handler(ins, pc)
+                    pc = fn(cpu)
                 executed += 1
                 if executed >= check_at:
                     if executed >= limit:
@@ -307,19 +313,17 @@ class SimSession:
             self._start_probes()
         if cpu.halted:
             return False
-        code = self._code
         pc = self._pc
-        if not 0 <= pc < len(code):
-            raise self._pc_error(pc)
-        handler, ins = code[pc]
+        fn = self._steps.get(pc) or self._bind_step(pc)
         hooks = self._instr_hooks
         if hooks:
             before = cpu.cycle
-            self._pc = handler(ins, pc)
+            self._pc = fn(cpu)
+            ins = self.program.instructions[pc]
             for hook in hooks:
                 hook(pc, ins, before, cpu.cycle)
         else:
-            self._pc = handler(ins, pc)
+            self._pc = fn(cpu)
         stats = cpu.counters
         stats.instructions += 1
         if stats.instructions >= cpu.config.max_instructions:
@@ -343,14 +347,15 @@ class SimSession:
 class MultiCoreSession(SimSession):
     """One program, every core: the ``n_cores > 1`` execution loop.
 
-    Each core gets a child :class:`SimSession` holding its pre-bound
-    handler list and program counter; this session arbitrates between
-    them round-robin by earliest core clock (ties broken by core index),
-    executing one instruction per pick.  Because the shared memory port
-    timestamps requests with the issuing core's clock, keeping the core
-    clocks within one instruction of each other makes port requests
-    arrive in (approximately) global time order — which is what makes
-    the existing queue-wait accounting meaningful across cores.
+    Each core gets a child :class:`SimSession` holding its bound
+    one-instruction translations and program counter; this session
+    arbitrates between them round-robin by earliest core clock (ties
+    broken by core index), executing one instruction per pick.  Because
+    the shared memory port timestamps requests with the issuing core's
+    clock, keeping the core clocks within one instruction of each other
+    makes port requests arrive in (approximately) global time order —
+    which is what makes the existing queue-wait accounting meaningful
+    across cores.
 
     A core starts at the program's ``core{k}`` label when it defines one
     (the row-partitioned kernels do; each partition ends in ``halt``),
@@ -389,8 +394,7 @@ class MultiCoreSession(SimSession):
     def run(self) -> CpuStats:
         cpus = self.cpus
         sessions = self._sessions
-        codes = [s._code for s in sessions]
-        lengths = [len(code) for code in codes]
+        instructions = self.program.instructions
         executed = [cpu.counters.instructions for cpu in cpus]
         limits = [
             executed[i] + cpu.config.max_instructions
@@ -422,17 +426,16 @@ class MultiCoreSession(SimSession):
                     for hook in core_hooks:
                         hook(name)
                 pc = s._pc
-                if not 0 <= pc < lengths[sel]:
-                    raise s._pc_error(pc)
-                handler, ins = codes[sel][pc]
+                fn = s._steps.get(pc) or s._bind_step(pc)
                 if hooks:
                     before = cpu.cycle
-                    next_pc = handler(ins, pc)
+                    next_pc = fn(cpu)
+                    ins = instructions[pc]
                     for hook in hooks:
                         hook(pc, ins, before, cpu.cycle)
                     s._pc = next_pc
                 else:
-                    s._pc = handler(ins, pc)
+                    s._pc = fn(cpu)
                 e = executed[sel] + 1
                 executed[sel] = e
                 if e >= limits[sel]:

@@ -11,7 +11,8 @@ accelerator front-end instructions.  Any other mnemonic is an
 
 ``SYNTAX`` maps each mnemonic to an operand-pattern name understood by the
 assembler; ``INSTRUCTION_CLASS`` groups mnemonics for the timing model and
-the energy accounting.
+the energy accounting: each op's translation (:mod:`repro.cpu.compiled`)
+charges its cycles to its class here.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ _reg("vmv.v.i", "vmvvi")
 _reg("vfmv.f.s", "vfmvfs")
 _reg("vfmv.s.f", "vfmvsf")
 
-# Accelerator front-end extensions (repro.accel).  The handlers exist on
-# every CPU; executing one without the owning front-end configured is a
+# Accelerator front-end extensions (repro.accel).  Every CPU can run
+# them; executing one without the owning front-end configured is a
 # runtime SimulationError, mirroring an illegal-instruction trap.
 _reg("fssrpop", "fpop")          # SSR: pop one stream element to fd
 _reg("vssrpop.v", "vpop")        # SSR: pop vl stream elements to vd

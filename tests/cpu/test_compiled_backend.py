@@ -132,9 +132,9 @@ loop:
     halt
 """
 
-# vlpidx.v (IndexMAC) has no emitter: compiled blocks call the Cpu's
-# handler, which gathers through that Cpu's bus.
-ESCAPE_PROGRAM = """\
+# vlpidx.v (IndexMAC) looks the running Cpu's unit up and gathers
+# through that Cpu's bus.
+FRONT_END_PROGRAM = """\
     li a0, 0x100
     li t0, 1
     vsetvli t0, t0, e32, m1
@@ -150,8 +150,8 @@ ESCAPE_PROGRAM = """\
 
 class TestTranslationReuse:
     """A translation is shared only where it is valid: the key holds
-    everything it reads, and binding gives it the running Cpu's own bus
-    and handlers."""
+    everything it reads, binding gives it the running Cpu's own bus, and
+    a front-end op finds the running Cpu's own unit."""
 
     @pytest.mark.parametrize("accel", [None, "hht"])
     def test_two_socs_one_program(self, block_cache, accel):
@@ -185,7 +185,7 @@ class TestTranslationReuse:
         assert other == outcome("reference", **config)
         assert other != base
 
-    def test_escape_hatch_runs_its_own_cpus_handler(self, block_cache):
+    def test_a_shared_translation_runs_its_own_cpus_unit(self, block_cache):
         def loaded(backend, word):
             cpu, ram = make_cpu(backend)
             cpu.indexmac = IndexMACUnit()
@@ -193,20 +193,22 @@ class TestTranslationReuse:
             return cpu, ram
 
         first, first_ram = loaded("compiled", 0x2A)
-        first.run(assemble(ESCAPE_PROGRAM))
+        first.run(assemble(FRONT_END_PROGRAM))
         first_state = (list(first.x), first.cycle, first_ram.read_u32(0x108))
         translated = dict(block_cache)
         second, second_ram = loaded("compiled", 0x17)
-        second.run(assemble(ESCAPE_PROGRAM))
+        second.run(assemble(FRONT_END_PROGRAM))
         assert block_cache == translated
         assert (list(first.x), first.cycle,
                 first_ram.read_u32(0x108)) == first_state
         ref, ref_ram = loaded("reference", 0x17)
-        ref.run(assemble(ESCAPE_PROGRAM))
+        ref.run(assemble(FRONT_END_PROGRAM))
         assert second.x[11:13] == [0x17, 0x17]
         assert (list(second.x), second.cycle, second.counters) == \
             (list(ref.x), ref.cycle, ref.counters)
         assert second_ram.read_u32(0x108) == ref_ram.read_u32(0x108) == 0x17
+        # Each run counted its gather on its own Cpu's unit.
+        assert first.indexmac.gathers == second.indexmac.gathers == 1
 
 
 def _compiled_config() -> SystemConfig:
@@ -242,7 +244,7 @@ class TestSweepShape:
 
 # Register-dataflow shapes a translator is tempted to special-case
 # (constant operands, x0, aliased operands, same-block read-after-write);
-# each must run exactly like the reference interpreter.
+# each must run exactly like the per-instruction reference backend.
 PARITY_PROGRAMS = {
     "const_branch": """\
     li t0, -3

@@ -4,7 +4,7 @@
 ``Cpu.v``, built with them on every reset.  ``Cpu.vset`` holds the
 views of every register's first ``vl`` words (a ``VlViews`` set), built
 once per VL a run uses and again at every reset, and every VL-bound
-vector handler of both backends works through it.  ``Bus.load_burst``
+vector op of both backends works through it.  ``Bus.load_burst``
 hands RAM words back without a copy, so a vector load must copy them
 into its register before the next instruction can store over them.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from repro.accel.indexmac import IndexMACUnit
 from repro.accel.ssr import SSRMMR, SSRUnit
-from repro.cpu import Cpu, CpuConfig, compiled
+from repro.cpu import Cpu, CpuConfig, SimulationError, compiled
 from repro.isa import assemble
 from repro.kernels import spmv_kernel
 from repro.kernels.loops import partition_rows, spmv_multicore_kernel
@@ -197,11 +197,9 @@ def test_an_op_below_vlmax_leaves_the_tail_alone(op):
 
 
 def test_vl_zero_leaves_every_register_alone():
-    # vfredosum.vs writes element 0 at any VL: its result is its own
-    # scalar operand here.  The element-0 moves ignore VL altogether.
-    body = "\n".join(f"    {op}" for op in WRITERS
-                     if not op.startswith(("vfredosum", "vfmv")))
-    body += "\n    vfredosum.vs v4, v3, v4"
+    # RVV 1.0: at vl = 0 no op writes its destination, the reduction
+    # and the element-0 move vfmv.s.f included.
+    body = "\n".join(f"    {op}" for op in WRITERS)
     states = []
     for backend in BACKENDS:
         cpu, before = _run_at_vl(backend, 0, body)
@@ -212,9 +210,9 @@ def test_vl_zero_leaves_every_register_alone():
     assert states[0][2] > 0
 
 
-# A VL change right before an escape-hatch op in one compiled block: the
-# handler reads the Cpu's set, which the emitted vsetvli switched.
-VSET_THEN_ESCAPE = f"""\
+# A VL change right before a front-end op in one compiled block: the op
+# indexes the block's views, which the emitted vsetvli switched.
+VSET_THEN_FRONT_END = f"""\
     li a1, {RAM_WORDS}
     li t0, 3
     vsetvli t0, t0, e32, m1
@@ -229,15 +227,68 @@ VSET_THEN_ESCAPE = f"""\
 """
 
 
-def test_a_vl_change_reaches_the_escape_hatch_in_its_block(monkeypatch):
+def test_a_vl_change_reaches_the_front_end_ops_in_its_block(monkeypatch):
     monkeypatch.setattr(compiled, "block_cache", {})
     states = []
     for backend in BACKENDS:
         cpu = _vector_machine(backend)
-        cpu.run(assemble(VSET_THEN_ESCAPE))
+        cpu.run(assemble(VSET_THEN_FRONT_END))
         assert cpu.vl == 5 and cpu.vset is cpu._vsets[5]
         states.append(_state(cpu))
     assert states[0] == states[1]
-    # The program ran as one compiled block with three escapes.
+    # The compiled run was one block.
     (block,) = compiled.block_cache.values()
-    assert len(block.escapes) == 3
+    assert block.n == len(assemble(VSET_THEN_FRONT_END).instructions)
+
+
+#: Each front-end op, the unit it needs and the trap without that unit.
+SSR_TRAP = ("SSR instruction without the 'ssr' front-end configured "
+            "(add an accelerators entry with kind='ssr')")
+INDEXMAC_TRAP = ("IndexMAC instruction without the 'indexmac' front-end "
+                 "configured (add an accelerators entry with kind='indexmac')")
+FRONT_END_OPS = {
+    "fssrpop ft1, 0": ("ssr", SSR_TRAP),
+    "vssrpop.v v8, 0": ("ssr", SSR_TRAP),
+    "vlpidx.v v8, (a1), v2": ("indexmac", INDEXMAC_TRAP),
+    "vfmacidx v8, (a1), v2, v3": ("indexmac", INDEXMAC_TRAP),
+}
+
+
+@pytest.mark.parametrize("op", FRONT_END_OPS,
+                         ids=[op.split()[0] for op in FRONT_END_OPS])
+def test_a_front_end_op_traps_on_a_cpu_without_its_unit(op, monkeypatch):
+    """One shared translation of the op traps on a Cpu without the unit,
+    on both paths, and then runs on a Cpu with it."""
+    monkeypatch.setattr(compiled, "block_cache", {})
+    monkeypatch.setattr(compiled, "step_cache", {})
+    kind, message = FRONT_END_OPS[op]
+    program = assemble(f"    li a1, {RAM_WORDS}\n    {op}\n    halt")
+    for backend in BACKENDS:
+        cpu = _vector_machine(backend)
+        setattr(cpu, kind, None)
+        with pytest.raises(SimulationError) as exc:
+            cpu.run(program)
+        assert str(exc.value) == message
+    translated = (dict(compiled.block_cache), dict(compiled.step_cache))
+    assert all(translated)
+    # What the op writes at VL 8 on _vector_machine: RAM word k is
+    # 1.5 * (k + 1), the SSR stream reads words 7..0 and v2 holds the
+    # element indices 0 2 4 6 1 3 5 7.
+    ram = np.arange(1, 9, dtype=np.float32) * np.float32(1.5)
+    gathered = ram[[0, 2, 4, 6, 1, 3, 5, 7]]
+    start = _vector_machine("reference").vf
+    expected = {"fssrpop": ram[7], "vssrpop.v": ram[::-1],
+                "vlpidx.v": gathered,
+                "vfmacidx": start[8] + gathered * start[3]}[op.split()[0]]
+    states = []
+    for backend in BACKENDS:
+        cpu = _vector_machine(backend)
+        cpu.run(program)
+        states.append(_state(cpu))
+        got = cpu.f[1] if op.startswith("fssrpop") else cpu.vf[8]
+        assert np.array_equal(got, expected)
+    # The translations that trapped ran again, not new ones.
+    for cache, trapped in zip((compiled.block_cache, compiled.step_cache),
+                              translated):
+        assert all(cache[key] is block for key, block in trapped.items())
+    assert states[0] == states[1]

@@ -3,12 +3,13 @@
 :class:`~repro.cpu.core.Cpu` builds float32/int32 views of its vector
 registers (``vf``/``vi``) once per reset, in ``_reset_local``, and the
 views of every register's first ``vl`` words (a
-:class:`~repro.cpu.core.VlViews` set) once per VL a run uses.  Both
-backends index those views.  A vector instruction that re-views or
-slices a register, or a compiled run that builds its own views, pays per
-instruction or per run for what the Cpu already holds.  This test scans
-the syntax trees and the emitted block sources, so neither can creep
-back in.
+:class:`~repro.cpu.core.VlViews` set) once per VL a run uses.  Every
+op's translation, the one definition both backends run, indexes those
+views.  A vector op that re-views or slices a register, or a compiled
+run that builds its own views, pays per instruction or per run for what
+the Cpu already holds.  This test scans the syntax trees of the Cpu,
+of the translator and of every op's one-instruction translation, and
+the emitted block sources, so neither can creep back in.
 """
 
 import ast
@@ -18,6 +19,7 @@ import repro
 from repro.cpu import Cpu, CpuConfig, compiled
 from repro.isa import assemble
 from repro.memory import Bus, MemoryPort, Ram
+from tests.isa.test_kernel_isa import _kernel_instructions
 from tests.kernels.test_kernel_streams import STREAMS, SYMBOLS, _text
 
 ROOT = Path(repro.__file__).resolve().parent
@@ -64,6 +66,20 @@ def _cpu_methods():
             if isinstance(node, ast.FunctionDef)}
 
 
+def _translation_trees() -> dict[str, ast.Module]:
+    """op -> syntax tree of its one-instruction translation, for every op
+    the kernels and the firmware run."""
+    backend = compiled.CompiledBackend(Cpu(Bus(Ram(1 << 12), MemoryPort())))
+    return {op: ast.parse(backend._translate([ins], 0).source)
+            for op, ins in _kernel_instructions().items()}
+
+
+#: The ops that work on the first vl words of their registers.
+VL_BOUND_OPS = {"vle32.v", "vluxei32.v", "vfmacc.vv", "vfredosum.vs",
+                "vsll.vi", "vmv.v.i", "vfmv.s.f", "vssrpop.v", "vlpidx.v",
+                "vfmacidx"}
+
+
 def test_vector_handlers_index_the_typed_views():
     methods = _cpu_methods()
     offenders = [
@@ -71,24 +87,30 @@ def test_vector_handlers_index_the_typed_views():
         if name != "_reset_local"
         for line, on_register in _views(method) if on_register
     ]
+    trees = _translation_trees()
+    offenders += [f"{op}:{line}" for op, tree in trees.items()
+                  for line, _ in _views(tree)]
     assert offenders == []
-    # The guard is not vacuous: the reset builds the views.
+    # The guard is not vacuous: the reset builds the views, and every
+    # vector op's translation is scanned.
     assert any(on_register is False
                for _, on_register in _views(methods["_reset_local"]))
-    assert any(name.startswith("_op_v") for name in methods)
+    assert {op for op in trees if op.startswith("v")} >= VL_BOUND_OPS
 
 
 def test_no_vector_handler_slices_a_register():
-    handlers = {name: method for name, method in _cpu_methods().items()
-                if name.startswith("_op_v")}
-    offenders = [f"Cpu.{name}:{line}" for name, method in handlers.items()
-                 for line in _slices(method)]
+    trees = _translation_trees()
+    offenders = [f"{op}:{line}" for op, tree in trees.items()
+                 for line in _slices(tree)]
     assert offenders == []
-    # Not vacuous: every handler that works at the current VL is
-    # scanned, and the per-VL sets are where the slices are made.
-    assert {"_op_vle32_v", "_op_vluxei32_v", "_op_vfmacc_vv",
-            "_op_vfredosum_vs", "_op_vsll_vi", "_op_vmv_v_i",
-            "_op_vssrpop_v", "_op_vlpidx_v", "_op_vfmacidx"} <= set(handlers)
+    # Not vacuous: every op that works at the current VL indexes the
+    # set, and the per-VL sets are where the slices are made.
+    indexing = {op for op, tree in trees.items()
+                if any(isinstance(node, ast.Subscript)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id in ("_sv", "_sf", "_si")
+                       for node in ast.walk(tree))}
+    assert indexing == VL_BOUND_OPS
     assert _slices(_class("_VlViewCache"))
 
 
