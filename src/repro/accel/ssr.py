@@ -22,11 +22,25 @@ Two stream shapes cover the repo's kernels:
   whose 0 entries mean "absent" and hit the padding slot ``value[0]``
   (SpMSpV's sparse-vector lookup); the value fetch is charged only for
   map hits, mirroring the HHT's value engine.
+
+Like the HHT engines, the unit plans its stream at START, with numpy,
+from the MMRs and a RAM snapshot: every element's request addresses and
+value bits.  Generating an element then only charges its requests on the
+port, and a pop slices the planned words.  An MMR write after START does
+not reach the running stream.  An element whose index, map or value
+word is misaligned or outside RAM still raises the RAM's
+``MemoryAccessError`` when it is generated, after the requests that
+precede the refused word.  ``tests/accel/reference_ssr.py`` keeps the
+per-element loop the plan replaced, and ``tests/accel/test_ssr_plan.py``
+holds the plan to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from ..component import SimComponent, StatsDict
 from ..core.engines import EngineError
@@ -112,7 +126,13 @@ class SSRUnit(SimComponent):
         self._popped = 0
         self._gen_time = 0
         self._ready: list[int] = []      # per-element data-ready cycle
-        self._data: list[int] = []       # per-element value bit patterns
+        # The plan (see _plan).
+        self._length = 0
+        self._words: list[int] = []      # per-element value bit patterns
+        # Per-element request addresses (int64; -1: no value fetch).
+        self._idx_addr = self._dep_addr = np.empty(0, np.int64)
+        self._val_addr: np.ndarray | None = None
+        self._fault: tuple[list[int], int] | None = None
 
     def _local_stats(self) -> StatsDict:
         c = self.counters
@@ -139,7 +159,7 @@ class SSRUnit(SimComponent):
 
     def read_word(self, offset: int, cycle: int) -> tuple[int, int]:
         if offset == SSRMMR.STATUS:
-            done = int(self._started and self._popped >= self.regs["length"])
+            done = int(self._started and self._popped >= self._length)
             return done, cycle + 1
         name = _REG_BY_OFFSET.get(offset)
         if name is not None:
@@ -163,59 +183,112 @@ class SSRUnit(SimComponent):
         self._popped = 0
         self._gen_time = cycle
         self._ready = []
-        self._data = []
         self.counters.starts += 1
+        self._plan()
         # Prefetch: start filling the lookahead window immediately.
         self._advance(self.lookahead)
 
+    def _plan(self) -> None:
+        """Each element's port requests in issue order, and its value
+        bits, from the MMRs and a RAM snapshot (the kernels never modify
+        the operands while a stream runs).  The plan stops at the first
+        element with a word the RAM refuses; ``_fault`` keeps that
+        element's requests up to the refused word, and the word's
+        address."""
+        regs = self.regs
+        ram = self.ram
+        size = ram.size
+        n = self._length = regs["length"]
+        # Of any size/4 + 1 elements at least one index word is outside
+        # RAM, so no stream needs more planned.
+        k = np.arange(min(n, (size >> 2) + 1), dtype=np.int64)
+
+        def words(addrs: np.ndarray, view: np.ndarray):
+            """``(word at each address, refused)``; 0 where refused."""
+            refused = (addrs & 3 != 0) | (addrs < 0) | (addrs >= size)
+            word = view[np.where(refused, 0, addrs >> 2)]
+            return word.astype(np.int64), refused
+
+        idx_addr = (regs["idx_base"] + 4 * k) & _U32
+        index, refused = words(idx_addr, ram._i32)
+        # (port address or -1 for none, RAM address, refused) per request.
+        stages = [(idx_addr, idx_addr, refused)]
+        val_base = regs["val_base"]
+        indirect = regs["mode"] == SSR_MODE_INDIRECT
+        if indirect:
+            map_addr = (regs["map_base"] + 4 * index) & _U32
+            pos, refused = words(map_addr, ram._i32)
+            stages.append((map_addr, map_addr, refused))
+            # A map miss (pos <= 0) reads the padding slot value[0] and
+            # charges no value fetch.
+            val_addr = val_base + 4 * np.maximum(pos, 0)
+            charged = np.where(pos > 0, (val_base + 4 * pos) & _U32, -1)
+        else:
+            val_addr = charged = (val_base + 4 * index) & _U32
+        bits, refused = words(val_addr, ram._u32)
+        stages.append((charged, val_addr, refused))
+
+        bad = np.flatnonzero(np.logical_or.reduce([s[2] for s in stages]))
+        ok = int(bad[0]) if bad.size else k.size
+        self._fault = None
+        if bad.size:
+            charges: list[int] = []
+            for port_addr, ram_addr, refused in stages:
+                if port_addr[ok] >= 0:
+                    charges.append(int(port_addr[ok]))
+                if refused[ok]:
+                    self._fault = (charges, int(ram_addr[ok]))
+                    break
+        self._idx_addr = idx_addr[:ok]
+        self._dep_addr = stages[1][0][:ok]
+        self._val_addr = stages[2][0][:ok] if indirect else None
+        self._words = bits[:ok].tolist()
+
     def _advance(self, target: int) -> None:
-        """Issue element fetches until *target* elements are in flight.
+        """Generate elements until *target* are in flight.
 
         Per element: the index word is fetched, then the dependent value
         word (and, in indirect mode, the map word in between).  The
         address generator moves to the next element as soon as the
         port accepted the index request, so successive elements' port
         slots pipeline — the dependent-load latency is overlapped
-        instead of serialised as in ``vluxei32.v``.
+        instead of serialised as in ``vluxei32.v``.  The words are
+        planned; only the requests are charged here, in the planned
+        order.
         """
-        n = self.regs["length"]
-        if target > n:
-            target = n
-        if self._issued >= target:
+        if target > self._length:
+            target = self._length
+        first = self._issued
+        if first >= target:
             return
-        mem_read = self.mem.read
-        ram = self.ram
+        planned = len(self._words)
+        stop = target if target < planned else planned
+        read = self.mem.read
         name = self.name
-        indirect = self.regs["mode"] == SSR_MODE_INDIRECT
-        idx_base = self.regs["idx_base"]
-        val_base = self.regs["val_base"]
-        map_base = self.regs["map_base"]
-        port_latency = self.port.latency
-        while self._issued < target:
-            k = self._issued
-            t = self._gen_time
-            idx_addr = (idx_base + 4 * k) & _U32
-            t_idx = mem_read(idx_addr, t, name)
-            index = ram.read_i32(idx_addr)
-            if indirect:
-                map_addr = (map_base + 4 * index) & _U32
-                t_meta = mem_read(map_addr, t_idx, name)
-                pos = ram.read_i32(map_addr)
-                if pos > 0:
-                    t_val = mem_read((val_base + 4 * pos) & _U32, t_meta, name)
-                else:
-                    t_val = t_meta  # padding slot: no value fetch charged
-                bits = ram.read_u32(val_base + 4 * max(pos, 0))
-            else:
-                val_addr = (val_base + 4 * index) & _U32
-                t_val = mem_read(val_addr, t_idx, name)
-                bits = ram.read_u32(val_addr)
-            self._ready.append(t_val)
-            self._data.append(bits)
-            self._issued += 1
+        ready = self._ready
+        latency = self.port.latency
+        t = self._gen_time
+        vals = (repeat(-1) if self._val_addr is None
+                else self._val_addr[first:stop].tolist())
+        for idx, dep, val in zip(self._idx_addr[first:stop].tolist(),
+                                 self._dep_addr[first:stop].tolist(), vals):
+            t_idx = read(idx, t, name)
+            done = read(dep, t_idx, name)
+            if val >= 0:
+                done = read(val, done, name)
+            ready.append(done)
             # Next index address generates the following cycle, or when
             # the port actually accepted this one (back-pressure).
-            self._gen_time = max(t + 1, t_idx - port_latency)
+            t += 1
+            if t_idx - latency > t:
+                t = t_idx - latency
+        self._issued = stop
+        self._gen_time = t
+        if target > planned:
+            charges, addr = self._fault
+            for request in charges:
+                t = read(request, t, name)
+            self.ram.read_u32(addr)  # raises the RAM's error
 
     # ------------------------------------------------------------------
     # Pop interface (called by the fssrpop / vssrpop.v instructions)
@@ -227,11 +300,11 @@ class SSRUnit(SimComponent):
         if not self._started:
             raise EngineError("SSR pop before START")
         end = self._popped + count
-        if end > self.regs["length"]:
+        if end > self._length:
             raise StreamUnderflow("CPU read past end of the SSR stream")
         self._advance(end)
         first = self._popped
-        values = self._data[first:end]
+        values = self._words[first:end]
         last_ready = cycle
         for t in self._ready[first:end]:
             if t > last_ready:

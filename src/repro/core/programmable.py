@@ -40,11 +40,19 @@ s6     EMIT_VVAL  address
 Per row the firmware must emit the row's pair count first (to
 ``EMIT_COUNT``), then exactly that many value pairs (``EMIT_MVAL`` +
 ``EMIT_VVAL``), mirroring the variant-1 FIFO protocol.
+
+The helper core runs a whole row per call into its session
+(:meth:`~repro.instrument.session.SimSession.interpret`, one instruction
+per dispatch on either backend).  The emit device collects the row and,
+at the store that completes it, sets the helper's ``halted``, so the
+run ends right after that store; the engine pushes the row and resumes
+the session for the next one.  The instruction budget counts from the
+session's construction, across rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import weakref
 
 import numpy as np
 
@@ -73,8 +81,6 @@ FIRMWARE_SYMBOLS = {
     "emit_vval": HELPER_EMIT_BASE + EMIT_VVAL,
 }
 
-_STREAM_BY_OFFSET = {EMIT_COUNT: "count", EMIT_MVAL: "mval", EMIT_VVAL: "vval"}
-
 
 def helper_core_config() -> CpuConfig:
     """The reduced helper core: scalar, integer-centric, in-order.
@@ -88,18 +94,53 @@ def helper_core_config() -> CpuConfig:
 
 
 class EmitDevice:
-    """MMIO device the firmware stores stream elements to."""
+    """MMIO device the firmware stores stream elements to.
 
-    def __init__(self):
-        self.pending: deque[tuple[str, int, int]] = deque()
+    It collects one row: the count, then the value pairs, each word with
+    the cycle it becomes FE-visible (one cycle after its store issues).
+    The store that completes the row sets the helper core's ``halted``,
+    so the helper's run ends right after that store; the engine takes
+    the row, clears the device and resumes the run.
+    """
+
+    def __init__(self, helper: Cpu):
+        # A proxy: the helper's bus holds this device, so a reference
+        # would make a cycle, and only the cyclic collector could free
+        # the SoC.
+        self._helper = weakref.proxy(helper)
+        self.clear()
+
+    def clear(self) -> None:
+        """Start a new row."""
+        self.count: int | None = None
+        self.count_ready = 0
+        self.mvals: list[int] = []
+        self.vvals: list[int] = []
+        self.last_ready = 0
+        self.complete = False
 
     def write_word(self, offset: int, value: int, cycle: int) -> int:
-        stream = _STREAM_BY_OFFSET.get(offset)
-        if stream is None:
+        bits = value & 0xFFFFFFFF
+        ready = cycle + 1
+        if offset == EMIT_COUNT:
+            if self.count is not None:
+                raise EngineError(
+                    "firmware emitted a second count before completing "
+                    "the previous row's pairs"
+                )
+            self.count = bits
+            self.count_ready = ready
+        elif offset == EMIT_MVAL:
+            self.mvals.append(bits)
+        elif offset == EMIT_VVAL:
+            self.vvals.append(bits)
+        else:
             raise EngineError(f"firmware stored to bad emit offset 0x{offset:x}")
-        # The element is FE-visible one cycle after the store issues.
-        self.pending.append((stream, value & 0xFFFFFFFF, cycle + 1))
-        return cycle + 1
+        self.last_ready = ready
+        if len(self.mvals) == self.count == len(self.vvals):
+            self.complete = True
+            self._helper.halted = True
+        return ready
 
     def read_word(self, offset: int, cycle: int) -> tuple[int, int]:
         raise EngineError("emit registers are write-only")
@@ -124,7 +165,6 @@ class ProgrammableEngine(BackEndEngine):
     ):
         super().__init__(config, mem, start_cycle, requester)
         self.firmware = firmware
-        self.emit_device = EmitDevice()
 
         # The helper core shares the timing hierarchy (port + L1D): in
         # the cached integration "HHT will access the cache" (Section 3).
@@ -132,9 +172,10 @@ class ProgrammableEngine(BackEndEngine):
             ram, self.mem.port, default_requester=requester,
             cache=self.mem.cache,
         )
-        helper_bus.attach_device(HELPER_EMIT_BASE, 0x10, self.emit_device)
         self.helper = Cpu(helper_bus, helper_config or helper_core_config())
         self.helper.cycle = start_cycle
+        self.emit_device = EmitDevice(self.helper)
+        helper_bus.attach_device(HELPER_EMIT_BASE, 0x10, self.emit_device)
 
         # Firmware ABI register file image.
         x = self.helper.x
@@ -151,26 +192,15 @@ class ProgrammableEngine(BackEndEngine):
         x[20] = FIRMWARE_SYMBOLS["emit_count"]   # s4
         x[21] = FIRMWARE_SYMBOLS["emit_mval"]    # s5
         x[22] = FIRMWARE_SYMBOLS["emit_vval"]    # s6
-        # Stepped one instruction at a time under this engine's clock.
+        # Resumed once per row under this engine's clock.
         self.session = SimSession(self.helper, firmware)
 
         self.count = self._make_stream("count", config.n_buffers, 1)
         self.mval = self._make_stream("mval", config.n_buffers, config.buffer_elems)
         self.vval = self._make_stream("vval", config.n_buffers, config.buffer_elems)
 
-        self._finished = False
         if regs["m_num_rows"] == 0:
             self.exhausted = True
-            self._finished = True
-
-    @property
-    def helper_cycles(self) -> int:
-        """Helper-core cycles consumed so far (for energy accounting)."""
-        return self.helper.cycle
-
-    @property
-    def helper_instructions(self) -> int:
-        return self.helper.counters.instructions
 
     def step(self) -> None:
         """Run the firmware until it has produced one complete row unit."""
@@ -178,53 +208,29 @@ class ProgrammableEngine(BackEndEngine):
         # A blocked engine resumes at self.time (set by pump()).
         if helper.cycle < self.time:
             helper.cycle = self.time
-
-        pending = self.emit_device.pending
-        count_val: int | None = None
-        count_ready = 0
-        mvals: list[int] = []
-        vvals: list[int] = []
-        last_ready = helper.cycle
-
-        step = self.session.step
-        while True:
-            alive = step()
-            while pending:
-                stream, bits, ready = pending.popleft()
-                last_ready = ready
-                if stream == "count":
-                    if count_val is not None:
-                        raise EngineError(
-                            "firmware emitted a second count before completing "
-                            "the previous row's pairs"
-                        )
-                    count_val, count_ready = bits, ready
-                elif stream == "mval":
-                    mvals.append(bits)
-                else:
-                    vvals.append(bits)
-            if count_val is not None and len(mvals) == count_val == len(vvals):
-                break
-            if not alive:
-                if count_val is None and not mvals and not vvals:
-                    # Clean halt at a row boundary: input exhausted.
-                    self.exhausted = True
-                    self._finished = True
-                    self.time = helper.cycle
-                    return
-                raise EngineError("firmware halted in the middle of a row")
-
-        overhead = self.config.fill_overhead
-        self.count.push(count_ready + overhead, count_val)
-        self.count.stats.elements_supplied += 1
-        if count_val:
-            ready = last_ready + overhead
-            self.mval.push_group(ready, np.array(mvals, np.uint32))
-            self.vval.push_group(ready, np.array(vvals, np.uint32))
-            self.mval.stats.elements_supplied += count_val
-            self.vval.stats.elements_supplied += count_val
-        self.buffers_filled += 1
+        row = self.emit_device
+        row.clear()
+        helper.halted = False
+        # One instruction per dispatch on either backend: a compiled
+        # block could run past the store that completes the row.
+        self.session.interpret()
         self.time = helper.cycle
-        if helper.halted:
-            self.exhausted = True
-            self._finished = True
+        if not row.complete:
+            # The firmware halted.
+            if row.count is None and not row.mvals and not row.vvals:
+                # Clean halt at a row boundary: input exhausted.
+                self.exhausted = True
+                return
+            raise EngineError("firmware halted in the middle of a row")
+
+        count = row.count
+        overhead = self.config.fill_overhead
+        self.count.push(row.count_ready + overhead, count)
+        self.count.stats.elements_supplied += 1
+        if count:
+            ready = row.last_ready + overhead
+            self.mval.push_group(ready, np.array(row.mvals, np.uint32))
+            self.vval.push_group(ready, np.array(row.vvals, np.uint32))
+            self.mval.stats.elements_supplied += count
+            self.vval.stats.elements_supplied += count
+        self.buffers_filled += 1

@@ -12,8 +12,8 @@ way Spike builds its interpreter from one definition per instruction:
 * every per-instruction path runs *one-instruction translations*, one
   per dispatch: the reference backend, a run with probes, the
   multi-core interleave, the programmable HHT's helper core
-  (:meth:`~repro.instrument.session.SimSession.step`) and the compiled
-  backend's budget tail;
+  (:meth:`~repro.instrument.session.SimSession.interpret`, whose runs
+  a store may end) and the compiled backend's budget tail;
 * the compiled backend translates whole *basic blocks* at first
   execution and runs a block per dispatch.  Per-instruction cycle
   charges are summed at translation time, class counts are batched into
@@ -720,7 +720,7 @@ class CompiledBackend:
 def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
     """Drive *session* to halt on the compiled backend.
 
-    Mirrors :meth:`SimSession.run` for the no-probe case: same entry
+    Mirrors :meth:`SimSession.interpret` for the no-probe case: same entry
     state, same budget semantics, same ``finally`` bookkeeping.  Blocks
     that could cross the instruction budget are executed one instruction
     at a time, through the session's one-instruction translations, so
@@ -736,7 +736,7 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
     budget = cpu.config.max_instructions
     stats = cpu.counters
     executed = stats.instructions
-    limit = executed + budget
+    limit = session._limit
     pc = session._pc
     try:
         while not cpu.halted:

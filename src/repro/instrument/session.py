@@ -3,8 +3,8 @@
 Every way of running a program on the simulated machine — ``Soc.run``
 (which the kernel runners, ``repro trace`` and the profiler go
 through), ``Cpu.run`` and the programmable HHT's helper core, which
-keeps its own session and advances it with :meth:`SimSession.step` — is
-one ``SimSession`` (or, with several cores, one
+keeps its own session and resumes it with :meth:`SimSession.interpret`
+once per row — is one ``SimSession`` (or, with several cores, one
 :class:`MultiCoreSession`): resolve the entry point, then drive a single
 interpreter loop.  The loop runs one instruction per dispatch, each a
 *one-instruction translation* from :mod:`repro.cpu.compiled`, the one
@@ -111,6 +111,9 @@ class SimSession:
         # reaches its budget tail).
         self._steps: dict[int, object] = {}
         self._backend: CompiledBackend | None = None
+        # The instruction budget counts from here, once, however many
+        # runs resume the session.
+        self._limit = cpu.counters.instructions + cpu.config.max_instructions
         cpu.halted = False
 
         self._instr_hooks = _hooks(self.probes, "on_instruction")
@@ -133,7 +136,7 @@ class SimSession:
         self._sample_due: int | None = None
         self._sample_chunk = 1
         self._attached: list = []
-        # Lifecycle notification is lazy so the step() path gets it too.
+        # Probes are notified when the first run starts.
         self._started = not self.probes
 
     # ------------------------------------------------------------------
@@ -238,21 +241,32 @@ class SimSession:
     def run(self) -> CpuStats:
         """Drive the program to ``halt`` (or a probe's stop); return the
         CPU's counters, exactly as ``Cpu.run`` always has."""
-        cpu = self.cpu
         # Probe-deference rule: the compiled backend executes whole
         # basic blocks, so it cannot honour per-instruction hooks or
         # event sinks.  Any probe (including samplers) forces the
-        # reference path below; both paths are bit-identical in cycles,
+        # per-instruction path; both paths are bit-identical in cycles,
         # stats, and errors.
-        if not self.probes and cpu.config.backend == "compiled":
+        if not self.probes and self.cpu.config.backend == "compiled":
             return run_compiled(self)
+        return self.interpret()
+
+    def interpret(self) -> CpuStats:
+        """:meth:`run` one instruction per dispatch, whatever the backend.
+
+        The run ends at the first instruction after which ``cpu.halted``
+        is set, whoever set it: the programmable HHT's emit device sets
+        it at the store that completes a row, and its engine clears it
+        and calls this again to resume the firmware at the next pc.
+        Between runs the caller may move ``cpu.cycle`` forward.
+        """
+        cpu = self.cpu
         steps_get = self._steps.get
         bind_step = self._bind_step
         instructions = self.program.instructions
         budget = cpu.config.max_instructions
         stats = cpu.counters
         executed = stats.instructions
-        limit = executed + budget
+        limit = self._limit
         pc = self._pc
         hooks = self._instr_hooks
         try:
@@ -302,37 +316,6 @@ class SimSession:
                 probe.on_session_end(self)
             self._detach()
         return stats
-
-    def step(self) -> bool:
-        """Execute one instruction under an *external* clock; returns
-        False once halted.  The caller (the programmable HHT's engine)
-        mutates ``cpu.cycle`` between steps, and the instruction budget
-        is checked against the absolute counter."""
-        cpu = self.cpu
-        if not self._started:
-            self._start_probes()
-        if cpu.halted:
-            return False
-        pc = self._pc
-        fn = self._steps.get(pc) or self._bind_step(pc)
-        hooks = self._instr_hooks
-        if hooks:
-            before = cpu.cycle
-            self._pc = fn(cpu)
-            ins = self.program.instructions[pc]
-            for hook in hooks:
-                hook(pc, ins, before, cpu.cycle)
-        else:
-            self._pc = fn(cpu)
-        stats = cpu.counters
-        stats.instructions += 1
-        if stats.instructions >= cpu.config.max_instructions:
-            raise self._budget_error(cpu.config.max_instructions)
-        stats.cycles = cpu.cycle
-        sample_due = self._sample_due
-        if sample_due is not None and cpu.cycle >= sample_due:
-            self._fire_samplers(cpu.cycle)
-        return not cpu.halted
 
     def payloads(self) -> dict[str, object]:
         """Collect every probe's non-None payload, keyed by probe name."""
@@ -396,10 +379,7 @@ class MultiCoreSession(SimSession):
         sessions = self._sessions
         instructions = self.program.instructions
         executed = [cpu.counters.instructions for cpu in cpus]
-        limits = [
-            executed[i] + cpu.config.max_instructions
-            for i, cpu in enumerate(cpus)
-        ]
+        limits = [s._limit for s in sessions]
         hooks = self._instr_hooks
         core_hooks = self._core_hooks
         current = -1
@@ -462,9 +442,3 @@ class MultiCoreSession(SimSession):
                 probe.on_session_end(self)
             self._detach()
         return CpuStats(instructions=total, cycles=slowest)
-
-    def step(self) -> bool:  # pragma: no cover - single-core API only
-        raise NotImplementedError(
-            "step() is the external-clock single-core path; "
-            "MultiCoreSession only supports run()"
-        )

@@ -134,6 +134,22 @@ class L1Cache(SimComponent):
         ways.append([tag, self._use_counter])
         return fill_done + self.config.hit_latency
 
+    def read_lines(self, cycle: int, words: int, requester: str,
+                   addr: int) -> int:
+        """Sequential read of *words* words from *addr*: one lookup per
+        line touched, back to back; the line fills serialise on the
+        memory port.  Returns the latest completion."""
+        line = self.config.line_bytes
+        first = addr - (addr % line)
+        last = addr + 4 * words - 1
+        completion = cycle
+        t = cycle
+        while first <= last:
+            completion = max(completion, self.read(first, t, requester))
+            t += 1  # one lookup per cycle
+            first += line
+        return completion
+
     def write(self, addr: int, cycle: int, requester: str = "cpu") -> int:
         """Write-through, no-write-allocate: the word goes to memory."""
         set_idx, tag = self._locate(addr)
@@ -143,7 +159,7 @@ class L1Cache(SimComponent):
                 way[1] = self._use_counter  # keep the line warm
                 break
         self.counters.writes += 1
-        return self.port.issue(cycle, requester, addr=addr)
+        return self.port.issue(addr, cycle, requester)
 
     def contains(self, addr: int) -> bool:
         set_idx, tag = self._locate(addr)

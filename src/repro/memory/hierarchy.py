@@ -7,6 +7,13 @@ Section 3.2 high-performance integration) reads go through the cache —
 for the CPU *and* the HHT ("HHT will access the cache for fetching
 sparse data") — and writes are written through.
 
+Single-word requests (:attr:`MemorySystem.read`/:attr:`~MemorySystem.write`:
+scalar loads and stores of the CPU and the helper core, SSR element
+fetches, page-table walks) are bound when the system is built: uncached,
+they *are* :meth:`MemoryPort.issue`, so each is one call into the port;
+cached, they are the L1D's :meth:`~repro.memory.cache.L1Cache.read` and
+:meth:`~repro.memory.cache.L1Cache.write`.
+
 Multi-word traffic comes in three shapes, each timed here and nowhere
 else: unit-stride burst reads (:attr:`MemorySystem.read_burst`,
 :meth:`~MemorySystem.read_seq`),
@@ -74,25 +81,20 @@ class MemorySystem(SimComponent):
         # The L1D and the bank count are fixed at build, so the flat
         # choice is made once; only a probe sink can arrive later.
         self._flat = cache is None and port.banks == 1
+        # Each access path is bound here, once, so a request is one call
+        # into the port (uncached) or the L1D:
+        #: One word read, ``(addr, cycle, requester) -> completion``.
+        self.read = port.issue if cache is None else cache.read
+        #: One word write (write-through when cached), same signature.
+        self.write = port.issue if cache is None else cache.write
         #: Unit-stride read of ``count >= 1`` words, ``(cycle, count,
         #: requester, addr) -> completion``: the port's own burst when
-        #: uncached, else :meth:`_read_lines`.
+        #: uncached, else the L1D's line reads.  None of the three is
+        #: bound to this object, which would put it in a reference cycle.
         self.read_burst = (port.issue_burst if cache is None
-                           else self._read_lines)
+                           else cache.read_lines)
 
     # ------------------------------------------------------------------
-    def read(self, addr: int, cycle: int, requester: str) -> int:
-        """One word read; returns the completion cycle."""
-        if self.cache is None:
-            return self.port.issue(cycle, requester, addr)
-        return self.cache.read(addr, cycle, requester)
-
-    def write(self, addr: int, cycle: int, requester: str) -> int:
-        """One word write (write-through when cached)."""
-        if self.cache is None:
-            return self.port.issue(cycle, requester, addr)
-        return self.cache.write(addr, cycle, requester)
-
     def _closed_form(self) -> bool:
         """True when the gather closed forms apply: flat single-bank
         port, no L1D, no probe sink watching individual requests."""
@@ -133,7 +135,8 @@ class MemorySystem(SimComponent):
         """Sequential read of *words* 32-bit words starting at *addr*.
 
         Uncached: a pipelined burst (optionally wide — the HHT's
-        memory-side interface).  Cached: :meth:`_read_lines`.
+        memory-side interface).  Cached:
+        :meth:`~repro.memory.cache.L1Cache.read_lines`.
         """
         if words <= 0:
             return cycle
@@ -143,19 +146,4 @@ class MemorySystem(SimComponent):
                 cycle, slots, requester, addr=addr,
                 stride_words=words_per_slot,
             )
-        return self._read_lines(cycle, words, requester, addr)
-
-    def _read_lines(self, cycle: int, words: int, requester: str,
-                    addr: int) -> int:
-        """Cached sequential read: one lookup per line touched, back to
-        back; the line fills serialise on the memory port."""
-        line = self.cache.config.line_bytes
-        first = addr - (addr % line)
-        last = addr + 4 * words - 1
-        completion = cycle
-        t = cycle
-        while first <= last:
-            completion = max(completion, self.cache.read(first, t, requester))
-            t += 1  # one lookup per cycle
-            first += line
-        return completion
+        return self.cache.read_lines(cycle, words, requester, addr)

@@ -35,12 +35,6 @@ class PortStats:
     busy_cycles: int = 0   # issue slots consumed (bank-cycles of occupancy)
     by_requester: dict[str, int] = field(default_factory=dict)
 
-    def record(self, requester: str, waited: int) -> None:
-        self.requests += 1
-        self.queue_cycles += waited
-        self.busy_cycles += 1
-        self.by_requester[requester] = self.by_requester.get(requester, 0) + 1
-
 
 class MemoryPort(SimComponent):
     """Pipelined issue port: 1 request/bank/cycle, fixed response latency."""
@@ -89,23 +83,29 @@ class MemoryPort(SimComponent):
         """Word-interleaved mapping: word address modulo the bank count."""
         return (addr >> 2) % self.banks
 
-    def issue(self, cycle: int, requester: str = "cpu", addr: int = 0) -> int:
-        """Issue one word request at *cycle*; return its completion cycle."""
-        if self.banks == 1:
-            free = self._bank_free
-            slot = cycle if cycle >= free[0] else free[0]
-            free[0] = slot + 1
-            self.counters.record(requester, slot - cycle)
-            sink = self.probe_sink
-            if sink is not None:
-                sink.port_issue(self.name, requester, slot, 1, slot - cycle)
-            return slot + self.latency
-        bank = (addr >> 2) % self.banks
+    def issue(self, addr: int, cycle: int, requester: str = "cpu") -> int:
+        """Issue one word request for *addr* at *cycle*; return its
+        completion cycle.
+
+        The signature is :meth:`L1Cache.read`'s, so an uncached
+        :class:`MemorySystem` binds its word reads and writes to this
+        method and a single-word request is one call.
+        """
         free = self._bank_free
-        slot = cycle if cycle >= free[bank] else free[bank]
+        if self.banks == 1:
+            bank = 0
+        else:
+            bank = (addr >> 2) % self.banks
+            self._bank_requests[bank] += 1
+        head = free[bank]
+        slot = cycle if cycle >= head else head
         free[bank] = slot + 1
-        self._bank_requests[bank] += 1
-        self.counters.record(requester, slot - cycle)
+        c = self.counters
+        c.requests += 1
+        c.queue_cycles += slot - cycle
+        c.busy_cycles += 1
+        by = c.by_requester
+        by[requester] = by.get(requester, 0) + 1
         sink = self.probe_sink
         if sink is not None:
             sink.port_issue(self.name, requester, slot, 1, slot - cycle)
@@ -144,22 +144,27 @@ class MemoryPort(SimComponent):
             if sink is not None:
                 sink.port_issue(self.name, requester, slot, count, waited)
             return slot + count - 1 + self.latency
-        counters = self.counters
         free = self._bank_free
         word0 = addr >> 2
         sink = self.probe_sink
         last_slot = cycle
+        waited = 0
         for i in range(count):
             bank = (word0 + i * stride_words) % self.banks
             desired = cycle + i
             slot = desired if desired >= free[bank] else free[bank]
             free[bank] = slot + 1
             self._bank_requests[bank] += 1
-            counters.record(requester, slot - desired)
+            waited += slot - desired
             if sink is not None:
                 sink.port_issue(self.name, requester, slot, 1, slot - desired)
             if slot > last_slot:
                 last_slot = slot
+        c = self.counters
+        c.requests += count
+        c.queue_cycles += waited
+        c.busy_cycles += count
+        c.by_requester[requester] = c.by_requester.get(requester, 0) + count
         return last_slot + self.latency
 
     # ------------------------------------------------------------------

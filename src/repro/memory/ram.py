@@ -31,15 +31,25 @@ class Ram:
     # ------------------------------------------------------------------
     # Word access (aligned)
     # ------------------------------------------------------------------
-    def _word_index(self, addr: int) -> int:
+    @staticmethod
+    def _refusal(addr: int) -> MemoryAccessError:
+        """The error for a word access at *addr* that is misaligned or
+        outside RAM."""
         if addr & 3:
-            raise MemoryAccessError(f"misaligned word access at 0x{addr:08x}")
-        if not (0 <= addr < self.size):
-            raise MemoryAccessError(f"word access out of range at 0x{addr:08x}")
+            return MemoryAccessError(f"misaligned word access at 0x{addr:08x}")
+        return MemoryAccessError(f"word access out of range at 0x{addr:08x}")
+
+    def _word_index(self, addr: int) -> int:
+        if addr & 3 or not 0 <= addr < self.size:
+            raise self._refusal(addr)
         return addr >> 2
 
+    # The bus's word path tests the address in place, without the
+    # _word_index frame.
     def read_u32(self, addr: int) -> int:
-        return int(self._u32[self._word_index(addr)])
+        if addr & 3 or not 0 <= addr < self.size:
+            raise self._refusal(addr)
+        return int(self._u32[addr >> 2])
 
     def read_i32(self, addr: int) -> int:
         return int(self._i32[self._word_index(addr)])
@@ -48,7 +58,9 @@ class Ram:
         return float(self._f32[self._word_index(addr)])
 
     def write_u32(self, addr: int, value: int) -> None:
-        self._u32[self._word_index(addr)] = np.uint32(value & 0xFFFFFFFF)
+        if addr & 3 or not 0 <= addr < self.size:
+            raise self._refusal(addr)
+        self._u32[addr >> 2] = value & 0xFFFFFFFF
 
     def write_i32(self, addr: int, value: int) -> None:
         self._i32[self._word_index(addr)] = np.int32(value)

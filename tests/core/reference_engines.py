@@ -7,13 +7,27 @@ variant 2, a per-row sorted-index merge for variant 1).  They share the
 production :class:`BackEndEngine` (streams, clock, ``pump``), so a test
 that drives both over the same operands compares only what the plan
 changed.
+
+The programmable engine resumes its helper core's session once per row,
+and the emit device stops the run at the store that completes the row.
+:class:`ReferenceProgrammableEngine` is the loop those runs replaced: one
+instruction per call, the emitted words drained after each.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from repro.core.engines import BackEndEngine
+from repro.core.engines import BackEndEngine, EngineError
+from repro.core.programmable import (
+    EMIT_COUNT,
+    EMIT_MVAL,
+    EMIT_VVAL,
+    HELPER_EMIT_BASE,
+    ProgrammableEngine,
+)
 
 
 def row_chunks(rows: np.ndarray, blen: int) -> list[int]:
@@ -259,4 +273,93 @@ class ReferenceAlignedEngine(_ReferenceEngine):
         self.buffers_filled += 1
         self.time = max(t + 1, t_pairs - self.port.latency + 1)
         if self.row >= self.nrows:
+            self.exhausted = True
+
+
+def step_one(session) -> bool:
+    """Run one instruction of *session* under an external clock; False
+    once the core halted.  The budget counts the core's absolute
+    instruction total."""
+    cpu = session.cpu
+    if cpu.halted:
+        return False
+    pc = session._pc
+    fn = session._steps.get(pc) or session._bind_step(pc)
+    session._pc = fn(cpu)
+    stats = cpu.counters
+    stats.instructions += 1
+    if stats.instructions >= cpu.config.max_instructions:
+        raise session._budget_error(cpu.config.max_instructions)
+    stats.cycles = cpu.cycle
+    return not cpu.halted
+
+
+class ReferenceProgrammableEngine(ProgrammableEngine):
+    """The helper core stepped one instruction at a time, its emitted
+    words queued and drained after every instruction until a row is
+    complete.  The engine itself is the emit device, and it never stops
+    the helper."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pending: deque[tuple[str, int, int]] = deque()
+        bus = self.helper.bus
+        bus._devices.clear()
+        bus._device_bases.clear()
+        bus.attach_device(HELPER_EMIT_BASE, 0x10, self)
+
+    def write_word(self, offset: int, value: int, cycle: int) -> int:
+        stream = {EMIT_COUNT: "count", EMIT_MVAL: "mval",
+                  EMIT_VVAL: "vval"}.get(offset)
+        if stream is None:
+            raise EngineError(f"firmware stored to bad emit offset 0x{offset:x}")
+        self.pending.append((stream, value & 0xFFFFFFFF, cycle + 1))
+        return cycle + 1
+
+    def step(self) -> None:
+        helper = self.helper
+        if helper.cycle < self.time:
+            helper.cycle = self.time
+        pending = self.pending
+        count_val = None
+        count_ready = 0
+        mvals: list[int] = []
+        vvals: list[int] = []
+        last_ready = helper.cycle
+        while True:
+            alive = step_one(self.session)
+            while pending:
+                stream, bits, ready = pending.popleft()
+                last_ready = ready
+                if stream == "count":
+                    if count_val is not None:
+                        raise EngineError(
+                            "firmware emitted a second count before "
+                            "completing the previous row's pairs"
+                        )
+                    count_val, count_ready = bits, ready
+                elif stream == "mval":
+                    mvals.append(bits)
+                else:
+                    vvals.append(bits)
+            if count_val is not None and len(mvals) == count_val == len(vvals):
+                break
+            if not alive:
+                if count_val is None and not mvals and not vvals:
+                    self.exhausted = True
+                    self.time = helper.cycle
+                    return
+                raise EngineError("firmware halted in the middle of a row")
+        overhead = self.config.fill_overhead
+        self.count.push(count_ready + overhead, count_val)
+        self.count.stats.elements_supplied += 1
+        if count_val:
+            ready = last_ready + overhead
+            self.mval.push_group(ready, np.array(mvals, np.uint32))
+            self.vval.push_group(ready, np.array(vvals, np.uint32))
+            self.mval.stats.elements_supplied += count_val
+            self.vval.stats.elements_supplied += count_val
+        self.buffers_filled += 1
+        self.time = helper.cycle
+        if helper.halted:
             self.exhausted = True

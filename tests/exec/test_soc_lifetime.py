@@ -13,17 +13,20 @@ import pytest
 
 from repro.cpu import Cpu
 from repro.exec import execute, programmable_spec, spmspv_spec, spmv_spec
-from repro.memory import Ram
+from repro.memory import MemorySystem, Ram
+from repro.memory.cache import CacheConfig
 from repro.memory.mmu import MmuConfig
 from repro.system import Soc, SystemConfig
 
 
-def _config(*, n_cores=1, mmu=False, banks=1):
+def _config(*, n_cores=1, mmu=False, banks=1, l1d=False):
     cfg = SystemConfig.paper_table1()
     cfg.n_cores = n_cores
     cfg.banks = banks
     if mmu:
         cfg.mmu = MmuConfig()
+    if l1d:
+        cfg.cache = CacheConfig()
     return cfg
 
 
@@ -40,6 +43,10 @@ SPECS = {
         (32, 32), 0.5, accel="hht", config=_config(banks=2)),
     "programmable": lambda: programmable_spec(
         (32, 32), 0.5, format_name="csr"),
+    "l1d": lambda: spmv_spec(
+        (32, 32), 0.5, accel="hht", config=_config(l1d=True)),
+    "programmable-l1d": lambda: programmable_spec(
+        (32, 32), 0.5, format_name="csr", config=_config(l1d=True)),
 }
 
 
@@ -53,7 +60,7 @@ def _alive(kinds, before):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_execute_leaves_no_soc_alive(name):
     spec = SPECS[name]()
-    kinds = (Soc, Cpu, Ram)
+    kinds = (Soc, Cpu, Ram, MemorySystem)
     gc.collect()
     # Objects some other test left alive keep their ids while held here.
     held = [obj for obj in gc.get_objects() if isinstance(obj, kinds)]

@@ -7,6 +7,8 @@ from repro.instrument import PcProfileProbe, Probe, ProbeHalt, SimSession
 from repro.isa import assemble
 from repro.memory import Bus, MemoryPort, Ram
 
+from ..cpu.helpers import attach_pause
+
 
 def make_cpu(**config_kwargs):
     return Cpu(Bus(Ram(1 << 16), MemoryPort()), CpuConfig(**config_kwargs))
@@ -95,17 +97,25 @@ class TestErrorParity:
         assert plain == "PC out of range: 1 (program prog)"
 
     def test_step_path_uses_same_messages(self):
-        session = SimSession(make_cpu(max_instructions=16),
-                             assemble("loop: j loop", name="prog"))
-        with pytest.raises(SimulationError,
-                           match="instruction budget of 16 exhausted in prog"):
-            while session.step():
-                pass
-        session = SimSession(make_cpu(), assemble("addi x0, x0, 0", name="prog"))
-        session.step()
-        with pytest.raises(SimulationError,
-                           match=r"PC out of range: 1 \(program prog\)"):
-            session.step()
+        cpu = make_cpu(max_instructions=16)
+        attach_pause(cpu)
+        session = SimSession(cpu, assemble("loop: sw x0, 0(t0)\nj loop",
+                                           name="prog"))
+        with pytest.raises(SimulationError) as excinfo:
+            for _ in range(20):
+                cpu.halted = False
+                session.run()
+        assert str(excinfo.value) == (
+            "instruction budget of 16 exhausted in prog")
+        cpu = make_cpu()
+        attach_pause(cpu)
+        session = SimSession(cpu, assemble("sw x0, 0(t0)\naddi x0, x0, 0",
+                                           name="prog"))
+        session.run()
+        cpu.halted = False
+        with pytest.raises(SimulationError) as excinfo:
+            session.run()
+        assert str(excinfo.value) == "PC out of range: 2 (program prog)"
 
 
 class TestProbeHalt:
@@ -137,20 +147,28 @@ class TestProbeHalt:
 
 
 class TestStepSession:
+    """Resumed runs, as the programmable HHT steps its helper core."""
+
     def test_step_with_external_clock(self):
         cpu = make_cpu()
-        session = SimSession(cpu, assemble("addi x0, x0, 0\naddi x0, x0, 0\nhalt"))
-        assert session.step() is True
+        attach_pause(cpu)
+        session = SimSession(cpu, assemble(
+            "sw x0, 0(t0)\naddi x0, x0, 0\nhalt"))
+        session.interpret()
+        assert session._pc == 1
         cpu.cycle = 1000
-        assert session.step() is True
-        assert cpu.cycle >= 1001
-        assert session.step() is False
+        cpu.halted = False
+        session.interpret()
+        assert cpu.cycle >= 1002
+        assert cpu.halted
 
     def test_step_hooks_fire(self):
         cpu = make_cpu()
+        attach_pause(cpu)
         probe = CountingProbe()
-        session = SimSession(cpu, assemble("li a0, 1\nhalt"),
+        session = SimSession(cpu, assemble("sw x0, 0(t0)\nli a0, 1\nhalt"),
                              probes=(probe,))
-        while session.step():
-            pass
-        assert [op for _, op, _, _ in probe.events] == ["li", "halt"]
+        session.run()
+        cpu.halted = False
+        session.run()
+        assert [op for _, op, _, _ in probe.events] == ["sw", "li", "halt"]
