@@ -7,7 +7,8 @@ L1D cache, ...) derives from :class:`SimComponent`.  A component has a
 * ``reset()`` — restore the component and every descendant to its
   power-on state (architectural state *and* counters), and
 * ``stats()`` — collect every counter in the subtree into one flat
-  ``{"soc.l1d.hits": 123, ...}`` mapping.
+  ``{"soc.l1d.hits": 123, ...}`` mapping (:func:`registry` over the
+  subtree's :meth:`~SimComponent.stats_layout`).
 
 Registry keys are dotted paths built from component names.  A component
 constructed with an empty name is *transparent*: it contributes no path
@@ -70,12 +71,22 @@ class SimComponent:
 
     def stats(self, prefix: str = "") -> StatsDict:
         """Flatten every counter in the subtree into dotted-path keys."""
+        return registry(self.stats_layout(prefix))
+
+    def stats_layout(
+        self, prefix: str = "",
+    ) -> list[tuple["SimComponent", str]]:
+        """Every component of the subtree that keeps counters, in
+        registry order, with the prefix of its keys (its dotted path and
+        a dot; nothing on a transparent root).  The tree is fixed once
+        built, so a caller that flattens it often (a sampler) computes
+        this once and hands it to :func:`registry`."""
         base = join_path(prefix, self.name)
-        out: StatsDict = {}
-        for leaf, value in self._local_stats().items():
-            out[join_path(base, leaf)] = value
+        out = []
+        if type(self)._local_stats is not SimComponent._local_stats:
+            out.append((self, f"{base}." if base else ""))
         for child in self._children:
-            out.update(child.stats(base))
+            out += child.stats_layout(base)
         return out
 
     # -- subclass hooks ------------------------------------------------
@@ -90,6 +101,16 @@ class SimComponent:
         kids = ", ".join(c.name or "<anon>" for c in self._children)
         return (f"<{type(self).__name__} {self.name!r}"
                 + (f" children=[{kids}]" if kids else "") + ">")
+
+
+def registry(layout: list[tuple[SimComponent, str]]) -> StatsDict:
+    """The flat registry of a :meth:`SimComponent.stats_layout`: each
+    component's leaves under its key prefix."""
+    out: StatsDict = {}
+    for component, head in layout:
+        for leaf, value in component._local_stats().items():
+            out[head + leaf] = value
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -112,20 +133,26 @@ _HHT_SNAPSHOT_KEYS = (
 )
 
 
-def hht_stats_view(stats: Mapping[str, int | float]) -> dict[str, int]:
-    """Legacy ``HHTStats.snapshot()`` dict, summed over every HHT instance.
+def hht_counter_keys(keys) -> dict[str, list[str]]:
+    """The registry keys of the six snapshot counters of every HHT
+    instance, by counter.
 
-    Matches registry keys of the form ``soc.hht.<leaf>`` or
-    ``soc.hht<i>.<leaf>`` for the six snapshot counters; per-stream
-    sub-keys (``soc.hht.stream.*``) are deliberately excluded.
+    Matches keys of the form ``soc.hht.<leaf>`` or ``soc.hht<i>.<leaf>``;
+    per-stream sub-keys (``soc.hht.stream.*``) are deliberately excluded.
     """
-    out = {key: 0 for key in _HHT_SNAPSHOT_KEYS}
-    for key, value in stats.items():
-        parts = key.split(".")
-        if (len(parts) == 3 and parts[0] == "soc"
-                and parts[1].startswith("hht") and parts[2] in out):
-            out[parts[2]] += int(value)
+    out: dict[str, list[str]] = {key: [] for key in _HHT_SNAPSHOT_KEYS}
+    for key in keys:
+        if key.startswith("soc.hht"):
+            parts = key.split(".")
+            if len(parts) == 3 and parts[2] in out:
+                out[parts[2]].append(key)
     return out
+
+
+def hht_stats_view(stats: Mapping[str, int | float]) -> dict[str, int]:
+    """Legacy ``HHTStats.snapshot()`` dict, summed over every HHT instance."""
+    return {leaf: sum(int(stats[key]) for key in keys)
+            for leaf, keys in hht_counter_keys(stats).items()}
 
 
 def port_requests_view(stats: Mapping[str, int | float]) -> dict[str, int]:

@@ -4,12 +4,14 @@ Each engine walks the sparse metadata, charging every memory access —
 with its real address — against the shared :class:`MemorySystem` (the
 flat Table-1 SRAM, or the Section 3.2 L1D-cached hierarchy), and stages
 each fill's result words, with their ready time, into the front-end's
-buffered streams.  Metadata streams are sequential bursts
-(:meth:`MemorySystem.read_seq`) and every indexed fetch is a pipelined
-gather (:meth:`MemorySystem.gather`), so the engines model no port
-timing of their own.  A gather passes its element count, and its
-addresses only as a callable: the flat port's closed form never builds
-them.
+buffered streams.  Metadata streams are sequential reads
+(:attr:`MemorySystem.read_seq`) and every indexed fetch is a pipelined
+gather (:attr:`MemorySystem.gather`), so the engines model no port
+timing of their own; each is looked up once, at START, and each call is
+one call into the port (or the L1D).  A gather passes the array of its
+planned addresses with a start and a count, so no fill builds an
+address list: the flat port's closed form reads only the count, and a
+per-element presentation slices the array.
 
 The engines are *event-driven*: one ``step()`` call processes one unit of
 work (one BLEN-sized buffer fill for SpMV/variant-2, one matrix row for
@@ -41,6 +43,16 @@ def _read(ram: Ram, addr: int, count: int, dtype) -> np.ndarray:
     return ram.read_array(addr, count, dtype) if count else np.empty(0, dtype)
 
 
+def _addresses(base: int, index: np.ndarray) -> np.ndarray:
+    """The byte addresses ``base + 4 * index`` of 32-bit elements, as
+    ``uint32`` (an address fits the 32-bit space, and the plan then
+    takes no more room than the index it replaces)."""
+    addrs = index.astype(np.uint32)
+    addrs <<= 2
+    addrs += base
+    return addrs
+
+
 class BackEndEngine:
     """Common machinery: streams, clock, capacity gating, wait accounting."""
 
@@ -48,7 +60,10 @@ class BackEndEngine:
                  start_cycle: int, requester: str = "hht"):
         self.config = config
         self.mem = mem
-        self.port = self.mem.port
+        self.port = mem.port
+        # The two shapes the engines charge, looked up once.
+        self._read_seq = mem.read_seq
+        self._gather = mem.gather
         #: Label charged on the shared port for this engine's traffic
         #: (the owning HHT's component name).
         self.requester = requester
@@ -91,7 +106,8 @@ class BackEndEngine:
 
     def refill(self, now: int) -> None:
         """:meth:`pump` for a caller that found the gate open: step until
-        the engine is exhausted or gated, testing the gate once per step."""
+        the engine is exhausted or gated, testing the gate (as
+        :meth:`capacity_ok`, in place) once per step."""
         blocked = self.blocked_since
         if blocked is not None:
             resume = now if now > blocked else blocked
@@ -100,15 +116,17 @@ class BackEndEngine:
                 self.time = resume
             self.blocked_since = None
         sink = self.probe_sink
+        streams = self.streams.values()
         while True:
             self.step()
             if sink is not None:
                 sink.buffer_fill(self)
             if self.exhausted:
                 return
-            if not self.capacity_ok():
-                self.blocked_since = self.time
-                return
+            for stream in streams:
+                if stream.occupied_slots >= stream.n_buffers:
+                    self.blocked_since = self.time
+                    return
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -161,12 +179,12 @@ class SpMVGatherEngine(BackEndEngine):
         # non-zero.
         self.nnz = int(rows[-1] - rows[0]) if nrows else 0
         self.cols_base = regs["m_cols_base"]
-        self.cols = _read(ram, self.cols_base, self.nnz, np.int32)
-        # The gathered array's base (V; variant 2: the position map) and
-        # every fill's words, in stream order.
-        self.gather_base, self.words, hit = self._operands(ram, regs)
+        cols = _read(ram, self.cols_base, self.nnz, np.int32)
+        # Every non-zero's gather address (into V; variant 2: into the
+        # position map) and word, in stream order.
+        self.addrs, self.words, hit = self._operands(ram, regs, cols)
         # The plan: each fill's size and value-gather (map hit) count;
-        # fill i starts where fill i - 1 ended.
+        # fill i starts where fill i - 1 ended, and so do its hits.
         sizes = _row_fills(rows, config.buffer_elems)
         self.chunks: list[int] = sizes.tolist()
         if hit is None or not self.chunks:
@@ -176,20 +194,21 @@ class SpMVGatherEngine(BackEndEngine):
             self.hits = np.add.reduceat(hit, starts, dtype=np.int64).tolist()
         self.fill = 0
         self.cursor = 0
+        self.hit_cursor = 0
         self.vval = self._make_stream("vval", config.n_buffers, config.buffer_elems)
         if self.nnz == 0:
             self.exhausted = True
 
-    def _operands(self, ram: Ram, regs: dict[str, int]):
-        """``(gather base, words, hit)``: *hit* marks the non-zeros whose
-        vector value is fetched after the gather (None: none are)."""
+    def _operands(self, ram: Ram, regs: dict[str, int], cols: np.ndarray):
+        """``(gather addresses, words, hit)``: *hit* marks the non-zeros
+        whose vector value is fetched after the gather (None: none
+        are)."""
         ncols = regs["m_num_cols"]
         v_bits = _read(ram, regs["v_base"], ncols, np.uint32)
-        return regs["v_base"], v_bits[self.cols], None
+        return _addresses(regs["v_base"], cols), v_bits[cols], None
 
     def step(self) -> None:
         cfg = self.config
-        mem = self.mem
         requester = self.requester
         i = self.fill
         self.fill = i + 1
@@ -201,21 +220,19 @@ class SpMVGatherEngine(BackEndEngine):
         t = self.time
         # Stage 1/2: stream the column indices (wide sequential read).
         wide = cfg.seq_words_per_slot
-        t_cols = mem.read_seq(self.cols_base + 4 * start, count, t, requester,
-                              words_per_slot=wide)
+        t_cols = self._read_seq(self.cols_base + 4 * start, count, t,
+                                requester, wide)
         # Stage 3/4: V (map) gathers start once the first column index
         # arrives, one request per cycle thereafter.
-        cols = self.cols
-        base = self.gather_base
-        t_val = mem.gather(
-            count, lambda: [base + 4 * col for col in cols[start:end].tolist()],
-            t_cols - (count - 1) // wide + 1, requester,
-        )
+        t_val = self._gather(self.addrs, start, count,
+                             t_cols - (count - 1) // wide + 1, requester)
         if hits:
             # Variant 2: one value gather per map hit, pipelined behind
             # the map responses.
-            t_val = mem.gather(hits, lambda: self._value_addrs(start, end),
-                               t_val - hits + 2, requester)
+            h = self.hit_cursor
+            self.hit_cursor = h + hits
+            t_val = self._gather(self.value_addrs, h, hits,
+                                 t_val - hits + 2, requester)
 
         vval = self.vval
         vval.push_fill(t_val + cfg.fill_overhead, self.words[start:end])
@@ -240,20 +257,16 @@ class SpMSpVValueEngine(SpMVGatherEngine):
     computations on zeros".
     """
 
-    def _operands(self, ram: Ram, regs: dict[str, int]):
-        self.vpad_base = regs["v_vals_base"]
-        self.posmap = _read(ram, regs["v_map_base"], regs["m_num_cols"],
-                            np.int32)
-        vpad_bits = ram.read_array(self.vpad_base, regs["v_nnz"] + 1,
-                                   np.uint32)
-        positions = self.posmap[self.cols]
+    def _operands(self, ram: Ram, regs: dict[str, int], cols: np.ndarray):
+        vpad_base = regs["v_vals_base"]
+        posmap = _read(ram, regs["v_map_base"], regs["m_num_cols"], np.int32)
+        vpad_bits = ram.read_array(vpad_base, regs["v_nnz"] + 1, np.uint32)
+        positions = posmap[cols]
+        hit = positions > 0
+        #: Every value gather's address (one per map hit), in stream order.
+        self.value_addrs = _addresses(vpad_base, positions[hit])
         # A miss reads vpad[0], a zero.
-        return regs["v_map_base"], vpad_bits[positions], positions > 0
-
-    def _value_addrs(self, start: int, end: int) -> list[int]:
-        vpad_base = self.vpad_base
-        return [vpad_base + 4 * pos
-                for pos in self.posmap[self.cols[start:end]].tolist() if pos]
+        return _addresses(regs["v_map_base"], cols), vpad_bits[positions], hit
 
 
 class SpMSpVAlignedEngine(BackEndEngine):
@@ -291,11 +304,11 @@ class SpMSpVAlignedEngine(BackEndEngine):
         pos = np.searchsorted(v_idx, cols).astype(np.int32)
         hit = (v_idx.take(pos, mode="clip") == cols if v_nnz
                else np.zeros(nnz, bool))
-        #: Matched non-zeros (indices into M_COLS/M_VALS) and vector
-        #: positions, in stream order: the addresses of the pair gathers.
-        self.match_k = np.flatnonzero(hit).astype(np.int32)
-        self.match_vpos = pos[hit]
-        matches = np.diff(np.searchsorted(self.match_k, bounds))
+        # Matched non-zeros (indices into M_COLS/M_VALS) and vector
+        # positions, in stream order.
+        match_k = np.flatnonzero(hit).astype(np.int32)
+        match_vpos = pos[hit]
+        matches = np.diff(np.searchsorted(match_k, bounds))
         # Vector-index stream entries a row's merge consumes: every entry
         # up to the row's last column.
         v_used = np.zeros(self.nrows, np.int32)
@@ -310,9 +323,13 @@ class SpMSpVAlignedEngine(BackEndEngine):
         self.matches: list[int] = matches.tolist()
         #: Every row's stream words: its count, its pairs.
         self.count_words = matches.astype(np.uint32)
-        self.mwords = _read(ram, self.mvals_base, nnz, np.uint32)[self.match_k]
+        self.mwords = _read(ram, self.mvals_base, nnz, np.uint32)[match_k]
         self.vwords = ram.read_array(self.vpad_base, v_nnz + 1,
-                                     np.uint32)[self.match_vpos + 1]
+                                     np.uint32)[match_vpos + 1]
+        #: The pair gathers' addresses, in stream order: the matched
+        #: matrix values, and the vector values (``vpad[pos + 1]``).
+        self.m_addrs = _addresses(self.mvals_base, match_k)
+        self.v_addrs = _addresses(self.vpad_base + 4, match_vpos)
         self.row = 0
         self.cursor = 0
         self.match_cursor = 0
@@ -324,7 +341,7 @@ class SpMSpVAlignedEngine(BackEndEngine):
 
     def step(self) -> None:
         cfg = self.config
-        mem = self.mem
+        read_seq = self._read_seq
         requester = self.requester
         latency = self.port.latency
         i = self.row
@@ -341,27 +358,18 @@ class SpMSpVAlignedEngine(BackEndEngine):
         # merge_cycles_per_step, then gather the matched value pairs.
         t = self.time
         wide = cfg.seq_words_per_slot
-        t_meta = mem.read_seq(self.cols_base + 4 * lo, nc, t, requester,
-                              words_per_slot=wide)
-        t_meta = mem.read_seq(self.v_idx_base, v_used,
-                              (t_meta - latency + 1) if nc else t, requester,
-                              words_per_slot=wide)
+        t_meta = read_seq(self.cols_base + 4 * lo, nc, t, requester, wide)
+        t_meta = read_seq(self.v_idx_base, v_used,
+                          (t_meta - latency + 1) if nc else t, requester, wide)
         merge_done = max(t_meta, t + (nc + v_used) * cfg.merge_cycles_per_step)
         if nm:
             # Matched (matrix, vector) value pairs interleave on the
             # port: the matrix values at odd offsets, then the vector
             # values at even offsets.
-            mvals = self.mvals_base
-            vpad = self.vpad_base + 4
+            gather = self._gather
             t_pairs = max(
-                mem.gather(
-                    nm, lambda: [mvals + 4 * k
-                                 for k in self.match_k[m0:m1].tolist()],
-                    merge_done + 1, requester, step=2),
-                mem.gather(
-                    nm, lambda: [vpad + 4 * p
-                                 for p in self.match_vpos[m0:m1].tolist()],
-                    merge_done + 2, requester, step=2),
+                gather(self.m_addrs, m0, nm, merge_done + 1, requester, 2),
+                gather(self.v_addrs, m0, nm, merge_done + 2, requester, 2),
             )
         else:
             t_pairs = merge_done

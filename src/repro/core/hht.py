@@ -114,7 +114,7 @@ class HHT(SimComponent):
         self.engine = None
 
     def _local_stats(self) -> StatsDict:
-        out: StatsDict = dict(self.counters.snapshot(self.engine))
+        out: StatsDict = self.counters.snapshot(self.engine)
         engine = self.engine
         if engine is not None:
             for sname, stream in engine.streams.items():
@@ -257,8 +257,12 @@ class HHT(SimComponent):
         # was available) — with N=1 this forces fill/drain alternation.
         # Every pump returns with the engine exhausted or its gate shut,
         # and only reads reopen the gate, so a read that freed no slot
-        # the gate was waiting for leaves nothing to pump.
-        if not engine.exhausted and engine.capacity_ok():
+        # the gate was waiting for leaves nothing to pump.  The gate
+        # needs a free slot in this stream first, so a read that leaves
+        # its own stream full skips the walk over the streams.
+        if (not engine.exhausted
+                and stream.occupied_slots < stream.n_buffers
+                and engine.capacity_ok()):
             engine.refill(served)
         counters = self.counters
         counters.cpu_wait_cycles += wait

@@ -4,7 +4,11 @@ Each op of the ISA (:mod:`repro.isa`) is defined once, here, by an
 *emitter* that writes the op's Python source: register indices,
 immediates, branch targets and cycle charges become literals, and the
 charge goes to the op's class in
-:data:`~repro.isa.instructions.INSTRUCTION_CLASS`.  A translation is a
+:data:`~repro.isa.instructions.INSTRUCTION_CLASS`, by the class's index:
+the prologue binds the Cpu's two counter lists (``cpu._cc``, instructions
+per class then taken branches, and ``cpu._ccy``, cycles per class) and
+the epilogue adds to their slots, so no translation looks a class up or
+walks an attribute chain to charge it.  A translation is a
 span of emitted ops compiled into one function of a
 :class:`~repro.cpu.core.Cpu`, and both backends run translations, the
 way Spike builds its interpreter from one definition per instruction:
@@ -17,7 +21,7 @@ way Spike builds its interpreter from one definition per instruction:
 * the compiled backend translates whole *basic blocks* at first
   execution and runs a block per dispatch.  Per-instruction cycle
   charges are summed at translation time, class counts are batched into
-  one dict update per class per block, and a *self-loop* block
+  one list update per class per block, and a *self-loop* block
   (terminal branch targeting its own entry, the shape of every hot
   inner loop) iterates inside its function, paying its prologue,
   epilogue and dispatch once per burst of iterations.  The dispatcher
@@ -79,9 +83,9 @@ from types import CodeType, FunctionType
 
 import numpy as np
 
-from ..isa.instructions import INSTRUCTION_CLASS, s32
+from ..isa.instructions import CLASS_INDEX, INSTRUCTION_CLASS, s32
 from ..isa.program import Program
-from .core import SimulationError
+from .core import TAKEN_BRANCHES, SimulationError
 
 #: Ops that end a basic block (control transfer or machine stop).
 CONTROL_OPS = frozenset("beq bne blt bge jal halt".split())
@@ -250,6 +254,15 @@ class _Codegen:
             self.emit(f"cycle += {self.pending}")
             self.pending = 0
 
+    def charge(self, klass: str, count: str, cycles: list[str]) -> None:
+        """Emit the class counters' charge: *count* instructions and the
+        sum of *cycles* (no term: none) to *klass*'s slots."""
+        i = CLASS_INDEX[klass]
+        self.need("cc")
+        self.emit(f"_cc[{i}] += {count}")
+        if cycles:
+            self.emit(f"_ccy[{i}] += " + " + ".join(cycles))
+
     def epilogue(self, extra_counts: dict[str, int] | None = None,
                  extra_cycles: dict[str, int] | None = None) -> None:
         """Flush cycle and batched class counters back to the cpu.
@@ -261,8 +274,6 @@ class _Codegen:
         counts = dict(self.counts)
         for klass, n in (extra_counts or {}).items():
             counts[klass] = counts.get(klass, 0) + n
-        if counts:
-            self.need("cc")
         for klass, n in counts.items():
             parts = []
             static = (self.static_cycles.get(klass, 0)
@@ -271,10 +282,7 @@ class _Codegen:
                 parts.append(str(static))
             if klass in self.dyn_vars:
                 parts.append(self.dyn_vars[klass])
-            self.emit(f"_cc[{klass!r}] = _cc.get({klass!r}, 0) + {n}")
-            if parts:
-                self.emit(f"_ccy[{klass!r}] = _ccy.get({klass!r}, 0) + "
-                          + " + ".join(parts))
+            self.charge(klass, str(n), parts)
 
 
 class CompiledBackend:
@@ -388,8 +396,8 @@ class CompiledBackend:
             head.append("    vl_ = cpu.vl")
         head.append("    cycle = cpu.cycle")
         if "cc" in cg.needs:
-            head.append("    _cc = cpu._class_counts")
-            head.append("    _ccy = cpu._class_cycles")
+            head.append("    _cc = cpu._cc")
+            head.append("    _ccy = cpu._ccy")
         for var in cg.dyn_vars.values():
             head.append(f"    {var} = 0")
         if looping:
@@ -419,13 +427,13 @@ class CompiledBackend:
             cg.emit(f"cycle += {pending + taken_cost}")
         cg.emit("if _ex < _max:")
         cg.emit("    continue")
-        cg.emit("cpu.counters.taken_branches += _ex")
+        cg.emit(f"_cc[{TAKEN_BRANCHES}] += _ex")
         self._loop_epilogue(cg, f"{taken_cost} * _ex", klass)
         cg.emit(f"return {ins.target}, _ex")
         cg.ind -= 1
         if pending + lat.branch:
             cg.emit(f"cycle += {pending + lat.branch}")
-        cg.emit("cpu.counters.taken_branches += _ex - 1")
+        cg.emit(f"_cc[{TAKEN_BRANCHES}] += _ex - 1")
         self._loop_epilogue(cg, f"{taken_cost} * (_ex - 1) + {lat.branch}",
                             klass)
         cg.emit(f"return {pc + 1}, _ex")
@@ -434,27 +442,21 @@ class CompiledBackend:
                        branch_klass: str) -> None:
         """Exit-arm accounting for a self-loop block: per-iteration
         class counts and static cycles multiply by ``_ex``; dynamic
-        accumulators already summed across iterations.  The branch
-        class lands last, matching the per-instruction first-charge
-        order (the terminal branch charges after the body on iteration
-        1).
+        accumulators already summed across iterations.
         """
+        def per_iteration(n: int) -> str:
+            return "_ex" if n == 1 else f"{n} * _ex"
+
         cg.emit("cpu.cycle = cycle")
-        cg.need("cc")
         for klass, n in cg.counts.items():
             parts = []
             static = cg.static_cycles.get(klass, 0)
             if static:
-                parts.append(f"{static} * _ex")
+                parts.append(per_iteration(static))
             if klass in cg.dyn_vars:
                 parts.append(cg.dyn_vars[klass])
-            cg.emit(f"_cc[{klass!r}] = _cc.get({klass!r}, 0) + {n} * _ex")
-            if parts:
-                cg.emit(f"_ccy[{klass!r}] = _ccy.get({klass!r}, 0) + "
-                        + " + ".join(parts))
-        cg.emit(f"_cc[{branch_klass!r}] = _cc.get({branch_klass!r}, 0) + _ex")
-        cg.emit(f"_ccy[{branch_klass!r}] = _ccy.get({branch_klass!r}, 0) + "
-                f"{branch_cycles}")
+            cg.charge(klass, per_iteration(n), parts)
+        cg.charge(branch_klass, "_ex", [branch_cycles])
 
     # ------------------------------------------------------------------
     def _address(self, cg: _Codegen, rs1: int, imm: int = 0) -> str:
@@ -562,7 +564,8 @@ class CompiledBackend:
         pending = cg.pending
         cg.emit(f"if {_branch_cond(cg, ins)}:")
         cg.ind += 1
-        cg.emit("cpu.counters.taken_branches += 1")
+        cg.need("cc")
+        cg.emit(f"_cc[{TAKEN_BRANCHES}] += 1")
         self._exit_arm(cg, taken_cost, klass, taken_cost, str(ins.target))
         cg.ind -= 1
         cg.pending = pending

@@ -23,11 +23,13 @@ instruction indexes a view instead of making one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from ..component import SimComponent, StatsDict
+from ..isa.instructions import CLASSES
 from ..isa.program import Program
 from ..memory.bus import Bus
 from .timing import CpuConfig
@@ -65,19 +67,48 @@ class _VlViewCache(dict):
         return views
 
 
+#: The slot of ``CpuStats.class_n`` after the last class: taken branches.
+TAKEN_BRANCHES = len(CLASSES)
+
+#: The registry leaves of the per-class counters, in ``CLASSES`` order.
+_COUNT_LEAVES = tuple(f"class_counts.{klass}" for klass in CLASSES)
+_CYCLE_LEAVES = tuple(f"class_cycles.{klass}" for klass in CLASSES)
+
+
 @dataclass
 class CpuStats:
-    """Counters accumulated over one :meth:`Cpu.run`."""
+    """Counters accumulated over one :meth:`Cpu.run`.
+
+    Translations charge the per-class counters by index, one slot per
+    class of :data:`~repro.isa.instructions.CLASSES` in its order:
+    ``class_n`` counts instructions (its last slot, ``TAKEN_BRANCHES``,
+    counts taken branches) and ``class_cy`` cycles.  The class dicts are
+    derived from them: the classes that ran, in that order, so both have
+    the same keys.
+    """
 
     instructions: int = 0
     cycles: int = 0
-    class_counts: dict[str, int] = field(default_factory=dict)
-    class_cycles: dict[str, int] = field(default_factory=dict)
-    taken_branches: int = 0
+    class_n: list[int] = field(
+        default_factory=lambda: [0] * (TAKEN_BRANCHES + 1))
+    class_cy: list[int] = field(default_factory=lambda: [0] * len(CLASSES))
     # Filled only by an attached PcProfileProbe: per-instruction-index
     # execution counts and cycle totals.
     pc_counts: dict[int, int] = field(default_factory=dict)
     pc_cycles: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def class_counts(self) -> dict[str, int]:
+        return {klass: n for klass, n in zip(CLASSES, self.class_n) if n}
+
+    @property
+    def class_cycles(self) -> dict[str, int]:
+        return {klass: cy for klass, n, cy
+                in zip(CLASSES, self.class_n, self.class_cy) if n}
+
+    @property
+    def taken_branches(self) -> int:
+        return self.class_n[TAKEN_BRANCHES]
 
 
 class Cpu(SimComponent):
@@ -119,10 +150,10 @@ class Cpu(SimComponent):
         self.cycle = 0
         self.halted = False
         self.counters = CpuStats()
-        # Hot-path aliases: every translation's epilogue bumps these, so
-        # skip the counters-object indirection.
-        self._class_counts = self.counters.class_counts
-        self._class_cycles = self.counters.class_cycles
+        # The counter lists every translation's prologue binds: its
+        # epilogue charges them by class index.
+        self._cc = self.counters.class_n
+        self._ccy = self.counters.class_cy
 
     def _local_stats(self) -> StatsDict:
         c = self.counters
@@ -131,10 +162,11 @@ class Cpu(SimComponent):
             "cycles": c.cycles,
             "taken_branches": c.taken_branches,
         }
-        for klass, n in c.class_counts.items():
-            out[f"class_counts.{klass}"] = n
-        for klass, n in c.class_cycles.items():
-            out[f"class_cycles.{klass}"] = n
+        # The classes that ran: the slots with a count.
+        ran = c.class_n
+        out.update(zip(compress(_COUNT_LEAVES, ran), compress(ran, ran)))
+        out.update(zip(compress(_CYCLE_LEAVES, ran),
+                       compress(c.class_cy, ran)))
         for pc, n in c.pc_counts.items():
             out[f"pc_counts.{pc}"] = n
         for pc, n in c.pc_cycles.items():

@@ -121,6 +121,8 @@ class SimSession:
         self._fill_hooks = _hooks(self.probes, "on_buffer_fill")
         self._fifo_hooks = _hooks(self.probes, "on_fifo_read")
         self._tlb_hooks = _hooks(self.probes, "on_tlb_walk")
+        self._sinks = bool(self._port_hooks or self._fill_hooks
+                           or self._fifo_hooks or self._tlb_hooks)
         # Cyclic samplers: [next_due_cycle, stride, hook] per probe that
         # overrides on_sample with a positive sample_every.  The run
         # loop folds the stride test into the instruction-budget compare
@@ -165,9 +167,6 @@ class SimSession:
     # Event-sink attachment
     # ------------------------------------------------------------------
     def _attach(self) -> None:
-        if not (self._port_hooks or self._fill_hooks or self._fifo_hooks
-                or self._tlb_hooks):
-            return
         sink = _EventSink(self._port_hooks, self._fill_hooks,
                           self._fifo_hooks, self._tlb_hooks)
         root = self.system if self.system is not None else self.cpu.bus
@@ -193,10 +192,13 @@ class SimSession:
                         engine.probe_sink = sink
 
     def _start_probes(self) -> None:
+        """Attach the event sinks, at the start of every run (the end of
+        every run detaches them), and notify the probes at the first."""
+        if self._sinks:
+            self._attach()
         if self._started:
             return
         self._started = True
-        self._attach()
         for probe in self.probes:
             probe.on_session_start(self)
         if self._sample_state:
@@ -257,7 +259,11 @@ class SimSession:
         is set, whoever set it: the programmable HHT's emit device sets
         it at the store that completes a row, and its engine clears it
         and calls this again to resume the firmware at the next pc.
-        Between runs the caller may move ``cpu.cycle`` forward.
+        Between runs the caller may move ``cpu.cycle`` forward.  An
+        instruction is counted and the pc moved past it before its
+        ``on_instruction`` hooks run, so a probe that stops the run
+        (:class:`ProbeHalt`) leaves a session that resumes at the next
+        instruction.
         """
         cpu = self.cpu
         steps_get = self._steps.get
@@ -286,15 +292,16 @@ class SimSession:
             while not cpu.halted:
                 fn = steps_get(pc) or bind_step(pc)
                 if hooks:
+                    at = pc
                     before = cpu.cycle
-                    next_pc = fn(cpu)
-                    ins = instructions[pc]
+                    pc = fn(cpu)
+                    executed += 1
+                    ins = instructions[at]
                     for hook in hooks:
-                        hook(pc, ins, before, cpu.cycle)
-                    pc = next_pc
+                        hook(at, ins, before, cpu.cycle)
                 else:
                     pc = fn(cpu)
-                executed += 1
+                    executed += 1
                 if executed >= check_at:
                     if executed >= limit:
                         raise self._budget_error(budget)
@@ -407,17 +414,13 @@ class MultiCoreSession(SimSession):
                         hook(name)
                 pc = s._pc
                 fn = s._steps.get(pc) or s._bind_step(pc)
-                if hooks:
-                    before = cpu.cycle
-                    next_pc = fn(cpu)
-                    ins = instructions[pc]
-                    for hook in hooks:
-                        hook(pc, ins, before, cpu.cycle)
-                    s._pc = next_pc
-                else:
-                    s._pc = fn(cpu)
+                s._pc = fn(cpu)
                 e = executed[sel] + 1
                 executed[sel] = e
+                if hooks:
+                    ins = instructions[pc]
+                    for hook in hooks:
+                        hook(pc, ins, sel_cycle, cpu.cycle)
                 if e >= limits[sel]:
                     raise s._budget_error(cpu.config.max_instructions)
                 if sample_due is not None and sel_cycle >= sample_due:

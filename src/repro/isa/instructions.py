@@ -12,7 +12,8 @@ accelerator front-end instructions.  Any other mnemonic is an
 ``SYNTAX`` maps each mnemonic to an operand-pattern name understood by the
 assembler; ``INSTRUCTION_CLASS`` groups mnemonics for the timing model and
 the energy accounting: each op's translation (:mod:`repro.cpu.compiled`)
-charges its cycles to its class here.
+charges its cycles to its class here, by the class's index in
+``CLASSES``.
 """
 
 from __future__ import annotations
@@ -152,6 +153,14 @@ _cls("halt", "system")
 _cls("fssrpop vssrpop.v", "ssr_pop")
 _cls("vlpidx.v", "vector_pgather")
 _cls("vfmacidx", "vector_mac_idx")
+
+
+#: Every class, in the one fixed order of the CPU's per-class counters:
+#: slot ``i`` of each counter list is ``CLASSES[i]``.
+CLASSES: tuple[str, ...] = tuple(dict.fromkeys(INSTRUCTION_CLASS.values()))
+
+#: Class -> its slot in the counter lists.
+CLASS_INDEX: dict[str, int] = {klass: i for i, klass in enumerate(CLASSES)}
 
 
 def instruction_class(op: str) -> str:

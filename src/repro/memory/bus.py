@@ -18,9 +18,9 @@ device's reader.
 
 Multi-word RAM traffic (loads only: the kernels store one word at a
 time) moves numpy word slices and is timed by the :class:`MemorySystem`
-shapes (bursts, pipelined and chained gathers).  A burst load returns
-the words without a copy, so its caller copies them out before the
-next store.
+shapes (sequential reads, pipelined and chained gathers), one call each.
+A burst load returns the words without a copy, so its caller copies
+them out before the next store.
 A gather with any element outside RAM — or misaligned, or on a
 translating bus — is loaded element by element through ``load_word``
 by :func:`load_each`, so devices and faults see the exact reference
@@ -37,8 +37,8 @@ import numpy as np
 
 from ..component import SimComponent
 from .cache import L1Cache
-from .hierarchy import MemorySystem, present_chained, present_pipelined
-from .port import MemoryPort
+from .hierarchy import MemorySystem
+from .port import MemoryPort, present_chained, present_pipelined
 from .ram import MemoryAccessError, Ram
 
 #: Base of the memory-mapped I/O region.
@@ -70,20 +70,25 @@ class MMIODevice(Protocol):
 FifoReader = tuple[Callable[[str, int, int], tuple[np.ndarray, int]], str]
 
 
-def load_each(load_word: Callable, present: Callable, addrs: Sequence[int],
-              cycle: int, requester: str | None,
-              *step: int) -> tuple[np.ndarray, int]:
-    """Per-element gather through *load_word*, presented by
-    :func:`present_pipelined` (with its *step*) or
-    :func:`present_chained`; returns ``(u32 words, completion)``."""
+def load_each(load_word: Callable, addrs: Sequence[int], cycle: int,
+              requester: str | None,
+              step: int | None = None) -> tuple[np.ndarray, int]:
+    """Per-element gather through *load_word*: pipelined
+    (:func:`present_pipelined`) with *step*, chained
+    (:func:`present_chained`) without; returns ``(u32 words,
+    completion)``."""
     values: list[int] = []
 
-    def access(addr: int, at: int) -> int:
+    def access(addr: int, at: int, requester: str | None) -> int:
         value, done = load_word(addr, at, requester)
         values.append(value)
         return done
 
-    done = present(access, addrs, cycle, *step)
+    if step is None:
+        done = present_chained(access, addrs, cycle, requester)
+    else:
+        done = present_pipelined(access, addrs, 0, len(addrs), cycle,
+                                 requester, step)
     return np.array(values, dtype=np.uint32), done
 
 
@@ -195,8 +200,8 @@ class Bus(SimComponent):
                 raise MemoryAccessError(
                     f"burst of {count} words at 0x{addr:08x} exceeds RAM"
                 )
-            completion = self.mem.read_burst(
-                cycle, count, requester or self.default_requester, addr)
+            completion = self.mem.read_seq(
+                addr, count, cycle, requester or self.default_requester)
             if addr & 3:
                 raise MemoryAccessError(
                     f"misaligned word access at 0x{addr:08x}")
@@ -226,11 +231,10 @@ class Bus(SimComponent):
         ``cycle + step * i``; returns ``(u32 words, latest completion)``."""
         requester = requester or self.default_requester
         if self._ram_words(addrs):
-            done = self.mem.gather(len(addrs), lambda: addrs, cycle,
-                                   requester, step=step)
+            done = self.mem.gather(addrs, 0, len(addrs), cycle, requester,
+                                   step)
             return self.ram.read_words(addrs), done
-        return load_each(self.load_word, present_pipelined, addrs, cycle,
-                         requester, step)
+        return load_each(self.load_word, addrs, cycle, requester, step)
 
     def gather_chain(
         self, addrs: Sequence[int], cycle: int, requester: str | None = None,
@@ -242,5 +246,4 @@ class Bus(SimComponent):
         if self._ram_words(addrs):
             done = self.mem.gather_chain(addrs, cycle, requester)
             return self.ram.read_words(addrs), done
-        return load_each(self.load_word, present_chained, addrs, cycle,
-                         requester)
+        return load_each(self.load_word, addrs, cycle, requester)

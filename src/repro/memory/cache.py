@@ -126,19 +126,23 @@ class L1Cache(SimComponent):
         # Miss: fetch the whole line from memory, then answer.
         self.counters.record(requester, hit=False)
         line_base = addr - addr % self.config.line_bytes
-        fill_done = self.port.issue_burst(
-            cycle, self.config.line_words, requester, addr=line_base
-        )
+        fill_done = self.port.issue_seq(
+            line_base, self.config.line_words, cycle, requester)
         if len(ways) >= self.config.assoc:
             ways.remove(min(ways, key=lambda w: w[1]))  # evict LRU
         ways.append([tag, self._use_counter])
         return fill_done + self.config.hit_latency
 
-    def read_lines(self, cycle: int, words: int, requester: str,
-                   addr: int) -> int:
+    def read_lines(self, addr: int, words: int, cycle: int,
+                   requester: str = "cpu", words_per_slot: int = 1) -> int:
         """Sequential read of *words* words from *addr*: one lookup per
         line touched, back to back; the line fills serialise on the
-        memory port.  Returns the latest completion."""
+        memory port.  Returns the latest completion (*cycle* for no
+        words).  The signature is :meth:`MemoryPort.issue_seq`'s; a
+        line lookup reads the whole line, so *words_per_slot* (the
+        HHT's memory-side width) changes nothing here."""
+        if words <= 0:
+            return cycle
         line = self.config.line_bytes
         first = addr - (addr % line)
         last = addr + 4 * words - 1

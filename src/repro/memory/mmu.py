@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from ..component import SimComponent, StatsDict
 from .bus import load_each
-from .hierarchy import MemorySystem, present_chained, present_pipelined
+from .hierarchy import MemorySystem
 
 
 @dataclass
@@ -224,10 +224,8 @@ class TranslatingBus:
 
     def gather(self, addrs, cycle: int, requester: str | None = None, *,
                step: int = 1):
-        return load_each(self.load_word, present_pipelined, addrs, cycle,
-                         requester, step)
+        return load_each(self.load_word, addrs, cycle, requester, step)
 
     def gather_chain(self, addrs, cycle: int,
                      requester: str | None = None):
-        return load_each(self.load_word, present_chained, addrs, cycle,
-                         requester)
+        return load_each(self.load_word, addrs, cycle, requester)

@@ -21,23 +21,79 @@ bit-identically — the banked path is only taken when ``banks > 1``.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..component import SimComponent, StatsDict
+
+#: ``access(addr, cycle, requester) -> completion``: one word request
+#: (:meth:`MemoryPort.issue`, :meth:`~repro.memory.cache.L1Cache.read`).
+Access = Callable[[int, int, str], int]
+
+
+def _elements(addrs, lo: int, count: int) -> list[int]:
+    """The *count* addresses of *addrs* (a list or a numpy array) from
+    *lo*, as Python ints."""
+    chosen = addrs[lo:lo + count]
+    return chosen.tolist() if isinstance(chosen, np.ndarray) else chosen
+
+
+def present_pipelined(access: Access, addrs, lo: int, count: int,
+                      cycle: int, requester: str, step: int = 1) -> int:
+    """Element-by-element pipelined gather of the *count* addresses of
+    *addrs* from *lo*: element ``i`` presented at ``cycle + step * i``;
+    returns the latest completion (*cycle* if *count* is 0)."""
+    latest = cycle
+    for i, addr in enumerate(_elements(addrs, lo, count)):
+        done = access(addr, cycle + step * i, requester)
+        if done > latest:
+            latest = done
+    return latest
+
+
+def present_chained(access: Access, addrs: Sequence[int], cycle: int,
+                    requester: str) -> int:
+    """Element-by-element chained gather: each element presented one
+    cycle after the previous response; returns the cycle after the last
+    response (*cycle* if *addrs* is empty)."""
+    for addr in addrs:
+        cycle = access(addr, cycle, requester) + 1
+    return cycle
 
 
 @dataclass
 class PortStats:
-    """Counters accumulated by a :class:`MemoryPort`."""
+    """Counters accumulated by a :class:`MemoryPort`.
 
-    requests: int = 0
+    Every request takes one issue slot and belongs to one requester, so
+    the request and busy-slot totals are derived from ``by_requester``.
+    """
+
     queue_cycles: int = 0  # cycles requests spent waiting for an issue slot
-    busy_cycles: int = 0   # issue slots consumed (bank-cycles of occupancy)
     by_requester: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def requests(self) -> int:
+        return sum(self.by_requester.values())
+
+    @property
+    def busy_cycles(self) -> int:
+        """Issue slots consumed (bank-cycles of occupancy)."""
+        return self.requests
 
 
 class MemoryPort(SimComponent):
-    """Pipelined issue port: 1 request/bank/cycle, fixed response latency."""
+    """Pipelined issue port: 1 request/bank/cycle, fixed response latency.
+
+    Every multi-word shape has its own method with a closed form on the
+    single-bank pipe: :meth:`issue_seq` (a unit-stride read),
+    :meth:`issue_gather` (a pipelined gather) and :meth:`issue_chain` (a
+    chained gather).  On a banked port, or while a probe sink watches
+    individual requests, the gathers present their elements one by one
+    through :meth:`issue` instead, with the same result.
+    """
 
     def __init__(self, latency: int = 2, name: str = "ram", banks: int = 1):
         if latency < 1:
@@ -62,10 +118,11 @@ class MemoryPort(SimComponent):
 
     def _local_stats(self) -> StatsDict:
         c = self.counters
+        requests = c.requests
         out: StatsDict = {
-            "requests": c.requests,
+            "requests": requests,
             "queue_cycles": c.queue_cycles,
-            "busy_cycles": c.busy_cycles,
+            "busy_cycles": requests,
         }
         for requester, n in c.by_requester.items():
             out[f"requester.{requester}"] = n
@@ -101,9 +158,7 @@ class MemoryPort(SimComponent):
         slot = cycle if cycle >= head else head
         free[bank] = slot + 1
         c = self.counters
-        c.requests += 1
         c.queue_cycles += slot - cycle
-        c.busy_cycles += 1
         by = c.by_requester
         by[requester] = by.get(requester, 0) + 1
         sink = self.probe_sink
@@ -111,23 +166,23 @@ class MemoryPort(SimComponent):
             sink.port_issue(self.name, requester, slot, 1, slot - cycle)
         return slot + self.latency
 
-    def issue_burst(
-        self, cycle: int, count: int, requester: str = "cpu",
-        addr: int = 0, stride_words: int = 1,
-    ) -> int:
-        """Issue *count* back-to-back requests; return the completion cycle
-        of the last one.
+    def issue_seq(self, addr: int, words: int, cycle: int,
+                  requester: str = "cpu", words_per_slot: int = 1) -> int:
+        """Sequential read of *words* words from *addr*; returns the
+        completion cycle of the last beat, or *cycle* when *words* <= 0.
 
-        A burst models a unit-stride vector load/store (or one wide
-        memory-side HHT beat per slot when ``stride_words > 1``): beat
-        ``i`` wants to issue at ``cycle + i`` and covers the words
-        starting at ``addr + 4 * i * stride_words``.  On a banked port
-        consecutive beats fall in different banks and can catch up after
-        a head-of-burst stall; on the single port they stream one per
-        cycle behind the head beat.
+        The read is a burst of ``ceil(words / words_per_slot)`` beats:
+        one word each for a vector load, or one wide memory-side HHT
+        beat each.  Beat ``i`` wants to issue at ``cycle + i`` and covers
+        the words from ``addr + 4 * i * words_per_slot``.  On a banked
+        port consecutive beats fall in different banks and can catch up
+        after a head-of-burst stall; on the single port they stream one
+        per cycle behind the head beat.
         """
-        if count <= 0:
+        if words <= 0:
             return cycle
+        count = -(-words // words_per_slot)
+        by = self.counters.by_requester
         if self.banks == 1:
             free = self._bank_free
             slot = cycle if cycle >= free[0] else free[0]
@@ -135,11 +190,8 @@ class MemoryPort(SimComponent):
             waited = slot - cycle
             # Every beat waits as long as the head beat: beat i wants
             # cycle+i and issues at slot+i.
-            c = self.counters
-            c.requests += count
-            c.queue_cycles += waited * count
-            c.busy_cycles += count
-            c.by_requester[requester] = c.by_requester.get(requester, 0) + count
+            self.counters.queue_cycles += waited * count
+            by[requester] = by.get(requester, 0) + count
             sink = self.probe_sink
             if sink is not None:
                 sink.port_issue(self.name, requester, slot, count, waited)
@@ -150,7 +202,7 @@ class MemoryPort(SimComponent):
         last_slot = cycle
         waited = 0
         for i in range(count):
-            bank = (word0 + i * stride_words) % self.banks
+            bank = (word0 + i * words_per_slot) % self.banks
             desired = cycle + i
             slot = desired if desired >= free[bank] else free[bank]
             free[bank] = slot + 1
@@ -160,30 +212,33 @@ class MemoryPort(SimComponent):
                 sink.port_issue(self.name, requester, slot, 1, slot - desired)
             if slot > last_slot:
                 last_slot = slot
-        c = self.counters
-        c.requests += count
-        c.queue_cycles += waited
-        c.busy_cycles += count
-        c.by_requester[requester] = c.by_requester.get(requester, 0) + count
+        self.counters.queue_cycles += waited
+        by[requester] = by.get(requester, 0) + count
         return last_slot + self.latency
 
     # ------------------------------------------------------------------
-    # Closed forms of the two indexed-gather shapes on the single-bank
-    # pipe.  Each equals *count* :meth:`issue` calls at the presentation
-    # times below — same completion, slot state and counters — and so
-    # applies only where nothing observes the individual requests: one
-    # bank and no probe sink (:meth:`MemorySystem.gather` checks both).
+    # The two indexed-gather shapes.  Each closed form equals *count*
+    # :meth:`issue` calls at the presentation times below — same
+    # completion, slot state and counters — on one bank; on a banked
+    # port, or while a probe sink watches individual requests, the
+    # elements are presented one by one through :meth:`issue` instead.
     # ------------------------------------------------------------------
-    def issue_gather(self, cycle: int, count: int, requester: str = "cpu",
-                     step: int = 1) -> int:
-        """Element ``i`` presented at ``cycle + step * i``; returns the
-        last (and latest) completion, or *cycle* when *count* is 0.
+    def issue_gather(self, addrs, lo: int, count: int, cycle: int,
+                     requester: str = "cpu", step: int = 1) -> int:
+        """Pipelined gather of the *count* addresses of *addrs* (a list
+        or a numpy array) from *lo*: element ``i`` presented at
+        ``cycle + step * i``; returns the last (and latest) completion,
+        or *cycle* when *count* is 0.
 
         With the pipe free from ``F``, element ``i`` issues at
         ``max(cycle + step*i, F + i)`` and waits
         ``max(0, F - cycle - (step - 1) * i)`` cycles: a backlog the
-        gather drains by ``step - 1`` cycles per element.
+        gather drains by ``step - 1`` cycles per element.  The closed
+        form needs only the count, never the addresses.
         """
+        if self.probe_sink is not None or self.banks > 1:
+            return present_pipelined(self.issue, addrs, lo, count, cycle,
+                                     requester, step)
         if count <= 0:
             return cycle
         free = self._bank_free
@@ -200,33 +255,34 @@ class MemoryPort(SimComponent):
             waited = waits * backlog - drain * waits * (waits - 1) // 2
         free[0] = last + 1
         c = self.counters
-        c.requests += count
         c.queue_cycles += waited
-        c.busy_cycles += count
-        c.by_requester[requester] = c.by_requester.get(requester, 0) + count
+        by = c.by_requester
+        by[requester] = by.get(requester, 0) + count
         return last + self.latency
 
-    def issue_chain(self, cycle: int, count: int,
+    def issue_chain(self, addrs: Sequence[int], cycle: int,
                     requester: str = "cpu") -> int:
-        """Each element presented one cycle after the previous response
-        (the first at *cycle*); returns the cycle after the last
-        response, or *cycle* when *count* is 0.
+        """Chained gather of *addrs*: each element presented one cycle
+        after the previous response (the first at *cycle*); returns the
+        cycle after the last response, or *cycle* when there is none.
 
         Only the head element can queue: every later one arrives
         ``latency + 1`` cycles after its predecessor issued, when the
         pipe is long free.
         """
-        if count <= 0:
+        if self.probe_sink is not None or self.banks > 1:
+            return present_chained(self.issue, addrs, cycle, requester)
+        count = len(addrs)
+        if not count:
             return cycle
         free = self._bank_free
         head = cycle if cycle >= free[0] else free[0]
         last = head + (self.latency + 1) * (count - 1)
         free[0] = last + 1
         c = self.counters
-        c.requests += count
         c.queue_cycles += head - cycle
-        c.busy_cycles += count
-        c.by_requester[requester] = c.by_requester.get(requester, 0) + count
+        by = c.by_requester
+        by[requester] = by.get(requester, 0) + count
         return last + self.latency + 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

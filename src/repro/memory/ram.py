@@ -97,7 +97,7 @@ class Ram:
 
     def read_words(self, addrs: list[int]) -> np.ndarray:
         """The u32 words at aligned, in-range byte addresses *addrs*."""
-        return self._u32[[addr >> 2 for addr in addrs]]
+        return self._u32.take([addr >> 2 for addr in addrs])
 
     def fill(self, value: int = 0) -> None:
         self._bytes[:] = np.uint8(value & 0xFF)

@@ -27,10 +27,11 @@ from ..component import (
 )
 from ..core.config import HHT_BASE, MMR
 from ..core.hht import HHT
-from ..cpu.core import Cpu, CpuStats
+from ..cpu.core import TAKEN_BRANCHES, Cpu, CpuStats
 from ..formats.csr import CSRMatrix
 from ..formats.sparse_vector import SparseVector
 from ..isa.assembler import assemble
+from ..isa.instructions import CLASS_INDEX
 from ..isa.program import Program
 from ..memory.bus import Bus
 from ..memory.cache import L1Cache
@@ -75,17 +76,17 @@ class RunSummary:
         out = CpuStats(
             instructions=int(sub.get("instructions", 0)),
             cycles=int(sub.get("cycles", 0)),
-            taken_branches=int(sub.get("taken_branches", 0)),
         )
+        out.class_n[TAKEN_BRANCHES] = int(sub.get("taken_branches", 0))
         for key, value in sub.items():
             parts = key.split(".")
             if len(parts) != 2:
                 continue
             group, leaf = parts
             if group == "class_counts":
-                out.class_counts[leaf] = int(value)
+                out.class_n[CLASS_INDEX[leaf]] = int(value)
             elif group == "class_cycles":
-                out.class_cycles[leaf] = int(value)
+                out.class_cy[CLASS_INDEX[leaf]] = int(value)
             elif group == "pc_counts":
                 out.pc_counts[int(leaf)] = int(value)
             elif group == "pc_cycles":

@@ -22,9 +22,10 @@ series brackets the run even when it is shorter than one stride.
 from __future__ import annotations
 
 import io
+from itertools import chain
 from pathlib import Path
 
-from ..component import hht_stats_view
+from ..component import hht_counter_keys, registry
 from ..instrument.probes import Probe
 
 #: Schema tag carried in the payload (bump on incompatible changes).
@@ -49,6 +50,7 @@ class SamplerProbe(Probe):
         self.prefixes = tuple(prefixes) if prefixes else None
         self._rows: list[tuple[int, dict]] = []
         self._root = None
+        self._layout: list = []
         self._buffer_elems = 0
 
     # -- events --------------------------------------------------------
@@ -59,6 +61,8 @@ class SamplerProbe(Probe):
         config = getattr(self._root, "config", None)
         hht_config = getattr(config, "hht", None)
         self._buffer_elems = getattr(hht_config, "buffer_elems", 0)
+        # The tree is fixed once built: find its counters once.
+        self._layout = self._root.stats_layout()
         self._snap(session.cpu.cycle)
 
     def on_sample(self, session, cycle: int) -> None:
@@ -70,32 +74,38 @@ class SamplerProbe(Probe):
             self._snap(cycle)
 
     def _snap(self, cycle: int) -> None:
-        self._rows.append((cycle, self._root.stats()))
+        self._rows.append((cycle, registry(self._layout)))
 
     # -- result --------------------------------------------------------
     def payload(self) -> dict:
         cycles = [c for c, _ in self._rows]
-        keys: dict[str, None] = {}  # ordered union across samples
-        for _, row in self._rows:
-            for key in row:
-                keys.setdefault(key)
-        series = {
-            key: [row.get(key, 0) for _, row in self._rows]
-            for key in keys
-            if self.prefixes is None or key.startswith(self.prefixes)
+        rows = [row for _, row in self._rows]
+        # One column per registry key (the ordered union across samples,
+        # 0 where a sample lacks the key), transposed from one row of
+        # values per sample.
+        keys = list(dict.fromkeys(chain.from_iterable(rows)))
+        zeros = [0] * len(keys)
+        columns = dict(zip(keys, map(list, zip(
+            *[list(map(row.get, keys, zeros)) for row in rows]))))
+        series = columns if self.prefixes is None else {
+            key: column for key, column in columns.items()
+            if key.startswith(self.prefixes)
         }
-        wait_fraction = []
-        buffered = []
-        for cycle, row in self._rows:
-            hht = hht_stats_view(row)
-            wait_fraction.append(
-                hht["cpu_wait_cycles"] / cycle if cycle else 0.0
-            )
-            staged = (
-                hht["buffers_filled"] * self._buffer_elems
-                - hht["elements_supplied"]
-            )
-            buffered.append(max(0, staged))
+        # The derived series read the whole registry: the HHT counters'
+        # columns, summed over every instance.
+        hht = hht_counter_keys(keys)
+
+        def total(counter: str) -> list[int]:
+            return ([sum(values) for values
+                     in zip(*[columns[key] for key in hht[counter]])]
+                    or [0] * len(rows))
+
+        wait_fraction = [wait / cycle if cycle else 0.0
+                         for wait, cycle in zip(total("cpu_wait_cycles"),
+                                                cycles)]
+        buffered = [max(0, filled * self._buffer_elems - supplied)
+                    for filled, supplied in zip(total("buffers_filled"),
+                                                total("elements_supplied"))]
         return {
             "schema": SAMPLER_SCHEMA,
             "every": self.sample_every,

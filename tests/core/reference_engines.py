@@ -92,7 +92,7 @@ class ReferenceSpMVEngine(_ReferenceEngine):
         first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
         v_base = self.v_base
         t_v = self.mem.gather(
-            count, lambda: [v_base + 4 * col for col in chunk.tolist()],
+            [v_base + 4 * col for col in chunk.tolist()], 0, count,
             first_col_ready + 1, self.requester,
         )
         ready = t_v + cfg.fill_overhead
@@ -151,15 +151,15 @@ class ReferenceValueEngine(_ReferenceEngine):
         first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
         map_base = self.map_base
         t_map = self.mem.gather(
-            count, lambda: [map_base + 4 * col for col in chunk.tolist()],
+            [map_base + 4 * col for col in chunk.tolist()], 0, count,
             first_col_ready + 1, self.requester,
         )
         if hits:
             first_map_ready = t_map - (hits - 1)
             vpad_base = self.vpad_base
             t_val = self.mem.gather(
-                hits, lambda: [vpad_base + 4 * pos
-                               for pos in self.posmap[chunk].tolist() if pos],
+                [vpad_base + 4 * pos
+                 for pos in self.posmap[chunk].tolist() if pos], 0, hits,
                 first_map_ready + 1, self.requester,
             )
         else:
@@ -253,10 +253,10 @@ class ReferenceAlignedEngine(_ReferenceEngine):
             vpad = self.vpad_base + 4
             t_pairs = max(
                 self.mem.gather(
-                    nm, lambda: [mvals + 4 * k for k in matched_k.tolist()],
+                    [mvals + 4 * k for k in matched_k.tolist()], 0, nm,
                     merge_done + 1, self.requester, step=2),
                 self.mem.gather(
-                    nm, lambda: [vpad + 4 * p for p in matched_vpos.tolist()],
+                    [vpad + 4 * p for p in matched_vpos.tolist()], 0, nm,
                     merge_done + 2, self.requester, step=2),
             )
         else:

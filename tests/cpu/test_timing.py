@@ -93,6 +93,25 @@ class TestConfigurableLatencies:
         cpu.run(assemble("add a0, a1, a2\nhalt"))
         assert cpu.counters.class_cycles["int_alu"] == 5
 
+    def test_a_zero_latency_class_keeps_both_keys(self):
+        """A class that ran has a count key and a cycles key, even when
+        its cycles are 0, and both backends (blocks, a self-loop, the
+        budget tail) agree on every key."""
+        src = ("li a0, 3\nloop: addi a0, a0, -1\nbnez a0, loop\n"
+               "add a1, a0, a0\nhalt")
+        registries = []
+        for backend in ("reference", "compiled"):
+            cpu = Cpu(Bus(Ram(1 << 12), MemoryPort()),
+                      CpuConfig(latencies=LatencyTable(int_alu=0),
+                                backend=backend))
+            cpu.run(assemble(src))
+            registries.append(cpu.stats())
+        reference, compiled = registries
+        assert reference == compiled
+        assert reference["cpu.class_counts.int_alu"] == 5
+        assert reference["cpu.class_cycles.int_alu"] == 0
+        assert list(reference) == list(compiled)
+
     def test_invalid_vlmax_rejected(self):
         with pytest.raises(ValueError):
             CpuConfig(vlmax=0)

@@ -51,3 +51,27 @@ def assert_fifo_conserved(stats) -> None:
             assert stats[f"{hht}.{total}"] == streams, (
                 f"{hht}.{total} is {stats[f'{hht}.{total}']}, "
                 f"its streams sum to {streams}")
+
+
+def assert_class_conserved(stats) -> None:
+    """Every core's instructions and cycles are the sums of its class
+    counters, and its two class groups name the same classes."""
+    cores = [key.removesuffix(".taken_branches") for key in stats
+             if key.endswith(".taken_branches")]
+    assert cores, "no core in the registry"
+    for core in cores:
+        groups = {}
+        for group in ("class_counts", "class_cycles"):
+            prefix = f"{core}.{group}."
+            groups[group] = {key[len(prefix):]: n for key, n in stats.items()
+                             if key.startswith(prefix)}
+        counts, cycles = groups["class_counts"], groups["class_cycles"]
+        assert set(counts) == set(cycles), (
+            f"{core}: classes {sorted(counts)} counted, "
+            f"{sorted(cycles)} timed")
+        assert sum(counts.values()) == stats[f"{core}.instructions"], (
+            f"{core}: classes count {sum(counts.values())}, "
+            f"instructions {stats[f'{core}.instructions']}")
+        assert sum(cycles.values()) == stats[f"{core}.cycles"], (
+            f"{core}: classes time {sum(cycles.values())}, "
+            f"cycles {stats[f'{core}.cycles']}")

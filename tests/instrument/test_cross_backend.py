@@ -28,7 +28,11 @@ from repro.workloads import (
     random_sparse_vector,
 )
 
-from .conservation import assert_fifo_conserved, assert_port_conserved
+from .conservation import (
+    assert_class_conserved,
+    assert_fifo_conserved,
+    assert_port_conserved,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +57,7 @@ def _config(variant: str) -> SystemConfig:
 
 def _observables(result):
     assert_port_conserved(result.stats)
+    assert_class_conserved(result.stats)
     assert_fifo_conserved(result.stats)
     return (result.cycles, result.instructions, dict(result.stats))
 
@@ -172,8 +177,10 @@ class TestProbeParity:
         soc, prog = self._soc_prog(workload, "compiled")
         probed = soc.run(prog, probes=(TimelineProbe(), ContentionProbe()))
         assert_port_conserved(bare.stats)
+        assert_class_conserved(bare.stats)
         assert_fifo_conserved(bare.stats)
         assert_port_conserved(probed.stats)
+        assert_class_conserved(probed.stats)
         assert_fifo_conserved(probed.stats)
         assert probed.cycles == bare.cycles
         assert probed.instructions == bare.instructions
@@ -208,6 +215,7 @@ class TestTracesMatch:
             soc.run(prog, probes=(probe,))
             text = render_trace(probe.entries)
             assert_port_conserved(soc.stats())
+            assert_class_conserved(soc.stats())
             assert_fifo_conserved(soc.stats())
             return text
 

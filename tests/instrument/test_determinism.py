@@ -29,7 +29,11 @@ from repro.workloads import (
     random_sparse_vector,
 )
 
-from .conservation import assert_fifo_conserved, assert_port_conserved
+from .conservation import (
+    assert_class_conserved,
+    assert_fifo_conserved,
+    assert_port_conserved,
+)
 
 # Captured on the 24x24 / 40%-sparse seed-7 workload below: the first
 # three from the pre-refactor interpreter (commit add1966), the HHT
@@ -40,7 +44,9 @@ from .conservation import assert_fifo_conserved, assert_port_conserved
 # L1D runs (commit bc2f4c7) take the per-element gather path, which the
 # flat Table-1 runs never reach.  The SSR runs (commit 256ab9a) pin the
 # SSR front-end's pop and lookahead timing, and the variant-2 stall run
-# (commit 6f0fc49) the ready time of a fill the CPU waits on.
+# (commit 6f0fc49) the ready time of a fill the CPU waits on.  The
+# variant-1 L1D run with empty rows (commit 0b54441) pins that an empty
+# row's zero-word index reads do not touch the cache.
 GOLDEN_RUNS = {
     "spmv_base": {
         "cycles": 3583,
@@ -126,6 +132,13 @@ GOLDEN_RUNS = {
         "instructions": 853,
         "stats_sha": "0da212f160dfa6c23578a5f8acf4415f4f85d7a261a1aee289b222ee30cb260d",
     },
+    # A 90%-sparse matrix with three empty rows: variant 1 makes
+    # zero-word index reads for each of them, not all line-aligned.
+    "spmspv_hht_v1_l1d_empty_rows": {
+        "cycles": 1079,
+        "instructions": 440,
+        "stats_sha": "dfd134e82ce73aba7515b0ca53ba1ac46e27a39814f24bfd4b57e3a7b3273d4a",
+    },
 }
 
 GOLDEN_SCALAR_TRACE = """\
@@ -168,6 +181,11 @@ def workload():
 
 def _run(label, workload):
     matrix, v, sv = workload
+    if label == "spmspv_hht_v1_l1d_empty_rows":
+        cfg = SystemConfig.paper_table1()
+        cfg.cache = CacheConfig()
+        return run_spmspv(random_csr((24, 24), 0.9, seed=1), sv,
+                          mode="hht_v1", config=cfg)
     if label.endswith(("_banks2", "_l1d")):
         cfg = SystemConfig.paper_table1()
         if label.endswith("_banks2"):
@@ -214,6 +232,7 @@ class TestGoldenRuns:
         monkeypatch.setenv("REPRO_BACKEND", backend)
         result = _run(label, workload)
         assert_port_conserved(result.stats)
+        assert_class_conserved(result.stats)
         assert_fifo_conserved(result.stats)
         golden = GOLDEN_RUNS[label]
         assert result.cycles == golden["cycles"]
@@ -244,8 +263,10 @@ class TestProbesDoNotPerturb:
             TimelineProbe(), ContentionProbe(), PcProfileProbe(),
         ))
         assert_port_conserved(bare.stats)
+        assert_class_conserved(bare.stats)
         assert_fifo_conserved(bare.stats)
         assert_port_conserved(probed.stats)
+        assert_class_conserved(probed.stats)
         assert_fifo_conserved(probed.stats)
         assert probed.cycles == bare.cycles
         assert probed.instructions == bare.instructions
@@ -282,6 +303,7 @@ class TestGoldenTraces:
         soc.run(prog, probes=(probe,))
         assert render_trace(probe.entries) == GOLDEN_SCALAR_TRACE
         assert_port_conserved(soc.stats())
+        assert_class_conserved(soc.stats())
         assert_fifo_conserved(soc.stats())
 
     def test_hht_kernel_trace(self, backend, monkeypatch):
@@ -298,6 +320,7 @@ class TestGoldenTraces:
         soc.run(prog, probes=(probe,))
         assert render_trace(probe.entries) == GOLDEN_HHT_TRACE
         assert_port_conserved(soc.stats())
+        assert_class_conserved(soc.stats())
         assert_fifo_conserved(soc.stats())
 
 
@@ -340,6 +363,7 @@ class TestSummaryShape:
         )
         summary = execute(spec)
         assert_port_conserved(summary.stats)
+        assert_class_conserved(summary.stats)
         assert_fifo_conserved(summary.stats)
         assert set(summary.to_json_dict()) == {
             "cycles", "instructions", "stats", "frequency_hz", "y",

@@ -3,9 +3,16 @@
 import pytest
 
 from repro.cpu import Cpu, CpuConfig, SimulationError
-from repro.instrument import PcProfileProbe, Probe, ProbeHalt, SimSession
+from repro.instrument import (
+    MultiCoreSession,
+    PcProfileProbe,
+    Probe,
+    ProbeHalt,
+    SimSession,
+)
 from repro.isa import assemble
 from repro.memory import Bus, MemoryPort, Ram
+from repro.system import Soc, SystemConfig
 
 from ..cpu.helpers import attach_pause
 
@@ -145,6 +152,45 @@ class TestProbeHalt:
         cpu.run(assemble("li a0, 1\nhalt"), probes=(Refuse(),))
         assert cpu.x[10] == 0  # nothing executed
 
+    def test_a_stopped_run_resumes_at_the_next_instruction(self):
+        """The instruction whose hook stops the run counts, and the pc
+        has moved past it, so resuming runs each instruction once."""
+        cpu = make_cpu()
+        session = SimSession(
+            cpu, assemble("addi a0, a0, 1\naddi a0, a0, 1\nhalt"),
+            probes=(StopFirst(),))
+        session.run()
+        assert (cpu.counters.instructions, session._pc, cpu.x[10]) == (1, 1, 1)
+        session.run()
+        assert (cpu.counters.instructions, cpu.x[10]) == (3, 2)
+        assert cpu.halted
+
+    def test_a_stopped_multicore_run_resumes_at_the_next_instruction(self):
+        soc = Soc(SystemConfig(n_cores=2))
+        session = MultiCoreSession(
+            soc.cpus, assemble("addi a0, a0, 1\naddi a0, a0, 1\nhalt"),
+            probes=(StopFirst(),), system=soc)
+        session.run()
+        first, second = soc.cpus
+        assert (first.counters.instructions, session._sessions[0]._pc,
+                first.x[10]) == (1, 1, 1)
+        assert second.counters.instructions == 0
+        stats = session.run()
+        assert stats.instructions == 6
+        assert [cpu.x[10] for cpu in soc.cpus] == [2, 2]
+
+
+class StopFirst(Probe):
+    """Stops the run at the first instruction it sees, once."""
+
+    def __init__(self):
+        self.stopped = False
+
+    def on_instruction(self, pc, ins, cycle_start, cycle_end):
+        if not self.stopped:
+            self.stopped = True
+            raise ProbeHalt
+
 
 class TestStepSession:
     """Resumed runs, as the programmable HHT steps its helper core."""
@@ -172,3 +218,28 @@ class TestStepSession:
         cpu.halted = False
         session.run()
         assert [op for _, op, _, _ in probe.events] == ["sw", "li", "halt"]
+
+    def test_a_resumed_run_keeps_its_event_sinks(self):
+        class Ports(Probe):
+            def __init__(self):
+                self.starts = 0
+                self.issues = []
+
+            def on_session_start(self, session):
+                self.starts += 1
+
+            def on_port_issue(self, port, requester, slot, count, waited):
+                self.issues.append(slot)
+
+        cpu = make_cpu()
+        attach_pause(cpu)
+        probe = Ports()
+        session = SimSession(cpu, assemble(
+            "lw a0, 0x100(zero)\nsw x0, 0(t0)\nlw a1, 0x104(zero)\nhalt"),
+            probes=(probe,))
+        session.run()
+        cpu.halted = False
+        session.run()
+        assert len(probe.issues) == cpu.bus.port.counters.requests == 2
+        assert probe.starts == 1
+        assert cpu.bus.port.probe_sink is None   # detached again

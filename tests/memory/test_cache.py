@@ -119,6 +119,10 @@ class TestMemorySystem:
     def test_zero_words_noop(self, cache):
         mem = MemorySystem(cache.port, cache)
         assert mem.read_seq(0x100, 0, 7, "cpu") == 7
+        # Not line-aligned: a zero-word read still touches no line.
+        assert mem.read_seq(0x104, 0, 7, "cpu") == 7
+        assert cache.counters.accesses == 0
+        assert cache.port.counters.requests == 0
 
     def test_reset_cascades(self, cache):
         mem = MemorySystem(cache.port, cache)

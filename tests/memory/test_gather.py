@@ -34,7 +34,7 @@ def _memory(latency, prior, sink):
     then *sink* attached."""
     port = MemoryPort(latency=latency)
     for requester, cycle, count in prior:
-        port.issue_burst(cycle, count, requester)
+        port.issue_seq(0, count, cycle, requester)
     port.probe_sink = sink
     return MemorySystem(port)
 
@@ -69,14 +69,14 @@ def test_closed_form_equals_per_element(latency, prior, cycle, count, step,
     sink = RecordingSink()
     each = _memory(latency, prior, sink)
     if shape == "pipelined":
-        got = closed.gather(count, lambda: addrs, cycle, requester, step=step)
-        want = each.gather(count, lambda: addrs, cycle, requester, step=step)
+        got = closed.gather(addrs, 0, count, cycle, requester, step)
+        want = each.gather(addrs, 0, count, cycle, requester, step)
     elif shape == "chained":
         got = closed.gather_chain(addrs, cycle, requester)
         want = each.gather_chain(addrs, cycle, requester)
     else:
         got = closed.read_seq(0x100, count, cycle, requester)
-        want = each.gather(count, lambda: addrs, cycle, requester)
+        want = each.gather(addrs, 0, count, cycle, requester)
     assert len(sink.events) == count  # one issue per element
     assert got == want
     assert _state(closed) == _state(each)

@@ -36,37 +36,37 @@ class TestBursts:
     def test_burst_completion(self):
         port = MemoryPort(latency=2)
         # 4 beats issuing at cycles 5..8; last completes at 8 + 2.
-        assert port.issue_burst(5, 4) == 10
+        assert port.issue_seq(0, 4, 5) == 10
 
     def test_burst_zero_is_noop(self):
         port = MemoryPort(latency=2)
-        assert port.issue_burst(5, 0) == 5
+        assert port.issue_seq(0, 0, 5) == 5
         assert port.counters.requests == 0
 
     def test_burst_occupies_slots(self):
         port = MemoryPort(latency=2)
-        port.issue_burst(0, 4)
+        port.issue_seq(0, 4, 0)
         # Next single request queues after the burst's 4 slots.
         assert port.issue(0, 0) == 6
 
     def test_burst_queues_behind_prior(self):
         port = MemoryPort(latency=2)
         port.issue(0, 0)
-        assert port.issue_burst(0, 2) == 4  # slots 1,2; completes 2+2
+        assert port.issue_seq(0, 2, 0) == 4  # slots 1,2; completes 2+2
 
 
 class TestAccounting:
     def test_requests_counted(self):
         port = MemoryPort()
         port.issue(0, 0)
-        port.issue_burst(0, 5)
+        port.issue_seq(0, 5, 0)
         assert port.counters.requests == 6
 
     def test_by_requester(self):
         port = MemoryPort()
         port.issue(0, 0, "cpu")
         port.issue(0, 0, "hht")
-        port.issue_burst(0, 3, "hht")
+        port.issue_seq(0, 3, 0, "hht")
         assert port.counters.by_requester == {"cpu": 1, "hht": 4}
 
     def test_burst_beats_all_pay_queue_wait(self):
@@ -76,13 +76,13 @@ class TestAccounting:
         port.issue(0, 0)
         port.issue(0, 0)  # port busy through slots 0,1
         before = port.counters.queue_cycles
-        port.issue_burst(0, 3)  # head wants 0, issues at 2
+        port.issue_seq(0, 3, 0)  # head wants 0, issues at 2
         assert port.counters.queue_cycles - before == 2 * 3
 
     def test_busy_cycles_count_slots_consumed(self):
         port = MemoryPort(latency=2)
         port.issue(0, 0)
-        port.issue_burst(0, 4)
+        port.issue_seq(0, 4, 0)
         assert port.counters.busy_cycles == 5
 
     def test_reset(self):
@@ -132,14 +132,14 @@ class TestBankedPort:
         single.issue(0, 0)
         banked = MemoryPort(latency=2, banks=4)
         banked.issue(0, 0)
-        assert single.issue_burst(0, 4, addr=0) == 6
-        assert banked.issue_burst(0, 4, addr=0) == 5
+        assert single.issue_seq(0, 4, 0) == 6
+        assert banked.issue_seq(0, 4, 0) == 5
 
     def test_strided_burst_uses_stride_banks(self):
-        # stride_words=2 on 2 banks: every beat lands in bank 0.
+        # words_per_slot=2 on 2 banks: every beat lands in bank 0.
         port = MemoryPort(latency=2, banks=2)
         port.issue(0, 0)  # bank 0 busy at slot 0
-        completion = port.issue_burst(0, 2, addr=0, stride_words=2)
+        completion = port.issue_seq(0, 4, 0, words_per_slot=2)
         assert completion == 4  # beats issue at 1,2 — fully serialised
         assert port._bank_requests == [3, 0]
 
@@ -157,7 +157,7 @@ class TestBankedPort:
         # cycle on either topology.
         single = MemoryPort(latency=3, banks=1)
         banked = MemoryPort(latency=3, banks=4)
-        assert single.issue_burst(5, 8, addr=0) == banked.issue_burst(5, 8, addr=0)
+        assert single.issue_seq(0, 8, 5) == banked.issue_seq(0, 8, 5)
 
     def test_reset_clears_bank_pipes(self):
         port = MemoryPort(banks=4)

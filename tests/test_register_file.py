@@ -10,6 +10,10 @@ run that builds its own views, pays per instruction or per run for what
 the Cpu already holds.  This test scans the syntax trees of the Cpu,
 of the translator and of every op's one-instruction translation, and
 the emitted block sources, so neither can creep back in.
+
+The same scans hold the class accounting to its form: every translation
+charges the Cpu's counter lists by class index (``_cc[i] += n``,
+``_ccy[i] += c``), never a dict or an attribute chain.
 """
 
 import ast
@@ -19,6 +23,8 @@ import repro
 from repro.cpu import Cpu, CpuConfig, compiled
 from repro.isa import assemble
 from repro.memory import Bus, MemoryPort, Ram
+from repro.isa.instructions import ALL_MNEMONICS
+from repro.kernels.firmware import FIRMWARES
 from tests.isa.test_kernel_isa import _kernel_instructions
 from tests.kernels.test_kernel_streams import STREAMS, SYMBOLS, _text
 
@@ -158,3 +164,58 @@ def test_emitted_blocks_index_the_current_set(monkeypatch):
     assert any("_sv, _sf, _si, _sc = cpu.vset = cpu._vsets[_vl]" in source
                for source in sources)
 
+
+
+def _class_charges(tree: ast.AST) -> tuple[int, list[str]]:
+    """``(index charges, offenders)`` of one translation: the count of
+    ``_cc[<int>] +=`` / ``_ccy[<int>] +=`` statements, and every
+    ``.get(`` call, string-keyed subscript or ``counters`` /
+    ``taken_branches`` attribute, the ways a class was charged before."""
+    charges, offenders = 0, []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Subscript)
+                and isinstance(node.target.value, ast.Name)
+                and node.target.value.id in ("_cc", "_ccy")
+                and isinstance(node.target.slice, ast.Constant)
+                and type(node.target.slice.value) is int):
+            charges += 1
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"):
+            offenders.append(f"{node.lineno}: .get(")
+        elif (isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            offenders.append(f"{node.lineno}: [{node.slice.value!r}]")
+        elif (isinstance(node, ast.Attribute)
+                and node.attr in ("counters", "taken_branches")):
+            offenders.append(f"{node.lineno}: .{node.attr}")
+    return charges, offenders
+
+
+def test_no_translation_charges_a_class_through_a_dict(monkeypatch):
+    """Every op's one-instruction translation, and the block at every pc
+    of every kernel stream and firmware, charges its classes by index
+    into the lists the prologue binds."""
+    trees = _translation_trees()
+    assert set(trees) == ALL_MNEMONICS
+    for op, tree in trees.items():
+        charges, offenders = _class_charges(tree)
+        assert charges and offenders == [], (op, offenders)
+    monkeypatch.setattr(compiled, "block_cache", {})
+    cpu = Cpu(Bus(Ram(1 << 12), MemoryPort()), CpuConfig(backend="compiled"))
+    backend = compiled.CompiledBackend(cpu)
+    programs = [assemble(_text(case), SYMBOLS) for case in sorted(STREAMS)]
+    programs += [make() for make in FIRMWARES.values()]
+    ops, looping = set(), 0
+    for program in programs:
+        ops.update(ins.op for ins in program.instructions)
+        for pc in range(len(program.instructions)):
+            backend.bind(program, pc)
+        for block in compiled.block_cache.values():
+            charges, offenders = _class_charges(ast.parse(block.source))
+            assert charges and offenders == [], (block.source, offenders)
+            looping += block.looping
+        compiled.block_cache.clear()
+    assert ops == ALL_MNEMONICS and looping
