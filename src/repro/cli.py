@@ -93,8 +93,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--obs-log", nargs="?", const="", default=None, metavar="DIR",
-        help="record a structured sweep event log (JSONL + heartbeats + "
-             "stats; inspect with `repro obs`); DIR roots it, bare flag "
+        help="record a structured sweep event log (JSONL + stats; "
+             "inspect with `repro obs`); DIR roots it, bare flag "
              "uses $REPRO_OBS_DIR else ~/.cache/repro/obs",
     )
     progress = parser.add_mutually_exclusive_group()

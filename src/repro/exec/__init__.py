@@ -5,8 +5,9 @@ The experiment harness expresses every simulation as a picklable
 already-simulated points from the persistent cache (quarantining
 corrupt entries), and fans the rest out across worker processes — one
 future per spec, under an :class:`ExecPolicy` of timeouts, bounded
-retries and failure disposition, surviving worker crashes by pool
-resurrection.  :mod:`repro.exec.faults` injects deterministic chaos
+retries and failure disposition.  Worker heartbeats name the spec each
+worker holds, so a crashed or wedged worker's spec is charged and the
+pool replaced.  :mod:`repro.exec.faults` injects deterministic chaos
 (``$REPRO_FAULTS``) to prove all of it.  See :mod:`repro.exec.spec`,
 :mod:`repro.exec.cache`, :mod:`repro.exec.policy` and
 :mod:`repro.exec.engine`.

@@ -11,7 +11,7 @@ of specs it
 3. fans the remaining misses out as *one future per spec* over a
    ``ProcessPoolExecutor`` sized by ``jobs`` / ``$REPRO_JOBS`` /
    ``os.cpu_count()``, governed by an :class:`ExecPolicy` (per-spec
-   timeout, whole-batch deadline, bounded retries with seeded-jitter
+   timeout, whole-batch deadline, bounded retries with jittered
    backoff, ``on_error`` disposition), and
 4. returns summaries *in the order the specs were given* — results are
    position-stable, so parallel runs are byte-identical to serial ones.
@@ -20,18 +20,21 @@ Fault tolerance is structural, not best-effort:
 
 * every completed future's summary is cached *immediately*, so a sweep
   killed halfway resumes from what finished;
-* a worker crash (``BrokenProcessPool``) is survived by resurrecting
-  the pool — the crashing spec is identified via a breadcrumb file the
-  worker drops before executing, charged a failure, and retried or
-  quarantined, while innocent in-flight specs are relaunched without
-  burning a retry;
+* every pool worker keeps one heartbeat record of the spec it holds, in
+  its pool's own temporary directory (:mod:`repro.obs.heartbeat`),
+  whether or not the obs log is on;
+* a worker crash (``BrokenProcessPool``) is survived by replacing the
+  pool — the records still naming a spec once the teardown settles
+  identify the crashing specs, which are charged a failure and retried,
+  while innocent in-flight specs are relaunched without burning a retry;
 * per-spec timeouts are enforced *inside* the worker with ``SIGALRM``
   (raising :class:`SpecTimeout` cleanly), backstopped driver-side: a
   worker unresponsive past ``timeout + grace`` is abandoned with its
-  pool and the survivors are rescheduled;
-* everything that went wrong is accounted in :class:`ExecStats` — new
-  counters (retried / failed / corrupt / quarantined / pool restarts)
-  plus a structured :class:`FailureReport` of per-spec records.
+  pool, its heartbeat naming the spec it held, and the same replacement
+  path reschedules the rest;
+* everything that went wrong is accounted in :class:`ExecStats` —
+  counters (retried / failed / corrupt / pool restarts) plus a
+  structured :class:`FailureReport` of per-spec records.
 
 Deterministic chaos testing hooks in via :mod:`repro.exec.faults`
 (``$REPRO_FAULTS``): injection happens only around engine-launched
@@ -54,19 +57,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
+from ..obs.heartbeat import Heartbeat, read_heartbeats, record_path
 from ..obs.heartbeat import attribute as heartbeat_attribute
 from ..obs.heartbeat import beat as heartbeat_beat
 from ..obs.heartbeat import clear as heartbeat_clear
-from ..obs.heartbeat import read_heartbeats
-from ..obs.log import (
-    ENV_OBS_DIR,
-    HEARTBEAT_DIR,
-    NULL_OBS,
-    ObsLog,
-    worker_writer,
-)
+from ..obs.log import ENV_OBS_DIR, NULL_OBS, ObsLog, worker_writer
 from ..obs.progress import ProgressLine
 from .cache import (
     ENV_NO_CACHE,
@@ -101,6 +98,10 @@ _POLL_SECONDS = 0.05
 #: presumed wedged in uninterruptible code and abandoned with its pool.
 _HANG_GRACE_SECONDS = 5.0
 
+#: Longest wait, after a pool breaks, for the busy heartbeat records to
+#: stop changing while the executor SIGTERMs the surviving workers.
+_SETTLE_SECONDS = 2.0
+
 _UNSET = object()
 
 
@@ -115,7 +116,6 @@ class ExecStats:
     retried: int = 0
     failed: int = 0
     corrupt: int = 0
-    quarantined: int = 0
     pool_restarts: int = 0
     heartbeats_seen: int = 0
     events_emitted: int = 0
@@ -153,7 +153,6 @@ class ExecStats:
         self.retried += other.retried
         self.failed += other.failed
         self.corrupt += other.corrupt
-        self.quarantined += other.quarantined
         self.pool_restarts += other.pool_restarts
         self.heartbeats_seen += other.heartbeats_seen
         self.events_emitted += other.events_emitted
@@ -173,7 +172,6 @@ class ExecStats:
             retried=self.retried - before.retried,
             failed=self.failed - before.failed,
             corrupt=self.corrupt - before.corrupt,
-            quarantined=self.quarantined - before.quarantined,
             pool_restarts=self.pool_restarts - before.pool_restarts,
             heartbeats_seen=self.heartbeats_seen - before.heartbeats_seen,
             events_emitted=self.events_emitted - before.events_emitted,
@@ -193,7 +191,6 @@ class ExecStats:
             for name, count in (
                 ("retried", self.retried),
                 ("failed", self.failed),
-                ("quarantined", self.quarantined),
                 ("corrupt cache entries", self.corrupt),
                 ("pool restarts", self.pool_restarts),
             )
@@ -214,7 +211,6 @@ class ExecStats:
             "retried": self.retried,
             "failed": self.failed,
             "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
             "pool_restarts": self.pool_restarts,
             "cache_hit_rate": self.cache_hit_rate,
             "heartbeats_seen": self.heartbeats_seen,
@@ -370,27 +366,28 @@ def _spec_alarm(seconds: float | None, *, key: str, label: str, attempt: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-#: The breadcrumb of the spec this worker is currently executing, so
-#: the SIGTERM handler can clear it (see :func:`_worker_init`).
-_ACTIVE_CRUMB: Path | None = None
+#: The pool's heartbeat directory, fixed when the worker starts, so
+#: the SIGTERM handler knows its record's path before the first beat.
+_HEARTBEAT_DIR: Path | None = None
 
 
 def _worker_sigterm(signum, frame):
     # When one worker crashes, the executor SIGTERMs the *other*
     # workers while tearing the pool down.  Those are victims, not
-    # culprits: remove their breadcrumb so only the spec whose worker
-    # genuinely died (os._exit / segfault / SIGKILL skip this handler)
-    # is charged with the crash.
-    crumb = _ACTIVE_CRUMB
-    if crumb is not None:
+    # culprits: remove their record so only a worker that genuinely
+    # died (os._exit / segfault / SIGKILL skip this handler) is left
+    # naming a spec.
+    if _HEARTBEAT_DIR is not None:
         try:
-            crumb.unlink()
+            record_path(_HEARTBEAT_DIR).unlink()
         except OSError:
             pass
     os._exit(143)
 
 
-def _worker_init() -> None:
+def _worker_init(heartbeat_dir: str) -> None:
+    global _HEARTBEAT_DIR
+    _HEARTBEAT_DIR = Path(heartbeat_dir)
     if hasattr(signal, "SIGTERM"):
         signal.signal(signal.SIGTERM, _worker_sigterm)
 
@@ -438,52 +435,30 @@ def _attempt(spec: RunSpec, *, key: str, fkey: str, label: str,
 
 def _worker_attempt(spec: RunSpec, key: str, fkey: str, label: str,
                     attempt: int, timeout: float | None, faults_text: str,
-                    crumb_dir: str, obs_dir: str = "",
-                    sweep_id: str = "") -> RunSummary:
+                    obs_dir: str = "", sweep_id: str = "") -> RunSummary:
     """:func:`_attempt` inside a pool worker.
 
-    Drops a breadcrumb file (named by ``fkey``) first and removes it on
-    any non-crash exit (including executor-initiated SIGTERM): after a
-    ``BrokenProcessPool`` the surviving breadcrumbs name exactly the
-    specs whose workers died, so the driver can attribute the crash
-    instead of penalising every in-flight spec.
+    Beats (key, label, attempt) into the worker's heartbeat record first
+    and marks the record idle on any non-crash exit (an executor SIGTERM
+    removes it instead): after a ``BrokenProcessPool`` the records still
+    naming a spec belong exactly to the workers that died, so the driver
+    can attribute the crash instead of penalising every in-flight spec.
 
-    With ``obs_dir`` set the worker also touches its heartbeat record
-    around the attempt, and the attempt's events (and any
-    ``fault.injected``) go to its own per-pid event file — every line
-    flushed, so a crash mid-attempt still leaves the attempt's trail on
-    disk.  In a worker an injected crash really kills the process.
+    With ``obs_dir`` set the attempt's events (and any
+    ``fault.injected``) go to the worker's own per-pid event file —
+    every line flushed, so a crash mid-attempt still leaves the
+    attempt's trail on disk.  In a worker an injected crash really kills
+    the process.
     """
-    global _ACTIVE_CRUMB
-    crumb: Path | None = None
-    if crumb_dir:
-        crumb = Path(crumb_dir) / f"{fkey}.{os.getpid()}.{attempt}"
-        _ACTIVE_CRUMB = crumb
-        try:
-            crumb.write_text(label)
-        except OSError:
-            crumb = None
-            _ACTIVE_CRUMB = None
-    writer = None
-    heartbeat_dir = ""
-    if obs_dir:
-        writer = worker_writer(obs_dir, sweep_id)
-        heartbeat_dir = os.path.join(obs_dir, HEARTBEAT_DIR)
-        heartbeat_beat(heartbeat_dir, key=key, label=label, attempt=attempt)
+    heartbeat_beat(_HEARTBEAT_DIR, key=key, label=label, attempt=attempt)
     try:
         return _attempt(spec, key=key, fkey=fkey, label=label,
                         attempt=attempt, timeout=timeout,
                         plan=FaultPlan.parse(faults_text), in_worker=True,
-                        obs=writer)
+                        obs=worker_writer(obs_dir, sweep_id) if obs_dir
+                        else None)
     finally:
-        if writer is not None:
-            heartbeat_clear(heartbeat_dir)
-        if crumb is not None:
-            try:
-                crumb.unlink()
-            except OSError:
-                pass
-        _ACTIVE_CRUMB = None
+        heartbeat_clear(_HEARTBEAT_DIR)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +470,7 @@ class _Pending:
 
     spec: RunSpec
     key: str               # cache key (content + code-version salt)
-    fkey: str              # payload key (fault rolls / crumbs; code-stable)
+    fkey: str              # payload key (fault rolls; code-stable)
     label: str
     indices: list[int]
     attempts: int = 0          # attempts launched so far
@@ -521,10 +496,8 @@ class _Driver:
         self.workers = workers
         self.obs = obs
         self.progress = progress
-        self.quarantine_after = (
-            policy.quarantine_after if policy.quarantine_after is not None
-            else policy.retries + 2
-        )
+        #: The current pool's heartbeat records (see :meth:`_new_pool`).
+        self.heartbeat_dir: Path | None = None
         self._heartbeat_updates: dict[int, float] = {}
         self._last_obs_poll = 0.0
 
@@ -549,17 +522,14 @@ class _Driver:
         if now - self._last_obs_poll < 0.25:
             return
         self._last_obs_poll = now
-        running = len(inflight)
-        if self.obs:
-            beats = read_heartbeats(self.obs.heartbeat_dir)
-            for pid, hb in beats.items():
-                if self._heartbeat_updates.get(pid) != hb.updated:
-                    self._heartbeat_updates[pid] = hb.updated
-                    self.stats.heartbeats_seen += 1
-            busy = sum(1 for hb in beats.values() if hb.busy)
-            if busy:
-                running = busy  # specs actually executing, not just queued
-        self._tick(running=running)
+        beats = read_heartbeats(self.heartbeat_dir)
+        for pid, hb in beats.items():
+            if self._heartbeat_updates.get(pid) != hb.updated:
+                self._heartbeat_updates[pid] = hb.updated
+                self.stats.heartbeats_seen += 1
+        # Specs actually executing, not just queued.
+        busy = sum(1 for hb in beats.values() if hb.busy)
+        self._tick(running=busy or len(inflight))
 
     # -- shared bookkeeping ------------------------------------------------
     def _complete(self, p: _Pending, summary: RunSummary) -> None:
@@ -581,22 +551,16 @@ class _Driver:
                           attempt=p.attempts, failures=p.failures)
         self._tick()
 
-    def _fail(self, p: _Pending, error: ExecError, *,
-              quarantined: bool = False) -> None:
+    def _fail(self, p: _Pending, error: ExecError) -> None:
         self.stats.failed += 1
-        if quarantined:
-            self.stats.quarantined += 1
         self.stats.failures.append(FailureRecord(
             key=p.key, label=p.label, category=error.category,
-            message=str(error), attempts=p.attempts,
-            resolved=False, quarantined=quarantined,
+            message=str(error), attempts=p.attempts, resolved=False,
         ))
         if self.obs:
-            self.obs.emit(
-                "spec.quarantined" if quarantined else "spec.failed",
-                key=p.key, label=p.label, attempt=p.attempts,
-                category=error.category, message=str(error)[:200],
-            )
+            self.obs.emit("spec.failed", key=p.key, label=p.label,
+                          attempt=p.attempts, category=error.category,
+                          message=str(error)[:200])
         self._tick()
         if self.policy.on_error == "raise":
             raise error
@@ -623,9 +587,6 @@ class _Driver:
         if self.obs and isinstance(error, SpecTimeout):
             self.obs.emit("spec.timeout", key=p.key, label=p.label,
                           attempt=p.attempts, message=str(error)[:200])
-        if p.failures >= self.quarantine_after:
-            self._fail(p, error, quarantined=True)
-            return False
         if error.retryable and p.attempts < self.policy.max_attempts:
             self.stats.retried += 1
             delay = self.policy.retry_delay(p.fkey, p.attempts)
@@ -674,9 +635,7 @@ class _Driver:
 
     # -- pooled path -------------------------------------------------------
     def run_pool(self, pending: list[_Pending]) -> None:
-        crumb_dir = Path(tempfile.mkdtemp(prefix="repro-exec-crumbs-"))
-        pool = ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_worker_init)
+        pool = self._new_pool()
         waiting = list(pending)
         inflight: dict[Future, _Pending] = {}
         faults_text = self.plan.spec_string() if self.plan.active else ""
@@ -696,15 +655,14 @@ class _Driver:
                         future = pool.submit(
                             _worker_attempt, p.spec, p.key, p.fkey,
                             p.label, p.attempts, self.policy.timeout,
-                            faults_text, str(crumb_dir), obs_dir, sweep_id,
+                            faults_text, obs_dir, sweep_id,
                         )
                     except (BrokenProcessPool, RuntimeError):
                         # Pool died between completions: undo the launch
-                        # and resurrect before trying again.
+                        # and replace the pool before trying again.
                         p.attempts -= 1
                         waiting.append(p)
-                        pool = self._resurrect(pool, inflight, waiting,
-                                               crumb_dir)
+                        pool = self._replace_pool(pool, inflight, waiting)
                         break
                     inflight[future] = p
                 if not inflight:
@@ -713,33 +671,39 @@ class _Driver:
                     continue
                 done, _ = wait(set(inflight), timeout=_POLL_SECONDS,
                                return_when=FIRST_COMPLETED)
-                broken = False
+                if any(isinstance(f.exception(), BrokenProcessPool)
+                       for f in done):
+                    pool = self._replace_pool(pool, inflight, waiting)
+                    continue
                 for future in done:
                     p = inflight.pop(future)
                     try:
                         summary = future.result()
-                    except BrokenProcessPool:
-                        inflight[future] = p  # group handler sorts it out
-                        broken = True
-                        break
                     except Exception as exc:
                         if self._handle_failure(p, self._wrap(p, exc)):
                             waiting.append(p)
                     else:
                         self._complete(p, summary)
-                if broken:
-                    pool = self._resurrect(pool, inflight, waiting, crumb_dir)
-                    continue
                 self._note_running(inflight)
                 self._poll_observability(inflight)
-                hung = [(f, p) for f, p in inflight.items()
-                        if self._is_hung(p)]
+                hung = {f for f, p in inflight.items() if self._is_hung(p)}
                 if hung:
-                    pool = self._abandon_hung(pool, hung, inflight, waiting,
-                                              crumb_dir)
+                    pool = self._replace_pool(pool, inflight, waiting,
+                                              hung=hung)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-            shutil.rmtree(crumb_dir, ignore_errors=True)
+            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        # Each pool's workers beat into a temporary directory of their
+        # own: a worker of a pool abandoned around a hung spec may still
+        # run the specs queued to it, and its records must never be read
+        # as the new pool's.
+        self.heartbeat_dir = Path(
+            tempfile.mkdtemp(prefix="repro-exec-heartbeats-"))
+        return ProcessPoolExecutor(max_workers=self.workers,
+                                   initializer=_worker_init,
+                                   initargs=(str(self.heartbeat_dir),))
 
     def _note_running(self, inflight: dict[Future, _Pending]) -> None:
         now = perf_counter()
@@ -753,101 +717,44 @@ class _Driver:
         limit = self.policy.timeout + _HANG_GRACE_SECONDS
         return perf_counter() - p.running_since > limit
 
-    def _drain_crumbs(self, crumb_dir: Path,
-                      settle_seconds: float = 2.0) -> set[str]:
-        """Collect (and clear) crash breadcrumbs once the set settles.
-
-        When the pool breaks, the executor SIGTERMs surviving workers
-        *concurrently* with our cleanup; their handlers unlink their own
-        breadcrumbs on the way out.  Poll until the set stops changing
-        so a dying victim is not misread as a crasher — what remains
-        afterwards belongs to workers that died without cleanup.
-        """
-        deadline = perf_counter() + settle_seconds
-        previous: set[str] | None = None
-        while True:
-            try:
-                current = {p.name for p in crumb_dir.glob("*")}
-            except OSError:
-                current = set()
-            if current == previous or perf_counter() >= deadline:
-                break
-            previous = current
-            time.sleep(0.1)
-        crashed: set[str] = set()
-        for name in current:
-            crashed.add(name.split(".", 1)[0])
-            try:
-                (crumb_dir / name).unlink()
-            except OSError:
-                pass
-        return crashed
-
-    def _resurrect(self, pool: ProcessPoolExecutor,
-                   inflight: dict[Future, _Pending],
-                   waiting: list[_Pending],
-                   crumb_dir: Path) -> ProcessPoolExecutor:
-        """Replace a broken pool, attributing the crash via breadcrumbs."""
-        self.stats.pool_restarts += 1
-        pool.shutdown(wait=False, cancel_futures=True)
-        crashed = self._drain_crumbs(crumb_dir)
-        if self.obs:
-            self.obs.emit("pool.restart", reason="broken-pool",
-                          crashed=len(crashed))
-        heartbeats = (read_heartbeats(self.obs.heartbeat_dir)
-                      if self.obs else {})
-        for future, p in list(inflight.items()):
-            del inflight[future]
-            if future.done():
-                # A result that landed before the pool broke still counts.
-                try:
-                    summary = future.result()
-                except Exception:
-                    pass
-                else:
-                    self._complete(p, summary)
-                    continue
-            if p.fkey in crashed:
-                error = WorkerCrash(
-                    f"worker process died mid-spec (attempt {p.attempts})",
-                    key=p.key, label=p.label, attempts=p.attempts,
-                )
-                if self.obs:
-                    hb = heartbeat_attribute(heartbeats, p.key)
-                    self.obs.emit("worker.crash", key=p.key, label=p.label,
-                                  attempt=p.attempts,
-                                  worker_pid=hb.pid if hb else 0)
-                if self._handle_failure(p, error):
-                    waiting.append(p)
-            else:
-                # Innocent bystander: relaunch without burning a retry.
-                p.attempts -= 1
-                p.ready_at = 0.0
-                waiting.append(p)
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_worker_init)
-
-    def _abandon_hung(self, pool: ProcessPoolExecutor,
-                      hung: list[tuple[Future, _Pending]],
+    def _replace_pool(self, pool: ProcessPoolExecutor,
                       inflight: dict[Future, _Pending],
                       waiting: list[_Pending],
-                      crumb_dir: Path) -> ProcessPoolExecutor:
-        """Abandon wedged workers (and their pool); reschedule survivors."""
+                      hung: Collection[Future] = (),
+                      ) -> ProcessPoolExecutor:
+        """Replace a broken pool, or one whose *hung* workers are wedged.
+
+        Sorts every in-flight spec once:
+
+        * a hung spec fails with :class:`SpecTimeout`, naming the worker
+          its heartbeat says held it;
+        * a future that finished before the pool went keeps its summary,
+          or its error is charged like any other failure;
+        * in a broken pool, a spec still named by a busy heartbeat (its
+          worker died without cleaning up) is charged :class:`WorkerCrash`;
+        * any other spec — cancelled while queued, or a teardown victim —
+          relaunches without burning a retry.
+
+        The old pool's records are then removed with their directory, so
+        the next pool starts with none.
+        """
         self.stats.pool_restarts += 1
         pool.shutdown(wait=False, cancel_futures=True)
-        self._drain_crumbs(crumb_dir)
-        # Heartbeats attribute the hang: the wedged worker cannot report
-        # its own demise, but its last beat names the spec it was holding.
-        heartbeats = (read_heartbeats(self.obs.heartbeat_dir)
-                      if self.obs else {})
-        if self.obs:
-            self.obs.emit("pool.restart", reason="hung-workers",
-                          hung=len(hung))
-        hung_set = {f for f, _ in hung}
-        for future, p in list(inflight.items()):
-            del inflight[future]
-            if future in hung_set:
-                hb = heartbeat_attribute(heartbeats, p.key)
+        if hung:
+            beats = read_heartbeats(self.heartbeat_dir)
+            crashed: set[str] = set()
+            if self.obs:
+                self.obs.emit("pool.restart", reason="hung-workers",
+                              hung=len(hung))
+        else:
+            beats = _settled_heartbeats(self.heartbeat_dir)
+            crashed = {hb.key for hb in beats.values() if hb.busy}
+            if self.obs:
+                self.obs.emit("pool.restart", reason="broken-pool",
+                              crashed=len(crashed))
+        for future, p in inflight.items():
+            hb = heartbeat_attribute(beats, p.key)
+            if future in hung:
                 held = (f"; worker pid {hb.pid} last heartbeat "
                         f"{hb.age():.1f}s ago" if hb else "")
                 error = SpecTimeout(
@@ -863,22 +770,54 @@ class _Driver:
                         worker_pid=hb.pid if hb else 0,
                         heartbeat_age=round(hb.age(), 3) if hb else -1.0,
                     )
-                if self._handle_failure(p, error):
-                    waiting.append(p)
-            elif future.done():
+            elif (future.done() and not future.cancelled()
+                  and not isinstance(future.exception(), BrokenProcessPool)):
                 try:
                     summary = future.result()
                 except Exception as exc:
-                    if self._handle_failure(p, self._wrap(p, exc)):
-                        waiting.append(p)
+                    error = self._wrap(p, exc)
                 else:
                     self._complete(p, summary)
-            else:
+                    continue
+            elif p.key in crashed:
+                error = WorkerCrash(
+                    f"worker process died mid-spec (attempt {p.attempts})",
+                    key=p.key, label=p.label, attempts=p.attempts,
+                )
+                if self.obs:
+                    self.obs.emit("worker.crash", key=p.key, label=p.label,
+                                  attempt=p.attempts, worker_pid=hb.pid)
+            else:  # cancelled while queued, or a teardown victim
                 p.attempts -= 1
                 p.ready_at = 0.0
                 waiting.append(p)
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_worker_init)
+                continue
+            if self._handle_failure(p, error):
+                waiting.append(p)
+        inflight.clear()
+        shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+        return self._new_pool()
+
+
+def _settled_heartbeats(heartbeat_dir: Path) -> dict[int, Heartbeat]:
+    """The heartbeat records once their busy set stops changing.
+
+    When the pool breaks, the executor SIGTERMs surviving workers
+    *concurrently* with the driver's cleanup; their handlers remove
+    their own records on the way out.  Poll (at most
+    :data:`_SETTLE_SECONDS`) until the busy set stops changing so a
+    dying victim is not misread as a crasher — the busy records left
+    belong to workers that died without cleanup.
+    """
+    deadline = perf_counter() + _SETTLE_SECONDS
+    previous = None
+    while True:
+        beats = read_heartbeats(heartbeat_dir)
+        busy = {(pid, hb.key) for pid, hb in beats.items() if hb.busy}
+        if busy == previous or perf_counter() >= deadline:
+            return beats
+        previous = busy
+        time.sleep(0.1)
 
 
 def _absorb_cache_corruption(cache, stats: ExecStats, obs=NULL_OBS) -> None:

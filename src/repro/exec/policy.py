@@ -4,8 +4,8 @@ An :class:`ExecPolicy` tells :func:`repro.exec.run_specs` how to behave
 when a point misbehaves: how long one spec may run (``timeout``), how
 long the whole batch may take (``deadline``), how many times a failed
 spec is retried (``retries``, with exponential backoff and
-seed-deterministic jitter so two hosts replaying the same sweep sleep
-the same schedule), and what to do once retries are exhausted
+deterministic jitter so two hosts replaying the same sweep sleep the
+same schedule), and what to do once retries are exhausted
 (``on_error``):
 
 * ``"raise"`` — propagate the first exhausted failure (the historic
@@ -37,9 +37,11 @@ ENV_DEADLINE = "REPRO_DEADLINE"
 ENV_RETRIES = "REPRO_RETRIES"
 ENV_ON_ERROR = "REPRO_ON_ERROR"
 ENV_BACKOFF = "REPRO_BACKOFF"
-ENV_QUARANTINE = "REPRO_QUARANTINE"
 
 ON_ERROR_MODES = ("raise", "skip", "collect")
+
+#: Cap on one backoff delay in seconds, before the jitter scales it.
+_BACKOFF_MAX = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +130,11 @@ class ExecPolicy:
     deadline: float | None = None
     #: Extra attempts after the first failure (0 = fail immediately).
     retries: int = 0
-    #: Base backoff delay; attempt *n* waits ``backoff * 2**(n-1)``…
+    #: Base backoff delay; attempt *n* waits ``backoff * 2**(n-1)``,
+    #: capped at 2 s, then scaled by a deterministic jitter in [0.5, 1).
     backoff: float = 0.1
-    #: …capped here, then scaled by a deterministic jitter in [0.5, 1).
-    backoff_max: float = 2.0
-    #: Seed for the jitter hash (same seed → same sleep schedule).
-    jitter_seed: int = 0
     #: What to do with a spec once its retries are exhausted.
     on_error: str = "raise"
-    #: Hard per-spec failure cap: a spec failing this many times is
-    #: quarantined (no further retries even if the budget allows them).
-    #: None scales with the retry budget (``retries + 2``) so crash
-    #: attribution noise never starves a generous retry policy.
-    quarantine_after: int | None = None
 
     def __post_init__(self) -> None:
         if self.on_error not in ON_ERROR_MODES:
@@ -150,10 +144,6 @@ class ExecPolicy:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.quarantine_after is not None and self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
 
     @classmethod
     def from_env(cls) -> "ExecPolicy":
@@ -167,8 +157,6 @@ class ExecPolicy:
             kwargs["retries"] = retries
         if (backoff := _env_float(ENV_BACKOFF)) is not None:
             kwargs["backoff"] = backoff
-        if (quarantine := _env_int(ENV_QUARANTINE)) is not None:
-            kwargs["quarantine_after"] = quarantine
         on_error = os.environ.get(ENV_ON_ERROR, "").strip()
         if on_error:
             kwargs["on_error"] = on_error
@@ -185,24 +173,19 @@ class ExecPolicy:
             "deadline": self.deadline,
             "retries": self.retries,
             "backoff": self.backoff,
-            "backoff_max": self.backoff_max,
-            "jitter_seed": self.jitter_seed,
             "on_error": self.on_error,
-            "quarantine_after": self.quarantine_after,
         }
 
     def retry_delay(self, key: str, attempt: int) -> float:
         """Backoff before relaunching *key* after its *attempt*-th try.
 
-        Exponential in the attempt number, capped at ``backoff_max``,
-        scaled by a jitter factor in ``[0.5, 1.0)`` derived from
-        ``(jitter_seed, key, attempt)`` — deterministic, so a replayed
-        sweep sleeps the exact same schedule on any host.
+        Exponential in the attempt number, capped at 2 s, scaled by a
+        jitter factor in ``[0.5, 1.0)`` derived from ``(key, attempt)`` —
+        deterministic, so a replayed sweep sleeps the exact same schedule
+        on any host.
         """
-        base = min(self.backoff_max, self.backoff * (2.0 ** max(0, attempt - 1)))
-        digest = hashlib.sha256(
-            f"{self.jitter_seed}:{key}:{attempt}".encode()
-        ).hexdigest()
+        base = min(_BACKOFF_MAX, self.backoff * (2.0 ** max(0, attempt - 1)))
+        digest = hashlib.sha256(f"{key}:{attempt}".encode()).hexdigest()
         jitter = 0.5 + (int(digest[:12], 16) / float(16 ** 12)) * 0.5
         return base * jitter
 
@@ -221,8 +204,6 @@ class FailureRecord:
     attempts: int
     #: True when a later attempt succeeded (the failure was transient).
     resolved: bool = False
-    #: True when the spec hit the quarantine cap and was abandoned.
-    quarantined: bool = False
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -232,7 +213,6 @@ class FailureRecord:
             "message": self.message,
             "attempts": self.attempts,
             "resolved": self.resolved,
-            "quarantined": self.quarantined,
         }
 
 
@@ -262,7 +242,6 @@ class FailureReport:
         return {
             "total": len(self.records),
             "unresolved": len(self.unresolved),
-            "quarantined": sum(1 for r in self.records if r.quarantined),
             "categories": categories,
             "records": [r.to_json_dict() for r in self.records],
         }
@@ -270,8 +249,7 @@ class FailureReport:
     def summary_lines(self) -> list[str]:
         lines = []
         for record in self.records:
-            outcome = ("recovered" if record.resolved
-                       else "QUARANTINED" if record.quarantined else "failed")
+            outcome = "recovered" if record.resolved else "failed"
             lines.append(
                 f"{record.category}: {record.label} [{record.key[:12]}] "
                 f"{outcome} after {record.attempts} attempt(s): "

@@ -160,12 +160,8 @@ class TraceProbe(Probe):
             cpu = self._cpu
             rd_value: int | float | None = None
             if ins.rd is not None and not ins.op.startswith("v"):
-                # Destination is a float register unless the op moves or
-                # compares into the integer file.
-                writes_float = ins.op.startswith("f") and not ins.op.startswith(
-                    ("fcvt.w", "fmv.x", "feq", "flt", "fle")
-                )
-                if writes_float:
+                # Every f-prefixed op with a destination writes the f file.
+                if ins.op.startswith("f"):
                     rd_value = float(cpu.f[ins.rd])
                 else:
                     rd_value = s32(cpu.x[ins.rd])

@@ -2,17 +2,18 @@
 
 Structured JSONL event logs with per-sweep correlation ids
 (:mod:`~repro.obs.log`, taxonomy in :mod:`~repro.obs.events`), worker
-heartbeats for live progress and hang attribution
-(:mod:`~repro.obs.heartbeat`, :mod:`~repro.obs.progress`), a
-sweep-level chrome-trace exporter (:mod:`~repro.obs.trace`), log
-analytics (:mod:`~repro.obs.summary`) and Prometheus/OpenMetrics text
-exposition (:mod:`~repro.obs.metrics`).
+heartbeats (:mod:`~repro.obs.heartbeat`), a live progress line
+(:mod:`~repro.obs.progress`), a sweep-level chrome-trace exporter
+(:mod:`~repro.obs.trace`), log analytics (:mod:`~repro.obs.summary`)
+and Prometheus/OpenMetrics text exposition (:mod:`~repro.obs.metrics`).
 
-Everything is off — and provably zero-cost — unless a sweep is armed
-with ``--obs-log`` or ``$REPRO_OBS_DIR``; the engine then logs the full
-spec lifecycle across driver and workers, survives worker crashes
-(per-writer append files, flushed per line), and merges a single
-ordered ``events.jsonl`` at sweep end.
+Every process pool keeps heartbeats: they attribute worker crashes and
+hangs and feed the progress line.  The event log is off — and provably
+zero-cost — unless a sweep is armed with ``--obs-log`` or
+``$REPRO_OBS_DIR``; the engine then logs the full spec lifecycle across
+driver and workers, survives worker crashes (per-writer append files,
+flushed per line), and merges a single ordered ``events.jsonl`` at
+sweep end.
 """
 
 from .events import (

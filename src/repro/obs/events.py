@@ -24,12 +24,12 @@ The lifecycle grammar the chaos suite and CI validate
 ``spec.submitted`` exactly once, runs one or more ``attempt.start``
 attempts (each closed by ``attempt.ok`` / ``attempt.error`` unless the
 worker died — then the driver's ``worker.crash`` stands in), and ends
-in exactly one terminal event (``spec.completed`` / ``spec.failed`` /
-``spec.quarantined``), after which nothing but auxiliary cache events
-may mention it.  Injected faults always surface as ``fault.injected``
-events emitted *before* the fault trips (flushed even ahead of an
-``os._exit`` crash), which is what makes 100% fault attribution
-checkable from the log alone.
+in exactly one terminal event (``spec.completed`` / ``spec.failed``),
+after which nothing but auxiliary cache events may mention it.
+Injected faults always surface as ``fault.injected`` events emitted
+*before* the fault trips (flushed even ahead of an ``os._exit``
+crash), which is what makes 100% fault attribution checkable from the
+log alone.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 #: Log schema tag (bump on incompatible envelope/taxonomy changes).
-OBS_SCHEMA = "repro-obs/1"
+OBS_SCHEMA = "repro-obs/2"
 
 #: Events emitted by the driver process.
 DRIVER_EVENTS = frozenset({
@@ -52,10 +52,9 @@ DRIVER_EVENTS = frozenset({
     "spec.timeout",      # an attempt exceeded the per-spec budget
     "worker.crash",      # a worker process died mid-spec (attributed)
     "worker.hung",       # driver-side backstop abandoned a wedged worker
-    "pool.restart",      # the process pool was torn down and resurrected
+    "pool.restart",      # the process pool was torn down and replaced
     "spec.completed",    # terminal: a summary landed
     "spec.failed",       # terminal: retries exhausted / deadline
-    "spec.quarantined",  # terminal: hit the quarantine cap
 })
 
 #: Events emitted inside an attempt (by a pool worker, or by the driver
@@ -70,9 +69,7 @@ WORKER_EVENTS = frozenset({
 EVENT_TYPES = DRIVER_EVENTS | WORKER_EVENTS
 
 #: Terminal lifecycle events: exactly one per submitted spec.
-TERMINAL_EVENTS = frozenset({
-    "spec.completed", "spec.failed", "spec.quarantined",
-})
+TERMINAL_EVENTS = frozenset({"spec.completed", "spec.failed"})
 
 #: Events that must carry a spec correlation ``key``.
 SPEC_EVENTS = frozenset({

@@ -1,20 +1,25 @@
 """Worker heartbeats: who is running what, right now.
 
-Each pool worker touches ``<sweep_dir>/heartbeats/<pid>.json`` at the
-start of every attempt (and marks itself idle on any clean exit from
-the attempt).  The record is tiny — pid, the spec's correlation key and
-label, the attempt number, start/update wall-times — and written via
-atomic replace, so the driver can read the set at any moment without
-locks.
+Each worker of a sweep's process pool touches ``<pid>.json`` in the
+pool's own temporary directory at the start of every attempt, marks
+itself idle on any clean exit from the attempt, and removes the record
+when the executor SIGTERMs it.  The records are kept whether or not the
+sweep's obs log is on.  Each is tiny — pid, the spec's correlation key
+and label, the attempt number, start/update wall-times — and written
+via atomic replace, so the driver can read the set at any moment
+without locks.
 
-The driver folds the records into its settle-poll loop for two things:
+They are the driver's one account of what each worker holds:
 
-* the live progress line (which specs are *actually* executing, not
-  just submitted), and
+* **crash attribution**: after a ``BrokenProcessPool``, once the
+  teardown settles, the records still naming a spec belong to workers
+  that died without cleanup, and exactly those specs are charged;
 * **hang attribution**: when the driver-side backstop abandons a
-  worker that stopped responding, the heartbeat names exactly which
-  spec (and attempt) that worker was holding — a crashed or wedged
-  worker cannot report its own demise, but its last heartbeat can.
+  worker that stopped responding, the heartbeat names which spec (and
+  attempt) that worker was holding — a crashed or wedged worker cannot
+  report its own demise, but its last heartbeat can;
+* the live progress line (which specs are *actually* executing, not
+  just submitted).
 """
 
 from __future__ import annotations
@@ -53,6 +58,11 @@ class Heartbeat:
         }
 
 
+def record_path(heartbeat_dir: str | Path) -> Path:
+    """The calling process's record in *heartbeat_dir*."""
+    return Path(heartbeat_dir) / f"{os.getpid()}.json"
+
+
 def beat(heartbeat_dir: str | Path, *, key: str, label: str = "",
          attempt: int = 0, started: float | None = None) -> None:
     """Touch the calling process's heartbeat record (atomic replace)."""
@@ -61,7 +71,7 @@ def beat(heartbeat_dir: str | Path, *, key: str, label: str = "",
         pid=os.getpid(), key=key, label=label, attempt=attempt,
         started=started if started is not None else now, updated=now,
     )
-    path = Path(heartbeat_dir) / f"{record.pid}.json"
+    path = record_path(heartbeat_dir)
     tmp = path.with_name(f"{path.name}.tmp")
     try:
         tmp.write_text(json.dumps(record.to_json_dict(),

@@ -6,12 +6,13 @@ Layout of one sweep's log directory (``<obs root>/<sweep_id>/``):
 * ``worker-<pid>.jsonl`` — one append-only file per pool worker (no
   two processes ever share a file handle, so there is no lock and no
   contention on the hot path);
-* ``heartbeats/<pid>.json`` — the worker heartbeat records
-  (:mod:`repro.obs.heartbeat`);
 * ``events.jsonl`` — the merged, ordered log the driver writes at
   sweep end (sorted by ``(wall, src, seq)``; stable, so every writer's
   own order — and its monotonic timestamps — survive the merge);
 * ``stats.json`` — the sweep's final ``ExecStats.as_dict()`` snapshot.
+
+Worker heartbeats are not part of the log: each process pool keeps them
+in its own temporary directory (:mod:`repro.obs.heartbeat`).
 
 Writers flush every line: a worker that dies mid-spec (``os._exit``
 crash injection included) leaves every event it emitted on disk, which
@@ -40,7 +41,6 @@ _EVENTS_SUFFIX = ".jsonl"
 MERGED_NAME = "events.jsonl"
 DRIVER_NAME = "driver.jsonl"
 STATS_NAME = "stats.json"
-HEARTBEAT_DIR = "heartbeats"
 
 _SWEEP_COUNTER = 0
 
@@ -163,8 +163,6 @@ class ObsLog:
         self.sweep_dir = Path(sweep_dir)
         self.sweep_id = sweep_id or self.sweep_dir.name
         self.sweep_dir.mkdir(parents=True, exist_ok=True)
-        self.heartbeat_dir = self.sweep_dir / HEARTBEAT_DIR
-        self.heartbeat_dir.mkdir(exist_ok=True)
         self._writer = ObsWriter(self.sweep_dir / DRIVER_NAME,
                                  sweep_id=self.sweep_id, src="driver")
 

@@ -97,7 +97,6 @@ def render_metrics(stats: dict, *, summary: "SweepSummary | None" = None,
     for counter, help_text in (
         ("retried", "Attempts that were rescheduled after a retryable error."),
         ("failed", "Specs that exhausted retries or hit the deadline."),
-        ("quarantined", "Specs parked after repeated failures."),
         ("corrupt", "Cache entries that failed integrity verification."),
         ("pool_restarts", "Times the worker pool was torn down and rebuilt."),
     ):

@@ -37,7 +37,7 @@ class SpecRecord:
     key: str
     label: str = ""
     attempts: int = 0
-    outcome: str = "pending"  # completed | failed | quarantined | cache-hit
+    outcome: str = "pending"  # completed | failed | cache-hit
     #: Seconds spent inside finished attempts (``attempt.ok/error``).
     busy_seconds: float = 0.0
     #: Wall seconds from submission to the terminal event.
@@ -140,7 +140,7 @@ class SweepSummary:
             record.outcome = etype.split(".", 1)[1]
             if record._submitted is not None:
                 record.latency = wall - record._submitted
-            if etype in ("spec.failed", "spec.quarantined"):
+            if etype == "spec.failed":
                 category = data.get("category", "error")
                 self.failures_by_category[category] = (
                     self.failures_by_category.get(category, 0) + 1)

@@ -105,7 +105,7 @@ def test_flaky_faults_converge(clean, jobs):
 
 @pytest.mark.parametrize("jobs", [2, 1])
 def test_worker_crashes_converge(clean, jobs):
-    """Pool resurrection (jobs=2) / simulated crash (jobs=1) both heal."""
+    """Pool replacement (jobs=2) / simulated crash (jobs=1) both heal."""
     plan = _find_plan(
         lambda s: FaultPlan(crash=0.5, seed=s),
         lambda p: (any(p.roll("crash", k, 1) for k in KEYS)
@@ -139,17 +139,22 @@ def test_hang_is_timed_out_and_retried(clean):
     assert any(r.category == "timeout" for r in stats.failures)
 
 
-def test_unrecoverable_crash_quarantines_and_collects():
+def test_unrecoverable_crash_fails_and_collects():
+    # Every attempt crashes its worker: each spec is charged exactly one
+    # worker-crash per launched attempt and fails once its retries run
+    # out, never sooner (a teardown victim relaunches for free).
+    retries = 1
     results = run_specs(
         SPECS, jobs=2, cache=NullCache(),
-        policy=ExecPolicy(retries=1, backoff=0.01, quarantine_after=2,
-                          on_error="collect"),
+        policy=ExecPolicy(retries=retries, backoff=0.01, on_error="collect"),
         faults=FaultPlan(crash=1.0, seed=0),
     )
     assert all(isinstance(r, WorkerCrash) for r in results)
     stats = session_stats()
-    assert stats.quarantined == len(SPECS)
+    assert stats.failed == len(SPECS)
     assert stats.executed == 0
+    assert [(r.category, r.attempts) for r in stats.failures] == (
+        [("worker-crash", retries + 1)] * len(SPECS))
 
 
 def test_on_error_skip_leaves_none():
@@ -218,9 +223,9 @@ def test_verify_has_zero_false_positives(tmp_path):
 
 def test_killed_sweep_resumes_from_incremental_cache(clean, tmp_path):
     # A plan where exactly two specs crash on attempt 1.  With zero
-    # retries and quarantine_after=1, exactly the survivors' results
-    # must land in the cache — crash attribution must not smear onto
-    # in-flight bystanders.
+    # retries, exactly the survivors' results must land in the cache —
+    # crash attribution must not smear onto in-flight bystanders, and
+    # it needs no obs log.
     plan = _find_plan(
         lambda s: FaultPlan(crash=0.5, seed=s),
         lambda p: sum(p.roll("crash", k, 1) for k in KEYS) == 2,
@@ -230,11 +235,15 @@ def test_killed_sweep_resumes_from_incremental_cache(clean, tmp_path):
     cache = ResultCache(tmp_path, faults=FaultPlan())
     results = run_specs(
         SPECS, jobs=2, cache=cache,
-        policy=ExecPolicy(retries=0, quarantine_after=1, on_error="skip"),
+        policy=ExecPolicy(retries=0, on_error="skip"),
         faults=plan,
     )
     for result, dead in zip(results, expected_dead):
         assert (result is None) == dead
+    stats = session_stats()
+    assert stats.failed == expected_dead.count(True)
+    assert [(r.category, r.attempts) for r in stats.failures] == (
+        [("worker-crash", 1)] * expected_dead.count(True))
 
     # The "fixed" rerun resumes: survivors come from the cache, only
     # the crashed specs are re-simulated, and the batch is

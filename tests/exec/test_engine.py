@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import tempfile
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.exec import (
+    ExecPolicy,
     ExecStats,
+    FaultPlan,
     NullCache,
     ResultCache,
+    SpecTimeout,
+    TransientFault,
+    cache_key,
     caching_enabled,
     configure,
     execute,
+    payload_key,
     reset_session_stats,
     resolve_jobs,
     run_specs,
@@ -19,6 +30,9 @@ from repro.exec import (
     spmspv_spec,
     spmv_spec,
 )
+from repro.exec.engine import _Driver, _Pending
+from repro.obs import NULL_OBS, ObsLog
+from repro.obs.heartbeat import beat
 
 
 @pytest.fixture(autouse=True)
@@ -145,7 +159,6 @@ def test_throughput_line_surfaces_fault_counters():
     assert "1 pool restarts" in line
     # Zero counters stay off the line entirely.
     assert "failed" not in line
-    assert "quarantined" not in line
 
 
 def test_points_per_second_zero_wall_clock():
@@ -237,3 +250,120 @@ def test_delta_covers_obs_counters():
     assert rebuilt.heartbeats_seen == after.heartbeats_seen
     assert rebuilt.events_emitted == after.events_emitted
     assert rebuilt.log_bytes == after.log_bytes
+
+
+class _FakePool:
+    def shutdown(self, wait=False, cancel_futures=False):
+        pass
+
+
+def _replacing_driver(tmp_path, monkeypatch, policy, n):
+    """A driver whose replacement pools are fakes, and *n* launched specs.
+
+    The driver's current pool beats into a directory under *tmp_path*,
+    where the replacement pools' directories go too.
+    """
+    from repro.exec import engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor",
+                        lambda **kwargs: _FakePool())
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    pendings = [
+        _Pending(spec=spec, key=cache_key(spec), fkey=payload_key(spec),
+                 label=spec.label, indices=[i], attempts=1)
+        for i, spec in enumerate(_specs(n))
+    ]
+    driver = _Driver(policy=policy, plan=FaultPlan(), cache=NullCache(),
+                     results=[None] * n, stats=ExecStats(), deadline_at=None,
+                     workers=2)
+    driver.heartbeat_dir = Path(tempfile.mkdtemp())
+    return driver, pendings
+
+
+def test_broken_pool_charges_a_failure_that_landed_first(tmp_path,
+                                                         monkeypatch):
+    # A future that failed before the pool broke is an ordinary failure:
+    # charged once, its attempt kept and one retry scheduled, not
+    # relaunched as a bystander with its attempt undone.
+    driver, [p] = _replacing_driver(
+        tmp_path, monkeypatch, ExecPolicy(retries=1, backoff=0.01), 1)
+    future = Future()
+    future.set_exception(TransientFault("flaked"))
+    waiting = []
+    driver._replace_pool(_FakePool(), {future: p}, waiting)
+    assert waiting == [p]
+    assert (p.attempts, p.failures) == (1, 1)
+    assert isinstance(p.last_error, TransientFault)
+    assert driver.stats.retried == 1
+    assert driver.stats.failed == 0
+    assert driver.stats.pool_restarts == 1
+
+
+def test_hung_pool_relaunches_cancelled_specs_for_free(tmp_path,
+                                                       monkeypatch):
+    # Replacing a pool around a wedged worker cancels the specs queued
+    # behind it.  They never ran: each relaunches with no failure, even
+    # with no retry left; only the wedged spec is charged.
+    driver, [wedged_p, queued_p] = _replacing_driver(
+        tmp_path, monkeypatch,
+        ExecPolicy(timeout=0.1, retries=0, on_error="collect"), 2)
+    wedged, queued = Future(), Future()
+    assert queued.cancel()
+    waiting = []
+    driver._replace_pool(_FakePool(), {wedged: wedged_p, queued: queued_p},
+                         waiting, hung={wedged})
+    assert waiting == [queued_p]
+    assert (queued_p.attempts, queued_p.failures) == (0, 0)
+    assert driver.stats.failed == 1
+    assert isinstance(driver.results[0], SpecTimeout)
+    assert driver.results[1] is None
+
+
+def test_abandoned_pool_records_stay_out_of_the_next_pool(tmp_path,
+                                                          monkeypatch):
+    # The pool abandoned around a wedged worker keeps its other workers
+    # running the specs already handed to them, and those specs relaunch
+    # in the new pool too.  The abandoned worker's records never reach
+    # the new pool's account: when the new pool breaks, the spec both
+    # pools ran relaunches for free instead of being charged the crash.
+    driver, [wedged_p, p] = _replacing_driver(
+        tmp_path, monkeypatch,
+        ExecPolicy(timeout=0.1, retries=0, on_error="collect"), 2)
+    abandoned_dir = driver.heartbeat_dir
+    wedged, running = Future(), Future()
+    assert running.set_running_or_notify_cancel()
+    waiting = []
+    driver._replace_pool(_FakePool(), {wedged: wedged_p, running: p},
+                         waiting, hung={wedged})
+    assert waiting == [p] and p.attempts == 0
+
+    beat(abandoned_dir, key=p.key, label=p.label, attempt=1)
+    p.attempts = 1
+    broken = Future()
+    broken.set_exception(BrokenProcessPool("a worker died"))
+    waiting = []
+    driver._replace_pool(_FakePool(), {broken: p}, waiting)
+    assert waiting == [p]
+    assert (p.attempts, p.failures) == (0, 0)
+    assert driver.stats.failed == 1  # the wedged spec alone
+
+
+def test_pooled_sweep_leaves_no_heartbeat_directory(tmp_path, monkeypatch):
+    # Heartbeats live in each pool's own temporary directory, which goes
+    # with the pool, logged or not; the obs log keeps none.
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording_mkdtemp(**kwargs):
+        made.append(Path(mkdtemp(dir=tmp_path, **kwargs)))
+        return str(made[-1])
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    obs = ObsLog.create(tmp_path / "obs")
+    for log in (obs, NULL_OBS):
+        results = run_specs(_specs(3), jobs=2, cache=NullCache(),
+                            policy=ExecPolicy(), faults=FaultPlan(), obs=log)
+        assert all(r is not None for r in results)
+    assert len(made) == 2  # one pool per batch, none replaced
+    assert not any(path.exists() for path in made)
+    assert [path for path in obs.sweep_dir.iterdir() if path.is_dir()] == []

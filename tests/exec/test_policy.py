@@ -33,12 +33,9 @@ def test_on_error_is_validated():
         ExecPolicy(on_error="explode")
 
 
-def test_retries_and_quarantine_validated():
+def test_retries_validated():
     with pytest.raises(ValueError, match="retries"):
         ExecPolicy(retries=-1)
-    with pytest.raises(ValueError, match="quarantine_after"):
-        ExecPolicy(quarantine_after=0)
-    ExecPolicy(quarantine_after=None)  # None = scale with retries
 
 
 def test_from_env(monkeypatch):
@@ -47,7 +44,6 @@ def test_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_RETRIES", "3")
     monkeypatch.setenv("REPRO_ON_ERROR", "skip")
     monkeypatch.setenv("REPRO_BACKOFF", "0.02")
-    monkeypatch.setenv("REPRO_QUARANTINE", "7")
     policy = ExecPolicy.from_env()
     assert policy.timeout == 2.5
     assert policy.deadline == 60.0
@@ -55,29 +51,25 @@ def test_from_env(monkeypatch):
     assert policy.max_attempts == 4
     assert policy.on_error == "skip"
     assert policy.backoff == 0.02
-    assert policy.quarantine_after == 7
 
 
 def test_from_env_empty_is_default(monkeypatch):
     for name in ("REPRO_TIMEOUT", "REPRO_DEADLINE", "REPRO_RETRIES",
-                 "REPRO_ON_ERROR", "REPRO_BACKOFF", "REPRO_QUARANTINE"):
+                 "REPRO_ON_ERROR", "REPRO_BACKOFF"):
         monkeypatch.delenv(name, raising=False)
     assert ExecPolicy.from_env() == ExecPolicy()
 
 
 def test_retry_delay_deterministic_and_bounded():
-    policy = ExecPolicy(retries=5, backoff=0.1, backoff_max=2.0)
+    policy = ExecPolicy(retries=5, backoff=0.1)
     delays = [policy.retry_delay("somekey", a) for a in range(1, 8)]
-    # Same (seed, key, attempt) -> exact same schedule on any host.
+    # Same (key, attempt) -> exact same schedule on any host.
     assert delays == [policy.retry_delay("somekey", a) for a in range(1, 8)]
     for attempt, delay in enumerate(delays, start=1):
         base = min(2.0, 0.1 * 2.0 ** (attempt - 1))
         assert 0.5 * base <= delay < base
     # A different key jitters differently (with overwhelming probability).
     assert policy.retry_delay("otherkey", 1) != delays[0]
-    # A different jitter seed reshuffles the schedule.
-    reseeded = ExecPolicy(retries=5, backoff=0.1, jitter_seed=99)
-    assert reseeded.retry_delay("somekey", 1) != delays[0]
 
 
 def test_error_taxonomy_categories():
@@ -109,7 +101,7 @@ def test_failure_report_json_and_summary():
         FailureRecord(key="a" * 64, label="one", category="transient",
                       message="flaked", attempts=2, resolved=True),
         FailureRecord(key="b" * 64, label="two", category="worker-crash",
-                      message="died", attempts=4, quarantined=True),
+                      message="died", attempts=4),
     ])
     assert len(report) == 2
     assert bool(report)
@@ -118,9 +110,8 @@ def test_failure_report_json_and_summary():
     doc = report.to_json_dict()
     assert doc["total"] == 2
     assert doc["unresolved"] == 1
-    assert doc["quarantined"] == 1
     assert doc["categories"] == {"transient": 1, "worker-crash": 1}
     lines = report.summary_lines()
     assert "recovered" in lines[0]
-    assert "QUARANTINED" in lines[1]
+    assert "failed after 4 attempt(s)" in lines[1]
     assert not FailureReport()

@@ -9,6 +9,10 @@ payload keys legitimately change.
 
 from __future__ import annotations
 
+import tempfile
+from concurrent.futures import Future
+from pathlib import Path
+
 import numpy as np
 
 from repro.exec import (
@@ -153,10 +157,13 @@ def test_chaos_pool_sweep_sequences_and_fault_attribution(tmp_path):
     assert logged == expected
     assert expected  # the probe guaranteed real faults
 
-    # Crash forensics: each crash roll surfaces as a worker.crash event.
-    crash_keys = {e["key"] for e in events if e["type"] == "worker.crash"}
-    expected_crash = {ckey for kind, ckey, _ in expected if kind == "crash"}
-    assert crash_keys == expected_crash
+    # Crash forensics: each tripped crash roll is answered by exactly
+    # one worker.crash event for the same spec and attempt.
+    crashes = sorted((e["key"], e["attempt"]) for e in events
+                     if e["type"] == "worker.crash")
+    assert crashes == sorted((ckey, attempt)
+                             for kind, ckey, attempt in expected
+                             if kind == "crash")
 
 
 def test_cache_corrupt_faults_are_attributed(tmp_path):
@@ -211,26 +218,22 @@ def test_heartbeats_flow_back_into_stats(tmp_path):
 
 
 def test_hung_worker_is_named_by_its_heartbeat(tmp_path, monkeypatch):
-    # Drive _abandon_hung directly with a synthetic wedged future and a
-    # heartbeat file naming the spec: the timeout error and the
-    # worker.hung event must both name the holder.
+    # Drive _replace_pool directly with a wedged future and a heartbeat
+    # in the driver's directory naming the spec: the timeout error and
+    # the worker.hung event must both name the holder.
     from repro.exec import engine as engine_mod
 
     class FakePool:
         def shutdown(self, wait=False, cancel_futures=False):
             pass
 
-    class FakeFuture:
-        def done(self):
-            return False
-
     monkeypatch.setattr(engine_mod, "ProcessPoolExecutor",
-                        lambda max_workers, initializer: FakePool())
+                        lambda **kwargs: FakePool())
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
     obs = ObsLog.create(tmp_path / "obs")
     spec = SPECS[0]
     key = cache_key(spec)
-    beat(obs.heartbeat_dir, key=key, label="hung spmv", attempt=1)
     worker_pid = __import__("os").getpid()
 
     p = _Pending(spec=spec, key=key, fkey=payload_key(spec),
@@ -240,9 +243,10 @@ def test_hung_worker_is_named_by_its_heartbeat(tmp_path, monkeypatch):
         plan=FaultPlan(), cache=NullCache(), results=[None],
         stats=ExecStats(), deadline_at=None, workers=1, obs=obs,
     )
-    future = FakeFuture()
-    driver._abandon_hung(FakePool(), [(future, p)], {future: p}, [],
-                         tmp_path / "crumbs")
+    driver.heartbeat_dir = Path(tempfile.mkdtemp())
+    beat(driver.heartbeat_dir, key=key, label="hung spmv", attempt=1)
+    future = Future()
+    driver._replace_pool(FakePool(), {future: p}, [], hung={future})
 
     record = driver.stats.failures[0]
     assert record.key == key

@@ -8,7 +8,7 @@ from repro.obs import SweepSummary, parse_metrics, render_metrics
 
 STATS = {
     "executed": 7, "cached": 3, "failed": 1, "retried": 2,
-    "quarantined": 0, "corrupt": 1, "pool_restarts": 1,
+    "corrupt": 1, "pool_restarts": 1,
     "wall_seconds": 2.5, "points_per_second": 4.0, "jobs": 2,
     "events_emitted": 55, "heartbeats_seen": 9, "log_bytes": 4096,
 }
